@@ -2,10 +2,10 @@
 //! per system and strategy (the simulated-time results are produced by
 //! the `repro` binary; these measure the host cost of the mechanism).
 //!
-//! The `scan=` benches compare the pre-change pipeline (naive per-granule
-//! sweep + rebuilt-Vec linear region lookup + per-page PTE inserts,
-//! preserved as `ScanMode::Naive`) against the tag-summary fast path
-//! (bitmap scan + indexed region lookup + batched walk) on a forking
+//! The `scan=` benches compare the naive relocation pipeline (per-granule
+//! sweep + rebuilt-Vec linear region lookup, `ScanMode::Naive`) against
+//! the tag-summary fast path (bitmap scan + indexed region lookup), both
+//! on the same batched fork walk, on a forking
 //! lineage whose pages carry at most a handful of capabilities — the
 //! sparse case the tentpole optimizes. Medians land in `BENCH_fork.json`
 //! at the repository root so future PRs have a perf trajectory.

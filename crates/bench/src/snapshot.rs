@@ -292,3 +292,30 @@ pub fn zygote_fleet_sweep() -> Vec<ZygoteFleetRow> {
         zygote_fleet_run("dirty/pipelined", WalkMode::Pipelined, false, true),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The serial walk finds the same in-fork duplicates as the pipelined
+    /// chunks: a fresh copy staged earlier in the same walk is a valid
+    /// dedup target before the walk's batch installs its PTE, so both
+    /// walks account one child, the fleet and the deduped frames alike.
+    #[test]
+    fn dedup_serial_matches_pipelined() {
+        let serial = zygote_fleet_run("dedup/serial", WalkMode::Serial, true, false);
+        let piped = zygote_fleet_run("dedup/pipelined", WalkMode::Pipelined, true, false);
+        assert_eq!(
+            (
+                serial.frames_one_child,
+                serial.frames_fleet,
+                serial.frames_deduped
+            ),
+            (
+                piped.frames_one_child,
+                piped.frames_fleet,
+                piped.frames_deduped
+            )
+        );
+    }
+}

@@ -10,7 +10,7 @@ use ufork_mem::Pfn;
 
 use crate::journal::FallbackPolicy;
 use crate::kernel::UforkOs;
-use crate::reloc::{reloc_cost, relocate_frame, ScanMode};
+use crate::reloc::{relocate_counted, RelocTarget, SourceLookup};
 
 impl UforkOs {
     /// Checks a capability for an access, enforcing the μprocess
@@ -198,40 +198,14 @@ impl UforkOs {
         // CoW faults it finds nothing to fix up.
         ctx.phase("fault/reloc");
         let root = self.proc(pid)?.root;
-        let mode = self.scan;
-        let stats = match mode {
-            ScanMode::Naive => {
-                // Legacy lookup: rebuild the region list, linear-scan it
-                // once per capability (the ablation baseline's cost).
-                let sources = self.source_regions();
-                let lookups = std::cell::Cell::new(0u64);
-                let stats = relocate_frame(
-                    &mut self.pm,
-                    pfn,
-                    region,
-                    &root,
-                    &|addr| {
-                        lookups.set(lookups.get() + 1);
-                        sources.iter().find(|r| r.contains(VirtAddr(addr))).copied()
-                    },
-                    mode,
-                );
-                ctx.counters.region_lookups += lookups.get();
-                stats
-            }
-            ScanMode::TagSummary => {
-                let (pm, index) = (&mut self.pm, &self.region_index);
-                let stats =
-                    relocate_frame(pm, pfn, region, &root, &|addr| index.lookup(addr), mode);
-                ctx.counters.region_lookups += index.take_lookups();
-                stats
-            }
+        let source = SourceLookup::new(self.scan, &self.region_index, || self.source_regions());
+        let target = RelocTarget {
+            region,
+            root: &root,
+            source: &source,
+            mode: self.scan,
         };
-        ctx.kernel(reloc_cost(&self.cost, &stats));
-        ctx.counters.granules_scanned += stats.granules_scanned;
-        ctx.counters.granules_skipped += stats.granules_skipped;
-        ctx.counters.tag_words_loaded += stats.tag_words_loaded;
-        ctx.counters.caps_relocated += stats.relocated + stats.cleared;
+        relocate_counted(&mut self.pm, pfn, &target, &self.cost, ctx);
         Ok(())
     }
 
@@ -252,11 +226,7 @@ impl UforkOs {
             return Ok(pfn);
         }
         ctx.phase("fault/reclaim");
-        let scrubbed = self.pm.reclaim_pass();
-        let backoff = self.cost.reclaim_backoff + self.cost.zero_page * scrubbed as f64;
-        ctx.kernel(backoff);
-        ctx.counters.reclaim_inline += 1;
-        ctx.counters.fork_backoff_ns += backoff as u64;
+        self.reclaim_inline(ctx);
         ctx.phase("fault/copy");
         crate::fork::alloc_zeroed_charged(&mut self.pm, &self.cost, ctx).map_err(|_| Errno::NoMem)
     }

@@ -12,16 +12,26 @@
 //!    the register file, and hand the child to the scheduler (done by
 //!    the executive).
 //!
-//! The walk is batched: the parent's mapped range is streamed directly
-//! off the page table (no intermediate `Vec` of its PTEs), the child's
-//! PTEs are staged in a sorted batch and inserted in one
+//! Step 2 is one walk. A single classifier ([`PagePolicy::classify`])
+//! sorts every parent page into a [`PageClass`] — shm, clean since the
+//! last generation stamp, lazy, or eager — and the one loop in
+//! `fork_walk_pages` stages every shared class the same way (refcount
+//! bump, journaled, one batched child PTE). Only eager pages depend on
+//! the [`WalkMode`], and there are two executors for them: the inline
+//! one (`Serial`: dedup probe, then copy + relocate on the walking
+//! context) and the lane executor (`Parallel(n)`, `crate::fork_par`),
+//! fed with destination frames the walk allocates. `Pipelined` stages
+//! eager pages on the shared parent frame and defers their copies to
+//! background chunks (`crate::pipeline`). Every mode ends in the same
+//! epilogue: the parent's range is streamed directly off the page table,
+//! the child's PTEs land in one sorted
 //! [`ufork_vmem::PageTable::extend_sorted`] sweep, and the parent's COW
-//! protection is applied in one [`ufork_vmem::PageTable::protect_many`]
-//! pass at the end. Under [`ScanMode::Naive`] the legacy walk (per-page
-//! inserts, per-capability linear region scans, full-page tag sweeps) is
-//! preserved as an ablation baseline.
+//! protection in one [`ufork_vmem::PageTable::protect_many`] pass.
+//! [`ScanMode::Naive`] is a knob on the same loop: per-granule relocation
+//! sweeps and a rebuilt, linearly scanned region list, always on the
+//! inline executor.
 //!
-//! Every side effect either walk performs is recorded in the
+//! Every side effect the walk performs is recorded in the
 //! transactional [`crate::journal`]: a failure at any point — frame
 //! exhaustion, refcount overflow, injected journal abort — rolls the
 //! kernel back to its exact pre-fork state ([`UforkOs::rollback_fork`]).
@@ -30,8 +40,6 @@
 //! queues, charge a deterministic simulated backoff, re-attempt the
 //! fork) before surfacing `NoMem`.
 
-use std::cell::Cell;
-
 use ufork_abi::{CopyStrategy, Errno, Pid, SysResult};
 use ufork_cheri::{Capability, Perms};
 use ufork_exec::Ctx;
@@ -39,11 +47,11 @@ use ufork_mem::{content_hash, FrameDedupIndex, Pfn, PhysMem, PAGE_SIZE};
 use ufork_sim::CostModel;
 use ufork_vmem::{PageTable, Pte, PteFlags, Region, VirtAddr, Vpn};
 
+use crate::fork_par::{alloc_lane_frame, WalkMode};
 use crate::journal::{FallbackPolicy, ForkJournal, JournalOp};
 use crate::kernel::{UProc, UforkOs};
 use crate::layout::Segment;
-use crate::reloc::{reloc_cost, relocate_frame, ScanMode};
-
+use crate::reloc::{relocate_counted, RelocTarget, ScanMode, SourceLookup};
 /// How much of the parent's address space a fork walks through the copy
 /// machinery.
 ///
@@ -106,12 +114,8 @@ impl UforkOs {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Forks `parent` into `child`: one transactional attempt, plus a
-    /// bounded reclaim-then-retry loop when an attempt rolls back on
-    /// memory exhaustion. Reclaim drains the recycled pools'
-    /// deferred-zero queues (the one reclaim the simulation models) and
-    /// charges a deterministic backoff, so the retry schedule is a pure
-    /// function of the failure sequence.
+    /// Forks `parent` into `child`: one transactional attempt, retried
+    /// after reclaim when it rolls back on memory exhaustion.
     pub(crate) fn fork_uproc(
         &mut self,
         ctx: &mut Ctx,
@@ -119,9 +123,23 @@ impl UforkOs {
         child: Pid,
         scope: CopyScope,
     ) -> SysResult<()> {
+        self.retry_after_reclaim(ctx, |os, ctx| os.fork_attempt(ctx, parent, child, scope))
+    }
+
+    /// Runs `attempt` — one journaled transaction (a fork, or a
+    /// pipelined background chunk) — until it succeeds or fails fatally.
+    /// A retryable failure (memory exhaustion, already rolled back) is
+    /// retried at most [`MAX_FORK_RETRIES`] times, each after an inline
+    /// reclaim pass, so the retry schedule is a pure function of the
+    /// failure sequence.
+    pub(crate) fn retry_after_reclaim(
+        &mut self,
+        ctx: &mut Ctx,
+        mut attempt: impl FnMut(&mut UforkOs, &mut Ctx) -> Result<(), ForkFail>,
+    ) -> SysResult<()> {
         let mut retries = 0;
         loop {
-            match self.fork_attempt(ctx, parent, child, scope) {
+            match attempt(self, ctx) {
                 Ok(()) => return Ok(()),
                 Err(ForkFail::Fatal(e)) => return Err(e),
                 Err(ForkFail::Retryable(e)) => {
@@ -130,14 +148,21 @@ impl UforkOs {
                     }
                     retries += 1;
                     ctx.phase("fork/reclaim");
-                    let scrubbed = self.pm.reclaim_pass();
-                    let backoff = self.cost.reclaim_backoff + self.cost.zero_page * scrubbed as f64;
-                    ctx.kernel(backoff);
-                    ctx.counters.reclaim_inline += 1;
-                    ctx.counters.fork_backoff_ns += backoff as u64;
+                    self.reclaim_inline(ctx);
                 }
             }
         }
+    }
+
+    /// One inline reclaim pass: drains the recycled pools' deferred-zero
+    /// queues (the one reclaim the simulation models) and charges a
+    /// deterministic backoff plus the scrubbing.
+    pub(crate) fn reclaim_inline(&mut self, ctx: &mut Ctx) {
+        let scrubbed = self.pm.reclaim_pass();
+        let backoff = self.cost.reclaim_backoff + self.cost.zero_page * scrubbed as f64;
+        ctx.kernel(backoff);
+        ctx.counters.reclaim_inline += 1;
+        ctx.counters.fork_backoff_ns += backoff as u64;
     }
 
     /// One transactional fork attempt. On `Err` the journal has been
@@ -224,47 +249,34 @@ impl UforkOs {
         // memory references contained in registers are relocated").
         ctx.phase("fork/regs");
         let mut c_regs = p_regs;
-        {
-            let naive_sources = (self.scan == ScanMode::Naive).then(|| self.source_regions());
-            let naive_lookups = Cell::new(0u64);
-            let source_of = |addr: u64| -> Option<Region> {
-                match &naive_sources {
-                    Some(sources) => {
-                        naive_lookups.set(naive_lookups.get() + 1);
-                        sources.iter().find(|r| r.contains(VirtAddr(addr))).copied()
-                    }
-                    None => self.region_index.lookup(addr),
+        let source = SourceLookup::new(self.scan, &self.region_index, || self.source_regions());
+        for slot in c_regs.iter_mut() {
+            if let Some(cap) = slot {
+                if cap.confined_to(c_region.base.0, c_region.len) {
+                    continue;
                 }
-            };
-            for slot in c_regs.iter_mut() {
-                if let Some(cap) = slot {
-                    if cap.confined_to(c_region.base.0, c_region.len) {
-                        continue;
-                    }
-                    if let Some(src) = source_of(cap.base()) {
-                        let delta = c_region.base.0 as i64 - src.base.0 as i64;
-                        match cap.rebase(delta, &c_root) {
-                            Ok(new_cap) => {
-                                *slot = Some(new_cap);
-                                ctx.counters.caps_relocated += 1;
-                            }
-                            Err(_) => *slot = None,
+                if let Some(src) = source.lookup(cap.base()) {
+                    let delta = c_region.base.0 as i64 - src.base.0 as i64;
+                    match cap.rebase(delta, &c_root) {
+                        Ok(new_cap) => {
+                            *slot = Some(new_cap);
+                            ctx.counters.caps_relocated += 1;
                         }
-                    } else if cap.perms().contains(Perms::EXECUTE) {
-                        // PCC-style register: rebase code caps by region offset.
-                        let delta = c_region.base.0 as i64 - p_region.base.0 as i64;
-                        if let Some(addr) = cap.addr().checked_add_signed(delta) {
-                            let code_root =
-                                Capability::new_root(c_region.base.0, layout.text.1, Perms::code());
-                            *slot = code_root.with_addr(addr).ok();
-                        }
+                        Err(_) => *slot = None,
                     }
-                    ctx.kernel(self.cost.cap_relocate);
+                } else if cap.perms().contains(Perms::EXECUTE) {
+                    // PCC-style register: rebase code caps by region offset.
+                    let delta = c_region.base.0 as i64 - p_region.base.0 as i64;
+                    if let Some(addr) = cap.addr().checked_add_signed(delta) {
+                        let code_root =
+                            Capability::new_root(c_region.base.0, layout.text.1, Perms::code());
+                        *slot = code_root.with_addr(addr).ok();
+                    }
                 }
+                ctx.kernel(self.cost.cap_relocate);
             }
-            ctx.counters.region_lookups += naive_lookups.get();
         }
-        ctx.counters.region_lookups += self.region_index.take_lookups();
+        ctx.counters.region_lookups += source.take_lookups();
 
         ctx.phase("fork/commit");
         self.procs.insert(
@@ -547,25 +559,19 @@ impl UforkOs {
         density: bool,
         scope: CopyScope,
     ) -> (u64, u64, u64) {
+        // `eager` counts the pages copied at fork under a lazy strategy.
+        let policy = self.page_policy(layout, meta_used_bytes, CopyStrategy::CoPA, scope);
         let start = p_region.base.vpn();
         let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
         let (mut private, mut eager, mut cap_dense) = (0u64, 0u64, 0u64);
         for (vpn, pte) in self.pt.range(start, end) {
             let off = vpn.base().0 - p_region.base.0;
-            let seg = layout.segment_of(off);
-            if seg == Segment::Shm || !scope.page_dirty(&pte) {
-                continue;
+            match policy.classify(layout.segment_of(off), off, &pte) {
+                PageClass::Shm | PageClass::Clean => continue,
+                PageClass::Eager => eager += 1,
+                PageClass::Lazy => {}
             }
             private += 1;
-            if self.eager_fork_copies
-                && match seg {
-                    Segment::Got => true,
-                    Segment::HeapMeta => off - layout.heap_meta.0 < meta_used_bytes,
-                    _ => false,
-                }
-            {
-                eager += 1;
-            }
             if density {
                 if let Ok(frame) = self.pm.frame(pte.pfn) {
                     if frame.cap_count() > 0 {
@@ -582,8 +588,8 @@ impl UforkOs {
     /// bit set since the last fork is cleared exactly once, here),
     /// writable pages (re-)armed CoW so the *first* post-fork write
     /// faults and sets the bit again. Skipped unless dirty tracking is
-    /// on; [`ScanMode::Naive`] keeps the legacy ablation walk untouched
-    /// by never stamping (so auto-scoping never picks `DirtySince`
+    /// on; the [`ScanMode::Naive`] ablation never stamps, so it always
+    /// measures the full walk (auto-scoping never picks `DirtySince`
     /// there). Fully journaled: an abort mid-sweep restores every PTE's
     /// exact pre-stamp state and the parent's cursor.
     fn stamp_dirty_generation(
@@ -649,17 +655,26 @@ impl UforkOs {
         Ok(())
     }
 
-    /// The per-page fork walk: maps (and, where the strategy requires,
-    /// copies and relocates) every parent page into the child region,
-    /// recording every side effect in the journal. On `Err` nothing has
-    /// been cleaned up yet — the caller rolls the journal back.
+    /// The fork walk: one pass over the parent's mapped range that maps
+    /// (and, where the strategy requires, copies and relocates) every
+    /// page into the child region, recording every side effect in the
+    /// journal. On `Err` nothing has been cleaned up yet — the caller
+    /// rolls the journal back.
+    ///
+    /// [`PagePolicy::classify`] decides each page's [`PageClass`]; shared
+    /// classes all go through [`stage_shared`]. Only `Eager` pages
+    /// consult the walk mode: `Serial` copies them inline (dedup probe,
+    /// then copy + relocate), `Parallel(n)` allocates their
+    /// destinations here and hands the copies to the lane executor
+    /// after the stream, and `Pipelined` stages them on the shared
+    /// parent frame and defers the copy behind the commit. The naive
+    /// scan ablation always copies inline. Every mode ends in the same
+    /// batched PTE install and parent CoW sweep.
     ///
     /// Returns the pages whose copies were *deferred* behind the commit:
-    /// empty except under [`crate::fork_par::WalkMode::Pipelined`], where
-    /// every would-be-eager page is instead staged CoA-style on the
-    /// shared parent frame and handed to the background copy pipeline.
-    /// Under [`CopyScope::DirtySince`] the deferred list holds only
-    /// dirty pages, so the background window drains in O(dirty) too.
+    /// empty except under [`WalkMode::Pipelined`]. Under
+    /// [`CopyScope::DirtySince`] the deferred list holds only dirty
+    /// pages, so the background window drains in O(dirty) too.
     #[allow(clippy::too_many_arguments)] // the fork attempt's full context
     fn fork_walk_pages(
         &mut self,
@@ -672,55 +687,32 @@ impl UforkOs {
         strategy: CopyStrategy,
         scope: CopyScope,
     ) -> SysResult<Vec<(Vpn, PteFlags)>> {
-        if self.scan == ScanMode::Naive {
-            // The legacy walk predates dirty tracking; it never stamps,
-            // so a `DirtySince` scope cannot legally reach it.
-            debug_assert_eq!(scope, CopyScope::Everything);
-            return self
-                .fork_walk_pages_naive(
-                    ctx,
-                    p_region,
-                    layout,
-                    c_region,
-                    c_root,
-                    meta_used_bytes,
-                    strategy,
-                )
-                .map(|()| Vec::new());
-        }
-        if let crate::fork_par::WalkMode::Parallel(n) = self.walk {
-            return self
-                .fork_walk_pages_parallel(
-                    ctx,
-                    p_region,
-                    layout,
-                    c_region,
-                    c_root,
-                    meta_used_bytes,
-                    strategy,
-                    n,
-                    scope,
-                )
-                .map(|()| Vec::new());
-        }
-        let pipelined = self.walk == crate::fork_par::WalkMode::Pipelined;
-
+        // Lanes and background chunks implement only the tag-summary
+        // scan, so the naive ablation copies inline whatever the mode.
+        let walk = if self.scan == ScanMode::Naive {
+            WalkMode::Serial
+        } else {
+            self.walk
+        };
+        let policy = self.page_policy(layout, meta_used_bytes, strategy, scope);
         let start = p_region.base.vpn();
         let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let eager_cfg = self.eager_fork_copies;
         let validates = self.isolation.validates_syscalls();
         let dedup_on = self.dedup_frames;
 
         // Staged child PTEs, produced in ascending page order by the
         // parent-range stream; inserted in one batch on success only.
-        let mut child_batch: Vec<(Vpn, Pte)> = Vec::new();
+        let mut batch: Vec<(Vpn, Pte)> = Vec::new();
         // Parent pages to flip to COW in one protection sweep at the end.
         let mut cow_arm: Vec<Vpn> = Vec::new();
         // Pipelined only: pages staged on the shared frame whose copies
         // run behind the commit, in walk (ascending-VPN) order.
         let mut deferred: Vec<(Vpn, PteFlags)> = Vec::new();
-        let mut failed: Option<Errno> = None;
+        // Parallel only: `(source, destination)` frames of the copies
+        // the lane executor runs after the stream.
+        let mut lane_pages: Vec<(Pfn, Pfn)> = Vec::new();
 
+        let source = SourceLookup::new(self.scan, &self.region_index, || self.source_regions());
         {
             // Split borrows: the parent range is streamed off `pt` (shared)
             // while frames are copied through `pm` (mutable) and effects
@@ -731,235 +723,167 @@ impl UforkOs {
             let journal = &mut self.journal;
             let cost = &self.cost;
             let dedup = &mut self.dedup;
-            let region_index = &self.region_index;
-            let lookup = |addr: u64| region_index.lookup(addr);
             let target = RelocTarget {
                 region: c_region,
                 root: c_root,
-                source_of: &lookup,
-                mode: ScanMode::TagSummary,
+                source: &source,
+                mode: self.scan,
             };
 
-            'walk: for (vpn, pte) in pt.range(start, end) {
+            for (vpn, pte) in pt.range(start, end) {
                 ctx.phase("fork/walk/pte");
                 let off = vpn.base().0 - p_region.base.0;
                 let seg = layout.segment_of(off);
                 let c_vpn = VirtAddr(c_region.base.0 + off).vpn();
                 let final_flags = Self::seg_flags(seg);
-
-                if seg == Segment::Shm {
-                    // Shared mappings stay shared: same frames, full perms.
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    child_batch.push((c_vpn, Pte::new(pte.pfn, final_flags)));
-                    ctx.kernel(cost.pte_copy);
-                    continue;
-                }
-
-                if !scope.page_dirty(&pte) {
-                    // Clean since the parent's last stamp: share the
-                    // frame outright. No frame allocation, no tag scan —
-                    // a refcount bump and one staged PTE. The child maps
-                    // it CoPA-style (readable, writes and capability
-                    // loads fault: clean pages still hold the *parent's*
-                    // capabilities, so direct cap loads must stay
-                    // fenced), or fully inaccessible under CoA.
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    let f = if strategy == CopyStrategy::CoA {
-                        PteFlags::empty().with(PteFlags::COA)
-                    } else {
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        f
-                    };
-                    child_batch.push((c_vpn, Pte::new(pte.pfn, f)));
-                    ctx.kernel(cost.pte_copy);
-                    ctx.counters.pages_shared_clean += 1;
-                    if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                        cow_arm.push(vpn);
-                    }
-                    continue;
-                }
-                if scope != CopyScope::Everything {
+                let class = policy.classify(seg, off, &pte);
+                if scope != CopyScope::Everything
+                    && matches!(class, PageClass::Lazy | PageClass::Eager)
+                {
                     ctx.counters.pages_dirty_copied += 1;
                 }
 
-                let eager = strategy == CopyStrategy::Full
-                    || (eager_cfg
-                        && match seg {
-                            Segment::Got => true,
-                            Segment::HeapMeta => off - layout.heap_meta.0 < meta_used_bytes,
-                            _ => false,
-                        });
-
-                if eager && pipelined {
-                    // Stage, don't copy: the child maps the shared frame
-                    // fully inaccessible (CoA-style — any access faults
-                    // and jumps the copy queue), the parent is CoW-armed
-                    // below so its writes cannot perturb the fork-time
-                    // snapshot, and the actual copy + relocation runs as
-                    // a background chunk after the commit.
-                    ctx.phase("fork/pipeline/stage");
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
+                // Does the child keep reading the parent's frame (so the
+                // parent's writable mapping must turn copy-on-write)?
+                let shares_parent_frame = match class {
+                    PageClass::Shm => {
+                        // Shared mappings stay shared: same frames, full perms.
+                        let child = Pte::new(pte.pfn, final_flags);
+                        stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, cost.pte_copy)?;
+                        false
                     }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
+                    PageClass::Clean => {
+                        // No frame allocation, no tag scan: a refcount
+                        // bump and one staged PTE, armed like a lazy page
+                        // even under `Full` (clean pages still hold the
+                        // *parent's* capabilities, so direct cap loads
+                        // must stay fenced).
+                        let child = Pte::new(pte.pfn, lazy_child_flags(strategy, final_flags));
+                        stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, cost.pte_copy)?;
+                        ctx.counters.pages_shared_clean += 1;
+                        true
                     }
-                    child_batch.push((
-                        c_vpn,
-                        Pte::new(pte.pfn, PteFlags::empty().with(PteFlags::COA)),
-                    ));
-                    ctx.kernel(cost.pte_copy + cost.coa_pte_extra);
-                    deferred.push((c_vpn, final_flags));
-                    if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                        cow_arm.push(vpn);
+                    PageClass::Lazy => {
+                        let ns = if strategy == CopyStrategy::CoA {
+                            cost.pte_copy + cost.coa_pte_extra
+                        } else {
+                            cost.pte_copy
+                        };
+                        let child = Pte::new(pte.pfn, lazy_child_flags(strategy, final_flags));
+                        stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, ns)?;
+                        true
                     }
-                    continue;
-                }
-
-                if eager {
-                    // Cross-child dedup: before materializing a private
-                    // copy, probe the content index for an existing
-                    // identical frame a sibling already holds. Untagged
-                    // source frames only — relocation is a no-op on
-                    // them, so the copy's content equals the source's
-                    // and the hash key is exact.
-                    let probe = if dedup_on {
-                        ctx.phase("fork/dedup");
-                        dedup_probe(pm, pt, dedup, cost, ctx, pte.pfn)
-                    } else {
-                        DedupProbe::Skip
-                    };
-                    if let DedupProbe::Hit(shared) = probe {
-                        if pm.inc_ref(shared).is_err() {
-                            failed = Some(Errno::Fault);
-                            break 'walk;
+                    PageClass::Eager => match walk {
+                        WalkMode::Pipelined => {
+                            // Stage, don't copy: the child maps the shared
+                            // frame CoA-style (any access faults and jumps
+                            // the copy queue), the parent is CoW-armed so
+                            // its writes cannot perturb the fork-time
+                            // snapshot, and the copy + relocation runs as
+                            // a background chunk after the commit.
+                            ctx.phase("fork/pipeline/stage");
+                            let child =
+                                Pte::new(pte.pfn, lazy_child_flags(CopyStrategy::CoA, final_flags));
+                            let ns = cost.pte_copy + cost.coa_pte_extra;
+                            stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, ns)?;
+                            deferred.push((c_vpn, final_flags));
+                            true
                         }
-                        if journal.record(JournalOp::RefInc(shared)).is_err() {
-                            failed = Some(Errno::NoMem);
-                            break 'walk;
+                        WalkMode::Parallel(_) => {
+                            let dst = alloc_lane_frame(
+                                pm,
+                                journal,
+                                ctx,
+                                lane_pages.len(),
+                                walk.workers(),
+                            )?;
+                            batch.push((c_vpn, Pte::new(dst, final_flags)));
+                            lane_pages.push((pte.pfn, dst));
+                            false
                         }
-                        // CoW-protected: the canonical content must stay
-                        // stable under every sharer's writes.
-                        child_batch
-                            .push((c_vpn, Pte::new(shared, final_flags.with(PteFlags::COW))));
-                        ctx.kernel(cost.pte_write);
-                        ctx.counters.frames_deduped += 1;
-                        continue;
-                    }
-                    let new = match copy_page_for_child(pm, journal, cost, ctx, pte.pfn, &target) {
-                        Ok(new) => new,
-                        Err(e) => {
-                            failed = Some(e);
-                            break 'walk;
+                        WalkMode::Serial => {
+                            // Cross-child dedup: before materializing a
+                            // private copy, probe the content index for an
+                            // identical frame a sibling (or an earlier page
+                            // of this walk) already holds. Untagged source
+                            // frames only — relocation is a no-op on them,
+                            // so the copy's content equals the source's.
+                            let probe = if dedup_on {
+                                ctx.phase("fork/dedup");
+                                dedup_probe(pm, pt, &batch, dedup, cost, ctx, pte.pfn)
+                            } else {
+                                DedupProbe::Skip
+                            };
+                            if let DedupProbe::Hit(shared) = probe {
+                                // CoW-protected: the canonical content must
+                                // stay stable under every sharer's writes.
+                                let child = Pte::new(shared, final_flags.with(PteFlags::COW));
+                                stage_shared(
+                                    pm,
+                                    journal,
+                                    &mut batch,
+                                    ctx,
+                                    c_vpn,
+                                    child,
+                                    cost.pte_write,
+                                )?;
+                                ctx.counters.frames_deduped += 1;
+                                false
+                            } else {
+                                ctx.phase("fork/walk/copy");
+                                let new = copy_frame_for_child(pm, journal, cost, ctx, pte.pfn)?;
+                                ctx.phase("fork/walk/reloc");
+                                relocate_counted(pm, new, &target, cost, ctx);
+                                ctx.phase("fork/walk/pte");
+                                let mut flags = final_flags;
+                                if let DedupProbe::Miss(hash) = probe {
+                                    // Register the fresh copy as the canonical
+                                    // frame for this content, CoW-armed so it
+                                    // stays byte-stable while indexed. No
+                                    // journal op: a rolled-back fork leaves a
+                                    // stale entry that self-invalidates on the
+                                    // next probe.
+                                    dedup.insert(hash, new, c_vpn.0);
+                                    flags = flags.with(PteFlags::COW);
+                                }
+                                batch.push((c_vpn, Pte::new(new, flags)));
+                                ctx.kernel(cost.pte_write);
+                                if validates {
+                                    // Adversarial deployments re-verify every
+                                    // relocated capability against the child's
+                                    // bounds before the page becomes visible
+                                    // (the fork-latency component of
+                                    // TOCTTOU/validation, ~2.6% in the paper).
+                                    ctx.kernel(cost.page_scan() + cost.tocttou_fixed);
+                                }
+                                ctx.counters.pages_copied_eager += 1;
+                                false
+                            }
                         }
-                    };
-                    ctx.phase("fork/walk/pte");
-                    let mut flags = final_flags;
-                    if let DedupProbe::Miss(hash) = probe {
-                        // Register the fresh copy as the canonical frame
-                        // for this content, CoW-armed so it stays
-                        // byte-stable while indexed. No journal op: a
-                        // rolled-back fork leaves a stale entry that
-                        // self-invalidates on the next probe.
-                        dedup.insert(hash, new, c_vpn.0);
-                        flags = flags.with(PteFlags::COW);
-                    }
-                    child_batch.push((c_vpn, Pte::new(new, flags)));
-                    ctx.kernel(cost.pte_write);
-                    if validates {
-                        // Adversarial deployments re-verify every relocated
-                        // capability against the child's bounds before the
-                        // page becomes visible (the fork-latency component of
-                        // TOCTTOU/validation, ~2.6% in the paper).
-                        ctx.kernel(cost.page_scan() + cost.tocttou_fixed);
-                    }
-                    ctx.counters.pages_copied_eager += 1;
-                    continue;
-                }
-
-                // Lazy strategies: share the frame and arm faults.
-                if pm.inc_ref(pte.pfn).is_err() {
-                    failed = Some(Errno::Fault);
-                    break 'walk;
-                }
-                if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                    failed = Some(Errno::NoMem);
-                    break 'walk;
-                }
-                match strategy {
-                    CopyStrategy::Full => {
-                        debug_assert!(false, "full copy is always eager");
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    CopyStrategy::CoA => {
-                        // Fully inaccessible to the child: any access faults.
-                        child_batch.push((
-                            c_vpn,
-                            Pte::new(pte.pfn, PteFlags::empty().with(PteFlags::COA)),
-                        ));
-                        ctx.kernel(cost.pte_copy + cost.coa_pte_extra);
-                    }
-                    CopyStrategy::CoPA => {
-                        // Readable; writes and tagged loads fault.
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        child_batch.push((c_vpn, Pte::new(pte.pfn, f)));
-                        ctx.kernel(cost.pte_copy);
-                    }
-                }
-
-                // Writable parent pages become copy-on-write (armed in one
-                // sweep after the stream).
-                if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
+                    },
+                };
+                if shares_parent_frame
+                    && final_flags.contains(PteFlags::WRITE)
+                    && !pte.flags.contains(PteFlags::COW)
+                {
                     cow_arm.push(vpn);
                 }
             }
         }
 
-        if let Some(e) = failed {
-            // Every reference the batch took is journaled; the caller's
-            // rollback drops them. Nothing reached the page table.
-            ctx.counters.region_lookups += self.region_index.take_lookups();
-            return Err(e);
+        if let WalkMode::Parallel(_) = walk {
+            self.run_lanes(ctx, c_region, c_root, &lane_pages, walk.workers())?;
         }
 
         // Record-then-apply (see `crate::journal`): if recording aborts
         // part-way, the rollback's unmap of never-inserted VPNs is a
         // no-op.
-        for (vpn, _) in &child_batch {
+        for (vpn, _) in &batch {
             self.journal
                 .record(JournalOp::PteMap(*vpn))
                 .map_err(|_| Errno::NoMem)?;
         }
-        ctx.counters.ptes_written += self.pt.extend_sorted(child_batch);
+        ctx.counters.ptes_written += self.pt.extend_sorted(batch);
         ctx.phase("fork/walk/cow_arm");
         for &vpn in &cow_arm {
             self.journal
@@ -968,144 +892,115 @@ impl UforkOs {
         }
         let armed = self.pt.protect_many(cow_arm, PteFlags::COW);
         ctx.kernel(self.cost.pte_protect * armed as f64);
-        ctx.counters.region_lookups += self.region_index.take_lookups();
         Ok(deferred)
     }
 
-    /// The pre-optimization walk, kept verbatim as the [`ScanMode::Naive`]
-    /// ablation baseline: collects the parent's PTEs into a `Vec`, inserts
-    /// child PTEs one `map` at a time, arms parent COW per page, and
-    /// resolves relocation sources by linear scan of a freshly-rebuilt
-    /// region list. Journaled like the batched walk, so rollback covers
-    /// its per-page inserts too.
-    #[allow(clippy::too_many_arguments)] // the fork attempt's full context
-    fn fork_walk_pages_naive(
-        &mut self,
-        ctx: &mut Ctx,
-        p_region: Region,
+    /// The page classifier's inputs for one fork.
+    fn page_policy(
+        &self,
         layout: &crate::ProcLayout,
-        c_region: Region,
-        c_root: &Capability,
         meta_used_bytes: u64,
         strategy: CopyStrategy,
-    ) -> SysResult<()> {
-        let sources = self.source_regions();
-        let naive_lookups = Cell::new(0u64);
-        let source_of = |addr: u64| -> Option<Region> {
-            naive_lookups.set(naive_lookups.get() + 1);
-            sources.iter().find(|r| r.contains(VirtAddr(addr))).copied()
-        };
-
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let mapped: Vec<(Vpn, Pte)> = self.pt.range(start, end).collect();
-
-        let result = (|| -> SysResult<()> {
-            for &(vpn, pte) in &mapped {
-                ctx.phase("fork/walk/pte");
-                let off = vpn.base().0 - p_region.base.0;
-                let seg = layout.segment_of(off);
-                let c_vpn = VirtAddr(c_region.base.0 + off).vpn();
-                let final_flags = Self::seg_flags(seg);
-
-                if seg == Segment::Shm {
-                    self.pm.inc_ref(pte.pfn).map_err(|_| Errno::Fault)?;
-                    self.journal
-                        .record(JournalOp::RefInc(pte.pfn))
-                        .map_err(|_| Errno::NoMem)?;
-                    self.pt.map(c_vpn, pte.pfn, final_flags);
-                    self.journal
-                        .record(JournalOp::PteMap(c_vpn))
-                        .map_err(|_| Errno::NoMem)?;
-                    ctx.kernel(self.cost.pte_copy);
-                    ctx.counters.ptes_written += 1;
-                    continue;
-                }
-
-                let eager = strategy == CopyStrategy::Full
-                    || (self.eager_fork_copies
-                        && match seg {
-                            Segment::Got => true,
-                            Segment::HeapMeta => off - layout.heap_meta.0 < meta_used_bytes,
-                            _ => false,
-                        });
-
-                if eager {
-                    let target = RelocTarget {
-                        region: c_region,
-                        root: c_root,
-                        source_of: &source_of,
-                        mode: ScanMode::Naive,
-                    };
-                    let new = copy_page_for_child(
-                        &mut self.pm,
-                        &mut self.journal,
-                        &self.cost,
-                        ctx,
-                        pte.pfn,
-                        &target,
-                    )?;
-                    ctx.phase("fork/walk/pte");
-                    self.pt.map(c_vpn, new, final_flags);
-                    self.journal
-                        .record(JournalOp::PteMap(c_vpn))
-                        .map_err(|_| Errno::NoMem)?;
-                    ctx.kernel(self.cost.pte_write);
-                    if self.isolation.validates_syscalls() {
-                        ctx.kernel(self.cost.page_scan() + self.cost.tocttou_fixed);
-                    }
-                    ctx.counters.ptes_written += 1;
-                    ctx.counters.pages_copied_eager += 1;
-                    continue;
-                }
-
-                self.pm.inc_ref(pte.pfn).map_err(|_| Errno::Fault)?;
-                self.journal
-                    .record(JournalOp::RefInc(pte.pfn))
-                    .map_err(|_| Errno::NoMem)?;
-                match strategy {
-                    CopyStrategy::Full => {
-                        debug_assert!(false, "full copy is always eager");
-                        return Err(Errno::Fault);
-                    }
-                    CopyStrategy::CoA => {
-                        self.pt
-                            .map(c_vpn, pte.pfn, PteFlags::empty().with(PteFlags::COA));
-                        ctx.kernel(self.cost.pte_copy + self.cost.coa_pte_extra);
-                    }
-                    CopyStrategy::CoPA => {
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        self.pt.map(c_vpn, pte.pfn, f);
-                        ctx.kernel(self.cost.pte_copy);
-                    }
-                }
-                self.journal
-                    .record(JournalOp::PteMap(c_vpn))
-                    .map_err(|_| Errno::NoMem)?;
-                ctx.counters.ptes_written += 1;
-
-                if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                    ctx.phase("fork/walk/cow_arm");
-                    if let Some(ppte) = self.pt.lookup_mut(vpn) {
-                        ppte.flags = ppte.flags.with(PteFlags::COW);
-                    }
-                    self.journal
-                        .record(JournalOp::CowArm(vpn))
-                        .map_err(|_| Errno::NoMem)?;
-                    ctx.kernel(self.cost.pte_protect);
-                }
-            }
-            Ok(())
-        })();
-        ctx.counters.region_lookups += naive_lookups.get();
-        result
+        scope: CopyScope,
+    ) -> PagePolicy {
+        PagePolicy {
+            strategy,
+            scope,
+            heap_meta: layout.heap_meta.0,
+            eager_meta: self.eager_fork_copies.then_some(meta_used_bytes),
+        }
     }
+}
+
+/// What the fork walk does with one parent page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PageClass {
+    /// Shared memory: the child maps the same frame with full perms.
+    Shm,
+    /// Clean since the parent's last generation stamp
+    /// ([`CopyScope::DirtySince`] only): shared, lazily armed, no copy.
+    Clean,
+    /// Shared with the lazy strategy's faults armed; copied on demand.
+    Lazy,
+    /// Copied (and relocated) at fork time.
+    Eager,
+}
+
+/// The per-fork inputs of the page classifier (paper §3.5 as data).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PagePolicy {
+    strategy: CopyStrategy,
+    scope: CopyScope,
+    /// Offset of the allocator-metadata segment in the region.
+    heap_meta: u64,
+    /// Live allocator-metadata bytes copied eagerly; `None` when eager
+    /// fork copies are off.
+    eager_meta: Option<u64>,
+}
+
+impl PagePolicy {
+    /// Classifies the page at region offset `off` (segment `seg`): shm
+    /// pages are always shared, pages outside the copy scope are clean,
+    /// and the rest are eager under `Full` — or, under the lazy
+    /// strategies, when they hold the GOT or live allocator metadata
+    /// (proactively copied, paper §3.5) — and lazy otherwise.
+    pub(crate) fn classify(&self, seg: Segment, off: u64, pte: &Pte) -> PageClass {
+        if seg == Segment::Shm {
+            return PageClass::Shm;
+        }
+        if !self.scope.page_dirty(pte) {
+            return PageClass::Clean;
+        }
+        let eager_segment = match (seg, self.eager_meta) {
+            (Segment::Got, Some(_)) => true,
+            (Segment::HeapMeta, Some(used)) => off - self.heap_meta < used,
+            _ => false,
+        };
+        if self.strategy == CopyStrategy::Full || eager_segment {
+            PageClass::Eager
+        } else {
+            PageClass::Lazy
+        }
+    }
+}
+
+/// Child PTE flags for a page left on a shared frame: fully
+/// inaccessible under CoA (any access faults); under the other
+/// strategies readable, with writes and capability loads faulting
+/// (CoPA).
+fn lazy_child_flags(strategy: CopyStrategy, final_flags: PteFlags) -> PteFlags {
+    if strategy == CopyStrategy::CoA {
+        return PteFlags::empty().with(PteFlags::COA);
+    }
+    let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
+    if final_flags.contains(PteFlags::EXEC) {
+        f = f.with(PteFlags::EXEC);
+    }
+    if final_flags.contains(PteFlags::WRITE) {
+        f = f.with(PteFlags::WRITE); // COW checked first
+    }
+    f
+}
+
+/// Stages `child` at `c_vpn` on an existing frame: takes and journals a
+/// reference on the frame, queues the PTE in the walk's batch, and
+/// charges `ns`.
+fn stage_shared(
+    pm: &mut PhysMem,
+    journal: &mut ForkJournal,
+    batch: &mut Vec<(Vpn, Pte)>,
+    ctx: &mut Ctx,
+    c_vpn: Vpn,
+    child: Pte,
+    ns: f64,
+) -> SysResult<()> {
+    pm.inc_ref(child.pfn).map_err(|_| Errno::Fault)?;
+    journal
+        .record(JournalOp::RefInc(child.pfn))
+        .map_err(|_| Errno::NoMem)?;
+    batch.push((c_vpn, child));
+    ctx.kernel(ns);
+    Ok(())
 }
 
 /// Outcome of a cross-child dedup probe for one eager-copy source page.
@@ -1123,15 +1018,18 @@ pub(crate) enum DedupProbe {
 
 /// Probes the cross-child frame-dedup index for a frame identical to
 /// `src`. A hit is validated against live state before it is trusted:
-/// the canonical frame must still be allocated, its canonical mapping
-/// must still point at it write-protected (so the content cannot have
-/// drifted since insert), it must still be untagged, and a full content
-/// comparison must match — the hash is only an index key, never an
-/// equality proof. Stale entries are evicted on sight, which is what
-/// lets inserts skip the journal entirely.
+/// the canonical frame must still be allocated, its canonical mapping —
+/// in the page table, or in `staged`, the current walk's not-yet-installed
+/// batch (ascending VPNs) — must still point at it write-protected (so
+/// the content cannot have drifted since insert), it must still be
+/// untagged, and a full content comparison must match — the hash is
+/// only an index key, never an equality proof. Stale entries are
+/// evicted on sight, which is what lets inserts skip the journal
+/// entirely.
 pub(crate) fn dedup_probe(
     pm: &PhysMem,
     pt: &PageTable,
+    staged: &[(Vpn, Pte)],
     dedup: &mut FrameDedupIndex,
     cost: &CostModel,
     ctx: &mut Ctx,
@@ -1149,8 +1047,14 @@ pub(crate) fn dedup_probe(
     let Some(entry) = dedup.get(hash) else {
         return DedupProbe::Miss(hash);
     };
+    let canonical = pt.lookup(Vpn(entry.vpn)).or_else(|| {
+        staged
+            .binary_search_by_key(&Vpn(entry.vpn), |&(v, _)| v)
+            .ok()
+            .map(|i| staged[i].1)
+    });
     let canonical_stable = pm.refcount(entry.pfn).is_ok()
-        && pt.lookup(Vpn(entry.vpn)).is_some_and(|c| {
+        && canonical.is_some_and(|c| {
             c.pfn == entry.pfn
                 && (c.flags.contains(PteFlags::COW) || !c.flags.contains(PteFlags::WRITE))
         })
@@ -1165,15 +1069,6 @@ pub(crate) fn dedup_probe(
     }
     dedup.evict(hash);
     DedupProbe::Miss(hash)
-}
-
-/// Where an eager page copy lands and how its capabilities are fixed up:
-/// the child's region and root plus the scan strategy and region lookup.
-pub(crate) struct RelocTarget<'a> {
-    pub(crate) region: Region,
-    pub(crate) root: &'a Capability,
-    pub(crate) source_of: &'a dyn Fn(u64) -> Option<Region>,
-    pub(crate) mode: ScanMode,
 }
 
 /// Allocates one `ZeroPolicy::Zeroed` frame on the fork/fault hot path,
@@ -1196,40 +1091,23 @@ pub(crate) fn alloc_zeroed_charged(
     Ok(g.pfn)
 }
 
-/// Eagerly copies one frame for a child and relocates it. The allocated
-/// frame is journaled before the copy: on a copy failure the frame is
-/// *not* freed here — the caller's rollback owns that reference.
-pub(crate) fn copy_page_for_child(
+/// Allocates a private frame for a child and copies `src` into it. The
+/// allocated frame is journaled before the copy: on a copy failure the
+/// frame is *not* freed here — the caller's rollback owns that
+/// reference.
+pub(crate) fn copy_frame_for_child(
     pm: &mut PhysMem,
     journal: &mut ForkJournal,
     cost: &CostModel,
     ctx: &mut Ctx,
     src: Pfn,
-    target: &RelocTarget<'_>,
 ) -> SysResult<Pfn> {
-    ctx.phase("fork/walk/copy");
     let new = alloc_zeroed_charged(pm, cost, ctx).map_err(|_| Errno::NoMem)?;
     journal
         .record(JournalOp::FrameAlloc(new))
         .map_err(|_| Errno::NoMem)?;
-    if pm.copy_frame(src, new).is_err() {
-        return Err(Errno::Fault);
-    }
+    pm.copy_frame(src, new).map_err(|_| Errno::Fault)?;
     ctx.kernel(cost.page_alloc + cost.page_copy);
     ctx.counters.pages_copied += 1;
-    ctx.phase("fork/walk/reloc");
-    let stats = relocate_frame(
-        pm,
-        new,
-        target.region,
-        target.root,
-        target.source_of,
-        target.mode,
-    );
-    ctx.kernel(reloc_cost(cost, &stats));
-    ctx.counters.granules_scanned += stats.granules_scanned;
-    ctx.counters.granules_skipped += stats.granules_skipped;
-    ctx.counters.tag_words_loaded += stats.tag_words_loaded;
-    ctx.counters.caps_relocated += stats.relocated + stats.cleared;
     Ok(new)
 }

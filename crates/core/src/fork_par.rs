@@ -1,15 +1,16 @@
-//! The parallel fork walk: multi-worker page copy + relocation.
+//! The lane executor: the parallel fork walk's multi-worker page copy +
+//! relocation.
 //!
 //! Morello is an 8-core SoC, but the paper's fork runs the copy/relocate
 //! sweep on one core. This module models (and actually executes, with
-//! host threads) a multicore fork engine:
+//! host threads) a multicore fork engine behind the one fork walk
+//! (`fork_walk_pages` in `crate::fork`):
 //!
-//! 1. **Serial prologue** — stream the parent's sorted page range off the
-//!    page table once, classify each page (shared / eager / lazy), stage
-//!    lazy and shm PTEs exactly like the serial batch walk, and allocate
-//!    every eager destination frame up front from the sharded physical
-//!    allocator ([`ufork_mem::PhysMem::alloc_frame_in`], home shard =
-//!    chunk's lane). Allocating serially keeps the global
+//! 1. **Serial walk** — the shared walk classifies and stages every page
+//!    as in the serial mode, except that each eager page's destination
+//!    frame is allocated up front from the sharded physical allocator
+//!    ([`alloc_lane_frame`]: [`ufork_mem::PhysMem::alloc_frame_in`], home
+//!    shard = chunk's lane). Allocating serially keeps the global
 //!    `alloc_attempts` order — and therefore fault injection — identical
 //!    across worker counts. Destination frames are granted
 //!    [`ufork_mem::ZeroPolicy::Uninit`]: a Full-copy destination is
@@ -20,56 +21,50 @@
 //!    lane `i % workers` on a scoped host thread. Each worker copies the
 //!    source frame into the *detached* destination frame and relocates
 //!    its capabilities via [`relocate_frame_in`] with a memo-free
-//!    [`FrozenIndex`] region lookup. Workers return per-chunk simulated
-//!    costs and statistics; they never touch shared mutable state.
-//! 3. **Merge epilogue** — destination frames are reattached, per-chunk
-//!    costs are folded into [`LaneClocks`] *in chunk-index order*
-//!    (never host completion order), the elapsed parallel time
-//!    (max over lanes) is charged to the kernel clock, and the staged
-//!    child PTEs land in one `extend_sorted` batch + one `protect_many`
-//!    COW sweep, as in the serial walk.
+//!    [`crate::FrozenIndex`] region lookup. Workers return per-chunk
+//!    simulated costs and statistics; they never touch shared mutable
+//!    state.
+//! 3. **Merge** — destination frames are reattached and per-chunk costs
+//!    are folded into [`LaneClocks`] *in chunk-index order* (never host
+//!    completion order); the elapsed parallel time (max over lanes) is
+//!    charged to the kernel clock. The walk's shared epilogue then
+//!    installs the staged child PTEs in one `extend_sorted` batch and
+//!    arms the parent in one `protect_many` COW sweep.
 //!
-//! Simulated elapsed fork time = serial prologue + max-over-lanes(chunk
-//! costs) + merge epilogue. Because lane assignment, allocation order,
-//! and cost folding are all pure functions of the page list and worker
+//! Simulated elapsed fork time = serial walk + max-over-lanes(chunk
+//! costs) + epilogue. Because lane assignment, allocation order, and
+//! cost folding are all pure functions of the page list and worker
 //! count, the same heap + same worker count reproduce bit-identical
 //! simulated nanoseconds regardless of host scheduling.
 //!
-//! Every side effect (destination allocations, refcount bumps, staged
-//! PTE inserts, COW arming) is recorded in the transactional fork
-//! journal; a mid-prologue failure (frame exhaustion, refcount error,
-//! injected journal abort) returns with the journal intact and the
-//! caller's rollback drops every reference the batch took — eagerly
-//! allocated destinations go back to the recycled pools. Nothing has
-//! reached the page table at that point, so no PTE can dangle. The
-//! parallel phase itself is infallible by construction: all allocation
-//! happens in the prologue.
+//! Every allocation is journaled by the walk; a failure before the lanes
+//! run returns with the journal intact and the caller's rollback returns
+//! the destinations to the recycled pools. The parallel phase itself is
+//! infallible by construction: all allocation happens in the walk.
 
 use std::cell::Cell;
 
-use ufork_abi::{CopyStrategy, Errno, SysResult};
+use ufork_abi::{Errno, SysResult};
 use ufork_cheri::Capability;
 use ufork_exec::Ctx;
-use ufork_mem::{Frame, Pfn, ZeroPolicy, PAGE_SIZE};
+use ufork_mem::{Frame, Pfn, PhysMem, ZeroPolicy};
 use ufork_sim::LaneClocks;
-use ufork_vmem::{Pte, PteFlags, Region, VirtAddr, Vpn};
+use ufork_vmem::Region;
 
-use crate::fork::CopyScope;
-use crate::journal::JournalOp;
+use crate::journal::{ForkJournal, JournalOp};
 use crate::kernel::UforkOs;
-use crate::layout::Segment;
 use crate::reloc::{reloc_cost, relocate_frame_in, RelocStats, ScanMode};
 
 /// How the fork walk executes the eager copy/relocate sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WalkMode {
-    /// Single-lane walk (the PR 2 batched path); the ablation baseline.
+    /// Single-lane walk: eager pages copied inline; the ablation
+    /// baseline.
     #[default]
     Serial,
     /// Multi-worker walk with the given lane count (clamped to ≥ 1).
     /// Requires [`ScanMode::TagSummary`]; under the naive-scan ablation
-    /// the walk silently falls back to serial, since the legacy path is
-    /// kept verbatim for cost fidelity.
+    /// the walk copies inline, as `Serial`.
     Parallel(usize),
     /// Two-phase pipelined fork: the walk stages every would-be-eager
     /// page on the shared parent frame (CoA-style protection, parent
@@ -79,8 +74,8 @@ pub enum WalkMode {
     /// each a journaled transaction of its own; a child fault on an
     /// uncopied page jumps the copy queue and resolves its chunk
     /// inline. Like `Parallel`, requires [`ScanMode::TagSummary`] —
-    /// under the naive-scan ablation the walk falls back to the legacy
-    /// serial path.
+    /// under the naive-scan ablation the walk copies inline, as
+    /// `Serial`.
     Pipelined,
 }
 
@@ -100,14 +95,12 @@ impl WalkMode {
 /// heaps, large enough that per-chunk overhead stays negligible.
 pub const CHUNK_PAGES: usize = 32;
 
-/// One eager page's work item: source frame, destination frame (owned
-/// while detached from `PhysMem`), and the allocation cost already
-/// determined by the prologue.
+/// One eager page's work item: source frame and destination frame
+/// (owned while detached from `PhysMem`).
 struct EagerPage {
     src: Pfn,
     dst: Pfn,
     frame: Frame,
-    alloc_ns: f64,
 }
 
 /// A worker's result for one chunk.
@@ -118,226 +111,69 @@ struct ChunkOut {
     lookups: u64,
 }
 
-fn merge_stats(into: &mut RelocStats, s: &RelocStats) {
-    into.granules_scanned += s.granules_scanned;
-    into.granules_skipped += s.granules_skipped;
-    into.tag_words_loaded += s.tag_words_loaded;
-    into.relocated += s.relocated;
-    into.cleared += s.cleared;
+/// Allocates the destination frame of the `index`-th eager page of a
+/// parallel walk from the home shard of the lane its chunk lands on,
+/// journaled and counted.
+pub(crate) fn alloc_lane_frame(
+    pm: &mut PhysMem,
+    journal: &mut ForkJournal,
+    ctx: &mut Ctx,
+    index: usize,
+    workers: usize,
+) -> SysResult<Pfn> {
+    let home = (index / CHUNK_PAGES) % workers;
+    let grant = pm
+        .alloc_frame_in(home, ZeroPolicy::Uninit)
+        .map_err(|_| Errno::NoMem)?;
+    journal
+        .record(JournalOp::FrameAlloc(grant.pfn))
+        .map_err(|_| Errno::NoMem)?;
+    if grant.recycled {
+        ctx.counters.frames_recycled += 1;
+        ctx.instant("alloc/recycle");
+    }
+    if grant.zeroing_skipped {
+        ctx.counters.zeroing_skipped += 1;
+        ctx.instant("alloc/zero_skip");
+    }
+    if grant.stolen {
+        ctx.counters.alloc_steals += 1;
+        ctx.instant("alloc/steal");
+    }
+    Ok(grant.pfn)
 }
 
 impl UforkOs {
-    /// The multi-worker fork walk (see the module docs). Mirrors
-    /// `fork_walk_pages` observably: same child PTEs, same frame
-    /// contents, same fault-injection attempt order — only the simulated
-    /// elapsed time (and the host-side execution) differ.
-    #[allow(clippy::too_many_arguments)] // mirrors fork_walk_pages' parameter list plus `workers`
-    pub(crate) fn fork_walk_pages_parallel(
+    /// Copies and relocates the parallel walk's eager pages — `(source,
+    /// destination)` frames, destinations already allocated and staged
+    /// by the walk — on `workers` lanes (see the module docs), and
+    /// charges the elapsed parallel time.
+    pub(crate) fn run_lanes(
         &mut self,
         ctx: &mut Ctx,
-        p_region: Region,
-        layout: &crate::ProcLayout,
         c_region: Region,
         c_root: &Capability,
-        meta_used_bytes: u64,
-        strategy: CopyStrategy,
+        pages: &[(Pfn, Pfn)],
         workers: usize,
-        scope: CopyScope,
     ) -> SysResult<()> {
-        let workers = workers.max(1);
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let eager_cfg = self.eager_fork_copies;
         let validates = self.isolation.validates_syscalls();
-
-        // ---- Phase 1: serial prologue ----------------------------------
-        let mut child_batch: Vec<(Vpn, Pte)> = Vec::new();
-        let mut cow_arm: Vec<Vpn> = Vec::new();
-        let mut eager: Vec<EagerPage> = Vec::new();
-        let mut failed: Option<Errno> = None;
-
-        {
-            let pm = &mut self.pm;
-            let pt = &self.pt;
-            let journal = &mut self.journal;
-            let cost = &self.cost;
-
-            'walk: for (vpn, pte) in pt.range(start, end) {
-                ctx.phase("fork/walk/pte");
-                let off = vpn.base().0 - p_region.base.0;
-                let seg = layout.segment_of(off);
-                let c_vpn = VirtAddr(c_region.base.0 + off).vpn();
-                let final_flags = Self::seg_flags(seg);
-
-                if seg == Segment::Shm {
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    child_batch.push((c_vpn, Pte::new(pte.pfn, final_flags)));
-                    ctx.kernel(cost.pte_copy);
-                    continue;
-                }
-
-                if !scope.page_dirty(&pte) {
-                    // Clean since the parent's last stamp: share the
-                    // frame in the serial prologue exactly as the serial
-                    // walk's clean-share arm does — the lanes only ever
-                    // see dirty eager pages, so the parallel phase is
-                    // O(dirty) as well. (Cross-child dedup is serial- and
-                    // pipeline-only: the probe mutates the shared index,
-                    // which lanes must not.)
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    let f = if strategy == CopyStrategy::CoA {
-                        PteFlags::empty().with(PteFlags::COA)
-                    } else {
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        f
-                    };
-                    child_batch.push((c_vpn, Pte::new(pte.pfn, f)));
-                    ctx.kernel(cost.pte_copy);
-                    ctx.counters.pages_shared_clean += 1;
-                    if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                        cow_arm.push(vpn);
-                    }
-                    continue;
-                }
-                if scope != CopyScope::Everything {
-                    ctx.counters.pages_dirty_copied += 1;
-                }
-
-                let is_eager = strategy == CopyStrategy::Full
-                    || (eager_cfg
-                        && match seg {
-                            Segment::Got => true,
-                            Segment::HeapMeta => off - layout.heap_meta.0 < meta_used_bytes,
-                            _ => false,
-                        });
-
-                if is_eager {
-                    // The chunk this page will land in decides its lane,
-                    // and the lane decides the allocator home shard.
-                    let home = (eager.len() / CHUNK_PAGES) % workers;
-                    let grant = match pm.alloc_frame_in(home, ZeroPolicy::Uninit) {
-                        Ok(g) => g,
-                        Err(_) => {
-                            failed = Some(Errno::NoMem);
-                            break 'walk;
-                        }
-                    };
-                    if journal.record(JournalOp::FrameAlloc(grant.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    if grant.recycled {
-                        ctx.counters.frames_recycled += 1;
-                        ctx.instant("alloc/recycle");
-                    }
-                    if grant.zeroing_skipped {
-                        ctx.counters.zeroing_skipped += 1;
-                        ctx.instant("alloc/zero_skip");
-                    }
-                    if grant.stolen {
-                        ctx.counters.alloc_steals += 1;
-                        ctx.instant("alloc/steal");
-                    }
-                    child_batch.push((c_vpn, Pte::new(grant.pfn, final_flags)));
-                    eager.push(EagerPage {
-                        src: pte.pfn,
-                        dst: grant.pfn,
-                        frame: Frame::detached(),
-                        alloc_ns: cost.page_alloc,
-                    });
-                    continue;
-                }
-
-                // Lazy strategies: share the frame and arm faults.
-                if pm.inc_ref(pte.pfn).is_err() {
-                    failed = Some(Errno::Fault);
-                    break 'walk;
-                }
-                if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                    failed = Some(Errno::NoMem);
-                    break 'walk;
-                }
-                match strategy {
-                    CopyStrategy::Full => {
-                        debug_assert!(false, "full copy is always eager");
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    CopyStrategy::CoA => {
-                        child_batch.push((
-                            c_vpn,
-                            Pte::new(pte.pfn, PteFlags::empty().with(PteFlags::COA)),
-                        ));
-                        ctx.kernel(cost.pte_copy + cost.coa_pte_extra);
-                    }
-                    CopyStrategy::CoPA => {
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        child_batch.push((c_vpn, Pte::new(pte.pfn, f)));
-                        ctx.kernel(cost.pte_copy);
-                    }
-                }
-
-                if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                    cow_arm.push(vpn);
-                }
-            }
-        }
-
-        if let Some(e) = failed {
-            // Every reference the batch took is journaled; the caller's
-            // rollback drops them (eager destinations return to the
-            // recycled pools, shared refcounts are restored). Nothing
-            // reached the page table.
-            ctx.counters.region_lookups += self.region_index.take_lookups();
-            return Err(e);
-        }
-
-        // ---- Phase 2: parallel chunks ----------------------------------
-        let n_chunks = eager.len().div_ceil(CHUNK_PAGES);
+        let n_chunks = pages.len().div_ceil(CHUNK_PAGES);
         // Detach every destination frame so workers own them outright
         // while `PhysMem` is only shared for reading source frames.
-        // Detachment failing means the prologue's allocation vanished — a
+        // Detachment failing means the walk's allocation vanished — a
         // kernel bug, surfaced as a typed error (after reattaching, so
         // the caller's rollback sees consistent state) rather than a
         // panic on a syscall path.
-        for i in 0..eager.len() {
-            match self.pm.detach_frame(eager[i].dst) {
-                Ok(f) => eager[i].frame = f,
-                Err(_) => {
-                    debug_assert!(false, "destination allocated in the prologue");
-                    for page in eager[..i].iter_mut() {
-                        let f = std::mem::replace(&mut page.frame, Frame::detached());
-                        let _ = self.pm.attach_frame(page.dst, f);
-                    }
-                    return Err(Errno::Fault);
+        let mut eager: Vec<EagerPage> = Vec::with_capacity(pages.len());
+        for &(src, dst) in pages {
+            let Ok(frame) = self.pm.detach_frame(dst) else {
+                debug_assert!(false, "destination allocated by the walk");
+                for page in eager {
+                    let _ = self.pm.attach_frame(page.dst, page.frame);
                 }
-            }
+                return Err(Errno::Fault);
+            };
+            eager.push(EagerPage { src, dst, frame });
         }
 
         let mut results: Vec<(usize, ChunkOut)> = Vec::with_capacity(n_chunks);
@@ -383,7 +219,7 @@ impl UforkOs {
                                         &source_of,
                                         ScanMode::TagSummary,
                                     );
-                                    co.cost += page.alloc_ns
+                                    co.cost += cost.page_alloc
                                         + cost.page_copy
                                         + reloc_cost(cost, &stats)
                                         + cost.pte_write
@@ -392,7 +228,7 @@ impl UforkOs {
                                         } else {
                                             0.0
                                         };
-                                    merge_stats(&mut co.stats, &stats);
+                                    co.stats.add(&stats);
                                 }
                                 co.lookups = lookups.get();
                                 out.push((idx, co));
@@ -410,7 +246,7 @@ impl UforkOs {
             });
         }
 
-        // ---- Phase 3: merge epilogue -----------------------------------
+        // ---- Merge ------------------------------------------------------
         // Reattach before anything else — on a worker error too, so the
         // caller's rollback finds every destination frame in place.
         let n_eager = eager.len() as u64;
@@ -445,37 +281,15 @@ impl UforkOs {
                 co.cost,
             );
             lanes.charge(*i, co.cost);
-            merge_stats(&mut total_stats, &co.stats);
+            total_stats.add(&co.stats);
             total_lookups += co.lookups;
         }
         ctx.kernel(lanes.elapsed());
         ctx.counters.fork_chunks += n_chunks as u64;
         ctx.counters.pages_copied += n_eager;
         ctx.counters.pages_copied_eager += n_eager;
-        ctx.counters.granules_scanned += total_stats.granules_scanned;
-        ctx.counters.granules_skipped += total_stats.granules_skipped;
-        ctx.counters.tag_words_loaded += total_stats.tag_words_loaded;
-        ctx.counters.caps_relocated += total_stats.relocated + total_stats.cleared;
+        total_stats.count(ctx);
         ctx.counters.region_lookups += total_lookups;
-
-        // Record-then-apply (see `crate::journal`): if recording aborts
-        // part-way, the rollback's unmap of never-inserted VPNs is a
-        // no-op.
-        for (vpn, _) in &child_batch {
-            self.journal
-                .record(JournalOp::PteMap(*vpn))
-                .map_err(|_| Errno::NoMem)?;
-        }
-        ctx.counters.ptes_written += self.pt.extend_sorted(child_batch);
-        ctx.phase("fork/walk/cow_arm");
-        for &vpn in &cow_arm {
-            self.journal
-                .record(JournalOp::CowArm(vpn))
-                .map_err(|_| Errno::NoMem)?;
-        }
-        let armed = self.pt.protect_many(cow_arm, PteFlags::COW);
-        ctx.kernel(self.cost.pte_protect * armed as f64);
-        ctx.counters.region_lookups += self.region_index.take_lookups();
         Ok(())
     }
 }

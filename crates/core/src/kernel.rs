@@ -46,8 +46,8 @@ pub struct UforkConfig {
     /// How the fork walk executes the eager copy/relocate sweep: the
     /// single-lane serial walk (default, the ablation baseline) or the
     /// multi-worker parallel engine with deterministic lane clocks.
-    /// `Parallel` requires the tag-summary scan; under `ScanMode::Naive`
-    /// it falls back to the serial legacy walk.
+    /// `Parallel` and `Pipelined` require the tag-summary scan; under
+    /// `ScanMode::Naive` the walk copies inline, as `Serial`.
     pub walk: WalkMode,
     /// What fork admission control does when the requested copy
     /// strategy's frame demand cannot be reserved: fail up front

@@ -1,7 +1,7 @@
 //! The background half of the pipelined fork
 //! ([`crate::fork_par::WalkMode::Pipelined`]).
 //!
-//! A pipelined fork commits after the prologue: every would-be-eager
+//! A pipelined fork commits after the walk: every would-be-eager
 //! page is staged on the *shared* parent frame with CoA-style
 //! protection (the child cannot touch it without faulting, the parent
 //! is CoW-armed so its writes divert to a private copy), and the child
@@ -49,11 +49,11 @@ use ufork_exec::Ctx;
 use ufork_sim::LaneClocks;
 use ufork_vmem::{PteFlags, Region, Vpn};
 
-use crate::fork::{dedup_probe, DedupProbe, MAX_FORK_RETRIES};
+use crate::fork::{copy_frame_for_child, dedup_probe, DedupProbe};
 use crate::fork_par::CHUNK_PAGES;
 use crate::journal::JournalOp;
 use crate::kernel::UforkOs;
-use crate::reloc::{reloc_cost, relocate_frame, ScanMode};
+use crate::reloc::{relocate_counted, RelocTarget, ScanMode, SourceLookup};
 
 /// One background-copy chunk: up to [`CHUNK_PAGES`] staged child pages
 /// in ascending-VPN order, flipped to their final frames atomically.
@@ -212,31 +212,11 @@ impl UforkOs {
         pid: Pid,
         idx: usize,
     ) -> SysResult<()> {
-        use crate::fork::ForkFail;
-        let mut retries = 0;
-        loop {
-            match self.pipeline_chunk_attempt(ctx, pid, idx) {
-                Ok(()) => return Ok(()),
-                Err(ForkFail::Fatal(e)) => return Err(e),
-                Err(ForkFail::Retryable(e)) => {
-                    if retries >= MAX_FORK_RETRIES {
-                        return Err(e);
-                    }
-                    retries += 1;
-                    ctx.phase("fork/reclaim");
-                    let scrubbed = self.pm.reclaim_pass();
-                    let backoff = self.cost.reclaim_backoff + self.cost.zero_page * scrubbed as f64;
-                    ctx.kernel(backoff);
-                    ctx.counters.reclaim_inline += 1;
-                    ctx.counters.fork_backoff_ns += backoff as u64;
-                }
-            }
-        }
+        self.retry_after_reclaim(ctx, |os, ctx| os.pipeline_chunk_attempt(ctx, pid, idx))
     }
 
-    /// One transactional attempt at chunk `idx`: copy (or adopt) every
-    /// page, relocate its capabilities, flip the PTE to its final
-    /// frame + flags, and drop the fork-time shared reference. On `Err`
+    /// One transactional attempt at chunk `idx`: the chunk's pages
+    /// ([`UforkOs::copy_chunk_pages`]), then the chunk commit. On `Err`
     /// the journal has been rolled back — the chunk is exactly as
     /// staged.
     fn pipeline_chunk_attempt(
@@ -262,155 +242,10 @@ impl UforkOs {
             }
             (s.region, s.root, c.pages.clone())
         };
-        let validates = self.isolation.validates_syscalls();
-        let mut allocs = 0u64;
-
-        for &(c_vpn, final_flags) in &pages {
-            ctx.phase("fork/pipeline/copy");
-            let pte = self.pt.lookup(c_vpn).ok_or(ForkFail::Fatal(Errno::Fault))?;
-            debug_assert!(
-                pte.flags.contains(PteFlags::COA),
-                "a pending staged page is CoA-protected"
-            );
-            let refcount = self
-                .pm
-                .refcount(pte.pfn)
-                .map_err(|_| ForkFail::Fatal(Errno::Fault))?;
-            // Cross-child dedup: a sibling's background window may have
-            // already materialized this exact content — share its frame
-            // instead of allocating another copy. Only probed while the
-            // staged frame is still shared; a sole-owner page adopts in
-            // place below, which is strictly cheaper than any probe.
-            let probe = if self.dedup_frames && refcount > 1 {
-                ctx.phase("fork/dedup");
-                dedup_probe(
-                    &self.pm,
-                    &self.pt,
-                    &mut self.dedup,
-                    &self.cost,
-                    ctx,
-                    pte.pfn,
-                )
-            } else {
-                DedupProbe::Skip
-            };
-            if let DedupProbe::Hit(shared) = probe {
-                if self.pm.inc_ref(shared).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::Fault));
-                }
-                if self.journal.record(JournalOp::RefInc(shared)).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::NoMem));
-                }
-                ctx.phase("fork/pipeline/pte");
-                if self
-                    .journal
-                    .record(JournalOp::PteRemap {
-                        vpn: c_vpn,
-                        old: pte,
-                    })
-                    .is_err()
-                {
-                    return Err(self.abort_fork(ctx, Errno::NoMem));
-                }
-                // CoW-protected so the canonical content stays stable.
-                self.pt.map(c_vpn, shared, final_flags.with(PteFlags::COW));
-                ctx.kernel(self.cost.pte_write);
-                ctx.counters.ptes_written += 1;
-                ctx.counters.frames_deduped += 1;
-                // Drop the fork-time staged reference (refcount ≥ 2
-                // observed above, so this never frees the frame).
-                if self.pm.dec_ref(pte.pfn).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::Fault));
-                }
-                if self.journal.record(JournalOp::RefDec(pte.pfn)).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::NoMem));
-                }
-                continue;
-            }
-            let pfn = if refcount > 1 {
-                // The frame is still shared (the usual case): allocate
-                // the child's private copy. The allocation consumes the
-                // admission promise held since the commit.
-                let new = match crate::fork::alloc_zeroed_charged(&mut self.pm, &self.cost, ctx) {
-                    Ok(n) => n,
-                    Err(_) => return Err(self.abort_fork(ctx, Errno::NoMem)),
-                };
-                if self.journal.record(JournalOp::FrameAlloc(new)).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::NoMem));
-                }
-                allocs += 1;
-                if self.pm.copy_frame(pte.pfn, new).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::Fault));
-                }
-                ctx.kernel(self.cost.page_alloc + self.cost.page_copy);
-                ctx.counters.pages_copied += 1;
-                new
-            } else {
-                // Sole owner — every other sharer CoW'd its mapping
-                // away or exited, so the fork-time frame (which still
-                // holds the snapshot) is adopted in place.
-                ctx.counters.pages_reclaimed += 1;
-                pte.pfn
-            };
-
-            ctx.phase("fork/pipeline/reloc");
-            let (pm, index) = (&mut self.pm, &self.region_index);
-            let stats = relocate_frame(
-                pm,
-                pfn,
-                region,
-                &root,
-                &|addr| index.lookup(addr),
-                ScanMode::TagSummary,
-            );
-            ctx.counters.region_lookups += index.take_lookups();
-            ctx.kernel(reloc_cost(&self.cost, &stats));
-            ctx.counters.granules_scanned += stats.granules_scanned;
-            ctx.counters.granules_skipped += stats.granules_skipped;
-            ctx.counters.tag_words_loaded += stats.tag_words_loaded;
-            ctx.counters.caps_relocated += stats.relocated + stats.cleared;
-
-            ctx.phase("fork/pipeline/pte");
-            // Record-then-apply: the inverse restores the staged CoA
-            // mapping exactly, a no-op if the rewrite never ran.
-            if self
-                .journal
-                .record(JournalOp::PteRemap {
-                    vpn: c_vpn,
-                    old: pte,
-                })
-                .is_err()
-            {
-                return Err(self.abort_fork(ctx, Errno::NoMem));
-            }
-            let mut flags = final_flags;
-            if let DedupProbe::Miss(hash) = probe {
-                // Register the fresh copy as the canonical frame for
-                // this content (CoW-armed so it stays byte-stable while
-                // indexed; no journal op — stale entries self-invalidate
-                // on the next probe).
-                self.dedup.insert(hash, pfn, c_vpn.0);
-                flags = flags.with(PteFlags::COW);
-            }
-            self.pt.map(c_vpn, pfn, flags);
-            ctx.kernel(self.cost.pte_write);
-            ctx.counters.ptes_written += 1;
-            if validates {
-                ctx.kernel(self.cost.page_scan() + self.cost.tocttou_fixed);
-            }
-            if pfn != pte.pfn {
-                // Drop the fork-time shared reference (apply-then-record
-                // — on an injected record failure the op is still in the
-                // journal and rollback re-takes the reference). Observed
-                // refcount ≥ 2 above, so this never frees the frame.
-                if self.pm.dec_ref(pte.pfn).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::Fault));
-                }
-                if self.journal.record(JournalOp::RefDec(pte.pfn)).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::NoMem));
-                }
-            }
-        }
+        let allocs = match self.copy_chunk_pages(ctx, region, &root, &pages) {
+            Ok(allocs) => allocs,
+            Err(e) => return Err(self.abort_fork(ctx, e)),
+        };
 
         // Chunk commit: clear the journal, consume the admission hold the
         // allocations fulfilled, and close the window if this was the
@@ -435,5 +270,122 @@ impl UforkOs {
             ctx.instant("fork/pipeline/done");
         }
         Ok(())
+    }
+
+    /// The journaled body of a chunk attempt: copies (or adopts) every
+    /// page, relocates its capabilities, flips the PTE to its final
+    /// frame + flags, and drops the fork-time shared reference. Returns
+    /// the frames allocated. On `Err` the caller rolls the journal back.
+    fn copy_chunk_pages(
+        &mut self,
+        ctx: &mut Ctx,
+        region: Region,
+        root: &Capability,
+        pages: &[(Vpn, PteFlags)],
+    ) -> SysResult<u64> {
+        let validates = self.isolation.validates_syscalls();
+        let mut allocs = 0u64;
+        for &(c_vpn, final_flags) in pages {
+            ctx.phase("fork/pipeline/copy");
+            let pte = self.pt.lookup(c_vpn).ok_or(Errno::Fault)?;
+            debug_assert!(
+                pte.flags.contains(PteFlags::COA),
+                "a pending staged page is CoA-protected"
+            );
+            let refcount = self.pm.refcount(pte.pfn).map_err(|_| Errno::Fault)?;
+            // Cross-child dedup: a sibling's background window may have
+            // already materialized this exact content — share its frame
+            // instead of allocating another copy. Only probed while the
+            // staged frame is still shared; a sole-owner page adopts in
+            // place below, which is strictly cheaper than any probe.
+            let probe = if self.dedup_frames && refcount > 1 {
+                ctx.phase("fork/dedup");
+                dedup_probe(
+                    &self.pm,
+                    &self.pt,
+                    &[],
+                    &mut self.dedup,
+                    &self.cost,
+                    ctx,
+                    pte.pfn,
+                )
+            } else {
+                DedupProbe::Skip
+            };
+            let hit = matches!(probe, DedupProbe::Hit(_));
+            let pfn = if let DedupProbe::Hit(shared) = probe {
+                self.pm.inc_ref(shared).map_err(|_| Errno::Fault)?;
+                self.journal
+                    .record(JournalOp::RefInc(shared))
+                    .map_err(|_| Errno::NoMem)?;
+                shared
+            } else {
+                let pfn = if refcount > 1 {
+                    // The frame is still shared (the usual case): allocate
+                    // the child's private copy. The allocation consumes the
+                    // admission promise held since the commit.
+                    allocs += 1;
+                    copy_frame_for_child(&mut self.pm, &mut self.journal, &self.cost, ctx, pte.pfn)?
+                } else {
+                    // Sole owner — every other sharer CoW'd its mapping
+                    // away or exited, so the fork-time frame (which still
+                    // holds the snapshot) is adopted in place.
+                    ctx.counters.pages_reclaimed += 1;
+                    pte.pfn
+                };
+                ctx.phase("fork/pipeline/reloc");
+                let source = SourceLookup::Index(&self.region_index);
+                let target = RelocTarget {
+                    region,
+                    root,
+                    source: &source,
+                    mode: ScanMode::TagSummary,
+                };
+                relocate_counted(&mut self.pm, pfn, &target, &self.cost, ctx);
+                pfn
+            };
+            // A shared canonical frame, and a fresh copy registered as one
+            // below, is CoW-armed so its content stays stable while indexed.
+            let flags = if matches!(probe, DedupProbe::Skip) {
+                final_flags
+            } else {
+                final_flags.with(PteFlags::COW)
+            };
+
+            ctx.phase("fork/pipeline/pte");
+            // Record-then-apply: the inverse restores the staged CoA
+            // mapping exactly, a no-op if the rewrite never ran.
+            self.journal
+                .record(JournalOp::PteRemap {
+                    vpn: c_vpn,
+                    old: pte,
+                })
+                .map_err(|_| Errno::NoMem)?;
+            if let DedupProbe::Miss(hash) = probe {
+                // Register the fresh copy as the canonical frame for this
+                // content (no journal op — stale entries self-invalidate
+                // on the next probe).
+                self.dedup.insert(hash, pfn, c_vpn.0);
+            }
+            self.pt.map(c_vpn, pfn, flags);
+            ctx.kernel(self.cost.pte_write);
+            ctx.counters.ptes_written += 1;
+            if hit {
+                ctx.counters.frames_deduped += 1;
+            } else if validates {
+                ctx.kernel(self.cost.page_scan() + self.cost.tocttou_fixed);
+            }
+            if hit || pfn != pte.pfn {
+                // Drop the fork-time shared reference (apply-then-record
+                // — on an injected record failure the op is still in the
+                // journal and rollback re-takes the reference). Observed
+                // refcount ≥ 2 above, so this never frees the frame.
+                self.pm.dec_ref(pte.pfn).map_err(|_| Errno::Fault)?;
+                self.journal
+                    .record(JournalOp::RefDec(pte.pfn))
+                    .map_err(|_| Errno::NoMem)?;
+            }
+        }
+        Ok(allocs)
     }
 }

@@ -24,11 +24,15 @@
 //! only in cost (simulated *and* host-side). The `naive` mode is kept as
 //! an ablation so the benchmark harness can show both cost curves.
 
+use std::cell::Cell;
+
 use ufork_cheri::Capability;
+use ufork_exec::Ctx;
 use ufork_mem::{Frame, Pfn, PhysMem, GRANULES_PER_PAGE, TAG_WORDS_PER_PAGE};
 use ufork_sim::CostModel;
-use ufork_vmem::Region;
+use ufork_vmem::{Region, VirtAddr};
 
+use crate::region_index::RegionIndex;
 use crate::Segment;
 
 /// How `relocate_frame` discovers tagged granules.
@@ -57,6 +61,106 @@ pub struct RelocStats {
     pub relocated: u64,
     /// Capabilities whose tag was cleared (target unknown).
     pub cleared: u64,
+}
+
+impl RelocStats {
+    /// Adds `other`'s work to this pass's.
+    pub(crate) fn add(&mut self, other: &RelocStats) {
+        self.granules_scanned += other.granules_scanned;
+        self.granules_skipped += other.granules_skipped;
+        self.tag_words_loaded += other.tag_words_loaded;
+        self.relocated += other.relocated;
+        self.cleared += other.cleared;
+    }
+
+    /// Folds this pass's work into the scan counters.
+    pub(crate) fn count(&self, ctx: &mut Ctx) {
+        ctx.counters.granules_scanned += self.granules_scanned;
+        ctx.counters.granules_skipped += self.granules_skipped;
+        ctx.counters.tag_words_loaded += self.tag_words_loaded;
+        ctx.counters.caps_relocated += self.relocated + self.cleared;
+    }
+}
+
+/// Where relocation resolves a capability's source region.
+pub(crate) enum SourceLookup<'a> {
+    /// The incrementally maintained, memoized region index (fast path).
+    Index(&'a RegionIndex),
+    /// The [`ScanMode::Naive`] ablation's lookup: a region list rebuilt
+    /// for this pass and scanned linearly per capability, reproducing
+    /// the pre-index host cost.
+    Linear {
+        regions: Vec<Region>,
+        lookups: Cell<u64>,
+    },
+}
+
+impl<'a> SourceLookup<'a> {
+    /// The lookup `scan` pairs with: the index under the tag-summary
+    /// scan, a freshly `rebuild`-ed linear list under the naive one.
+    pub(crate) fn new(
+        scan: ScanMode,
+        index: &'a RegionIndex,
+        rebuild: impl FnOnce() -> Vec<Region>,
+    ) -> SourceLookup<'a> {
+        match scan {
+            ScanMode::TagSummary => SourceLookup::Index(index),
+            ScanMode::Naive => SourceLookup::Linear {
+                regions: rebuild(),
+                lookups: Cell::new(0),
+            },
+        }
+    }
+
+    /// The region containing `addr`, if any (counted).
+    pub(crate) fn lookup(&self, addr: u64) -> Option<Region> {
+        match self {
+            SourceLookup::Index(index) => index.lookup(addr),
+            SourceLookup::Linear { regions, lookups } => {
+                lookups.set(lookups.get() + 1);
+                regions.iter().find(|r| r.contains(VirtAddr(addr))).copied()
+            }
+        }
+    }
+
+    /// Returns and resets the lookup count.
+    pub(crate) fn take_lookups(&self) -> u64 {
+        match self {
+            SourceLookup::Index(index) => index.take_lookups(),
+            SourceLookup::Linear { lookups, .. } => lookups.replace(0),
+        }
+    }
+}
+
+/// Where a copied page's capabilities are relocated to: the child's
+/// region and root, the source-region lookup, and the scan strategy.
+pub(crate) struct RelocTarget<'a> {
+    pub(crate) region: Region,
+    pub(crate) root: &'a Capability,
+    pub(crate) source: &'a SourceLookup<'a>,
+    pub(crate) mode: ScanMode,
+}
+
+/// Relocates `frame` into `target`, charging the pass's simulated cost
+/// to `ctx` and counting its scan work and region lookups.
+pub(crate) fn relocate_counted(
+    pm: &mut PhysMem,
+    frame: Pfn,
+    target: &RelocTarget<'_>,
+    cost: &CostModel,
+    ctx: &mut Ctx,
+) {
+    let stats = relocate_frame(
+        pm,
+        frame,
+        target.region,
+        target.root,
+        &|addr| target.source.lookup(addr),
+        target.mode,
+    );
+    ctx.counters.region_lookups += target.source.take_lookups();
+    ctx.kernel(reloc_cost(cost, &stats));
+    stats.count(ctx);
 }
 
 /// Relocates every out-of-region capability in `frame` into `child`.

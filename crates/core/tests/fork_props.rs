@@ -5,7 +5,7 @@
 //! `props` feature).
 #![cfg(feature = "props")]
 
-use ufork::{UforkConfig, UforkOs, WalkMode};
+use ufork::{ScanMode, UforkConfig, UforkOs, WalkMode};
 use ufork_abi::{CopyStrategy, ImageSpec, Pid};
 use ufork_cheri::Capability;
 use ufork_exec::{Ctx, MemOs};
@@ -268,21 +268,28 @@ enum Slot {
 /// the `(pages_copied, caps_relocated)` counters from the fork itself.
 type Fingerprint = (Vec<(u64, Slot)>, u64, u64);
 
+/// A child's mapping structure right after its fork: `(private frames,
+/// shared frames, tagged granules)` over its PTEs.
+type Mappings = (u64, u64, u64);
+
 /// Spawns a parent, populates a `pages`-page heap from `seeds`, forks under
-/// `walk`, and fingerprints the child's view of every touched slot plus the
-/// fork-path counters that must not depend on the walk mode.
+/// `walk` with relocation scan `scan`, and fingerprints the child's view of
+/// every touched slot plus the fork-path counters and child mappings that
+/// must not depend on the walk mode or the scan.
 fn fork_fingerprint(
     walk: WalkMode,
+    scan: ScanMode,
     strategy: CopyStrategy,
     pages: u64,
     seeds: &[Seed],
-) -> Result<Fingerprint, String> {
+) -> Result<(Fingerprint, Mappings), String> {
     let slots = pages * (PAGE_SIZE / 64);
     let off = |s: u16| (u64::from(s) % slots) * 64;
     let mut os = UforkOs::new(UforkConfig {
         phys_mib: 64,
         strategy,
         walk,
+        scan,
         ..UforkConfig::default()
     });
     let mut ctx = Ctx::new();
@@ -326,6 +333,12 @@ fn fork_fingerprint(
     // completed-copy states. A no-op for the other walk modes.
     os.pipeline_drain(&mut ctx, CHILD).unwrap();
     let during = ctx.counters.since(&before);
+    let mapped = os.mem_stats(CHILD);
+    let mapped = (
+        mapped.private_frames,
+        mapped.shared_frames,
+        mapped.cap_granules,
+    );
 
     let c_arr = os.reg(CHILD, 4).unwrap();
     let anchor = c_arr.base();
@@ -355,7 +368,7 @@ fn fork_fingerprint(
     if os.audit_isolation(PARENT) != 0 || os.audit_isolation(CHILD) != 0 {
         return Err(format!("{walk:?}: isolation audit found violations"));
     }
-    Ok((prints, during.pages_copied, during.caps_relocated))
+    Ok(((prints, during.pages_copied, during.caps_relocated), mapped))
 }
 
 /// The parallel walk is an *optimization*, not a semantic change: for every
@@ -392,9 +405,21 @@ fn parallel_walk_matches_serial_bit_identical() {
         },
         |(strategy_ix, pages, seeds)| {
             let strategy = strategy_of(*strategy_ix);
-            let serial = fork_fingerprint(WalkMode::Serial, strategy, *pages, seeds)?;
+            let serial = fork_fingerprint(
+                WalkMode::Serial,
+                ScanMode::TagSummary,
+                strategy,
+                *pages,
+                seeds,
+            )?;
             for n in [1usize, 2, 4, 8] {
-                let par = fork_fingerprint(WalkMode::Parallel(n), strategy, *pages, seeds)?;
+                let par = fork_fingerprint(
+                    WalkMode::Parallel(n),
+                    ScanMode::TagSummary,
+                    strategy,
+                    *pages,
+                    seeds,
+                )?;
                 if par != serial {
                     return Err(format!(
                         "{strategy:?}, {pages} pages: Parallel({n}) diverged from Serial:\n\
@@ -442,14 +467,81 @@ fn pipelined_walk_matches_serial_after_drain() {
         },
         |(strategy_ix, pages, seeds)| {
             let strategy = strategy_of(*strategy_ix);
-            let serial = fork_fingerprint(WalkMode::Serial, strategy, *pages, seeds)?;
-            let piped = fork_fingerprint(WalkMode::Pipelined, strategy, *pages, seeds)?;
+            let serial = fork_fingerprint(
+                WalkMode::Serial,
+                ScanMode::TagSummary,
+                strategy,
+                *pages,
+                seeds,
+            )?;
+            let piped = fork_fingerprint(
+                WalkMode::Pipelined,
+                ScanMode::TagSummary,
+                strategy,
+                *pages,
+                seeds,
+            )?;
             if piped != serial {
                 return Err(format!(
                     "{strategy:?}, {pages} pages: Pipelined diverged from Serial:\n\
                      serial: {serial:?}\n\
                      piped:  {piped:?}"
                 ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The naive-scan ablation is a cost knob on the one fork walk, not a
+/// semantic change: under every strategy, and whatever walk mode is
+/// configured (the ablation always copies inline), the child heap, its
+/// capability map, its mappings and the walk-independent counters must
+/// equal the tag-summary serial walk's.
+#[test]
+fn naive_scan_walk_matches_tagsummary() {
+    forall(
+        "naive_scan_walk_matches_tagsummary",
+        &cfg(),
+        |rng| {
+            let strategy_ix = rng.below(3) as u8;
+            let pages = rng.range(1, 72);
+            let n = rng.range(1, 48) as usize;
+            let seeds: Vec<Seed> = (0..n)
+                .map(|_| {
+                    if rng.chance(1, 2) {
+                        Seed::CapTo(rng.next_u64() as u16, rng.next_u64() as u16)
+                    } else {
+                        Seed::Data(rng.next_u64() as u16, rng.next_u64())
+                    }
+                })
+                .collect();
+            (strategy_ix, pages, seeds)
+        },
+        |(ix, pages, seeds)| {
+            shrink_vec(seeds)
+                .into_iter()
+                .map(|s| (*ix, *pages, s))
+                .collect()
+        },
+        |(strategy_ix, pages, seeds)| {
+            let strategy = strategy_of(*strategy_ix);
+            let fast = fork_fingerprint(
+                WalkMode::Serial,
+                ScanMode::TagSummary,
+                strategy,
+                *pages,
+                seeds,
+            )?;
+            for walk in [WalkMode::Serial, WalkMode::Parallel(4), WalkMode::Pipelined] {
+                let naive = fork_fingerprint(walk, ScanMode::Naive, strategy, *pages, seeds)?;
+                if naive != fast {
+                    return Err(format!(
+                        "{strategy:?}, {pages} pages, {walk:?}: Naive diverged from TagSummary:\n\
+                         tagsummary: {fast:?}\n\
+                         naive:      {naive:?}"
+                    ));
+                }
             }
             Ok(())
         },
