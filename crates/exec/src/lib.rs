@@ -7,8 +7,9 @@
 //! of comparison lives here, shared by all three:
 //!
 //! * a discrete-event, multi-core **scheduler** driving [`ufork_abi::Program`]
-//!   state machines in simulated time, with optional big-kernel-lock
-//!   serialization (Unikraft's SMP model, paper §4.5);
+//!   state machines in simulated time — one run queue for threads and
+//!   the background copy and reclaim tasks — with optional
+//!   big-kernel-lock serialization (Unikraft's SMP model, paper §4.5);
 //! * a **VFS** with ram-disk files, pipes, and synthetic network
 //!   listeners/connections (the wrk-style traffic the Nginx experiment
 //!   needs);
@@ -33,7 +34,7 @@ pub use machine::{
     ExitEvent, ForkEvent, Machine, MachineConfig, OomEvent, PipelineEvent, MAIN_TID,
 };
 pub use memos::MemOs;
-pub use sched::{BlockedOn, SchedEngine, TimeKey, DEFAULT_PRIORITY};
+pub use sched::{BlockedOn, SchedEngine, TimeKey};
 pub use vfs::{
     ConnTemplate, FdKind, FdTable, PipeRead, RingMeta, RingSnapshot, Vfs, WakeEvent, PIPE_CAPACITY,
 };

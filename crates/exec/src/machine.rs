@@ -6,11 +6,13 @@
 //! descriptors, and register file, and are scheduled independently.
 //! `fork` duplicates only the calling thread, as POSIX specifies.
 //!
-//! Two scheduling engines share everything after thread selection (see
-//! [`SchedEngine`]): the original lockstep linear scan, and the default
-//! event-driven run queue that scales to thousands of live μprocesses.
-//! With default priorities and no time slice, both produce bit-identical
-//! schedules — enforced by `tests/sched_differential.rs`.
+//! One step loop ([`Machine::step`]) runs everything: threads, the
+//! background copy engines of pipelined forks and the background reclaim
+//! daemon are all picked by one `(time, class, order)` key. The default
+//! event engine pops that key from a run queue that scales to thousands
+//! of live μprocesses; the lockstep reference ([`SchedEngine`]) builds the
+//! same key by a linear scan. Everything after the pick is shared, and
+//! `tests/sched_differential.rs` holds the two to bit-identical schedules.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,7 +26,7 @@ use ufork_sim::OpCounters;
 use crate::ctx::Ctx;
 use crate::memos::{charge_syscall, MemOs};
 use crate::ring::{self, RingPop as RawPop, RingPush as RawPush};
-use crate::sched::{BlockedOn, Cores, QEntry, RunQueue, SchedEngine, TimeKey, DEFAULT_PRIORITY};
+use crate::sched::{BlockedOn, Cores, QEntry, RunQueue, SchedEngine, Task, TimeKey};
 use crate::vfs::{ConnRead, ConnTemplate, FdKind, FdTable, PipeRead, RingMeta, Vfs, WakeEvent};
 
 /// Machine-wide configuration.
@@ -42,12 +44,6 @@ pub struct MachineConfig {
     /// Scheduling engine. [`SchedEngine::EventDriven`] unless a test
     /// explicitly asks for the lockstep reference.
     pub engine: SchedEngine,
-    /// Time-slice length (ns), event engine only: a step that runs longer
-    /// is requeued *behind* other threads ready at the same instant
-    /// (round-robin at equal timestamps — in a discrete-event machine a
-    /// slice cannot preempt mid-step). `None` disables slicing, which
-    /// keeps the schedule identical to the lockstep engine.
-    pub slice_ns: Option<f64>,
     /// Enable the OOM last resort: when a fork still fails with `NoMem`
     /// after the backend's own degrade ladder and reclaim retries, the
     /// machine deterministically kills victim μprocesses (largest
@@ -65,7 +61,6 @@ impl Default for MachineConfig {
             child_affinity: None,
             time_limit: None,
             engine: SchedEngine::EventDriven,
-            slice_ns: None,
             oom_kill: false,
         }
     }
@@ -98,40 +93,38 @@ pub struct PipelineEvent {
     pub pages: u64,
 }
 
+/// Consecutive failed firings after which a background task retires: a
+/// copy engine leaves its window to demand faults, and the reclaim
+/// daemon waits for the next memory-state change to re-arm.
+const MAX_BG_FAILS: u32 = 8;
+
+/// Scheduling state of a background task (a copy engine or the reclaim
+/// daemon): when it fires next, and how many firings in a row failed.
+#[derive(Clone, Copy, Debug)]
+struct BgClock {
+    next_at: f64,
+    fails: u32,
+}
+
+impl BgClock {
+    fn new(next_at: f64) -> BgClock {
+        BgClock { next_at, fails: 0 }
+    }
+}
+
 /// The background copy engine of one committed pipelined fork: a
 /// machine-level μtask that streams the child's deferred pages in, one
-/// chunk per scheduling event. Both engines treat its next firing as an
-/// ordinary ready time, so copy progress interleaves deterministically
-/// with thread execution — and a child fault can still jump the queue
-/// in between events (the engine just finds fewer chunks left).
+/// chunk per firing. Its next firing is an ordinary run-queue entry, so
+/// copy progress interleaves deterministically with thread execution —
+/// and a child fault can still jump the queue in between firings (the
+/// engine just finds fewer chunks left).
 #[derive(Clone, Copy, Debug)]
 struct CopyEngine {
-    /// When the next chunk may start.
-    next_at: f64,
+    clock: BgClock,
     /// When the fork committed (for time-to-copy-complete).
     committed_at: f64,
     /// Window size at commit, in pages.
     pages: u64,
-    /// Consecutive failed firings (memory pressure); the engine retires
-    /// after too many, leaving the window to demand faults.
-    fails: u32,
-}
-
-/// The background reclaim daemon's scheduling state: a machine-level
-/// kernel μtask, armed whenever the backend reports pending reclaim work
-/// ([`MemOs::reclaim_pending`]) and fired like the copy engines — as an
-/// ordinary ready entity in both scheduling engines, so daemon progress
-/// interleaves deterministically with thread execution. Each firing
-/// scrubs one bounded batch of recycled frames into the clean-frame
-/// magazines on background simulated time, keeping the zeroing cost off
-/// the fork/fault hot path.
-#[derive(Clone, Copy, Debug)]
-struct ReclaimEngine {
-    /// When the next pass may start.
-    next_at: f64,
-    /// Consecutive failed firings (injected aborts); the daemon retires
-    /// after too many and re-arms on the next memory-state change.
-    fails: u32,
 }
 
 /// One OOM kill performed by the fork path's last resort
@@ -226,9 +219,6 @@ struct Proc {
     zombies: BTreeMap<(TimeKey, u64), (Pid, i32, f64)>,
     zombie_seq: u64,
     affinity: Option<Vec<usize>>,
-    /// Scheduling priority (ties in ready time only; see
-    /// [`Machine::set_priority`]).
-    prio: u8,
     exit_code: Option<i32>,
 }
 
@@ -240,7 +230,6 @@ impl Proc {
         at: f64,
         resume_with: Resume,
         affinity: Option<Vec<usize>>,
-        prio: u8,
     ) -> Proc {
         let mut threads = BTreeMap::new();
         threads.insert(MAIN_TID, Thread::new(program, resume_with, at));
@@ -254,7 +243,6 @@ impl Proc {
             zombies: BTreeMap::new(),
             zombie_seq: 0,
             affinity,
-            prio,
             exit_code: None,
         }
     }
@@ -278,9 +266,13 @@ pub struct Machine<O: MemOs> {
     /// Live background copy engines, one per pipelined-fork child with
     /// an open window.
     copy_engines: BTreeMap<Pid, CopyEngine>,
-    /// The background reclaim daemon, armed while the backend has
-    /// pending reclaim work.
-    reclaim_engine: Option<ReclaimEngine>,
+    /// The background reclaim daemon: a machine-level kernel μtask,
+    /// armed while the backend has pending reclaim work
+    /// ([`MemOs::reclaim_pending`]) and fired like the copy engines. Each
+    /// firing scrubs one bounded batch of recycled frames into the
+    /// clean-frame magazines on background simulated time, keeping the
+    /// zeroing cost off the fork/fault hot path.
+    reclaim_engine: Option<BgClock>,
     oom_log: Vec<OomEvent>,
     runq: RunQueue,
     /// Threads parked on pipe `id` — readers on empty *and* writers on
@@ -331,15 +323,7 @@ impl<O: MemOs> Machine<O> {
         self.counters.merge(&ctx.counters);
         self.procs.insert(
             pid,
-            Proc::main_thread(
-                program,
-                None,
-                FdTable::new(),
-                0.0,
-                Resume::Start,
-                None,
-                DEFAULT_PRIORITY,
-            ),
+            Proc::main_thread(program, None, FdTable::new(), 0.0, Resume::Start, None),
         );
         self.make_ready(pid, MAIN_TID, 0.0);
         self.maybe_arm_reclaim(0.0);
@@ -350,32 +334,6 @@ impl<O: MemOs> Machine<O> {
     pub fn set_affinity(&mut self, pid: Pid, cores: Vec<usize>) {
         if let Some(p) = self.procs.get_mut(&pid) {
             p.affinity = Some(cores);
-        }
-    }
-
-    /// Sets a process's scheduling priority (lower value = preferred).
-    ///
-    /// In a discrete-event machine priority can only break *ties*: a
-    /// thread ready at an earlier simulated instant always runs first
-    /// regardless of priority. Children inherit the forking parent's
-    /// priority. Applies to scheduling decisions made after the call.
-    pub fn set_priority(&mut self, pid: Pid, prio: u8) {
-        let Some(p) = self.procs.get_mut(&pid) else {
-            return;
-        };
-        p.prio = prio;
-        // Re-key live queue entries: supersede (gen bump) and re-push
-        // every currently ready thread under the new priority.
-        let ready: Vec<(u32, f64)> = p
-            .threads
-            .iter()
-            .filter_map(|(tid, t)| match t.state {
-                ThreadState::Ready { at } => Some((*tid, at)),
-                _ => None,
-            })
-            .collect();
-        for (tid, at) in ready {
-            self.make_ready(pid, tid, at);
         }
     }
 
@@ -481,12 +439,6 @@ impl<O: MemOs> Machine<O> {
             .and_then(|t| t.blocked_on)
     }
 
-    /// Run-queue entries currently held (stale entries included; event
-    /// engine only — the lockstep engine keeps no queue).
-    pub fn run_queue_len(&self) -> usize {
-        self.runq.len()
-    }
-
     // ---- the scheduler loop ---------------------------------------------
 
     /// Runs until nothing is runnable or the time limit is reached.
@@ -499,151 +451,124 @@ impl<O: MemOs> Machine<O> {
     }
 
     /// Executes one scheduling step. Returns false when idle/finished.
+    ///
+    /// Threads, copy engines and the reclaim daemon compete under one
+    /// `(time, class, order)` key: the step takes the minimum and runs
+    /// it, and that ordering is all the arbitration there is. A pick at
+    /// or past the time limit is not consumed, so a later step still
+    /// finds it.
     pub fn step(&mut self) -> bool {
-        match self.config.engine {
-            SchedEngine::Lockstep => self.step_lockstep(),
-            SchedEngine::EventDriven => self.step_event(),
-        }
-    }
-
-    /// The reference engine: linear scan for the earliest-ready thread.
-    fn step_lockstep(&mut self) -> bool {
-        let thread = self
-            .procs
-            .iter()
-            .filter(|(_, p)| p.life == ProcLife::Alive)
-            .flat_map(|(pid, p)| {
-                p.threads.iter().filter_map(|(tid, t)| match t.state {
-                    ThreadState::Ready { at } => Some((*pid, *tid, at)),
-                    _ => None,
-                })
-            })
-            .min_by(|a, b| a.2.total_cmp(&b.2));
-        let reclaim_at = self.reclaim_engine.as_ref().map(|e| e.next_at);
-        // A pending copy engine fires like any other ready entity; ties
-        // go to the engine in BOTH engines so schedules cannot drift.
-        if let Some((cpid, cat)) = self.next_copy_event() {
-            if thread.is_none_or(|(_, _, t_at)| cat <= t_at)
-                && reclaim_at.is_none_or(|rat| cat <= rat)
-            {
-                if let Some(limit) = self.config.time_limit {
-                    if cat >= limit {
-                        return false;
-                    }
-                }
-                return self.pump_copy_engine(cpid, cat);
-            }
-        }
-        // The reclaim daemon yields to copy streams at ties (copied pages
-        // are latency-critical, scrubbing is slack work) but beats
-        // threads, so magazines refill before the next fork allocates.
-        if let Some(rat) = reclaim_at {
-            if thread.is_none_or(|(_, _, t_at)| rat <= t_at) {
-                if let Some(limit) = self.config.time_limit {
-                    if rat >= limit {
-                        return false;
-                    }
-                }
-                return self.pump_reclaim(rat);
-            }
-        }
-        let Some((pid, tid, ready_at)) = thread else {
+        let Some(entry) = self.pick() else {
             return false;
         };
-        if let Some(limit) = self.config.time_limit {
-            if ready_at >= limit {
-                return false;
-            }
+        let at = entry.time.as_ns();
+        if self.config.time_limit.is_some_and(|limit| at >= limit) {
+            self.runq.push(entry);
+            return false;
         }
-        self.dispatch(pid, tid, ready_at)
-    }
-
-    /// The event engine: pop run-queue entries (lazily discarding stale
-    /// ones) until a live thread is found.
-    fn step_event(&mut self) -> bool {
-        loop {
-            let copy = self.next_copy_event();
-            let reclaim_at = self.reclaim_engine.as_ref().map(|e| e.next_at);
-            let Some(entry) = self.runq.pop() else {
-                // Nothing queued: background engines alone advance time
-                // (copy beats reclaim at ties, as in the lockstep scan).
-                if let Some((cpid, cat)) = copy {
-                    if reclaim_at.is_none_or(|rat| cat <= rat) {
-                        if let Some(limit) = self.config.time_limit {
-                            if cat >= limit {
-                                return false;
-                            }
-                        }
-                        return self.pump_copy_engine(cpid, cat);
-                    }
-                }
-                if let Some(rat) = reclaim_at {
-                    if let Some(limit) = self.config.time_limit {
-                        if rat >= limit {
-                            return false;
-                        }
-                    }
-                    return self.pump_reclaim(rat);
-                }
-                return false;
-            };
-            let current = self
-                .procs
-                .get(&entry.pid)
-                .filter(|p| p.life == ProcLife::Alive)
-                .and_then(|p| p.threads.get(&entry.tid))
-                .and_then(|t| match t.state {
-                    ThreadState::Ready { at } if t.gen == entry.gen => Some(at),
-                    _ => None,
-                });
-            let Some(ready_at) = current else {
-                continue; // stale: superseded since it was pushed
-            };
-            // The popped entry is the earliest live thread, so these are
-            // the same engine-vs-thread comparisons the lockstep scan
-            // makes: copy beats reclaim beats threads at equal times.
-            if let Some((cpid, cat)) = copy {
-                if cat <= ready_at && reclaim_at.is_none_or(|rat| cat <= rat) {
-                    self.runq.push(entry);
-                    if let Some(limit) = self.config.time_limit {
-                        if cat >= limit {
-                            return false;
-                        }
-                    }
-                    return self.pump_copy_engine(cpid, cat);
-                }
-            }
-            if let Some(rat) = reclaim_at {
-                if rat <= ready_at {
-                    self.runq.push(entry);
-                    if let Some(limit) = self.config.time_limit {
-                        if rat >= limit {
-                            return false;
-                        }
-                    }
-                    return self.pump_reclaim(rat);
-                }
-            }
-            if let Some(limit) = self.config.time_limit {
-                if ready_at >= limit {
-                    // Idle-at-limit, not consumed: keep the entry so a
-                    // later step() (e.g. after raising the limit) still
-                    // finds the thread.
+        match entry.task {
+            Task::Copy(pid) => self.pump_copy_engine(pid, at),
+            Task::Reclaim => self.pump_reclaim(at),
+            Task::Thread { pid, tid, .. } => {
+                if !self.dispatch(pid, tid, at) {
                     self.runq.push(entry);
                     return false;
                 }
             }
-            return self.dispatch(entry.pid, entry.tid, ready_at);
+        }
+        true
+    }
+
+    /// The live task with the minimum key. The event engine pops its run
+    /// queue, discarding stale entries; the lockstep reference scans
+    /// every task and builds the same key.
+    fn pick(&mut self) -> Option<QEntry> {
+        match self.config.engine {
+            SchedEngine::EventDriven => loop {
+                let entry = self.runq.pop()?;
+                if self.current_entry(entry.task) == Some(entry) {
+                    return Some(entry);
+                }
+                // Stale: superseded since it was pushed.
+            },
+            SchedEngine::Lockstep => {
+                let threads = self
+                    .procs
+                    .iter()
+                    .filter(|(_, p)| p.life == ProcLife::Alive)
+                    .flat_map(|(pid, p)| {
+                        p.threads.iter().map(|(tid, t)| Task::Thread {
+                            pid: *pid,
+                            tid: *tid,
+                            gen: t.gen,
+                        })
+                    });
+                let copies = self.copy_engines.keys().map(|pid| Task::Copy(*pid));
+                let reclaim = self.reclaim_engine.map(|_| Task::Reclaim);
+                threads
+                    .chain(copies)
+                    .chain(reclaim)
+                    .filter_map(|task| self.current_entry(task))
+                    .min()
+            }
         }
     }
 
-    /// The earliest pending background-copy firing (ties: lowest child
-    /// pid, from the map's iteration order).
-    fn next_copy_event(&self) -> Option<(Pid, f64)> {
-        self.copy_engines
-            .iter()
-            .min_by(|a, b| a.1.next_at.total_cmp(&b.1.next_at))
-            .map(|(pid, e)| (*pid, e.next_at))
+    /// `task`'s entry as of now, or `None` when it cannot run: a queued
+    /// entry is live iff it still equals this.
+    fn current_entry(&self, task: Task) -> Option<QEntry> {
+        let at = match task {
+            Task::Copy(pid) => self.copy_engines.get(&pid)?.clock.next_at,
+            Task::Reclaim => self.reclaim_engine?.next_at,
+            Task::Thread { pid, tid, gen } => {
+                let p = self.procs.get(&pid)?;
+                let t = p.threads.get(&tid)?;
+                match t.state {
+                    ThreadState::Ready { at } if p.life == ProcLife::Alive && t.gen == gen => at,
+                    _ => return None,
+                }
+            }
+        };
+        Some(QEntry::new(at, task))
+    }
+
+    /// The scheduling clock of background task `task` (`None` for
+    /// threads and retired tasks).
+    fn bg_clock(&mut self, task: Task) -> Option<&mut BgClock> {
+        match task {
+            Task::Copy(pid) => self.copy_engines.get_mut(&pid).map(|e| &mut e.clock),
+            Task::Reclaim => self.reclaim_engine.as_mut(),
+            Task::Thread { .. } => None,
+        }
+    }
+
+    /// Re-queues background task `task` after a successful firing: it
+    /// fires next at `next_at`, with its failure streak reset.
+    fn refire(&mut self, task: Task, next_at: f64) {
+        if let Some(clock) = self.bg_clock(task) {
+            *clock = BgClock::new(next_at);
+            self.runq.push(QEntry::new(next_at, task));
+        }
+    }
+
+    /// A failed firing of background task `task` at `at`, its work
+    /// rolled back after charging `ctx`: the task backs off and re-fires,
+    /// and retires after more than [`MAX_BG_FAILS`] failures in a row.
+    fn back_off(&mut self, task: Task, at: f64, ctx: &Ctx) {
+        self.counters.merge(&ctx.counters);
+        let retry_at = at + ctx.total() + self.os.cost().reclaim_backoff;
+        let Some(clock) = self.bg_clock(task) else {
+            return;
+        };
+        clock.fails += 1;
+        clock.next_at = retry_at;
+        if clock.fails <= MAX_BG_FAILS {
+            self.runq.push(QEntry::new(retry_at, task));
+        } else if let Task::Copy(pid) = task {
+            self.copy_engines.remove(&pid);
+        } else {
+            self.reclaim_engine = None;
+        }
     }
 
     /// Fires `pid`'s copy engine once at simulated time `at`: one chunk
@@ -652,7 +577,7 @@ impl<O: MemOs> Machine<O> {
     /// — it models the asynchronous kernel copy stream behind a
     /// committed fork, whose pages a child fault can also claim
     /// on-demand between firings.
-    fn pump_copy_engine(&mut self, pid: Pid, at: f64) -> bool {
+    fn pump_copy_engine(&mut self, pid: Pid, at: f64) {
         let mut ctx = Ctx::new();
         match self.os.pipeline_step(&mut ctx, pid) {
             Ok(true) => {
@@ -669,9 +594,8 @@ impl<O: MemOs> Machine<O> {
                         done_at: at + dur,
                         pages: e.pages,
                     });
-                } else if let Some(e) = self.copy_engines.get_mut(&pid) {
-                    e.next_at = at + dur;
-                    e.fails = 0;
+                } else {
+                    self.refire(Task::Copy(pid), at + dur);
                 }
             }
             Ok(false) => {
@@ -697,30 +621,17 @@ impl<O: MemOs> Machine<O> {
                     });
                 }
             }
-            Err(_) => {
-                // Chunk retries exhausted (sustained memory pressure):
-                // back off and re-fire — exits may free frames, and
-                // demand faults keep latency-critical pages covered
-                // meanwhile. After repeated failures the engine retires
-                // and the window is left to the demand path entirely.
-                self.counters.merge(&ctx.counters);
-                let mut retire = false;
-                if let Some(e) = self.copy_engines.get_mut(&pid) {
-                    e.fails += 1;
-                    e.next_at = at + ctx.total() + self.os.cost().reclaim_backoff;
-                    retire = e.fails > 8;
-                }
-                if retire {
-                    self.copy_engines.remove(&pid);
-                }
-            }
+            // Chunk retries exhausted (sustained memory pressure): back
+            // off and re-fire — exits may free frames, and demand faults
+            // keep latency-critical pages covered meanwhile. A retired
+            // engine leaves the window to the demand path entirely.
+            Err(_) => self.back_off(Task::Copy(pid), at, &ctx),
         }
         // A streamed chunk allocates frames, which can push the
         // allocator over a pressure watermark: give the daemon a chance
         // to engage at this deterministic instant.
         let t = at + ctx.total();
         self.maybe_arm_reclaim(t);
-        true
     }
 
     /// Arms the background reclaim daemon at simulated time `at` if the
@@ -730,10 +641,8 @@ impl<O: MemOs> Machine<O> {
     /// both scheduling engines arm it at identical instants.
     fn maybe_arm_reclaim(&mut self, at: f64) {
         if self.reclaim_engine.is_none() && self.os.reclaim_pending() {
-            self.reclaim_engine = Some(ReclaimEngine {
-                next_at: at,
-                fails: 0,
-            });
+            self.reclaim_engine = Some(BgClock::new(at));
+            self.runq.push(QEntry::new(at, Task::Reclaim));
         }
     }
 
@@ -743,7 +652,7 @@ impl<O: MemOs> Machine<O> {
     /// the copy engines the daemon advances its own clock rather than
     /// occupying a core — it models an asynchronous kernel scrubber
     /// thread running in scheduler slack.
-    fn pump_reclaim(&mut self, at: f64) -> bool {
+    fn pump_reclaim(&mut self, at: f64) {
         let mut ctx = Ctx::new();
         match self.os.reclaim_step(&mut ctx) {
             Ok(n) => {
@@ -753,34 +662,21 @@ impl<O: MemOs> Machine<O> {
                     // Queues drained or pressure back to normal: disarm.
                     // The next memory-state change re-arms the daemon.
                     self.reclaim_engine = None;
-                } else if let Some(e) = &mut self.reclaim_engine {
-                    e.next_at = at + dur;
-                    e.fails = 0;
+                } else {
+                    self.refire(Task::Reclaim, at + dur);
                 }
             }
-            Err(_) => {
-                // An aborted pass rolled itself back (nothing scrubbed,
-                // nothing leaked): back off and re-fire. After repeated
-                // failures the daemon retires; inline reclaim on the
-                // fork/fault paths still covers correctness.
-                self.counters.merge(&ctx.counters);
-                let mut retire = false;
-                if let Some(e) = &mut self.reclaim_engine {
-                    e.fails += 1;
-                    e.next_at = at + ctx.total() + self.os.cost().reclaim_backoff;
-                    retire = e.fails > 8;
-                }
-                if retire {
-                    self.reclaim_engine = None;
-                }
-            }
+            // An aborted pass rolled itself back (nothing scrubbed,
+            // nothing leaked): back off and re-fire. A retired daemon
+            // leaves correctness to inline reclaim on the fork/fault
+            // paths.
+            Err(_) => self.back_off(Task::Reclaim, at, &ctx),
         }
-        true
     }
 
     /// Runs the selected thread: core choice, pending-call retry, program
-    /// resume, outcome handling. Shared verbatim by both engines so their
-    /// schedules cannot drift apart.
+    /// resume, outcome handling. Returns false, having run nothing, when
+    /// no allowed core can start the thread before the time limit.
     fn dispatch(&mut self, pid: Pid, tid: u32, ready_at: f64) -> bool {
         // Pick the allowed core with the earliest time.
         let affinity = self.procs[&pid].affinity.clone();
@@ -789,15 +685,8 @@ impl<O: MemOs> Machine<O> {
             .min_by(|a, b| self.cores.now(*a).total_cmp(&self.cores.now(*b)))
             .expect("affinity excludes every core");
         let start = self.cores.now(core_idx).max(ready_at);
-        if let Some(limit) = self.config.time_limit {
-            if start >= limit {
-                // Ready, but no core can run it before the window closes.
-                // Re-queue untouched (same gen) for the event engine.
-                let prio = self.procs[&pid].prio;
-                let gen = self.procs[&pid].threads[&tid].gen;
-                self.runq.push(QEntry::new(ready_at, prio, pid, tid, gen));
-                return false;
-            }
+        if self.config.time_limit.is_some_and(|limit| start >= limit) {
+            return false;
         }
 
         let mut ctx = Ctx::new();
@@ -947,17 +836,19 @@ impl<O: MemOs> Machine<O> {
     /// thread without a live queue entry would never be scheduled by the
     /// event engine.
     fn make_ready(&mut self, pid: Pid, tid: u32, at: f64) {
-        let Some(p) = self.procs.get_mut(&pid) else {
-            return;
-        };
-        let prio = p.prio;
-        let Some(t) = p.threads.get_mut(&tid) else {
+        let Some(t) = self
+            .procs
+            .get_mut(&pid)
+            .and_then(|p| p.threads.get_mut(&tid))
+        else {
             return;
         };
         t.state = ThreadState::Ready { at };
         t.blocked_on = None;
         t.gen += 1;
-        self.runq.push(QEntry::new(at, prio, pid, tid, t.gen));
+        let gen = t.gen;
+        self.runq
+            .push(QEntry::new(at, Task::Thread { pid, tid, gen }));
     }
 
     /// Parks the running thread on an indefinite blocking call, recording
@@ -1043,10 +934,7 @@ impl<O: MemOs> Machine<O> {
         self.counters.merge(&ctx.counters);
         // The thread that just ran can never resume before this step
         // ends. Its queue entry (if any) predates outcome handling, so
-        // push a superseding one — demoted behind same-instant peers when
-        // the step overran the configured time slice.
-        let over_slice = self.config.slice_ns.is_some_and(|s| end - start > s);
-        let mut requeue = None;
+        // push a superseding one.
         if let Some(t) = self
             .procs
             .get_mut(&pid)
@@ -1057,17 +945,10 @@ impl<O: MemOs> Machine<O> {
                     *at = end;
                 }
                 t.gen += 1;
-                requeue = Some((*at, t.gen));
+                let gen = t.gen;
+                self.runq
+                    .push(QEntry::new(*at, Task::Thread { pid, tid, gen }));
             }
-        }
-        if let Some((at, gen)) = requeue {
-            let prio = self.procs[&pid].prio;
-            let entry = if over_slice {
-                self.runq.demoted(at, prio, pid, tid, gen)
-            } else {
-                QEntry::new(at, prio, pid, tid, gen)
-            };
-            self.runq.push(entry);
         }
         end
     }
@@ -1480,7 +1361,6 @@ impl<O: MemOs> Machine<O> {
             Some(a) => Some(a.clone()),
             None => self.procs[&parent].affinity.clone(),
         };
-        let prio = self.procs[&parent].prio;
         let end = start + ctx.total();
         self.procs.insert(
             child,
@@ -1491,7 +1371,6 @@ impl<O: MemOs> Machine<O> {
                 end,
                 Resume::Forked(ForkResult::Child),
                 affinity,
-                prio,
             ),
         );
         self.make_ready(child, MAIN_TID, end);
@@ -1513,12 +1392,12 @@ impl<O: MemOs> Machine<O> {
             self.copy_engines.insert(
                 child,
                 CopyEngine {
-                    next_at: end,
+                    clock: BgClock::new(end),
                     committed_at: end,
                     pages: pending,
-                    fails: 0,
                 },
             );
+            self.runq.push(QEntry::new(end, Task::Copy(child)));
         }
     }
 

@@ -1,26 +1,27 @@
-//! Event-driven scheduler primitives: the priority run queue, integer
+//! Scheduler primitives: the run queue and its ordering key, integer
 //! time keys, per-core lane clocks, and explicit blocked states.
 //!
-//! The [`crate::Machine`] originally picked each step by linearly
-//! scanning *every* thread of *every* process for the minimum ready time
-//! — O(threads) per step, O(threads²) over a run, which falls over under
-//! a 10k-μprocess fork storm. This module provides the data structures
-//! for an O(log runnable) engine while keeping the schedule bit-identical
-//! to the linear scan (the differential suite in
+//! The [`crate::Machine`] runs three kinds of task — threads, the
+//! background copy engines of pipelined forks, and the background reclaim
+//! daemon — and picks every step by one key, `(time, class, order)`
+//! ([`QEntry`]). The default engine pops that key from a lazy-deletion
+//! heap in O(log runnable); the lockstep reference builds the same key by
+//! linearly scanning every task. Everything after the pick is shared, and
 //! `tests/sched_differential.rs` holds both engines to the same event
-//! logs):
+//! logs:
 //!
 //! * [`TimeKey`] — an **integer** ordering key over simulated
 //!   nanoseconds, so heap ordering can never be perturbed by
 //!   floating-point comparison subtleties over 10k-event timelines;
-//! * [`RunQueue`] — a lazy-deletion binary min-heap ordered by
-//!   `(time, priority, order)`, reproducing the scan's tie-break
-//!   (ascending pid, then tid) at equal timestamps and priorities;
+//! * [`Task`] / [`QEntry`] — what runs next and when, ordered so that at
+//!   equal times a copy engine beats the reclaim daemon, which beats
+//!   threads (ascending pid, then tid);
+//! * [`RunQueue`] — the lazy-deletion binary min-heap of entries;
 //! * [`Cores`] — per-core simulated clocks backed by
 //!   [`ufork_sim::LaneClocks`], the same machinery the parallel fork
 //!   walkers use, so whole-machine time remains exactly replayable;
 //! * [`BlockedOn`] — why a parked thread is parked, which both documents
-//!   the wait graph and lets the machine index pipe/conn waiters for
+//!   the wait graph and lets the machine index pipe/ring/conn waiters for
 //!   O(woken) wakeups instead of rescanning every thread.
 
 use std::cmp::Reverse;
@@ -29,22 +30,18 @@ use std::collections::BinaryHeap;
 use ufork_abi::Pid;
 use ufork_sim::LaneClocks;
 
-/// Which scheduling algorithm drives [`crate::Machine::step`].
+/// Which scheduling algorithm picks the next task in
+/// [`crate::Machine::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedEngine {
-    /// The original O(threads)-per-step linear scan. Kept as the
+    /// O(tasks)-per-step linear scan for the minimum key. Kept as the
     /// reference implementation for the differential suite; produces the
     /// exact schedule the event engine must reproduce.
     Lockstep,
-    /// Priority run queue with lazy deletion: O(log runnable) per step.
-    /// The default.
+    /// Run queue with lazy deletion: O(log runnable) per step. The
+    /// default.
     EventDriven,
 }
-
-/// Default thread priority. Lower values run first among threads ready
-/// at the same simulated instant; in a discrete-event machine priority
-/// can only break *ties* in time, never preempt earlier work.
-pub const DEFAULT_PRIORITY: u8 = 128;
 
 /// An integer ordering key over a simulated-time nanosecond value.
 ///
@@ -90,7 +87,7 @@ impl TimeKey {
 /// `BlockIndefinite` used to park a thread with nothing but its pending
 /// call; the wake path then had to rescan every thread against every
 /// event. Recording the wait explicitly lets the machine index waiters
-/// by pipe/connection id and wake exactly the affected threads.
+/// by pipe/ring/connection id and wake exactly the affected threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockedOn {
     /// Reading an empty pipe with writers still open, or writing a full
@@ -115,46 +112,47 @@ pub enum BlockedOn {
     Fault,
 }
 
-/// Base bit for demoted run-queue orders: a thread that overran its time
-/// slice is requeued behind every normally-ordered thread ready at the
-/// same instant (round-robin at equal timestamps).
-const DEMOTED: u64 = 1 << 63;
+/// A task the machine can run next.
+///
+/// The derived ordering is the `(class, order)` part of the scheduling
+/// key. The variant order is the class: a copy engine beats the reclaim
+/// daemon (copied pages are latency-critical, scrubbing is slack work),
+/// which beats threads (so magazines refill before the next fork
+/// allocates). The fields are the order within a class: ascending child
+/// pid for copy engines, ascending `(pid, tid)` for threads — the
+/// lockstep scan's iteration order. A thread's `gen` never decides
+/// between two live entries: only one generation of a thread is live.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Task {
+    /// The background copy engine of a pipelined fork's child.
+    Copy(Pid),
+    /// The background reclaim daemon.
+    Reclaim,
+    /// A thread, tagged with its ready-generation when the entry was
+    /// built: a queued entry is live iff `gen` still matches — the
+    /// lazy-deletion validity check.
+    Thread { pid: Pid, tid: u32, gen: u64 },
+}
 
-/// One run-queue entry. Ordering is lexicographic over the declared
-/// fields: ready time first, then priority, then `order` — which is
-/// `pid << 32 | tid` for normal entries, reproducing the lockstep scan's
-/// tie-break (the scan iterates pids then tids ascending and keeps the
-/// first minimum).
+/// One run-queue entry: the scheduling key `(time, class, order)`.
 ///
 /// Entries are never removed eagerly. A stale entry (its thread ran,
 /// blocked, moved, or died since the push) is detected on pop by
-/// comparing `gen` against the thread's current ready-generation.
+/// comparing it against the task's current entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct QEntry {
     /// Integer-encoded ready time (primary key).
     pub time: TimeKey,
-    /// Priority (secondary key; lower runs first).
-    pub prio: u8,
-    /// Tie-break order (`pid << 32 | tid`, or a demoted sequence).
-    pub order: u64,
-    /// Ready-generation of the thread when this entry was pushed.
-    pub gen: u64,
-    /// Target process.
-    pub pid: Pid,
-    /// Target thread.
-    pub tid: u32,
+    /// What runs; also breaks ties at equal times.
+    pub task: Task,
 }
 
 impl QEntry {
-    /// A normally-ordered entry.
-    pub fn new(at: f64, prio: u8, pid: Pid, tid: u32, gen: u64) -> QEntry {
+    /// `task`, ready at `at`.
+    pub fn new(at: f64, task: Task) -> QEntry {
         QEntry {
             time: TimeKey::from_ns(at),
-            prio,
-            order: (u64::from(pid.0) << 32) | u64::from(tid),
-            gen,
-            pid,
-            tid,
+            task,
         }
     }
 }
@@ -162,12 +160,11 @@ impl QEntry {
 /// The lazy-deletion run queue.
 ///
 /// A disabled queue (lockstep engine) ignores pushes, so the machine can
-/// route every ready-transition through one helper without the legacy
+/// route every ready-transition through one helper without the reference
 /// engine paying for or accumulating heap entries.
 pub(crate) struct RunQueue {
     heap: BinaryHeap<Reverse<QEntry>>,
     enabled: bool,
-    demote_seq: u64,
 }
 
 impl RunQueue {
@@ -176,7 +173,6 @@ impl RunQueue {
         RunQueue {
             heap: BinaryHeap::new(),
             enabled,
-            demote_seq: 0,
         }
     }
 
@@ -187,29 +183,10 @@ impl RunQueue {
         }
     }
 
-    /// Builds a slice-overrun entry: same ready time, but ordered after
-    /// every normal entry at that time.
-    pub fn demoted(&mut self, at: f64, prio: u8, pid: Pid, tid: u32, gen: u64) -> QEntry {
-        self.demote_seq += 1;
-        QEntry {
-            time: TimeKey::from_ns(at),
-            prio,
-            order: DEMOTED | self.demote_seq,
-            gen,
-            pid,
-            tid,
-        }
-    }
-
     /// Pops the minimum entry (which may be stale — the caller validates
-    /// against the thread's current state and generation).
+    /// against the task's current state).
     pub fn pop(&mut self) -> Option<QEntry> {
         self.heap.pop().map(|r| r.0)
-    }
-
-    /// Entries currently queued, stale ones included.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -274,6 +251,14 @@ impl Cores {
 mod tests {
     use super::*;
 
+    fn thread(pid: u32, tid: u32) -> Task {
+        Task::Thread {
+            pid: Pid(pid),
+            tid,
+            gen: 1,
+        }
+    }
+
     #[test]
     fn time_key_is_monotone_over_nonnegative_ns() {
         let samples = [
@@ -313,45 +298,52 @@ mod tests {
     }
 
     #[test]
-    fn entries_order_by_time_then_prio_then_pid_tid() {
-        let early = QEntry::new(10.0, 128, Pid(9), 0, 1);
-        let late = QEntry::new(20.0, 0, Pid(1), 0, 1);
-        assert!(early < late, "time dominates priority");
+    fn entries_order_by_time_then_class_then_pid_tid() {
+        let early = QEntry::new(10.0, thread(9, 0));
+        let late = QEntry::new(20.0, Task::Copy(Pid(1)));
+        assert!(early < late, "time dominates class");
 
-        let hi = QEntry::new(10.0, 10, Pid(9), 0, 1);
-        let lo = QEntry::new(10.0, 200, Pid(1), 0, 1);
-        assert!(hi < lo, "at equal time, lower prio value runs first");
+        let copy = QEntry::new(10.0, Task::Copy(Pid(9)));
+        let reclaim = QEntry::new(10.0, Task::Reclaim);
+        let t0 = QEntry::new(10.0, thread(1, 0));
+        assert!(copy < reclaim, "at equal time, copy beats reclaim");
+        assert!(reclaim < t0, "at equal time, reclaim beats threads");
+        assert!(
+            QEntry::new(10.0, Task::Copy(Pid(2))) < copy,
+            "copy engines by ascending child pid"
+        );
 
-        let p1 = QEntry::new(10.0, 128, Pid(1), 3, 1);
-        let p2 = QEntry::new(10.0, 128, Pid(2), 0, 1);
-        assert!(p1 < p2, "at equal time+prio, ascending pid");
-        let t0 = QEntry::new(10.0, 128, Pid(1), 0, 1);
+        let p1 = QEntry::new(10.0, thread(1, 3));
+        let p2 = QEntry::new(10.0, thread(2, 0));
+        assert!(p1 < p2, "at equal time, ascending pid");
         assert!(t0 < p1, "then ascending tid");
     }
 
     #[test]
-    fn run_queue_pops_in_key_order_and_demotes_slice_overruns() {
+    fn run_queue_pops_in_key_order() {
         let mut q = RunQueue::new(true);
-        q.push(QEntry::new(30.0, 128, Pid(1), 0, 1));
-        q.push(QEntry::new(10.0, 128, Pid(2), 0, 1));
-        let d = q.demoted(10.0, 128, Pid(1), 1, 1);
-        q.push(d);
-        q.push(QEntry::new(10.0, 128, Pid(7), 5, 1));
-        assert_eq!(q.len(), 4);
-        // t=10 normals first (pid asc), then the demoted one, then t=30.
-        assert_eq!(q.pop().unwrap().pid, Pid(2));
-        assert_eq!(q.pop().unwrap().pid, Pid(7));
-        let got = q.pop().unwrap();
-        assert_eq!((got.pid, got.tid), (Pid(1), 1));
-        assert_eq!(q.pop().unwrap().time, TimeKey::from_ns(30.0));
-        assert!(q.pop().is_none());
+        q.push(QEntry::new(30.0, thread(1, 0)));
+        q.push(QEntry::new(10.0, thread(2, 0)));
+        q.push(QEntry::new(10.0, Task::Reclaim));
+        q.push(QEntry::new(10.0, thread(1, 1)));
+        q.push(QEntry::new(10.0, Task::Copy(Pid(7))));
+        let order: Vec<Task> = std::iter::from_fn(|| q.pop()).map(|e| e.task).collect();
+        assert_eq!(
+            order,
+            [
+                Task::Copy(Pid(7)),
+                Task::Reclaim,
+                thread(1, 1),
+                thread(2, 0),
+                thread(1, 0),
+            ]
+        );
     }
 
     #[test]
     fn disabled_queue_ignores_pushes() {
         let mut q = RunQueue::new(false);
-        q.push(QEntry::new(1.0, 128, Pid(1), 0, 1));
-        assert_eq!(q.len(), 0);
+        q.push(QEntry::new(1.0, thread(1, 0)));
         assert!(q.pop().is_none());
     }
 

@@ -5,8 +5,8 @@
 use std::collections::BTreeMap;
 
 use ufork_abi::{
-    BlockingCall, Capability, Env, Errno, Fd, ForkResult, ImageSpec, IsolationLevel, Pid, Program,
-    ProgramBox, Resume, StepOutcome, SysResult,
+    BlockingCall, Capability, Env, Errno, ForkResult, ImageSpec, IsolationLevel, Pid, Program,
+    Resume, StepOutcome, SysResult,
 };
 use ufork_cheri::Perms;
 use ufork_exec::{BlockedOn, Ctx, Machine, MachineConfig, MemOs, SchedEngine, MAIN_TID};
@@ -474,175 +474,6 @@ fn engines_agree_on_fanout_schedule() {
             assert_eq!(a.at.to_bits(), b.at.to_bits());
         }
     }
-}
-
-/// A one-step program whose exit order reveals who was scheduled first.
-#[derive(Clone)]
-struct Quick;
-impl Program for Quick {
-    fn resume(&mut self, env: &mut dyn Env, _input: Resume) -> StepOutcome {
-        env.cpu_ops(100);
-        StepOutcome::Exit(0)
-    }
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-#[test]
-fn priority_breaks_ties_at_equal_ready_time() {
-    // Two processes both ready at t=0 on one core. With equal priority
-    // the pid tie-break runs pid 1 first; giving pid 2 a better (lower)
-    // priority flips the order. Priority never preempts earlier work —
-    // it only breaks exact ties.
-    let run = |prios: &[(u32, u8)]| {
-        let mut m = Machine::new(MockOs::new(false), MachineConfig::default());
-        let a = m.spawn(&ImageSpec::hello_world(), Box::new(Quick)).unwrap();
-        let b = m.spawn(&ImageSpec::hello_world(), Box::new(Quick)).unwrap();
-        for &(pid, prio) in prios {
-            m.set_priority(Pid(pid), prio);
-        }
-        m.run();
-        assert!(m.is_finished(a) && m.is_finished(b));
-        m.exit_log()[0].pid
-    };
-    assert_eq!(run(&[]), Pid(1), "default: ascending pid at equal time");
-    assert_eq!(run(&[(2, 10)]), Pid(2), "lower prio value runs first");
-    assert_eq!(run(&[(1, 10), (2, 10)]), Pid(1), "equal prio: pid again");
-}
-
-/// Reader thread: parks on an empty pipe, records when its read returned.
-#[derive(Clone)]
-struct TieReader {
-    rfd: Fd,
-    at: Option<f64>,
-}
-impl Program for TieReader {
-    fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
-        match input {
-            Resume::Start => {
-                let buf = env.reg(0).expect("root capability");
-                StepOutcome::Block(BlockingCall::Read {
-                    fd: self.rfd,
-                    buf,
-                    len: 4,
-                })
-            }
-            Resume::Ret(Ok(_)) => {
-                self.at = Some(env.now());
-                StepOutcome::Exit(5)
-            }
-            _ => StepOutcome::Exit(1),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// Main thread: spawns the reader, lets it park, then writes the pipe.
-/// The write's wake lands at the write step's *end* — exactly when this
-/// thread is requeued — manufacturing a same-instant tie between the two.
-#[derive(Clone)]
-struct TieWriter {
-    wfd: Option<Fd>,
-    reader_tid: u64,
-    at: Option<f64>,
-    phase: u8,
-}
-impl Program for TieWriter {
-    fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
-        match self.phase {
-            0 => {
-                let (r, w) = env.sys_pipe().expect("pipe");
-                self.wfd = Some(w);
-                self.phase = 1;
-                StepOutcome::Block(BlockingCall::SpawnThread {
-                    program: ProgramBox(Box::new(TieReader { rfd: r, at: None })),
-                })
-            }
-            1 => {
-                let Resume::Ret(Ok(tid)) = input else {
-                    return StepOutcome::Exit(1);
-                };
-                self.reader_tid = tid;
-                self.phase = 2;
-                // Let the reader run and park on the empty pipe.
-                StepOutcome::Block(BlockingCall::Sleep { ns: 1e6 })
-            }
-            2 => {
-                let buf = env.reg(0).expect("root capability");
-                env.sys_write(self.wfd.unwrap(), &buf, 4).expect("write");
-                self.phase = 3;
-                StepOutcome::Block(BlockingCall::Yield)
-            }
-            3 => {
-                self.at = Some(env.now());
-                self.phase = 4;
-                StepOutcome::Block(BlockingCall::JoinThread {
-                    tid: self.reader_tid,
-                })
-            }
-            _ => StepOutcome::Exit(0),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-#[test]
-fn time_slice_demotes_overrunning_thread_behind_ties() {
-    // One core. The writer's pipe write wakes the reader at the write
-    // step's end — the same instant the writer is requeued. Without a
-    // slice the writer (tid 0) wins the tie; with a zero-length slice
-    // every step overruns, so the writer is demoted and the woken reader
-    // runs first. Either way the run completes identically.
-    let run = |slice_ns: Option<f64>| {
-        let mut m = Machine::new(
-            MockOs::new(false),
-            MachineConfig {
-                slice_ns,
-                ..MachineConfig::default()
-            },
-        );
-        let pid = m
-            .spawn(
-                &ImageSpec::hello_world(),
-                Box::new(TieWriter {
-                    wfd: None,
-                    reader_tid: 0,
-                    at: None,
-                    phase: 0,
-                }),
-            )
-            .unwrap();
-        m.run();
-        assert_eq!(m.exit_code(pid), Some(0));
-        let writer_at = m.program::<TieWriter>(pid).unwrap().at.expect("writer ran");
-        let reader_at = m
-            .thread_program::<TieReader>(pid, 1)
-            .unwrap()
-            .at
-            .expect("reader ran");
-        (writer_at, reader_at)
-    };
-    let (w, r) = run(None);
-    assert!(w < r, "no slice: writer wins the tie ({w} vs {r})");
-    let (w, r) = run(Some(0.0));
-    assert!(
-        r < w,
-        "zero slice: writer demoted, reader first ({r} vs {w})"
-    );
 }
 
 #[test]

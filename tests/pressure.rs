@@ -17,7 +17,9 @@
 //!   watermark, and pin it near exhaustion must complete every child
 //!   with zero storm-visible fork failures, leak nothing, and keep the
 //!   new counters consistent with the logs (`oom_kills == oom_log`,
-//!   kills all visible as code-137 exits).
+//!   kills all visible as code-137 exits). Every regime runs under both
+//!   scheduling engines, which must produce bitwise-identical fork,
+//!   exit and OOM logs, counters and final time.
 //! * **Counter/trace consistency** — driving the daemon and a reap under
 //!   a traced context must produce exactly one `mem/reclaim_bg` span per
 //!   background pass and one `fork/oom` span per reap, with span time
@@ -25,7 +27,8 @@
 
 use ufork_repro::abi::{CopyStrategy, ImageSpec, Pid};
 use ufork_repro::cheri::Capability;
-use ufork_repro::exec::{Ctx, Machine, MachineConfig, MemOs};
+use ufork_repro::exec::{Ctx, Machine, MachineConfig, MemOs, SchedEngine};
+use ufork_repro::sim::OpCounters;
 use ufork_repro::ufork::{UforkConfig, UforkOs, WalkMode};
 use ufork_repro::workloads::storm::{StormConfig, StormZygote};
 
@@ -359,96 +362,148 @@ const REGIMES: [Regime; 3] = [
     },
 ];
 
+/// Everything the soak compares across scheduling engines: fork, exit
+/// and OOM logs, counters and final time, every float as raw bits.
+#[derive(Debug, PartialEq)]
+struct SoakHistory {
+    forks: Vec<(u32, u32, u64, u64)>,
+    exits: Vec<(u32, u64, i32)>,
+    ooms: Vec<(u32, u32, u64, u64)>,
+    counters: OpCounters,
+    now_bits: u64,
+}
+
 #[test]
 fn high_occupancy_storm_soak() {
-    const CHILDREN: u32 = 120;
     for r in &REGIMES {
-        let mut os = UforkOs::new(UforkConfig {
-            phys_mib: r.phys_mib,
-            strategy: CopyStrategy::Full,
-            walk: WalkMode::Serial,
-            reclaim_daemon: true,
-            ..UforkConfig::default()
-        });
-        if let Some((low, high)) = r.watermarks {
-            os.set_pressure_watermarks(low, high);
-        }
-        let mut m = Machine::new(
-            os,
-            MachineConfig {
-                cores: 2,
-                oom_kill: true,
-                ..MachineConfig::default()
-            },
-        );
-        let pid = m
-            .spawn(
-                &ImageSpec::hello_world(),
-                Box::new(StormZygote::new(StormConfig {
-                    service_base_ns: r.service_base_ns,
-                    service_jitter_mean_ns: r.service_base_ns / 4.0,
-                    ..StormConfig::standard(CHILDREN, 0x50AC)
-                })),
-            )
-            .expect("spawn zygote");
-        m.run();
-        let label = format!("soak {}", r.label);
-        assert_eq!(m.exit_code(pid), Some(0), "{label}: zygote failed");
-        let z = m.program::<StormZygote>(pid).expect("zygote state");
-        assert_eq!(z.retries, 0, "{label}: storm-visible fork failure");
-        assert_eq!(z.launched, CHILDREN, "{label}: lost admissions");
-        assert_eq!(z.completed, CHILDREN, "{label}: lost children");
-        assert_eq!(m.os.allocated_frames(), 0, "{label}: leaked frames");
-        let c = m.counters();
-        if r.expect_reclaim {
-            assert!(
-                c.reclaim_background > 0 && c.frames_prezeroed > 0,
-                "{label}: daemon never ran a background pass \
-                 (passes {}, prezeroed {})",
-                c.reclaim_background,
-                c.frames_prezeroed
-            );
-        } else {
-            assert_eq!(
-                c.reclaim_background, 0,
-                "{label}: daemon engaged without pressure"
-            );
-        }
-        if r.expect_hits {
-            assert!(
-                c.magazine_hits > 0,
-                "{label}: scrubbed frames never reached a fork \
-                 (prezeroed {}, hits {})",
-                c.frames_prezeroed,
-                c.magazine_hits
-            );
-        }
-        // Counter/log consistency: every kill is counted once and
-        // surfaced as a code-137 exit at the same simulated time.
+        let lockstep = soak_run(r, SchedEngine::Lockstep);
+        let event = soak_run(r, SchedEngine::EventDriven);
+        // The daemon and the killer are tasks in the same run queue as
+        // the storm's threads: both engines must order them identically.
         assert_eq!(
-            c.oom_kills,
-            m.oom_log().len() as u64,
-            "{label}: oom_kills counter vs oom_log"
+            lockstep, event,
+            "soak {}: engines diverged with the daemon and killer running",
+            r.label
         );
-        for e in m.oom_log() {
-            assert!(
-                m.exit_log()
-                    .iter()
-                    .any(|x| x.pid == e.victim && x.code == 137 && x.at == e.at),
-                "{label}: kill of pid {} not visible as a 137 exit",
-                e.victim.0
-            );
-        }
-        let kills = m.oom_log().len() as u32;
+    }
+}
+
+/// One soak regime under one scheduling engine, with every survival
+/// assertion checked; returns the run's history for the engine diff.
+fn soak_run(r: &Regime, engine: SchedEngine) -> SoakHistory {
+    const CHILDREN: u32 = 120;
+    let mut os = UforkOs::new(UforkConfig {
+        phys_mib: r.phys_mib,
+        strategy: CopyStrategy::Full,
+        walk: WalkMode::Serial,
+        reclaim_daemon: true,
+        ..UforkConfig::default()
+    });
+    if let Some((low, high)) = r.watermarks {
+        os.set_pressure_watermarks(low, high);
+    }
+    let mut m = Machine::new(
+        os,
+        MachineConfig {
+            cores: 2,
+            oom_kill: true,
+            engine,
+            ..MachineConfig::default()
+        },
+    );
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(StormZygote::new(StormConfig {
+                service_base_ns: r.service_base_ns,
+                service_jitter_mean_ns: r.service_base_ns / 4.0,
+                ..StormConfig::standard(CHILDREN, 0x50AC)
+            })),
+        )
+        .expect("spawn zygote");
+    m.run();
+    let label = format!("soak {} ({engine:?})", r.label);
+    assert_eq!(m.exit_code(pid), Some(0), "{label}: zygote failed");
+    let z = m.program::<StormZygote>(pid).expect("zygote state");
+    assert_eq!(z.retries, 0, "{label}: storm-visible fork failure");
+    assert_eq!(z.launched, CHILDREN, "{label}: lost admissions");
+    assert_eq!(z.completed, CHILDREN, "{label}: lost children");
+    assert_eq!(m.os.allocated_frames(), 0, "{label}: leaked frames");
+    let c = m.counters();
+    if r.expect_reclaim {
+        assert!(
+            c.reclaim_background > 0 && c.frames_prezeroed > 0,
+            "{label}: daemon never ran a background pass \
+             (passes {}, prezeroed {})",
+            c.reclaim_background,
+            c.frames_prezeroed
+        );
+    } else {
         assert_eq!(
-            m.exit_log().iter().filter(|x| x.code == 137).count() as u32,
-            kills,
-            "{label}: stray 137 exits"
+            c.reclaim_background, 0,
+            "{label}: daemon engaged without pressure"
         );
-        if r.expect_kills {
-            assert!(kills > 0, "{label}: exhaustion regime never killed");
-        } else {
-            assert_eq!(kills, 0, "{label}: killed without memory pressure");
-        }
+    }
+    if r.expect_hits {
+        assert!(
+            c.magazine_hits > 0,
+            "{label}: scrubbed frames never reached a fork \
+             (prezeroed {}, hits {})",
+            c.frames_prezeroed,
+            c.magazine_hits
+        );
+    }
+    // Counter/log consistency: every kill is counted once and
+    // surfaced as a code-137 exit at the same simulated time.
+    assert_eq!(
+        c.oom_kills,
+        m.oom_log().len() as u64,
+        "{label}: oom_kills counter vs oom_log"
+    );
+    for e in m.oom_log() {
+        assert!(
+            m.exit_log()
+                .iter()
+                .any(|x| x.pid == e.victim && x.code == 137 && x.at == e.at),
+            "{label}: kill of pid {} not visible as a 137 exit",
+            e.victim.0
+        );
+    }
+    let kills = m.oom_log().len() as u32;
+    assert_eq!(
+        m.exit_log().iter().filter(|x| x.code == 137).count() as u32,
+        kills,
+        "{label}: stray 137 exits"
+    );
+    if r.expect_kills {
+        assert!(kills > 0, "{label}: exhaustion regime never killed");
+    } else {
+        assert_eq!(kills, 0, "{label}: killed without memory pressure");
+    }
+    SoakHistory {
+        forks: m
+            .fork_log()
+            .iter()
+            .map(|f| {
+                (
+                    f.parent.0,
+                    f.child.0,
+                    f.at.to_bits(),
+                    f.latency_ns.to_bits(),
+                )
+            })
+            .collect(),
+        exits: m
+            .exit_log()
+            .iter()
+            .map(|e| (e.pid.0, e.at.to_bits(), e.code))
+            .collect(),
+        ooms: m
+            .oom_log()
+            .iter()
+            .map(|e| (e.victim.0, e.requester.0, e.at.to_bits(), e.resident_pages))
+            .collect(),
+        counters: *c,
+        now_bits: m.now().to_bits(),
     }
 }

@@ -5,11 +5,12 @@
 //! op counters, final simulated time, VFS file contents and residual
 //! pipe bytes.
 //!
-//! The event-driven scheduler's default configuration (no time slice,
-//! uniform priority) is specified to replay the lockstep schedule
+//! Both engines pick by the same `(time, class, order)` key, so the
+//! event-driven run queue is specified to replay the lockstep schedule
 //! exactly; this suite is the executable form of that contract across
 //! the fork-pattern (U1/U3/U5) and multi-threading scenarios of the
-//! tier-1 tests.
+//! tier-1 tests, and across pipelined forks whose copy engines compete
+//! with threads and the background reclaim daemon.
 
 use std::any::Any;
 
@@ -554,34 +555,91 @@ impl Program for PipeTouch {
     }
 }
 
+/// Forks and reaps a throwaway child, then runs [`PipeTouch`]. The reaped
+/// child's frames sit unscrubbed in the allocator pools while the parent
+/// still holds memory, so under forced pressure the reclaim daemon has
+/// passes to run beside the pipelined fork's copy engine and threads.
+#[derive(Clone)]
+struct ChurnThenTouch {
+    reaped: bool,
+    touch: PipeTouch,
+}
+
+impl Program for ChurnThenTouch {
+    fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
+        if self.reaped {
+            return self.touch.resume(env, input);
+        }
+        match input {
+            Resume::Start => StepOutcome::Fork,
+            Resume::Forked(ForkResult::Child) => StepOutcome::Exit(0),
+            Resume::Forked(ForkResult::Parent(_)) => StepOutcome::Block(BlockingCall::Wait),
+            Resume::Ret(Ok(_)) => {
+                self.reaped = true;
+                self.touch.resume(env, Resume::Start)
+            }
+            _ => StepOutcome::Exit(8),
+        }
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
 #[test]
 fn engines_agree_on_pipelined_fork() {
     use ufork_repro::abi::CopyStrategy;
     use ufork_repro::ufork::WalkMode;
-    for cores in [1usize, 2, 4] {
+    let inputs = [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|cores| [(cores, false), (cores, true)]);
+    for (cores, daemon) in inputs {
         let run = |engine| {
-            let os = UforkOs::new(UforkConfig {
+            let mut os = UforkOs::new(UforkConfig {
                 phys_mib: 256,
                 strategy: CopyStrategy::Full,
                 walk: WalkMode::Pipelined,
+                reclaim_daemon: daemon,
                 ..UforkConfig::default()
             });
+            if daemon {
+                // Hold the whole 256 MiB (65 536 frames) at elevated
+                // pressure, as the pressure soak does, so reclaim passes
+                // compete with copy firings and threads in one queue.
+                os.set_pressure_watermarks(32_768, 65_536);
+            }
+            let touch = PipeTouch { phase: 0, step: 0 };
+            let program: Box<dyn Program> = if daemon {
+                Box::new(ChurnThenTouch {
+                    reaped: false,
+                    touch,
+                })
+            } else {
+                Box::new(touch)
+            };
             run_machine(
                 os,
                 &ImageSpec::with_heap("pipe-diff", TOUCH_PAGES * TOUCH_PAGE + 64 * 1024),
                 cores,
                 None,
                 engine,
-                Box::new(PipeTouch { phase: 0, step: 0 }),
+                program,
             )
         };
         let lockstep = run(SchedEngine::Lockstep);
         let event = run(SchedEngine::EventDriven);
         assert_eq!(
             lockstep, event,
-            "engines diverged on pipelined fork ({cores} cores)"
+            "engines diverged on pipelined fork ({cores} cores, daemon {daemon})"
         );
         assert_eq!(lockstep.exit_code, Some(0), "workload failed");
+        assert!(
+            !daemon || lockstep.counters.reclaim_background > 0,
+            "the reclaim daemon never ran ({cores} cores)"
+        );
         assert!(
             !lockstep.pipelines.is_empty(),
             "no background-copy window was opened and closed"
