@@ -7,7 +7,7 @@ use ufork_cheri::{Capability, Perms};
 use ufork_exec::{Ctx, MemOs};
 use ufork_mem::{FrameDedupIndex, MemStats, Pfn, PhysMem, GRANULE_SIZE, PAGE_SIZE};
 use ufork_sim::CostModel;
-use ufork_vmem::{AccessKind, PageTable, PteFlags, Region, RegionAllocator, VirtAddr, Vpn};
+use ufork_vmem::{PageTable, PteFlags, Region, RegionAllocator, VirtAddr, Vpn};
 
 use crate::fork_par::WalkMode;
 use crate::gate::SyscallGate;
@@ -160,7 +160,7 @@ pub struct UforkOs {
     /// Regions of exited μprocesses that forked (kept for relocation
     /// source lookups; never reused).
     pub(crate) retired: Vec<Region>,
-    /// Sorted index over live + retired regions for O(log n) relocation
+    /// Ordered index over live + retired regions for O(log n) relocation
     /// source lookups (replaces rebuilding a `Vec` per fork/fault).
     pub(crate) region_index: RegionIndex,
     shm_objs: BTreeMap<String, Vec<Pfn>>,
@@ -361,14 +361,21 @@ impl UforkOs {
     ///   (i.e. references were leaked or double-freed).
     pub fn audit_kernel(&self) -> (usize, usize) {
         use std::collections::BTreeMap as Map;
+        // Live regions sorted by base. The region allocator hands out
+        // disjoint spans, so "inside some live region" is one binary
+        // search per PTE: the region with the greatest base at or below it.
+        let mut live: Vec<(u64, u64)> = self
+            .procs
+            .values()
+            .map(|p| (p.region.base.0, p.region.top().0))
+            .collect();
+        live.sort_unstable();
         let mut dangling = 0usize;
         let mut refs: Map<u32, u32> = Map::new();
         for (vpn, pte) in self.pt.iter() {
             let va = vpn.base().0;
-            let in_live = self
-                .procs
-                .values()
-                .any(|p| va >= p.region.base.0 && va < p.region.top().0);
+            let at = live.partition_point(|&(base, _)| base <= va);
+            let in_live = at.checked_sub(1).is_some_and(|i| va < live[i].1);
             if !in_live || self.pm.refcount(pte.pfn).is_err() {
                 dangling += 1;
                 continue;
@@ -903,8 +910,48 @@ impl UserMem for KUserMem<'_> {
     }
 }
 
-// AccessKind is used by fault.rs; re-import check to keep the compiler
-// honest about the module split.
-const _: fn() = || {
-    let _ = AccessKind::Load;
-};
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A PTE is dangling exactly when its page lies outside every live
+    /// region: below the first, in the gap an exited μprocess left, at a
+    /// region's top, or past the last. A stray PTE inside a live region
+    /// is not dangling; it shows up as an unaccounted frame instead.
+    #[test]
+    fn audit_flags_ptes_outside_every_live_region() {
+        let mut os = UforkOs::new(UforkConfig {
+            phys_mib: 64,
+            ..UforkConfig::default()
+        });
+        let mut ctx = Ctx::new();
+        let image = ImageSpec::with_heap("audit", 64 * 1024);
+        for pid in 1..=3 {
+            os.spawn(&mut ctx, Pid(pid), &image).unwrap();
+        }
+        let region = |os: &UforkOs, pid| os.procs[&Pid(pid)].region;
+        let (first, gap, last) = (region(&os, 1), region(&os, 2), region(&os, 3));
+        os.destroy(&mut ctx, Pid(2));
+        assert_eq!(os.audit_kernel(), (0, 0));
+
+        let pfn = os.pt.iter().next().unwrap().1.pfn;
+        let inside = (first.base.0..first.top().0)
+            .step_by(PAGE_SIZE as usize)
+            .map(|va| VirtAddr(va).vpn())
+            .find(|&vpn| os.pt.lookup(vpn).is_none())
+            .expect("an unmapped page inside the first region");
+        let cases = [
+            (VirtAddr(first.base.0 - PAGE_SIZE).vpn(), (1, 0)),
+            (gap.base.vpn(), (1, 0)),
+            (last.top().vpn(), (1, 0)),
+            (VirtAddr(last.top().0 + 64 * PAGE_SIZE).vpn(), (1, 0)),
+            (inside, (0, 1)),
+        ];
+        for (vpn, want) in cases {
+            os.pt.map(vpn, pfn, PteFlags::rw());
+            assert_eq!(os.audit_kernel(), want, "stray PTE at {:#x}", vpn.base().0);
+            os.pt.unmap(vpn);
+        }
+        assert_eq!(os.audit_kernel(), (0, 0));
+    }
+}

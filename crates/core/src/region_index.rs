@@ -7,32 +7,44 @@
 //! every resolved fault, then linear-scan it once per capability — O(procs
 //! + retired) per lookup, rebuilt per page.
 //!
-//! [`RegionIndex`] replaces that with a sorted, incrementally-maintained
-//! set of non-overlapping regions: O(log n) binary search per lookup, no
-//! rebuilding. Regions never overlap by construction — the region
-//! allocator hands out disjoint spans, and retired regions are never
-//! reused (paper §3.5: a forked μprocess' region is kept after exit so
-//! relocation of still-shared frames stays unambiguous) — so a single
-//! sorted order serves live and retired regions alike.
+//! [`RegionIndex`] replaces that with an incrementally-maintained ordered
+//! map of non-overlapping regions keyed by base address: O(log n) insert,
+//! remove and lookup, so the index's share of a fork or an exit grows
+//! only logarithmically with the number of live μprocesses. Regions never
+//! overlap by construction — the region allocator hands out disjoint
+//! spans, and retired regions are never reused (paper §3.5: a forked
+//! μprocess' region is kept after exit so relocation of still-shared
+//! frames stays unambiguous) — so a single ordering serves live and
+//! retired regions alike: the region containing an address, if any, is
+//! the one with the greatest base at or below it.
 //!
 //! Capability runs within a page are strongly clustered (GOT slots, stack
 //! frames, allocator metadata all point near each other), so the index
 //! memoizes the last hit and answers repeat lookups in O(1).
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use ufork_vmem::{Region, VirtAddr};
 
-/// Sorted index of disjoint μprocess regions with last-hit memoization.
+/// Ordered index of disjoint μprocess regions with last-hit memoization.
 #[derive(Default)]
 pub struct RegionIndex {
-    /// Regions sorted by base address; pairwise disjoint.
-    regions: Vec<Region>,
-    /// Index of the most recent successful lookup (`Cell` so shared
-    /// `&RegionIndex` lookup closures can maintain it).
-    last_hit: Cell<Option<usize>>,
+    /// Regions keyed by base address; pairwise disjoint.
+    regions: BTreeMap<u64, Region>,
+    /// The most recent successful lookup (`Cell` so shared `&RegionIndex`
+    /// lookup closures can maintain it). Cleared by every insert and
+    /// remove, so it never names a region that has left the index.
+    last_hit: Cell<Option<Region>>,
     /// Lookups served since the counter was last drained.
     lookups: Cell<u64>,
+}
+
+/// The region of `regions` containing `addr`: the one with the greatest
+/// base at or below `addr`, if `addr` falls inside it.
+fn containing(regions: &BTreeMap<u64, Region>, addr: u64) -> Option<Region> {
+    let (_, r) = regions.range(..=addr).next_back()?;
+    r.contains(VirtAddr(addr)).then_some(*r)
 }
 
 impl RegionIndex {
@@ -51,70 +63,64 @@ impl RegionIndex {
         self.regions.is_empty()
     }
 
-    /// Inserts a region, keeping the index sorted.
+    /// Inserts a region in O(log n).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the region overlaps an indexed one —
     /// that would make relocation lookups ambiguous.
     pub fn insert(&mut self, region: Region) {
-        let at = self.regions.partition_point(|r| r.base < region.base);
+        let base = region.base.0;
         debug_assert!(
             self.regions
-                .get(at)
-                .is_none_or(|next| region.top() <= next.base),
+                .range(base..)
+                .next()
+                .is_none_or(|(_, next)| region.top() <= next.base),
             "region {region:?} overlaps {:?}",
-            self.regions.get(at)
+            self.regions.range(base..).next()
         );
         debug_assert!(
-            at == 0 || self.regions[at - 1].top() <= region.base,
+            self.regions
+                .range(..base)
+                .next_back()
+                .is_none_or(|(_, prev)| prev.top() <= region.base),
             "region {region:?} overlaps {:?}",
-            self.regions[at.saturating_sub(1)]
+            self.regions.range(..base).next_back()
         );
-        self.regions.insert(at, region);
+        self.regions.insert(base, region);
         self.last_hit.set(None);
     }
 
-    /// Removes a region previously inserted (exact match on base).
+    /// Removes a region previously inserted (exact match on base), in
+    /// O(log n).
     ///
     /// Returns whether it was present. Regions of exited μprocesses that
     /// forked are *not* removed — they stay as relocation sources.
     pub fn remove(&mut self, region: Region) -> bool {
-        match self.regions.binary_search_by_key(&region.base, |r| r.base) {
-            Ok(at) => {
-                self.regions.remove(at);
-                self.last_hit.set(None);
-                true
-            }
-            Err(_) => false,
+        let present = self.regions.remove(&region.base.0).is_some();
+        if present {
+            self.last_hit.set(None);
         }
+        present
     }
 
     /// Finds the region containing `addr`, if any.
     ///
     /// O(1) when `addr` falls in the memoized last-hit region, O(log n)
-    /// binary search otherwise. Every call is counted; drain the count
-    /// into the op counters with [`RegionIndex::take_lookups`].
+    /// otherwise. Every call is counted; drain the count into the op
+    /// counters with [`RegionIndex::take_lookups`].
     pub fn lookup(&self, addr: u64) -> Option<Region> {
         self.lookups.set(self.lookups.get() + 1);
-        if let Some(i) = self.last_hit.get() {
-            if let Some(r) = self.regions.get(i) {
-                if r.contains(VirtAddr(addr)) {
-                    return Some(*r);
-                }
+        if let Some(r) = self.last_hit.get() {
+            if r.contains(VirtAddr(addr)) {
+                return Some(r);
             }
         }
-        let at = self
-            .regions
-            .partition_point(|r| r.base.0 <= addr)
-            .checked_sub(1)?;
-        let r = self.regions[at];
-        if r.contains(VirtAddr(addr)) {
-            self.last_hit.set(Some(at));
-            Some(r)
-        } else {
-            None
+        let hit = containing(&self.regions, addr);
+        if hit.is_some() {
+            self.last_hit.set(hit);
         }
+        hit
     }
 
     /// Returns and resets the lookup count (drained into
@@ -127,9 +133,9 @@ impl RegionIndex {
     ///
     /// The memo and lookup counter live in `Cell`s, which makes a shared
     /// `&RegionIndex` unusable from the parallel fork walk's worker
-    /// threads. A [`FrozenIndex`] drops both: a pure binary search over
-    /// the same sorted slice, with workers tallying their own lookup
-    /// counts locally.
+    /// threads. A [`FrozenIndex`] drops both: a pure O(log n) search of
+    /// the same map, with workers tallying their own lookup counts
+    /// locally.
     pub fn frozen(&self) -> FrozenIndex<'_> {
         FrozenIndex {
             regions: &self.regions,
@@ -141,23 +147,14 @@ impl RegionIndex {
 /// [`RegionIndex::frozen`]).
 #[derive(Clone, Copy)]
 pub struct FrozenIndex<'a> {
-    regions: &'a [Region],
+    regions: &'a BTreeMap<u64, Region>,
 }
 
 impl FrozenIndex<'_> {
     /// Finds the region containing `addr`, if any — O(log n), no memo,
     /// no counting. Agrees with [`RegionIndex::lookup`] on every address.
     pub fn lookup(&self, addr: u64) -> Option<Region> {
-        let at = self
-            .regions
-            .partition_point(|r| r.base.0 <= addr)
-            .checked_sub(1)?;
-        let r = self.regions[at];
-        if r.contains(VirtAddr(addr)) {
-            Some(r)
-        } else {
-            None
-        }
+        containing(self.regions, addr)
     }
 }
 
@@ -262,5 +259,152 @@ mod tests {
         idx.lookup(0xdead_beef);
         assert_eq!(idx.take_lookups(), 3);
         assert_eq!(idx.take_lookups(), 0);
+    }
+
+    /// One step of the property test against the linear-scan reference.
+    #[cfg(feature = "props")]
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Insert into slot `.0` (if free) a region at page offset and
+        /// length drawn from `.1`.
+        Insert(usize, u64),
+        /// Remove the `.0`-th indexed region.
+        Remove(usize),
+        /// Remove a region that is not indexed (must report `false`).
+        RemoveAbsent(usize),
+        /// Look up an address of shape `.0` drawn from `.1`.
+        Lookup(u8, u64),
+        /// Look up inside the `.0`-th region (priming the memo), remove
+        /// it, then look up the same address again.
+        LookupRemoveLookup(usize, u64),
+    }
+
+    #[cfg(feature = "props")]
+    #[test]
+    fn agrees_with_linear_scan_reference() {
+        use ufork_testkit::{forall, shrink_vec, PropConfig};
+
+        // Regions live in fixed slots so they stay disjoint; a region
+        // may fill its slot and abut its neighbours.
+        const LO: u64 = 0x10_0000;
+        const SLOT: u64 = 0x1_0000;
+        const SLOTS: usize = 48;
+        const PAGE: u64 = 0x1000;
+
+        forall(
+            "region_index_agrees_with_linear_scan_reference",
+            &PropConfig::from_env(256),
+            |rng| {
+                let n = rng.range(1, 160) as usize;
+                (0..n)
+                    .map(|_| match rng.below(8) {
+                        0..=2 => Op::Insert(rng.index(SLOTS), rng.next_u64()),
+                        3 => Op::Remove(rng.index(64)),
+                        4 => Op::RemoveAbsent(rng.index(64)),
+                        5 => Op::LookupRemoveLookup(rng.index(64), rng.next_u64()),
+                        _ => Op::Lookup(rng.below(6) as u8, rng.next_u64()),
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| shrink_vec(ops),
+            |ops| {
+                let mut idx = RegionIndex::new();
+                // Reference: unsorted, linear scan.
+                let mut live: Vec<Region> = Vec::new();
+                let mut gone: Vec<Region> = Vec::new();
+                let scan = |live: &[Region], addr: u64| {
+                    live.iter().copied().find(|r| r.contains(VirtAddr(addr)))
+                };
+                let mut counted = 0u64;
+                let mut check = |idx: &RegionIndex, live: &[Region], addr: u64| {
+                    counted += 1;
+                    let (got, frozen, want) = (
+                        idx.lookup(addr),
+                        idx.frozen().lookup(addr),
+                        scan(live, addr),
+                    );
+                    if got != want || frozen != want {
+                        return Err(format!(
+                            "lookup({addr:#x}) = {got:?}, frozen {frozen:?}, reference {want:?}"
+                        ));
+                    }
+                    Ok(())
+                };
+                for (step, op) in ops.iter().enumerate() {
+                    match *op {
+                        Op::Insert(slot, r) => {
+                            let slot_base = LO + slot as u64 * SLOT;
+                            if live.iter().any(|l| l.base.0 / SLOT == slot_base / SLOT) {
+                                continue;
+                            }
+                            let off = if r & 1 == 0 { 0 } else { (r >> 8) % 16 * PAGE };
+                            let len = PAGE * (1 + (r >> 16) % ((SLOT - off) / PAGE));
+                            let region = Region {
+                                base: VirtAddr(slot_base + off),
+                                len,
+                            };
+                            idx.insert(region);
+                            live.push(region);
+                        }
+                        Op::Remove(i) if !live.is_empty() => {
+                            let r = live.swap_remove(i % live.len());
+                            if !idx.remove(r) {
+                                return Err(format!("step {step}: remove({r:?}) missed"));
+                            }
+                            gone.push(r);
+                        }
+                        Op::RemoveAbsent(i) if !gone.is_empty() => {
+                            let r = gone[i % gone.len()];
+                            if !live.iter().any(|l| l.base == r.base) && idx.remove(r) {
+                                return Err(format!("step {step}: absent {r:?} removed"));
+                            }
+                        }
+                        Op::Lookup(shape, a) => {
+                            let sorted = {
+                                let mut v = live.clone();
+                                v.sort_by_key(|r| r.base);
+                                v
+                            };
+                            let pick = |a: u64| sorted[a as usize % sorted.len()];
+                            let addr = match shape {
+                                _ if sorted.is_empty() => a % (LO + 2 * SLOT * SLOTS as u64),
+                                0 => {
+                                    let r = pick(a);
+                                    r.base.0 + (a >> 32) % r.len
+                                }
+                                1 => pick(a).top().0,
+                                2 => pick(a).base.0 - 1,
+                                3 => sorted[0].base.0 - 1 - (a >> 32) % PAGE,
+                                4 => sorted[sorted.len() - 1].top().0 + (a >> 32) % SLOT,
+                                _ => a % (LO + 2 * SLOT * SLOTS as u64),
+                            };
+                            check(&idx, &live, addr).map_err(|e| format!("step {step}: {e}"))?;
+                        }
+                        Op::LookupRemoveLookup(i, a) if !live.is_empty() => {
+                            let r = live.swap_remove(i % live.len());
+                            let addr = r.base.0 + a % r.len;
+                            check(&idx, &[r], addr).map_err(|e| format!("step {step}: {e}"))?;
+                            idx.remove(r);
+                            gone.push(r);
+                            check(&idx, &live, addr).map_err(|e| format!("step {step}: {e}"))?;
+                        }
+                        _ => {}
+                    }
+                    if idx.len() != live.len() {
+                        return Err(format!(
+                            "step {step}: len {} != reference {}",
+                            idx.len(),
+                            live.len()
+                        ));
+                    }
+                }
+                // One count per live lookup; frozen lookups are free.
+                let drained = idx.take_lookups();
+                if drained != counted {
+                    return Err(format!("take_lookups {drained} != {counted} lookups"));
+                }
+                Ok(())
+            },
+        );
     }
 }

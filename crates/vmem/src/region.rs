@@ -182,22 +182,22 @@ impl RegionAllocator {
     }
 
     /// Frees a previously allocated region, coalescing adjacent holes.
+    ///
+    /// Rejects a region that is empty, leaves the span, or overlaps a
+    /// hole (a double or partial free). Holes are sorted and pairwise
+    /// disjoint, so only the holes on either side of the region's
+    /// insertion point can overlap it: the check costs O(log holes).
     pub fn free(&mut self, region: Region) -> Result<(), RegionError> {
+        let pos = self.holes.partition_point(|h| h.base.0 <= region.base.0);
+        let overlaps = |h: &Region| region.base.0 < h.top().0 && h.base.0 < region.top().0;
         if region.len == 0
             || region.base.0 < self.span.base.0
             || region.top().0 > self.span.top().0
-            || self
-                .holes
-                .iter()
-                .any(|h| region.base.0 < h.top().0 && h.base.0 < region.top().0)
+            || pos.checked_sub(1).is_some_and(|i| overlaps(&self.holes[i]))
+            || self.holes.get(pos).is_some_and(overlaps)
         {
             return Err(RegionError::BadFree(region));
         }
-        let pos = self
-            .holes
-            .iter()
-            .position(|h| h.base.0 > region.base.0)
-            .unwrap_or(self.holes.len());
         self.holes.insert(pos, region);
         // Coalesce around `pos`.
         if pos + 1 < self.holes.len() && self.holes[pos].top() == self.holes[pos + 1].base {
