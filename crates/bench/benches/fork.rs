@@ -306,8 +306,8 @@ fn run_pressure_family() -> Vec<PressureStormRow> {
         println!(
             "fork_pressure/{}/daemon={}: fork p50 {:.0} ns / p99 {:.0} ns, {} bg passes, {} prezeroed, {} magazine hits, {} inline reclaims, {} oom kills",
             r.occupancy, r.daemon, r.sim_p50_ns, r.sim_p99_ns,
-            r.reclaim_background, r.frames_prezeroed, r.magazine_hits,
-            r.reclaim_inline, r.oom_kills
+            r.counters.reclaim_background, r.counters.frames_prezeroed, r.counters.magazine_hits,
+            r.counters.reclaim_inline, r.counters.oom_kills
         );
     }
     let p99 = |occupancy: &str, daemon: bool| {
@@ -336,7 +336,7 @@ fn run_ring_family() -> (Vec<RingForkRow>, Vec<RingServiceRow>) {
     for r in &rows {
         println!(
             "fork_ring/{}/{}: {:.0} ns simulated fork with {} endpoints ({} sealed caps relocated)",
-            r.mode, r.setup, r.sim_fork_ns, r.endpoints, r.ring_caps_relocated
+            r.mode, r.setup, r.sim_fork_ns, r.endpoints, r.counters.ring_caps_relocated
         );
     }
     let pick = |mode: &str, setup: &str| {
@@ -365,7 +365,7 @@ fn run_ring_family() -> (Vec<RingForkRow>, Vec<RingServiceRow>) {
         println!(
             "fork_ring_service/{}: {} requests in {:.3} sim-s ({} ring msgs, {} full stalls, {} caps relocated, kv {:#018x})",
             r.mode, r.requests, r.sim_final_ns / 1e9,
-            r.ring_msgs, r.ring_full_stalls, r.ring_caps_relocated, r.kv_digest
+            r.counters.ring_msgs, r.counters.ring_full_stalls, r.counters.ring_caps_relocated, r.kv_digest
         );
     }
     (rows, service)
@@ -395,7 +395,7 @@ fn run_snapshot_train() -> Vec<SnapshotRow> {
         println!(
             "fork_snapshot_train/{}/{}/{}: fork {:.0} ns, copy done {:.0} ns ({} dirty copied, {} shared clean)",
             r.scope, r.walk, r.snapshot, r.sim_fork_ns, r.sim_copy_done_ns,
-            r.pages_dirty_copied, r.pages_shared_clean
+            r.counters.pages_dirty_copied, r.counters.pages_shared_clean
         );
     }
     let pick = |scope: &str, walk: &str, snap: u32| {
@@ -416,7 +416,7 @@ fn run_snapshot_train() -> Vec<SnapshotRow> {
                 every.sim_copy_done_ns
             );
             assert!(
-                dirty.pages_shared_clean > 0,
+                dirty.counters.pages_shared_clean > 0,
                 "{walk} snapshot {snap}: no clean pages were shared"
             );
         }
@@ -435,8 +435,8 @@ fn run_zygote_fleet() -> Vec<ZygoteFleetRow> {
     let again = zygote_fleet_sweep();
     for (a, b) in rows.iter().zip(&again) {
         assert_eq!(
-            (a.frames_fleet, a.frames_deduped),
-            (b.frames_fleet, b.frames_deduped),
+            (a.frames_fleet, a.counters),
+            (b.frames_fleet, b.counters),
             "fork_zygote/{} is nondeterministic",
             a.variant
         );
@@ -445,7 +445,7 @@ fn run_zygote_fleet() -> Vec<ZygoteFleetRow> {
         println!(
             "fork_zygote/{}: {} children, {} frames after 1 child -> {} after fleet ({} deduped, {} probes, {} shared clean)",
             r.variant, r.children, r.frames_one_child, r.frames_fleet,
-            r.frames_deduped, r.dedup_hash_probes, r.pages_shared_clean
+            r.counters.frames_deduped, r.counters.dedup_hash_probes, r.counters.pages_shared_clean
         );
     }
     for r in &rows {
@@ -463,7 +463,7 @@ fn run_zygote_fleet() -> Vec<ZygoteFleetRow> {
         }
         if r.variant.starts_with("dedup/") {
             assert!(
-                r.frames_deduped > 0,
+                r.counters.frames_deduped > 0,
                 "fork_zygote/{}: dedup enabled but no frames were deduplicated",
                 r.variant
             );
@@ -665,10 +665,10 @@ fn run_scaling() -> (Vec<ScalingRow>, f64) {
             r.mode_label(),
             r.sim_fork_ns,
             r.sim_copy_done_ns,
-            r.chunks,
-            r.steals,
-            r.recycled,
-            r.zeroing_skipped
+            r.counters.fork_chunks,
+            r.counters.alloc_steals,
+            r.counters.frames_recycled,
+            r.counters.zeroing_skipped
         );
     }
     println!(
@@ -719,10 +719,10 @@ fn write_json(
                 r.workers,
                 r.sim_fork_ns,
                 r.sim_copy_done_ns,
-                r.chunks,
-                r.steals,
-                r.recycled,
-                r.zeroing_skipped
+                r.counters.fork_chunks,
+                r.counters.alloc_steals,
+                r.counters.frames_recycled,
+                r.counters.zeroing_skipped
             )
         })
         .collect::<Vec<_>>()
@@ -789,11 +789,11 @@ fn write_json(
                 r.sim_p50_ns,
                 r.sim_p99_ns,
                 r.sim_final_ns,
-                r.reclaim_background,
-                r.frames_prezeroed,
-                r.magazine_hits,
-                r.reclaim_inline,
-                r.oom_kills,
+                r.counters.reclaim_background,
+                r.counters.frames_prezeroed,
+                r.counters.magazine_hits,
+                r.counters.reclaim_inline,
+                r.counters.oom_kills,
                 r.digest
             )
         })
@@ -810,8 +810,8 @@ fn write_json(
                 r.snapshot,
                 r.sim_fork_ns,
                 r.sim_copy_done_ns,
-                r.pages_dirty_copied,
-                r.pages_shared_clean
+                r.counters.pages_dirty_copied,
+                r.counters.pages_shared_clean
             )
         })
         .collect::<Vec<_>>()
@@ -825,9 +825,9 @@ fn write_json(
                 r.children,
                 r.frames_one_child,
                 r.frames_fleet,
-                r.frames_deduped,
-                r.dedup_hash_probes,
-                r.pages_shared_clean
+                r.counters.frames_deduped,
+                r.counters.dedup_hash_probes,
+                r.counters.pages_shared_clean
             )
         })
         .collect::<Vec<_>>()
@@ -837,7 +837,7 @@ fn write_json(
         .map(|r| {
             format!(
                 "    {{\"mode\": \"{}\", \"setup\": \"{}\", \"endpoints\": {}, \"sim_fork_ns\": {:.1}, \"ring_caps_relocated\": {}}}",
-                r.mode, r.setup, r.endpoints, r.sim_fork_ns, r.ring_caps_relocated
+                r.mode, r.setup, r.endpoints, r.sim_fork_ns, r.counters.ring_caps_relocated
             )
         })
         .collect::<Vec<_>>()
@@ -850,9 +850,9 @@ fn write_json(
                 r.mode,
                 r.requests,
                 r.sim_final_ns,
-                r.ring_msgs,
-                r.ring_full_stalls,
-                r.ring_caps_relocated,
+                r.counters.ring_msgs,
+                r.counters.ring_full_stalls,
+                r.counters.ring_caps_relocated,
                 r.kv_digest
             )
         })

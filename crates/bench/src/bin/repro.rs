@@ -253,9 +253,9 @@ fn main() {
                     r.mode_label(),
                     num(r.sim_fork_ns / 1e3),
                     num(r.sim_copy_done_ns / 1e3),
-                    r.chunks.to_string(),
-                    r.recycled.to_string(),
-                    r.zeroing_skipped.to_string(),
+                    r.counters.fork_chunks.to_string(),
+                    r.counters.frames_recycled.to_string(),
+                    r.counters.zeroing_skipped.to_string(),
                 ]
             })
             .collect();
@@ -327,8 +327,8 @@ fn main() {
                     r.snapshot.to_string(),
                     num(r.sim_fork_ns / 1e3),
                     num(r.sim_copy_done_ns / 1e3),
-                    r.pages_dirty_copied.to_string(),
-                    r.pages_shared_clean.to_string(),
+                    r.counters.pages_dirty_copied.to_string(),
+                    r.counters.pages_shared_clean.to_string(),
                 ]
             })
             .collect();
@@ -358,9 +358,9 @@ fn main() {
                     r.children.to_string(),
                     r.frames_one_child.to_string(),
                     r.frames_fleet.to_string(),
-                    r.frames_deduped.to_string(),
-                    r.dedup_hash_probes.to_string(),
-                    r.pages_shared_clean.to_string(),
+                    r.counters.frames_deduped.to_string(),
+                    r.counters.dedup_hash_probes.to_string(),
+                    r.counters.pages_shared_clean.to_string(),
                 ]
             })
             .collect();
@@ -389,13 +389,16 @@ fn main() {
                 vec![
                     r.policy.to_string(),
                     r.forks_ok.to_string(),
-                    r.forks_degraded.to_string(),
-                    r.fork_rollbacks.to_string(),
-                    format!("{}/{}", r.reclaim_inline, r.reclaim_background),
-                    r.magazine_hits.to_string(),
-                    r.oom_kills.to_string(),
-                    r.journal_ops.to_string(),
-                    num(r.fork_backoff_ns as f64 / 1e3),
+                    r.counters.forks_degraded.to_string(),
+                    r.counters.fork_rollbacks.to_string(),
+                    format!(
+                        "{}/{}",
+                        r.counters.reclaim_inline, r.counters.reclaim_background
+                    ),
+                    r.counters.magazine_hits.to_string(),
+                    r.counters.oom_kills.to_string(),
+                    r.counters.journal_ops.to_string(),
+                    num(r.counters.fork_backoff_ns as f64 / 1e3),
                     r.pressure.clone(),
                 ]
             })
@@ -431,10 +434,10 @@ fn main() {
                     if r.daemon { "on" } else { "off" }.to_string(),
                     num(r.sim_p50_ns / 1e3),
                     num(r.sim_p99_ns / 1e3),
-                    r.reclaim_background.to_string(),
-                    r.frames_prezeroed.to_string(),
-                    r.magazine_hits.to_string(),
-                    r.oom_kills.to_string(),
+                    r.counters.reclaim_background.to_string(),
+                    r.counters.frames_prezeroed.to_string(),
+                    r.counters.magazine_hits.to_string(),
+                    r.counters.oom_kills.to_string(),
                 ]
             })
             .collect();
@@ -517,7 +520,7 @@ fn main() {
                     r.setup.to_string(),
                     r.endpoints.to_string(),
                     num(r.sim_fork_ns / 1e3),
-                    r.ring_caps_relocated.to_string(),
+                    r.counters.ring_caps_relocated.to_string(),
                 ]
             })
             .collect();
@@ -549,9 +552,9 @@ fn main() {
                     r.mode.to_string(),
                     r.requests.to_string(),
                     num(r.sim_final_ns / 1e9),
-                    r.ring_msgs.to_string(),
-                    r.ring_full_stalls.to_string(),
-                    r.ring_caps_relocated.to_string(),
+                    r.counters.ring_msgs.to_string(),
+                    r.counters.ring_full_stalls.to_string(),
+                    r.counters.ring_caps_relocated.to_string(),
                     format!("{:016x}", r.kv_digest),
                 ]
             })

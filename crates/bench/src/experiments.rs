@@ -5,6 +5,7 @@ use ufork_abi::{CopyStrategy, Fd, ImageSpec, IsolationLevel, Pid, Program, SysRe
 use ufork_baselines::{mono, nephele, BaselineConfig, MultiAsOs};
 use ufork_exec::{ConnTemplate, Ctx, ExitEvent, ForkEvent, Machine, MachineConfig, MemOs};
 use ufork_mem::{MemStats, ShardStats, PAGE_SIZE};
+use ufork_sim::OpCounters;
 use ufork_workloads::faas::{FaasConfig, Zygote};
 use ufork_workloads::hello::HelloWorld;
 use ufork_workloads::nginx::{Nginx, NginxConfig};
@@ -532,14 +533,8 @@ pub struct ScalingRow {
     /// `sim_fork_ns` for every non-pipelined walk; for the pipelined
     /// walk it adds the drained background window.
     pub sim_copy_done_ns: f64,
-    /// Chunks the walk was partitioned into (0 for the serial walk).
-    pub chunks: u64,
-    /// Cross-shard steals the fork's allocations needed.
-    pub steals: u64,
-    /// Frames served from the recycled pools.
-    pub recycled: u64,
-    /// Recycled frames whose scrub was skipped (full-copy destinations).
-    pub zeroing_skipped: u64,
+    /// The fork's counters, including any drained pipelined window.
+    pub counters: OpCounters,
     /// Cumulative allocator shard statistics after the fork.
     pub shard: ShardStats,
 }
@@ -610,10 +605,7 @@ pub fn fork_scaling_run(walk: WalkMode, dense: bool) -> ScalingRow {
         },
         sim_fork_ns: commit_ns,
         sim_copy_done_ns: fctx.kernel_ns,
-        chunks: fctx.counters.fork_chunks,
-        steals: fctx.counters.alloc_steals,
-        recycled: fctx.counters.frames_recycled,
-        zeroing_skipped: fctx.counters.zeroing_skipped,
+        counters: fctx.counters,
         shard,
     }
 }
@@ -722,22 +714,8 @@ pub struct PressureRow {
     pub policy: &'static str,
     /// Forks that succeeded before the first refusal.
     pub forks_ok: u64,
-    /// Forks admitted under a cheaper strategy than requested.
-    pub forks_degraded: u64,
-    /// Journal rollbacks (fork attempts undone mid-walk).
-    pub fork_rollbacks: u64,
-    /// Inline reclaim passes between rollback and retry (hot path).
-    pub reclaim_inline: u64,
-    /// Background reclaim batches run by the daemon (off the hot path).
-    pub reclaim_background: u64,
-    /// Zeroed allocations served pre-scrubbed from a clean-frame magazine.
-    pub magazine_hits: u64,
-    /// μprocesses killed by the OOM last resort.
-    pub oom_kills: u64,
-    /// Journal ops recorded across the storm (committed + rolled back).
-    pub journal_ops: u64,
-    /// Simulated ns spent in reclaim backoff.
-    pub fork_backoff_ns: u64,
+    /// The storm's counters, summed over every fork attempt.
+    pub counters: OpCounters,
     /// Allocator pressure level when the storm ended.
     pub pressure: String,
 }
@@ -780,14 +758,7 @@ pub fn pressure_storm_run(policy: FallbackPolicy) -> PressureRow {
             FallbackPolicy::Degrade => "degrade",
         },
         forks_ok,
-        forks_degraded: sctx.counters.forks_degraded,
-        fork_rollbacks: sctx.counters.fork_rollbacks,
-        reclaim_inline: sctx.counters.reclaim_inline,
-        reclaim_background: sctx.counters.reclaim_background,
-        magazine_hits: sctx.counters.magazine_hits,
-        oom_kills: sctx.counters.oom_kills,
-        journal_ops: sctx.counters.journal_ops,
-        fork_backoff_ns: sctx.counters.fork_backoff_ns,
+        counters: sctx.counters,
         pressure: format!("{:?}", stats.pressure),
     }
 }

@@ -14,6 +14,7 @@
 use ufork::{UforkConfig, UforkOs, WalkMode};
 use ufork_abi::CopyStrategy;
 use ufork_exec::{Machine, MachineConfig, MemOs};
+use ufork_sim::OpCounters;
 use ufork_workloads::storm::{summarize, StormConfig, StormZygote};
 
 use crate::storm::storm_image;
@@ -38,17 +39,10 @@ pub struct PressureStormRow {
     pub sim_p99_ns: f64,
     /// Storm makespan (ns, simulated).
     pub sim_final_ns: f64,
-    /// Background reclaim passes the daemon ran.
-    pub reclaim_background: u64,
-    /// Frames the daemon scrubbed into clean-frame magazines.
-    pub frames_prezeroed: u64,
-    /// Fork-path allocations served pre-zeroed from a magazine.
-    pub magazine_hits: u64,
-    /// Inline reclaim passes forced onto the fork path.
-    pub reclaim_inline: u64,
-    /// OOM kills (the storm is sized so none are needed; reported so a
-    /// sizing regression is visible in the JSON).
-    pub oom_kills: u64,
+    /// The machine's counters at the end of the storm. `oom_kills` is
+    /// reported so a sizing regression is visible in the JSON: the storm
+    /// is sized so none are needed.
+    pub counters: OpCounters,
     /// Order-sensitive digest of the fork/exit event history.
     pub digest: u64,
 }
@@ -127,7 +121,6 @@ fn run_point(
         0,
         "{label}: leaked frames after all exits"
     );
-    let c = m.counters();
     PressureStormRow {
         occupancy: point.label,
         daemon,
@@ -135,11 +128,7 @@ fn run_point(
         sim_p50_ns: report.p50_fork_ns,
         sim_p99_ns: report.p99_fork_ns,
         sim_final_ns: report.final_ns,
-        reclaim_background: c.reclaim_background,
-        frames_prezeroed: c.frames_prezeroed,
-        magazine_hits: c.magazine_hits,
-        reclaim_inline: c.reclaim_inline,
-        oom_kills: c.oom_kills,
+        counters: *m.counters(),
         digest: report.digest,
     }
 }
@@ -185,22 +174,27 @@ pub fn pressure_sweep(children: u32, seed: u64, cores: usize) -> Vec<PressureSto
         "fork_pressure/low: an idle reclaim daemon perturbed the schedule"
     );
     assert_eq!(
-        lo_on.reclaim_background, 0,
+        lo_on.counters.reclaim_background, 0,
         "fork_pressure/low: daemon ran without pressure"
     );
     // High occupancy: the daemon must actually do the work the gate
     // credits it for, and the ablation must not.
     let (hi_off, hi_on) = (pick("high", false), pick("high", true));
     assert!(
-        hi_on.reclaim_background > 0 && hi_on.frames_prezeroed > 0 && hi_on.magazine_hits > 0,
+        hi_on.counters.reclaim_background > 0
+            && hi_on.counters.frames_prezeroed > 0
+            && hi_on.counters.magazine_hits > 0,
         "fork_pressure/high/daemon=true: daemon never engaged \
          (passes {}, prezeroed {}, hits {})",
-        hi_on.reclaim_background,
-        hi_on.frames_prezeroed,
-        hi_on.magazine_hits
+        hi_on.counters.reclaim_background,
+        hi_on.counters.frames_prezeroed,
+        hi_on.counters.magazine_hits
     );
     assert_eq!(
-        (hi_off.reclaim_background, hi_off.magazine_hits),
+        (
+            hi_off.counters.reclaim_background,
+            hi_off.counters.magazine_hits
+        ),
         (0, 0),
         "fork_pressure/high/daemon=false: ablation run used the daemon"
     );
@@ -241,7 +235,10 @@ mod tests {
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.sim_p50_ns > 0.0 && r.sim_p99_ns >= r.sim_p50_ns);
-            assert_eq!(r.oom_kills, 0, "pressure storm is sized to avoid kills");
+            assert_eq!(
+                r.counters.oom_kills, 0,
+                "pressure storm is sized to avoid kills"
+            );
         }
     }
 }

@@ -28,6 +28,7 @@ use ufork_abi::{
 };
 use ufork_baselines::{mono, BaselineConfig};
 use ufork_exec::{Machine, MachineConfig, MemOs};
+use ufork_sim::OpCounters;
 use ufork_workloads::ringsvc::{RingSvc, RingSvcConfig};
 
 use crate::storm::{storm_modes, StormMode};
@@ -55,8 +56,9 @@ pub struct RingForkRow {
     pub endpoints: u64,
     /// Simulated latency of the fork call itself.
     pub sim_fork_ns: f64,
-    /// Sealed ring endpoints the fork relocated (0 for the pipe run).
-    pub ring_caps_relocated: u64,
+    /// The machine's counters at the end of the probe run;
+    /// `ring_caps_relocated` is 0 for the pipe run.
+    pub counters: OpCounters,
 }
 
 /// One `fork_ring` service row.
@@ -69,12 +71,8 @@ pub struct RingServiceRow {
     pub requests: u64,
     /// Simulated time at which the whole service had exited.
     pub sim_final_ns: f64,
-    /// Messages that crossed a ring (req + st + resp tiers).
-    pub ring_msgs: u64,
-    /// Push attempts that stalled on a full ring (backpressure).
-    pub ring_full_stalls: u64,
-    /// Sealed endpoints relocated across the service's forks.
-    pub ring_caps_relocated: u64,
+    /// The machine's counters once the whole service had exited.
+    pub counters: OpCounters,
     /// The store tier's final KV digest.
     pub kv_digest: u64,
     /// Per-ring `(name, pushed, popped, push digest, pop digest)`.
@@ -148,8 +146,8 @@ impl Program for RingForkProbe {
     }
 }
 
-/// Runs one probe and returns `(fork latency, ring caps relocated)`.
-fn run_probe(mode: &StormMode, rings: bool) -> (f64, u64) {
+/// Runs one probe and returns `(fork latency, machine counters)`.
+fn run_probe(mode: &StormMode, rings: bool) -> (f64, OpCounters) {
     let os = UforkOs::new(UforkConfig {
         phys_mib: 128,
         strategy: mode.strategy,
@@ -181,7 +179,7 @@ fn run_probe(mode: &StormMode, rings: bool) -> (f64, u64) {
         mode.label
     );
     let ev = m.fork_log().first().expect("probe forked once");
-    (ev.latency_ns, m.counters().ring_caps_relocated)
+    (ev.latency_ns, *m.counters())
 }
 
 /// The fork-probe sweep: every storm mode × {pipes, rings}, each run
@@ -190,15 +188,16 @@ pub fn ring_fork_sweep() -> Vec<RingForkRow> {
     let mut rows = Vec::new();
     for mode in storm_modes() {
         for (setup, rings) in [("pipes", false), ("rings", true)] {
-            let (ns, relocated) = run_probe(&mode, rings);
-            let (ns2, relocated2) = run_probe(&mode, rings);
+            let (ns, counters) = run_probe(&mode, rings);
+            let (ns2, counters2) = run_probe(&mode, rings);
             assert_eq!(
                 ns.to_bits(),
                 ns2.to_bits(),
                 "fork_ring/{}/{setup} is nondeterministic: {ns} ns vs {ns2} ns",
                 mode.label
             );
-            assert_eq!(relocated, relocated2);
+            assert_eq!(counters, counters2);
+            let relocated = counters.ring_caps_relocated;
             if rings {
                 assert!(
                     relocated >= PROBE_ENDPOINTS,
@@ -218,7 +217,7 @@ pub fn ring_fork_sweep() -> Vec<RingForkRow> {
                 setup,
                 endpoints: PROBE_ENDPOINTS,
                 sim_fork_ns: ns,
-                ring_caps_relocated: relocated,
+                counters,
             });
         }
     }
@@ -290,14 +289,11 @@ fn observe_service<O: MemOs>(
     );
     // The store is the first child the frontend forks.
     let store = m.program::<RingSvc>(Pid(2)).expect("store state");
-    let c = m.counters();
     RingServiceRow {
         mode,
         requests: cfg.requests,
         sim_final_ns: m.now(),
-        ring_msgs: c.ring_msgs,
-        ring_full_stalls: c.ring_full_stalls,
-        ring_caps_relocated: c.ring_caps_relocated,
+        counters: *m.counters(),
         kv_digest: store.kv_digest,
         rings: m
             .vfs()
@@ -341,8 +337,13 @@ pub fn ring_service_sweep(requests: u64) -> Vec<RingServiceRow> {
     let base = &rows[0];
     for r in &rows[1..] {
         assert_eq!(
-            (&r.rings, &r.dump, r.kv_digest, r.ring_msgs),
-            (&base.rings, &base.dump, base.kv_digest, base.ring_msgs),
+            (&r.rings, &r.dump, r.kv_digest, r.counters.ring_msgs),
+            (
+                &base.rings,
+                &base.dump,
+                base.kv_digest,
+                base.counters.ring_msgs
+            ),
             "fork_ring_service/{}: ring fabric diverged from {}",
             r.mode,
             base.mode
@@ -376,10 +377,10 @@ mod tests {
             strategy: ufork_abi::CopyStrategy::CoPA,
             walk: ufork::WalkMode::Serial,
         };
-        let (pipes_ns, r0) = run_probe(&mode, false);
-        let (rings_ns, r1) = run_probe(&mode, true);
-        assert_eq!(r0, 0);
-        assert!(r1 >= PROBE_ENDPOINTS);
+        let (pipes_ns, pipes) = run_probe(&mode, false);
+        let (rings_ns, rings) = run_probe(&mode, true);
+        assert_eq!(pipes.ring_caps_relocated, 0);
+        assert!(rings.ring_caps_relocated >= PROBE_ENDPOINTS);
         assert!(pipes_ns > 0.0 && rings_ns > 0.0);
         assert!(
             rings_ns <= pipes_ns * RING_FORK_OVERHEAD_LIMIT,
@@ -393,7 +394,10 @@ mod tests {
         assert_eq!(rows.len(), RING_SERVICE_MODES.len());
         for r in &rows {
             assert_eq!(r.requests, 120);
-            assert!(r.ring_msgs >= 3 * 120, "every request crosses 3 rings");
+            assert!(
+                r.counters.ring_msgs >= 3 * 120,
+                "every request crosses 3 rings"
+            );
             assert!(r.sim_final_ns > 0.0);
         }
     }

@@ -20,6 +20,7 @@ use ufork_abi::{CopyStrategy, ImageSpec, Pid};
 use ufork_baselines::{mono, BaselineConfig};
 use ufork_exec::{Ctx, MemOs};
 use ufork_mem::PAGE_SIZE;
+use ufork_sim::OpCounters;
 
 /// Heap pages of the snapshot-train parent. Large enough that the
 /// per-page walk dwarfs the fixed fork cost — the 0.25× dirty-scope
@@ -55,10 +56,8 @@ pub struct SnapshotRow {
     /// Simulated time until the child's copy is complete, including
     /// any drained pipelined background window, ns.
     pub sim_copy_done_ns: f64,
-    /// Pages eagerly copied because the scope classified them dirty.
-    pub pages_dirty_copied: u64,
-    /// Clean pages shared with the parent by refcount bump.
-    pub pages_shared_clean: u64,
+    /// The fork's counters, including any drained pipelined window.
+    pub counters: OpCounters,
 }
 
 /// Drives one snapshot train through the [`MemOs`] trait, so μFork and
@@ -67,13 +66,13 @@ pub struct SnapshotRow {
 /// contiguous window, so rounds are deterministic but not identical)
 /// and fork a snapshot child, draining any pipelined background copy
 /// before tearing the child down. Returns per-snapshot
-/// `(commit_ns, copy_done_ns, dirty_copied, shared_clean)`.
+/// `(commit_ns, copy_done_ns, counters)`.
 fn run_train_os<O: MemOs>(
     os: &mut O,
     heap_pages: u64,
     write_rate: f64,
     snapshots: u32,
-) -> Vec<(f64, f64, u64, u64)> {
+) -> Vec<(f64, f64, OpCounters)> {
     let mut ctx = Ctx::new();
     let img = ImageSpec::with_heap("snapshot", heap_pages * PAGE_SIZE + (256 << 10));
     os.spawn(&mut ctx, Pid(1), &img).expect("spawn snapshot");
@@ -113,12 +112,7 @@ fn run_train_os<O: MemOs>(
         let commit_ns = fctx.kernel_ns;
         // Stream any pipelined background window on the same context.
         while os.pipeline_step(&mut fctx, child).expect("drain") {}
-        rows.push((
-            commit_ns,
-            fctx.kernel_ns,
-            fctx.counters.pages_dirty_copied,
-            fctx.counters.pages_shared_clean,
-        ));
+        rows.push((commit_ns, fctx.kernel_ns, fctx.counters));
         // BGSAVE done: the snapshot child exits.
         os.destroy(&mut ctx, child);
     }
@@ -154,15 +148,14 @@ pub fn snapshot_train_run(
     run_train_os(&mut os, TRAIN_HEAP_PAGES, TRAIN_WRITE_RATE, TRAIN_SNAPSHOTS)
         .into_iter()
         .enumerate()
-        .map(|(i, (fork_ns, done_ns, dirty, clean))| SnapshotRow {
+        .map(|(i, (fork_ns, done_ns, counters))| SnapshotRow {
             system: "μFork (full copy)".to_string(),
             scope,
             walk: walk_label,
             snapshot: i as u32 + 1,
             sim_fork_ns: fork_ns,
             sim_copy_done_ns: done_ns,
-            pages_dirty_copied: dirty,
-            pages_shared_clean: clean,
+            counters,
         })
         .collect()
 }
@@ -177,15 +170,14 @@ pub fn snapshot_train_baseline() -> Vec<SnapshotRow> {
     run_train_os(&mut os, TRAIN_HEAP_PAGES, TRAIN_WRITE_RATE, TRAIN_SNAPSHOTS)
         .into_iter()
         .enumerate()
-        .map(|(i, (fork_ns, done_ns, dirty, clean))| SnapshotRow {
+        .map(|(i, (fork_ns, done_ns, counters))| SnapshotRow {
             system: "CheriBSD".to_string(),
             scope: "everything",
             walk: "-",
             snapshot: i as u32 + 1,
             sim_fork_ns: fork_ns,
             sim_copy_done_ns: done_ns,
-            pages_dirty_copied: dirty,
-            pages_shared_clean: clean,
+            counters,
         })
         .collect()
 }
@@ -215,12 +207,8 @@ pub struct ZygoteFleetRow {
     pub frames_one_child: u32,
     /// Frames allocated after all `children`.
     pub frames_fleet: u32,
-    /// Eager copies avoided by a dedup-index hit.
-    pub frames_deduped: u64,
-    /// Content-hash/memcmp passes the dedup index charged.
-    pub dedup_hash_probes: u64,
-    /// Clean pages shared with the parent by refcount bump.
-    pub pages_shared_clean: u64,
+    /// The fleet's counters, summed over every fork and drain.
+    pub counters: OpCounters,
 }
 
 /// Zygote heap pages. Data-only content (no capabilities): frames that
@@ -274,9 +262,7 @@ pub fn zygote_fleet_run(
         children: FLEET_CHILDREN,
         frames_one_child,
         frames_fleet: os.allocated_frames(),
-        frames_deduped: fctx.counters.frames_deduped,
-        dedup_hash_probes: fctx.counters.dedup_hash_probes,
-        pages_shared_clean: fctx.counters.pages_shared_clean,
+        counters: fctx.counters,
     }
 }
 
@@ -309,12 +295,12 @@ mod tests {
             (
                 serial.frames_one_child,
                 serial.frames_fleet,
-                serial.frames_deduped
+                serial.counters.frames_deduped
             ),
             (
                 piped.frames_one_child,
                 piped.frames_fleet,
-                piped.frames_deduped
+                piped.counters.frames_deduped
             )
         );
     }

@@ -9,7 +9,7 @@
 //! 1. **Serial walk** — the shared walk classifies and stages every page
 //!    as in the serial mode, except that each eager page's destination
 //!    frame is allocated up front from the sharded physical allocator
-//!    ([`alloc_lane_frame`]: [`ufork_mem::PhysMem::alloc_frame_in`], home
+//!    (`alloc_lane_frame`: [`ufork_mem::PhysMem::alloc_frame_in`], home
 //!    shard = chunk's lane). Allocating serially keeps the global
 //!    `alloc_attempts` order — and therefore fault injection — identical
 //!    across worker counts. Destination frames are granted

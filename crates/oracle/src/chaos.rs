@@ -29,7 +29,7 @@
 //! Pipelined fork gets a second, wider window: after its fork commits,
 //! the background copy runs per-chunk journal transactions of its own
 //! (frame allocations, `PteRemap` rewrites, `RefDec` releases —
-//! [`ufork::pipeline`]). [`sweep_pipeline_window`] enumerates every
+//! `crates/core/src/pipeline.rs`). `sweep_pipeline_window` enumerates every
 //! journal op of a reference drain and aborts each one: the failing
 //! chunk must roll back whole (the window shrinks only in chunk-sized
 //! steps), nothing may leak, a retry drain must complete, and the child

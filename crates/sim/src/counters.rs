@@ -1,503 +1,242 @@
 //! Operation counters for mechanism-level assertions.
+//!
+//! Every counter is declared exactly once, in the `op_counters!` table
+//! below. The table generates the struct, [`OpCounters::merge`],
+//! [`OpCounters::since`], [`OpCounters::NAMES`] and `Display`, so adding a
+//! counter is one doc comment plus one name.
 
 use std::fmt;
 
-/// Counts of primitive operations performed by a simulated kernel.
-///
-/// Where the paper argues about *mechanism* ("CoPA copies only pages the
-/// child loads capabilities from"), tests assert on these counters rather
-/// than on simulated time, which makes them robust to cost-model
-/// recalibration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpCounters {
-    /// Pages copied (for any reason).
-    pub pages_copied: u64,
-    /// Pages copied eagerly during fork (GOT, allocator metadata, full-copy
-    /// strategy).
-    pub pages_copied_eager: u64,
-    /// Copy-on-write faults resolved.
-    pub cow_faults: u64,
-    /// Copy-on-access faults resolved.
-    pub coa_faults: u64,
-    /// Capability-load (CoPA) faults resolved.
-    pub cap_load_faults: u64,
-    /// User accesses that exhausted the transparent-fault retry budget
-    /// without resolving (a kernel invariant breach; should stay 0).
-    pub fault_retries_exhausted: u64,
-    /// Fault resolutions that reclaimed the frame in place (refcount was
-    /// already 1, so no copy was needed).
-    pub pages_reclaimed: u64,
-    /// Capabilities relocated into a child region.
-    pub caps_relocated: u64,
-    /// Granules scanned for tags (inspected individually).
-    pub granules_scanned: u64,
-    /// Granules the tag-summary fast path skipped without inspection
-    /// (their tag bit was clear in a bulk tag read).
-    pub granules_skipped: u64,
-    /// Bulk tag-summary words loaded (`CLoadTags`-style, 64 granules
-    /// per word).
-    pub tag_words_loaded: u64,
-    /// Source-region lookups performed while relocating capabilities.
-    pub region_lookups: u64,
-    /// PTEs copied or created.
-    pub ptes_written: u64,
-    /// System calls executed.
-    pub syscalls: u64,
-    /// Trap-based kernel entries (monolithic baseline).
-    pub traps: u64,
-    /// Sealed-capability kernel entries (μFork).
-    pub sealed_entries: u64,
-    /// Context switches performed.
-    pub ctx_switches: u64,
-    /// forks completed.
-    pub forks: u64,
-    /// execs completed.
-    pub execs: u64,
-    /// Isolation violations detected (and refused).
-    pub isolation_violations: u64,
-    /// Bytes copied for TOCTTOU protection.
-    pub tocttou_bytes: u64,
-    /// Fixed-size chunks processed by the parallel fork walk.
-    pub fork_chunks: u64,
-    /// Frame allocations satisfied by stealing from another shard's pool.
-    pub alloc_steals: u64,
-    /// Frame allocations satisfied from the recycled-frame pool.
-    pub frames_recycled: u64,
-    /// Recycled-frame allocations that skipped the zeroing scrub because
-    /// the caller overwrites the whole frame (deferred-zeroing win).
-    pub zeroing_skipped: u64,
-    /// Forks admitted with a cheaper strategy than requested (admission
-    /// control downgraded Full→CoA→CoPA under memory pressure).
-    pub forks_degraded: u64,
-    /// Fork transactions rolled back through the journal (failure or
-    /// injected fault at some journal op).
-    pub fork_rollbacks: u64,
-    /// Side-effect operations recorded in fork journals.
-    pub journal_ops: u64,
-    /// Reclaim passes run inline on a hot path by the NoMem retry loop
-    /// (recycled pools scrubbed / deferred-zero queues drained while a
-    /// fork or fault waits).
-    pub reclaim_inline: u64,
-    /// Reclaim batches run by the background reclaim daemon (scheduled
-    /// off the hot path, driven by the pressure watermarks).
-    pub reclaim_background: u64,
-    /// Frames the background daemon scrubbed into the clean-frame
-    /// magazines.
-    pub frames_prezeroed: u64,
-    /// `Zeroed`-policy allocations served pre-scrubbed from a clean-frame
-    /// magazine (no inline zeroing charged).
-    pub magazine_hits: u64,
-    /// μprocesses killed by the OOM last resort so a fork under memory
-    /// exhaustion could be admitted.
-    pub oom_kills: u64,
-    /// Simulated nanoseconds spent in reclaim backoff between fork
-    /// retries (whole ns; the f64 charge is truncated when accumulated).
-    pub fork_backoff_ns: u64,
-    /// Background-copy chunks resolved inline by a child fault jumping
-    /// the pipelined fork's copy queue (demand priority).
-    pub pipeline_chunks_jumped: u64,
-    /// Cumulative bytes a pipelined fork committed with the copy still
-    /// outstanding (deferred pages × page size, summed over forks).
-    pub pipeline_bytes_behind: u64,
-    /// Pages a dirty-scoped fork classified as dirty and routed through
-    /// the full copy/CoW machinery (`CopyScope::DirtySince` only).
-    pub pages_dirty_copied: u64,
-    /// Pages a dirty-scoped fork shared as clean: refcount bump plus CoW
-    /// protect, no frame allocation, no tag scan.
-    pub pages_shared_clean: u64,
-    /// Eagerly-copied pages satisfied from the cross-child frame-dedup
-    /// index instead of a fresh private frame.
-    pub frames_deduped: u64,
-    /// Dedup index work: content hashes computed plus memcmp
-    /// verifications of probe hits.
-    pub dedup_hash_probes: u64,
-    /// Messages pushed through shared-memory descriptor rings.
-    pub ring_msgs: u64,
-    /// Ring endpoint capabilities carried across a fork (sealed caps
-    /// relocated by the register walk, registry ends duplicated).
-    pub ring_caps_relocated: u64,
-    /// Push attempts that found the ring full (producer stalled).
-    pub ring_full_stalls: u64,
-}
-
-impl OpCounters {
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = OpCounters::default();
-    }
-
-    /// Adds `other` into `self` field-wise (merging a step's counters into
-    /// the machine totals).
-    pub fn merge(&mut self, other: &OpCounters) {
-        self.pages_copied += other.pages_copied;
-        self.pages_copied_eager += other.pages_copied_eager;
-        self.cow_faults += other.cow_faults;
-        self.coa_faults += other.coa_faults;
-        self.cap_load_faults += other.cap_load_faults;
-        self.fault_retries_exhausted += other.fault_retries_exhausted;
-        self.pages_reclaimed += other.pages_reclaimed;
-        self.caps_relocated += other.caps_relocated;
-        self.granules_scanned += other.granules_scanned;
-        self.granules_skipped += other.granules_skipped;
-        self.tag_words_loaded += other.tag_words_loaded;
-        self.region_lookups += other.region_lookups;
-        self.ptes_written += other.ptes_written;
-        self.syscalls += other.syscalls;
-        self.traps += other.traps;
-        self.sealed_entries += other.sealed_entries;
-        self.ctx_switches += other.ctx_switches;
-        self.forks += other.forks;
-        self.execs += other.execs;
-        self.isolation_violations += other.isolation_violations;
-        self.tocttou_bytes += other.tocttou_bytes;
-        self.fork_chunks += other.fork_chunks;
-        self.alloc_steals += other.alloc_steals;
-        self.frames_recycled += other.frames_recycled;
-        self.zeroing_skipped += other.zeroing_skipped;
-        self.forks_degraded += other.forks_degraded;
-        self.fork_rollbacks += other.fork_rollbacks;
-        self.journal_ops += other.journal_ops;
-        self.reclaim_inline += other.reclaim_inline;
-        self.reclaim_background += other.reclaim_background;
-        self.frames_prezeroed += other.frames_prezeroed;
-        self.magazine_hits += other.magazine_hits;
-        self.oom_kills += other.oom_kills;
-        self.fork_backoff_ns += other.fork_backoff_ns;
-        self.pipeline_chunks_jumped += other.pipeline_chunks_jumped;
-        self.pipeline_bytes_behind += other.pipeline_bytes_behind;
-        self.pages_dirty_copied += other.pages_dirty_copied;
-        self.pages_shared_clean += other.pages_shared_clean;
-        self.frames_deduped += other.frames_deduped;
-        self.dedup_hash_probes += other.dedup_hash_probes;
-        self.ring_msgs += other.ring_msgs;
-        self.ring_caps_relocated += other.ring_caps_relocated;
-        self.ring_full_stalls += other.ring_full_stalls;
-    }
-
-    /// Difference `self - earlier`, for measuring a window of activity.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier` exceeds `self` anywhere
-    /// (counters are monotonic).
-    pub fn since(&self, earlier: &OpCounters) -> OpCounters {
-        OpCounters {
-            pages_copied: self.pages_copied - earlier.pages_copied,
-            pages_copied_eager: self.pages_copied_eager - earlier.pages_copied_eager,
-            cow_faults: self.cow_faults - earlier.cow_faults,
-            coa_faults: self.coa_faults - earlier.coa_faults,
-            cap_load_faults: self.cap_load_faults - earlier.cap_load_faults,
-            fault_retries_exhausted: self.fault_retries_exhausted - earlier.fault_retries_exhausted,
-            pages_reclaimed: self.pages_reclaimed - earlier.pages_reclaimed,
-            caps_relocated: self.caps_relocated - earlier.caps_relocated,
-            granules_scanned: self.granules_scanned - earlier.granules_scanned,
-            granules_skipped: self.granules_skipped - earlier.granules_skipped,
-            tag_words_loaded: self.tag_words_loaded - earlier.tag_words_loaded,
-            region_lookups: self.region_lookups - earlier.region_lookups,
-            ptes_written: self.ptes_written - earlier.ptes_written,
-            syscalls: self.syscalls - earlier.syscalls,
-            traps: self.traps - earlier.traps,
-            sealed_entries: self.sealed_entries - earlier.sealed_entries,
-            ctx_switches: self.ctx_switches - earlier.ctx_switches,
-            forks: self.forks - earlier.forks,
-            execs: self.execs - earlier.execs,
-            isolation_violations: self.isolation_violations - earlier.isolation_violations,
-            tocttou_bytes: self.tocttou_bytes - earlier.tocttou_bytes,
-            fork_chunks: self.fork_chunks - earlier.fork_chunks,
-            alloc_steals: self.alloc_steals - earlier.alloc_steals,
-            frames_recycled: self.frames_recycled - earlier.frames_recycled,
-            zeroing_skipped: self.zeroing_skipped - earlier.zeroing_skipped,
-            forks_degraded: self.forks_degraded - earlier.forks_degraded,
-            fork_rollbacks: self.fork_rollbacks - earlier.fork_rollbacks,
-            journal_ops: self.journal_ops - earlier.journal_ops,
-            reclaim_inline: self.reclaim_inline - earlier.reclaim_inline,
-            reclaim_background: self.reclaim_background - earlier.reclaim_background,
-            frames_prezeroed: self.frames_prezeroed - earlier.frames_prezeroed,
-            magazine_hits: self.magazine_hits - earlier.magazine_hits,
-            oom_kills: self.oom_kills - earlier.oom_kills,
-            fork_backoff_ns: self.fork_backoff_ns - earlier.fork_backoff_ns,
-            pipeline_chunks_jumped: self.pipeline_chunks_jumped - earlier.pipeline_chunks_jumped,
-            pipeline_bytes_behind: self.pipeline_bytes_behind - earlier.pipeline_bytes_behind,
-            pages_dirty_copied: self.pages_dirty_copied - earlier.pages_dirty_copied,
-            pages_shared_clean: self.pages_shared_clean - earlier.pages_shared_clean,
-            frames_deduped: self.frames_deduped - earlier.frames_deduped,
-            dedup_hash_probes: self.dedup_hash_probes - earlier.dedup_hash_probes,
-            ring_msgs: self.ring_msgs - earlier.ring_msgs,
-            ring_caps_relocated: self.ring_caps_relocated - earlier.ring_caps_relocated,
-            ring_full_stalls: self.ring_full_stalls - earlier.ring_full_stalls,
+/// Declares the counter struct from one list of `/// doc` + `name`
+/// entries. `merge` and `since` are generated as straight-line
+/// field-by-field code (`merge` runs on every machine step).
+macro_rules! op_counters {
+    (
+        $(#[$struct_meta:meta])*
+        pub struct $ty:ident {
+            $( $(#[$field_meta:meta])* $name:ident, )*
         }
+    ) => {
+        $(#[$struct_meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $ty {
+            $( $(#[$field_meta])* pub $name: u64, )*
+        }
+
+        impl $ty {
+            /// Every counter's field name, in declaration order.
+            pub const NAMES: [&'static str; [$(stringify!($name)),*].len()] =
+                [$(stringify!($name)),*];
+
+            /// Adds `other` into `self` field-wise (merging a step's
+            /// counters into the machine totals).
+            pub fn merge(&mut self, other: &$ty) {
+                $( self.$name += other.$name; )*
+            }
+
+            /// Difference `self - earlier`, for measuring a window of
+            /// activity.
+            ///
+            /// # Panics
+            ///
+            /// Panics in debug builds if `earlier` exceeds `self` anywhere
+            /// (counters are monotonic).
+            pub fn since(&self, earlier: &$ty) -> $ty {
+                $ty { $( $name: self.$name - earlier.$name, )* }
+            }
+
+            /// Every counter's value, in [`Self::NAMES`] order.
+            fn values(&self) -> [u64; Self::NAMES.len()] {
+                [$(self.$name),*]
+            }
+
+            /// The counters whose values are `values`, in [`Self::NAMES`]
+            /// order.
+            #[cfg(test)]
+            fn from_values(values: [u64; Self::NAMES.len()]) -> $ty {
+                let [$($name),*] = values;
+                $ty { $($name),* }
+            }
+        }
+    };
+}
+
+op_counters! {
+    /// Counts of primitive operations performed by a simulated kernel.
+    ///
+    /// Where the paper argues about *mechanism* ("CoPA copies only pages the
+    /// child loads capabilities from"), tests assert on these counters rather
+    /// than on simulated time, which makes them robust to cost-model
+    /// recalibration.
+    pub struct OpCounters {
+        /// Pages copied (for any reason).
+        pages_copied,
+        /// Pages copied eagerly during fork (GOT, allocator metadata, full-copy
+        /// strategy).
+        pages_copied_eager,
+        /// Copy-on-write faults resolved.
+        cow_faults,
+        /// Copy-on-access faults resolved.
+        coa_faults,
+        /// Capability-load (CoPA) faults resolved.
+        cap_load_faults,
+        /// User accesses that exhausted the transparent-fault retry budget
+        /// without resolving (a kernel invariant breach; should stay 0).
+        fault_retries_exhausted,
+        /// Fault resolutions that reclaimed the frame in place (refcount was
+        /// already 1, so no copy was needed).
+        pages_reclaimed,
+        /// Capabilities relocated into a child region.
+        caps_relocated,
+        /// Granules scanned for tags (inspected individually).
+        granules_scanned,
+        /// Granules the tag-summary fast path skipped without inspection
+        /// (their tag bit was clear in a bulk tag read).
+        granules_skipped,
+        /// Bulk tag-summary words loaded (`CLoadTags`-style, 64 granules
+        /// per word).
+        tag_words_loaded,
+        /// Source-region lookups performed while relocating capabilities.
+        region_lookups,
+        /// PTEs copied or created.
+        ptes_written,
+        /// System calls executed.
+        syscalls,
+        /// Trap-based kernel entries (monolithic baseline).
+        traps,
+        /// Sealed-capability kernel entries (μFork).
+        sealed_entries,
+        /// Context switches performed.
+        ctx_switches,
+        /// forks completed.
+        forks,
+        /// execs completed.
+        execs,
+        /// Isolation violations detected (and refused).
+        isolation_violations,
+        /// Bytes copied for TOCTTOU protection.
+        tocttou_bytes,
+        /// Fixed-size chunks processed by the parallel fork walk.
+        fork_chunks,
+        /// Frame allocations satisfied by stealing from another shard's pool.
+        alloc_steals,
+        /// Frame allocations satisfied from the recycled-frame pool.
+        frames_recycled,
+        /// Recycled-frame allocations that skipped the zeroing scrub because
+        /// the caller overwrites the whole frame (deferred-zeroing win).
+        zeroing_skipped,
+        /// Forks admitted with a cheaper strategy than requested (admission
+        /// control downgraded Full→CoA→CoPA under memory pressure).
+        forks_degraded,
+        /// Fork transactions rolled back through the journal (failure or
+        /// injected fault at some journal op).
+        fork_rollbacks,
+        /// Side-effect operations recorded in fork journals.
+        journal_ops,
+        /// Reclaim passes run inline on a hot path by the NoMem retry loop
+        /// (recycled pools scrubbed / deferred-zero queues drained while a
+        /// fork or fault waits).
+        reclaim_inline,
+        /// Reclaim batches run by the background reclaim daemon (scheduled
+        /// off the hot path, driven by the pressure watermarks).
+        reclaim_background,
+        /// Frames the background daemon scrubbed into the clean-frame
+        /// magazines.
+        frames_prezeroed,
+        /// `Zeroed`-policy allocations served pre-scrubbed from a clean-frame
+        /// magazine (no inline zeroing charged).
+        magazine_hits,
+        /// μprocesses killed by the OOM last resort so a fork under memory
+        /// exhaustion could be admitted.
+        oom_kills,
+        /// Simulated nanoseconds spent in reclaim backoff between fork
+        /// retries (whole ns; the f64 charge is truncated when accumulated).
+        fork_backoff_ns,
+        /// Background-copy chunks resolved inline by a child fault jumping
+        /// the pipelined fork's copy queue (demand priority).
+        pipeline_chunks_jumped,
+        /// Cumulative bytes a pipelined fork committed with the copy still
+        /// outstanding (deferred pages × page size, summed over forks).
+        pipeline_bytes_behind,
+        /// Pages a dirty-scoped fork classified as dirty and routed through
+        /// the full copy/CoW machinery (`CopyScope::DirtySince` only).
+        pages_dirty_copied,
+        /// Pages a dirty-scoped fork shared as clean: refcount bump plus CoW
+        /// protect, no frame allocation, no tag scan.
+        pages_shared_clean,
+        /// Eagerly-copied pages satisfied from the cross-child frame-dedup
+        /// index instead of a fresh private frame.
+        frames_deduped,
+        /// Dedup index work: content hashes computed plus memcmp
+        /// verifications of probe hits.
+        dedup_hash_probes,
+        /// Messages pushed through shared-memory descriptor rings.
+        ring_msgs,
+        /// Ring endpoint capabilities carried across a fork (sealed caps
+        /// relocated by the register walk, registry ends duplicated).
+        ring_caps_relocated,
+        /// Push attempts that found the ring full (producer stalled).
+        ring_full_stalls,
     }
 }
 
+/// One `name: value` line per counter, in declaration order.
 impl fmt::Display for OpCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "pages copied: {} (eager {}, reclaimed {}), faults: cow {} / coa {} / capload {} \
-             (retries exhausted {})",
-            self.pages_copied,
-            self.pages_copied_eager,
-            self.pages_reclaimed,
-            self.cow_faults,
-            self.coa_faults,
-            self.cap_load_faults,
-            self.fault_retries_exhausted
-        )?;
-        writeln!(
-            f,
-            "caps relocated: {}, granules scanned: {} (skipped {}, tag words {}), \
-             region lookups: {}, ptes written: {}",
-            self.caps_relocated,
-            self.granules_scanned,
-            self.granules_skipped,
-            self.tag_words_loaded,
-            self.region_lookups,
-            self.ptes_written
-        )?;
-        writeln!(
-            f,
-            "syscalls: {} (traps {}, sealed {}), ctx switches: {}, forks: {}, violations: {}",
-            self.syscalls,
-            self.traps,
-            self.sealed_entries,
-            self.ctx_switches,
-            self.forks,
-            self.isolation_violations
-        )?;
-        writeln!(
-            f,
-            "fork chunks: {}, alloc steals: {}, frames recycled: {} (zeroing skipped {})",
-            self.fork_chunks, self.alloc_steals, self.frames_recycled, self.zeroing_skipped
-        )?;
-        writeln!(
-            f,
-            "journal ops: {}, rollbacks: {}, forks degraded: {}, reclaim passes: {} inline / \
-             {} background, backoff: {} ns",
-            self.journal_ops,
-            self.fork_rollbacks,
-            self.forks_degraded,
-            self.reclaim_inline,
-            self.reclaim_background,
-            self.fork_backoff_ns
-        )?;
-        writeln!(
-            f,
-            "survival: frames prezeroed {}, magazine hits {}, oom kills {}",
-            self.frames_prezeroed, self.magazine_hits, self.oom_kills
-        )?;
-        writeln!(
-            f,
-            "pipeline: chunks jumped {}, bytes behind {}",
-            self.pipeline_chunks_jumped, self.pipeline_bytes_behind
-        )?;
-        writeln!(
-            f,
-            "dirty scope: dirty copied {}, shared clean {}; dedup: frames {}, probes {}",
-            self.pages_dirty_copied,
-            self.pages_shared_clean,
-            self.frames_deduped,
-            self.dedup_hash_probes
-        )?;
-        write!(
-            f,
-            "rings: msgs {}, caps relocated {}, full stalls {}",
-            self.ring_msgs, self.ring_caps_relocated, self.ring_full_stalls
-        )
+        for (i, (name, value)) in Self::NAMES.iter().zip(self.values()).enumerate() {
+            if i > 0 {
+                writeln!(f)?;
+            }
+            write!(f, "{name}: {value}")?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
-    fn since_subtracts_fieldwise() {
-        let a = OpCounters {
-            pages_copied: 10,
-            syscalls: 5,
-            ..OpCounters::default()
-        };
-        let mut b = a;
-        b.pages_copied = 25;
-        b.syscalls = 9;
-        b.forks = 1;
-        let d = b.since(&a);
-        assert_eq!(d.pages_copied, 15);
-        assert_eq!(d.syscalls, 4);
-        assert_eq!(d.forks, 1);
-        assert_eq!(d.cow_faults, 0);
-    }
+    fn every_counter_round_trips_through_merge_since_and_display() {
+        let n = OpCounters::NAMES.len();
+        let unique: BTreeSet<_> = OpCounters::NAMES.iter().collect();
+        assert_eq!(unique.len(), n, "duplicate counter name");
+        // Every u64 field is in the table: nothing declared outside it.
+        assert_eq!(n * 8, std::mem::size_of::<OpCounters>());
 
-    #[test]
-    fn reset_zeroes() {
-        let mut a = OpCounters {
-            traps: 3,
-            ..OpCounters::default()
-        };
-        a.reset();
-        assert_eq!(a, OpCounters::default());
-    }
-
-    #[test]
-    fn fork_parallel_family_round_trips() {
-        let a = OpCounters {
-            fork_chunks: 4,
-            alloc_steals: 1,
-            frames_recycled: 7,
-            zeroing_skipped: 6,
-            ..OpCounters::default()
-        };
+        // Distinct, nonzero value per counter.
+        let values: [u64; OpCounters::NAMES.len()] = std::array::from_fn(|i| 1000 + 7 * i as u64);
+        let a = OpCounters::from_values(values);
         let mut total = OpCounters::default();
         total.merge(&a);
         total.merge(&a);
-        assert_eq!(total.fork_chunks, 8);
-        assert_eq!(total.alloc_steals, 2);
-        assert_eq!(total.frames_recycled, 14);
-        assert_eq!(total.zeroing_skipped, 12);
-        let d = total.since(&a);
-        assert_eq!(d, a);
-        let s = total.to_string();
-        assert!(s.contains("fork chunks: 8"));
-        assert!(s.contains("frames recycled: 14"));
-    }
-
-    #[test]
-    fn fault_path_family_round_trips() {
-        let a = OpCounters {
-            pages_reclaimed: 3,
-            fault_retries_exhausted: 1,
-            ..OpCounters::default()
-        };
-        let mut total = OpCounters::default();
-        total.merge(&a);
-        total.merge(&a);
-        assert_eq!(total.pages_reclaimed, 6);
-        assert_eq!(total.fault_retries_exhausted, 2);
+        assert_eq!(total.values(), values.map(|v| 2 * v));
         assert_eq!(total.since(&a), a);
-        let s = total.to_string();
-        assert!(s.contains("reclaimed 6"));
-        assert!(s.contains("retries exhausted 2"));
+        assert_eq!(total.since(&total), OpCounters::default());
+
+        let shown = total.to_string();
+        let lines: Vec<&str> = shown.lines().collect();
+        assert_eq!(lines.len(), n);
+        for (name, value) in OpCounters::NAMES.iter().zip(total.values()) {
+            let line = format!("{name}: {value}");
+            assert!(lines.contains(&line.as_str()), "Display lacks `{line}`");
+        }
     }
 
+    /// The counter table in `docs/OBSERVABILITY.md` lists exactly the
+    /// declared counters, in declaration order.
     #[test]
-    fn journal_family_round_trips() {
-        let a = OpCounters {
-            forks_degraded: 2,
-            fork_rollbacks: 3,
-            journal_ops: 120,
-            reclaim_inline: 4,
-            reclaim_background: 9,
-            fork_backoff_ns: 10_000,
-            ..OpCounters::default()
-        };
-        let mut total = OpCounters::default();
-        total.merge(&a);
-        total.merge(&a);
-        assert_eq!(total.forks_degraded, 4);
-        assert_eq!(total.fork_rollbacks, 6);
-        assert_eq!(total.journal_ops, 240);
-        assert_eq!(total.reclaim_inline, 8);
-        assert_eq!(total.reclaim_background, 18);
-        assert_eq!(total.fork_backoff_ns, 20_000);
-        assert_eq!(total.since(&a), a);
-        let s = total.to_string();
-        assert!(s.contains("journal ops: 240"));
-        assert!(s.contains("rollbacks: 6"));
-        assert!(s.contains("forks degraded: 4"));
-        assert!(s.contains("reclaim passes: 8 inline / 18 background"));
-    }
-
-    #[test]
-    fn survival_family_round_trips() {
-        let a = OpCounters {
-            frames_prezeroed: 40,
-            magazine_hits: 33,
-            oom_kills: 2,
-            ..OpCounters::default()
-        };
-        let mut total = OpCounters::default();
-        total.merge(&a);
-        total.merge(&a);
-        assert_eq!(total.frames_prezeroed, 80);
-        assert_eq!(total.magazine_hits, 66);
-        assert_eq!(total.oom_kills, 4);
-        assert_eq!(total.since(&a), a);
-        let s = total.to_string();
-        assert!(s.contains("frames prezeroed 80"));
-        assert!(s.contains("magazine hits 66"));
-        assert!(s.contains("oom kills 4"));
-    }
-
-    #[test]
-    fn pipeline_family_round_trips() {
-        let a = OpCounters {
-            pipeline_chunks_jumped: 3,
-            pipeline_bytes_behind: 1 << 20,
-            ..OpCounters::default()
-        };
-        let mut total = OpCounters::default();
-        total.merge(&a);
-        total.merge(&a);
-        assert_eq!(total.pipeline_chunks_jumped, 6);
-        assert_eq!(total.pipeline_bytes_behind, 2 << 20);
-        assert_eq!(total.since(&a), a);
-        let s = total.to_string();
-        assert!(s.contains("chunks jumped 6"));
-        assert!(s.contains("bytes behind 2097152"));
-    }
-
-    #[test]
-    fn dirty_scope_family_round_trips() {
-        let a = OpCounters {
-            pages_dirty_copied: 12,
-            pages_shared_clean: 228,
-            frames_deduped: 5,
-            dedup_hash_probes: 17,
-            ..OpCounters::default()
-        };
-        let mut total = OpCounters::default();
-        total.merge(&a);
-        total.merge(&a);
-        assert_eq!(total.pages_dirty_copied, 24);
-        assert_eq!(total.pages_shared_clean, 456);
-        assert_eq!(total.frames_deduped, 10);
-        assert_eq!(total.dedup_hash_probes, 34);
-        assert_eq!(total.since(&a), a);
-        let s = total.to_string();
-        assert!(s.contains("dirty copied 24"));
-        assert!(s.contains("shared clean 456"));
-        assert!(s.contains("dedup: frames 10"));
-        assert!(s.contains("probes 34"));
-    }
-
-    #[test]
-    fn ring_family_round_trips() {
-        let a = OpCounters {
-            ring_msgs: 1000,
-            ring_caps_relocated: 12,
-            ring_full_stalls: 3,
-            ..OpCounters::default()
-        };
-        let mut total = OpCounters::default();
-        total.merge(&a);
-        total.merge(&a);
-        assert_eq!(total.ring_msgs, 2000);
-        assert_eq!(total.ring_caps_relocated, 24);
-        assert_eq!(total.ring_full_stalls, 6);
-        assert_eq!(total.since(&a), a);
-        let s = total.to_string();
-        assert!(s.contains("rings: msgs 2000"));
-        assert!(s.contains("caps relocated 24"));
-        assert!(s.contains("full stalls 6"));
-    }
-
-    #[test]
-    fn display_mentions_key_fields() {
-        let a = OpCounters {
-            caps_relocated: 42,
-            ..OpCounters::default()
-        };
-        let s = a.to_string();
-        assert!(s.contains("caps relocated: 42"));
+    fn observability_doc_table_matches_names() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let documented: Vec<&str> = doc
+            .lines()
+            .skip_while(|l| !l.starts_with("| Counter | Meaning |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.split('|').nth(1).unwrap_or("").trim().trim_matches('`'))
+            .collect();
+        assert_eq!(documented, OpCounters::NAMES);
     }
 }

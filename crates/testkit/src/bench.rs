@@ -1,7 +1,7 @@
 //! A minimal wall-clock bench runner replacing `criterion` offline.
 //!
 //! The repository's benches already use `harness = false`, so each bench
-//! target is a plain `main()` that calls [`bench`] / [`bench_with_setup`].
+//! target is a plain `main()` that calls [`bench()`] / [`bench_with_setup`].
 //! Output is one line per benchmark: median ns/iter over `BENCH_SAMPLES`
 //! samples (default 20) of `BENCH_ITERS` iterations each (default
 //! auto-scaled to ~2 ms per sample). No statistics beyond the median —

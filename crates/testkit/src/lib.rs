@@ -8,7 +8,7 @@
 //! * [`Rng`] — a SplitMix64 pseudo-random generator. Identical sequences
 //!   on every platform for a given seed, which is exactly what a
 //!   *replayable* differential oracle needs (`ORACLE_SEED`).
-//! * [`forall`] / [`Prop`] — a miniature property-test harness: run a
+//! * [`forall`] / [`PropConfig`] — a miniature property-test harness: run a
 //!   property over `cases` generated inputs, and on failure greedily
 //!   *shrink* the failing input before reporting, printing the seed that
 //!   reproduces it.
