@@ -23,6 +23,12 @@
 //! Both strategies produce byte- and tag-identical frames; they differ
 //! only in cost (simulated *and* host-side). The `naive` mode is kept as
 //! an ablation so the benchmark harness can show both cost curves.
+//!
+//! Under the fast path the fix-ups themselves are one in-place pass over
+//! the frame's rank-indexed capability array ([`Frame::rewrite_caps`]):
+//! rebased capabilities overwrite their slots and cleared ones are
+//! compacted away as the pass goes, so relocating a page allocates
+//! nothing. The naive sweep applies each fix-up as it meets the granule.
 
 use std::cell::Cell;
 
@@ -196,20 +202,24 @@ pub fn relocate_frame_in(
     mode: ScanMode,
 ) -> RelocStats {
     let mut stats = RelocStats::default();
-    // Collect the tagged granules first to keep the borrow simple; pages
-    // hold at most 256. The two modes genuinely differ in how they find
-    // them — this is what the host-side bench measures.
-    let caps: Vec<(u64, Capability)> = match mode {
+    // The two modes genuinely differ in how they find the tagged
+    // granules — this is what the host-side bench measures.
+    match mode {
         ScanMode::Naive => {
             // The paper's sweep, performed for real: inspect every
             // granule's tag individually.
             stats.granules_scanned = GRANULES_PER_PAGE;
-            (0..GRANULES_PER_PAGE)
-                .filter_map(|g| {
-                    let off = g * ufork_mem::GRANULE_SIZE;
-                    f.load_cap(off).map(|c| (off, c))
-                })
-                .collect()
+            for g in 0..GRANULES_PER_PAGE {
+                let off = g * ufork_mem::GRANULE_SIZE;
+                let Some(cap) = f.load_cap(off) else {
+                    continue;
+                };
+                match fix_up(&cap, child, child_root, source_of, &mut stats) {
+                    Some(new_cap) if new_cap != cap => f.store_cap(off, &new_cap),
+                    Some(_) => {}
+                    None => f.clear_tag(off),
+                }
+            }
         }
         ScanMode::TagSummary => {
             // Four CLoadTags-style bulk reads fetch the whole page's tag
@@ -222,32 +232,36 @@ pub fn relocate_frame_in(
             if tagged == 0 {
                 return stats; // untagged page: nothing to relocate
             }
-            f.tagged_granules().collect()
-        }
-    };
-    for (off, cap) in caps {
-        if cap.confined_to(child.base.0, child.len) {
-            continue; // already points into the child
-        }
-        let Some(src) = source_of(cap.base()) else {
-            // Unknown target (kernel or dead region): clear the tag.
-            f.clear_tag(off);
-            stats.cleared += 1;
-            continue;
-        };
-        let delta = child.base.0 as i64 - src.base.0 as i64;
-        match cap.rebase(delta, child_root) {
-            Ok(new_cap) => {
-                f.replace_cap(off, &new_cap);
-                stats.relocated += 1;
-            }
-            Err(_) => {
-                f.clear_tag(off);
-                stats.cleared += 1;
-            }
+            f.rewrite_caps(|_, cap| fix_up(cap, child, child_root, source_of, &mut stats));
         }
     }
     stats
+}
+
+/// What relocation leaves in a granule holding `cap`: `cap` itself if it
+/// already points into `child`, the rebased capability if its source
+/// region is known and the rebase succeeds, or `None` (tag cleared).
+fn fix_up(
+    cap: &Capability,
+    child: Region,
+    child_root: &Capability,
+    source_of: &dyn Fn(u64) -> Option<Region>,
+    stats: &mut RelocStats,
+) -> Option<Capability> {
+    if cap.confined_to(child.base.0, child.len) {
+        return Some(*cap); // already points into the child
+    }
+    // Unknown target (kernel or dead region), or a failed rebase: clear
+    // the tag.
+    let rebased = source_of(cap.base()).and_then(|src| {
+        cap.rebase(child.base.0 as i64 - src.base.0 as i64, child_root)
+            .ok()
+    });
+    match rebased {
+        Some(_) => stats.relocated += 1,
+        None => stats.cleared += 1,
+    }
+    rebased
 }
 
 /// Simulated cost of a relocation pass with the given statistics.

@@ -47,21 +47,44 @@ enum Target {
     Unknown,
 }
 
+fn gen_target(rng: &mut Rng) -> Target {
+    match rng.below(4) {
+        0 => Target::Parent,
+        1 => Target::Ancestor,
+        2 => Target::Child,
+        _ => Target::Unknown,
+    }
+}
+
+fn gen_plant(rng: &mut Rng, granule: u8) -> Plant {
+    Plant {
+        granule,
+        target: gen_target(rng),
+        offset: (rng.next_u64() % 0x4000) as u16,
+        len: rng.range(1, 128) as u8,
+    }
+}
+
+/// A quarter of the pages are completely full, where the in-place
+/// compaction of cleared capabilities has the most to move; the rest are
+/// sparse (under 24 plants) or dense (up to 256 plants at random
+/// granules), half each.
 fn gen_case(rng: &mut Rng) -> (Vec<Plant>, Vec<(u16, u8)>) {
-    let caps = rng.below(24) as usize;
-    let plants = (0..caps)
-        .map(|_| Plant {
-            granule: rng.next_u64() as u8,
-            target: match rng.below(4) {
-                0 => Target::Parent,
-                1 => Target::Ancestor,
-                2 => Target::Child,
-                _ => Target::Unknown,
-            },
-            offset: (rng.next_u64() % 0x4000) as u16,
-            len: rng.range(1, 128) as u8,
-        })
-        .collect();
+    let plants = if rng.chance(1, 4) {
+        (0..=255).map(|g| gen_plant(rng, g)).collect()
+    } else {
+        let n = if rng.bool() {
+            rng.below(24)
+        } else {
+            rng.range(24, 257)
+        };
+        (0..n)
+            .map(|_| {
+                let g = rng.next_u64() as u8;
+                gen_plant(rng, g)
+            })
+            .collect()
+    };
     let writes = rng.below(8) as usize;
     let writes = (0..writes)
         .map(|_| {
@@ -116,56 +139,82 @@ fn naive_and_tag_summary_scans_are_observationally_identical() {
                 .map(|plants| (plants, case.1.clone()))
                 .collect()
         },
-        |(plants, writes)| {
-            let mut pm = PhysMem::new(4);
-            let a = pm.alloc_frame().unwrap();
-            let b = pm.alloc_frame().unwrap();
-            populate(&mut pm, a, plants, writes);
-            pm.copy_frame(a, b).unwrap();
-
-            let root = Capability::new_root(CHILD.base.0, CHILD.len, Perms::data());
-            let s_naive = relocate_frame(&mut pm, a, CHILD, &root, &source_of, ScanMode::Naive);
-            let s_fast = relocate_frame(&mut pm, b, CHILD, &root, &source_of, ScanMode::TagSummary);
-
-            if s_naive.relocated != s_fast.relocated || s_naive.cleared != s_fast.cleared {
-                return Err(format!(
-                    "fix-up counts diverged: naive {s_naive:?}, fast {s_fast:?}"
-                ));
-            }
-            // The modes must *search* differently…
-            if s_naive.granules_scanned != GRANULES_PER_PAGE || s_naive.tag_words_loaded != 0 {
-                return Err(format!(
-                    "naive sweep did not inspect every granule: {s_naive:?}"
-                ));
-            }
-            if s_fast.granules_scanned + s_fast.granules_skipped != GRANULES_PER_PAGE {
-                return Err(format!("fast path lost granules: {s_fast:?}"));
-            }
-            // …but land on identical frames.
-            let fa = pm.frame(a).unwrap();
-            let fb = pm.frame(b).unwrap();
-            if fa.data() != fb.data() {
-                return Err("frame bytes diverged".into());
-            }
-            if fa.tag_words() != fb.tag_words() {
-                return Err(format!(
-                    "tag bitmaps diverged: {:?} vs {:?}",
-                    fa.tag_words(),
-                    fb.tag_words()
-                ));
-            }
-            let ca: Vec<_> = fa.tagged_granules().collect();
-            let cb: Vec<_> = fb.tagged_granules().collect();
-            if ca != cb {
-                return Err(format!("capability maps diverged: {ca:?} vs {cb:?}"));
-            }
-            // Every surviving capability must be confined to the child.
-            for (off, cap) in &ca {
-                if !cap.confined_to(CHILD.base.0, CHILD.len) {
-                    return Err(format!("cap at offset {off} escapes the child: {cap:?}"));
-                }
-            }
-            Ok(())
-        },
+        |(plants, writes)| differential(plants, writes),
     );
+}
+
+/// Relocates two copies of one populated frame, one per scan mode, and
+/// checks that they land on identical frames with identical fix-up counts.
+fn differential(plants: &[Plant], writes: &[(u16, u8)]) -> Result<(), String> {
+    let mut pm = PhysMem::new(4);
+    let a = pm.alloc_frame().unwrap();
+    let b = pm.alloc_frame().unwrap();
+    populate(&mut pm, a, plants, writes);
+    pm.copy_frame(a, b).unwrap();
+
+    let root = Capability::new_root(CHILD.base.0, CHILD.len, Perms::data());
+    let s_naive = relocate_frame(&mut pm, a, CHILD, &root, &source_of, ScanMode::Naive);
+    let s_fast = relocate_frame(&mut pm, b, CHILD, &root, &source_of, ScanMode::TagSummary);
+
+    if s_naive.relocated != s_fast.relocated || s_naive.cleared != s_fast.cleared {
+        return Err(format!(
+            "fix-up counts diverged: naive {s_naive:?}, fast {s_fast:?}"
+        ));
+    }
+    // The modes must *search* differently…
+    if s_naive.granules_scanned != GRANULES_PER_PAGE || s_naive.tag_words_loaded != 0 {
+        return Err(format!(
+            "naive sweep did not inspect every granule: {s_naive:?}"
+        ));
+    }
+    if s_fast.granules_scanned + s_fast.granules_skipped != GRANULES_PER_PAGE {
+        return Err(format!("fast path lost granules: {s_fast:?}"));
+    }
+    // …but land on identical frames.
+    let fa = pm.frame(a).unwrap();
+    let fb = pm.frame(b).unwrap();
+    if fa.data() != fb.data() {
+        return Err("frame bytes diverged".into());
+    }
+    if fa.tag_words() != fb.tag_words() {
+        return Err(format!(
+            "tag bitmaps diverged: {:?} vs {:?}",
+            fa.tag_words(),
+            fb.tag_words()
+        ));
+    }
+    let ca: Vec<_> = fa.tagged_granules().collect();
+    let cb: Vec<_> = fb.tagged_granules().collect();
+    if ca != cb {
+        return Err(format!("capability maps diverged: {ca:?} vs {cb:?}"));
+    }
+    // Every surviving capability must be confined to the child.
+    for (off, cap) in &ca {
+        if !cap.confined_to(CHILD.base.0, CHILD.len) {
+            return Err(format!("cap at offset {off} escapes the child: {cap:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// A full page — every granule tagged, the four target kinds rotating so
+/// each tag word holds parents, ancestors, children and unknowns side by
+/// side — relocates identically under both scans.
+#[test]
+fn full_page_of_mixed_targets_relocates_identically() {
+    let targets = [
+        Target::Parent,
+        Target::Ancestor,
+        Target::Child,
+        Target::Unknown,
+    ];
+    let plants: Vec<Plant> = (0..=255u8)
+        .map(|g| Plant {
+            granule: g,
+            target: targets[usize::from(g) % 4],
+            offset: u16::from(g) * 0x20,
+            len: 0x10 + g % 64,
+        })
+        .collect();
+    differential(&plants, &[]).unwrap();
 }

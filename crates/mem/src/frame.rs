@@ -1,6 +1,5 @@
 //! Physical frames with per-granule capability tags.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use ufork_cheri::Capability;
@@ -40,20 +39,34 @@ impl fmt::Debug for Pfn {
 
 /// A 4 KiB physical frame: data bytes plus out-of-band capability granules.
 ///
-/// The sparse `caps` map plays the role of the hardware tag storage: a
-/// granule index present in the map *is* a set tag, and the stored
-/// [`Capability`] is the value the tag protects. Absent index ⇒ tag clear ⇒
-/// the 16 bytes are plain data.
+/// A 256-bit **tag bitmap** (`tags`, one bit per 16-byte granule) is the
+/// hardware tag storage: bit `g % 64` of word `g / 64` set ⇔ granule `g`
+/// holds a valid capability; clear ⇒ the 16 bytes are plain data. It is
+/// also the tag summary a Morello `CLoadTags` instruction exposes — 64
+/// granule tags per bulk read — which lets the relocation scan skip
+/// untagged pages in O(1) and jump straight to the set bits.
 ///
-/// A 256-bit **tag-occupancy bitmap** (`tags`, one bit per granule) mirrors
-/// the map. It models the tag summary a Morello `CLoadTags` instruction
-/// exposes — 64 granule tags per bulk read — and lets the relocation scan
-/// skip untagged pages in O(1) and jump directly to set bits on sparse
-/// pages instead of sweeping all 256 granules.
+/// The capabilities the tags protect live in `caps`, a dense array in
+/// granule order: tagged granule `g`'s capability is at index `rank(g)`,
+/// the number of tag bits set below `g`. The bitmap alone decides which
+/// granules are tagged, so `caps.len()` always equals its popcount.
 pub struct Frame {
     data: Box<[u8]>,
-    caps: BTreeMap<u16, Capability>,
+    caps: Vec<Capability>,
     tags: [u64; TAG_WORDS_PER_PAGE],
+}
+
+/// Indices of the set bits of a tag bitmap, ascending.
+fn set_bits(tags: [u64; TAG_WORDS_PER_PAGE]) -> impl Iterator<Item = u64> {
+    tags.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                w as u64 * GRANULES_PER_TAG_WORD + u64::from(b)
+            })
+        })
+    })
 }
 
 impl Frame {
@@ -61,7 +74,7 @@ impl Frame {
     pub fn zeroed() -> Frame {
         Frame {
             data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
-            caps: BTreeMap::new(),
+            caps: Vec::new(),
             tags: [0; TAG_WORDS_PER_PAGE],
         }
     }
@@ -77,7 +90,7 @@ impl Frame {
     pub fn detached() -> Frame {
         Frame {
             data: Vec::new().into_boxed_slice(),
-            caps: BTreeMap::new(),
+            caps: Vec::new(),
             tags: [0; TAG_WORDS_PER_PAGE],
         }
     }
@@ -92,18 +105,25 @@ impl Frame {
     /// allocation-time scrub of a recycled frame).
     pub fn zero(&mut self) {
         self.data.fill(0);
-        self.caps.clear();
+        // Release the storage too: a recycled frame should not pin the
+        // capacity its previous owner's capabilities needed.
+        self.caps = Vec::new();
         self.tags = [0; TAG_WORDS_PER_PAGE];
     }
 
     #[inline]
-    fn set_tag_bit(&mut self, granule: u16) {
-        self.tags[granule as usize / 64] |= 1u64 << (granule % 64);
+    fn is_tagged(&self, granule: usize) -> bool {
+        self.tags[granule / 64] >> (granule % 64) & 1 == 1
     }
 
+    /// Index in `caps` of granule `granule`'s capability: the number of
+    /// tagged granules below it.
     #[inline]
-    fn clear_tag_bit(&mut self, granule: u16) {
-        self.tags[granule as usize / 64] &= !(1u64 << (granule % 64));
+    fn rank(&self, granule: usize) -> usize {
+        let w = granule / 64;
+        let below: u32 = self.tags[..w].iter().map(|t| t.count_ones()).sum();
+        let mask = (1u64 << (granule % 64)) - 1;
+        (below + (self.tags[w] & mask).count_ones()) as usize
     }
 
     /// Read-only view of the frame's data bytes.
@@ -127,10 +147,10 @@ impl Frame {
     /// Writes `buf` at `offset`, clearing the tags of every granule the
     /// write overlaps.
     ///
-    /// The tag clear works word-at-a-time on the occupancy bitmap; the
-    /// (much slower) capability map is only consulted for words whose bits
-    /// show a tag actually set in the overlapped range, so the common case
-    /// of writing plain data to an untagged region never touches the map.
+    /// The tag clear works word-at-a-time on the bitmap. The overlapped
+    /// granules are contiguous, so their capabilities are one contiguous
+    /// run of `caps`, drained in one go; writing plain data to an untagged
+    /// range never touches the array.
     pub fn write(&mut self, offset: u64, buf: &[u8]) {
         let o = offset as usize;
         self.data[o..o + buf.len()].copy_from_slice(buf);
@@ -139,7 +159,7 @@ impl Frame {
         }
         let first = offset / GRANULE_SIZE;
         let last = (offset + buf.len() as u64 - 1) / GRANULE_SIZE;
-        let mut any_tagged = false;
+        let mut removed = 0;
         for w in (first / 64) as usize..=(last / 64) as usize {
             let lo = if w as u64 == first / 64 {
                 first % 64
@@ -148,29 +168,37 @@ impl Frame {
             };
             let hi = if w as u64 == last / 64 { last % 64 } else { 63 };
             let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
-            if self.tags[w] & mask != 0 {
-                any_tagged = true;
-                self.tags[w] &= !mask;
-            }
+            removed += (self.tags[w] & mask).count_ones() as usize;
+            self.tags[w] &= !mask;
         }
-        if any_tagged {
-            for g in first..=last {
-                self.caps.remove(&(g as u16));
-            }
+        if removed > 0 {
+            let at = self.rank(first as usize);
+            self.caps.drain(at..at + removed);
         }
     }
 
-    /// Stores a capability at a granule-aligned `offset`, setting its tag.
+    /// Stores a capability at a granule-aligned `offset`, setting its tag
+    /// (or overwriting the capability already there).
     ///
     /// The granule's data bytes are set to the capability's data view so
     /// that subsequent untagged reads see the cursor value.
     pub fn store_cap(&mut self, offset: u64, cap: &Capability) {
         debug_assert_eq!(offset % GRANULE_SIZE, 0);
+        self.write_cap_bytes(offset, cap);
+        let g = (offset / GRANULE_SIZE) as usize;
+        let at = self.rank(g);
+        if self.is_tagged(g) {
+            self.caps[at] = *cap;
+        } else {
+            self.caps.insert(at, *cap);
+            self.tags[g / 64] |= 1u64 << (g % 64);
+        }
+    }
+
+    #[inline]
+    fn write_cap_bytes(&mut self, offset: u64, cap: &Capability) {
         let o = offset as usize;
         self.data[o..o + GRANULE_SIZE as usize].copy_from_slice(&cap.to_bytes());
-        let g = (offset / GRANULE_SIZE) as u16;
-        self.caps.insert(g, *cap);
-        self.set_tag_bit(g);
     }
 
     /// Loads the capability at granule-aligned `offset`.
@@ -180,14 +208,17 @@ impl Frame {
     #[inline]
     pub fn load_cap(&self, offset: u64) -> Option<Capability> {
         debug_assert_eq!(offset % GRANULE_SIZE, 0);
-        self.caps.get(&((offset / GRANULE_SIZE) as u16)).copied()
+        let g = (offset / GRANULE_SIZE) as usize;
+        self.is_tagged(g).then(|| self.caps[self.rank(g)])
     }
 
     /// Clears the tag (if any) of the granule at `offset`.
     pub fn clear_tag(&mut self, offset: u64) {
-        let g = (offset / GRANULE_SIZE) as u16;
-        self.caps.remove(&g);
-        self.clear_tag_bit(g);
+        let g = (offset / GRANULE_SIZE) as usize;
+        if self.is_tagged(g) {
+            self.caps.remove(self.rank(g));
+            self.tags[g / 64] &= !(1u64 << (g % 64));
+        }
     }
 
     /// Returns true if any granule in the frame holds a valid capability.
@@ -216,33 +247,51 @@ impl Frame {
     /// increments" (paper §4.2); the iteration visits granules in address
     /// order, exactly like the sequential hardware scan.
     pub fn tagged_granules(&self) -> impl Iterator<Item = (u64, Capability)> + '_ {
-        self.caps
-            .iter()
-            .map(|(g, c)| (u64::from(*g) * GRANULE_SIZE, *c))
+        set_bits(self.tags)
+            .zip(&self.caps)
+            .map(|(g, c)| (g * GRANULE_SIZE, *c))
     }
 
-    /// Replaces the capability at an already-tagged granule.
+    /// Rewrites every tagged granule in address order, in place.
     ///
-    /// Used by relocation to swap a stale parent capability for the rebased
-    /// child one without touching neighbouring data.
-    pub fn replace_cap(&mut self, offset: u64, cap: &Capability) {
-        self.store_cap(offset, cap);
+    /// `f` gets each granule's byte offset and capability and returns what
+    /// the granule holds afterwards: `Some(cap)` keeps it tagged (its data
+    /// bytes are rewritten only if `cap` differs from the old value),
+    /// `None` clears its tag and leaves its bytes as plain data. Kept
+    /// capabilities are compacted over cleared ones in the same pass, so
+    /// the whole rewrite allocates nothing. This is relocation's fix-up
+    /// loop (paper §4.2).
+    pub fn rewrite_caps(&mut self, mut f: impl FnMut(u64, &Capability) -> Option<Capability>) {
+        let mut kept = 0;
+        for (i, g) in set_bits(self.tags).enumerate() {
+            let old = self.caps[i];
+            let offset = g * GRANULE_SIZE;
+            match f(offset, &old) {
+                Some(cap) => {
+                    if cap != old {
+                        self.write_cap_bytes(offset, &cap);
+                    }
+                    self.caps[kept] = cap;
+                    kept += 1;
+                }
+                None => self.tags[g as usize / 64] &= !(1u64 << (g % 64)),
+            }
+        }
+        self.caps.truncate(kept);
     }
 
-    /// Deep-copies another frame's data and tags into this one.
+    /// Deep-copies another frame's data and tags into this one, reusing
+    /// this frame's capability storage.
     pub fn copy_from(&mut self, other: &Frame) {
         self.data.copy_from_slice(&other.data);
-        self.caps = other.caps.clone();
+        self.caps.clone_from(&other.caps);
         self.tags = other.tags;
     }
 
-    /// Test/audit invariant: the bitmap and the capability map agree.
+    /// Test/audit invariant: the capability array holds exactly one entry
+    /// per tag bit.
     pub fn check_tag_invariant(&self) -> bool {
-        let mut shadow = [0u64; TAG_WORDS_PER_PAGE];
-        for g in self.caps.keys() {
-            shadow[*g as usize / 64] |= 1u64 << (*g % 64);
-        }
-        shadow == self.tags
+        self.caps.len() == self.cap_count()
     }
 }
 
@@ -404,6 +453,59 @@ mod tests {
         assert_eq!(f.load_cap(64 * GRANULE_SIZE), None);
         assert_eq!(f.load_cap(200 * GRANULE_SIZE), Some(cap(0xc000)));
         assert!(f.check_tag_invariant());
+    }
+
+    #[test]
+    fn store_over_tagged_granule_overwrites_in_place() {
+        let mut f = Frame::zeroed();
+        f.store_cap(0, &cap(0xa000));
+        f.store_cap(32, &cap(0xb000));
+        f.store_cap(64, &cap(0xc000));
+        f.store_cap(32, &cap(0xbbbb));
+        assert_eq!(f.cap_count(), 3);
+        assert!(f.check_tag_invariant());
+        let caps: Vec<_> = f.tagged_granules().collect();
+        assert_eq!(
+            caps,
+            vec![(0, cap(0xa000)), (32, cap(0xbbbb)), (64, cap(0xc000))]
+        );
+    }
+
+    #[test]
+    fn rewrite_caps_replaces_and_compacts_in_address_order() {
+        let mut f = Frame::zeroed();
+        // One granule in each tag word, plus a neighbour in word 0.
+        for g in [1u64, 2, 70, 140, 255] {
+            f.store_cap(g * GRANULE_SIZE, &cap(0x1000 * g));
+        }
+        let mut seen = Vec::new();
+        f.rewrite_caps(|off, c| {
+            seen.push(off);
+            match off / GRANULE_SIZE {
+                2 | 140 => None,
+                70 => Some(cap(0x7777)),
+                _ => Some(*c),
+            }
+        });
+        assert_eq!(seen, [1, 2, 70, 140, 255].map(|g| g * GRANULE_SIZE));
+        assert!(f.check_tag_invariant());
+        let caps: Vec<_> = f.tagged_granules().collect();
+        assert_eq!(
+            caps,
+            vec![
+                (GRANULE_SIZE, cap(0x1000)),
+                (70 * GRANULE_SIZE, cap(0x7777)),
+                (255 * GRANULE_SIZE, cap(0xff000)),
+            ]
+        );
+        // The replaced granule's bytes show the new cursor; the cleared
+        // one keeps its old bytes as plain data.
+        let mut out = [0u8; 8];
+        f.read(70 * GRANULE_SIZE, &mut out);
+        assert_eq!(u64::from_le_bytes(out), 0x7777);
+        f.read(2 * GRANULE_SIZE, &mut out);
+        assert_eq!(u64::from_le_bytes(out), 0x2000);
+        assert_eq!(f.load_cap(2 * GRANULE_SIZE), None);
     }
 
     #[test]
