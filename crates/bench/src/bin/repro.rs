@@ -3,29 +3,48 @@
 //! Usage:
 //!
 //! ```text
-//! repro [table1|fig3|...|fig9|ablations|scaling|pressure|storm|ring|trace|all] [--quick]
+//! repro [table1|fig3|...|fig9|ablations|scaling|snapshot|pressure|storm|ring|trace|bench-json|all] [--quick]
 //! ```
 //!
 //! `--quick` shrinks iteration counts / windows (CI-friendly); the default
 //! runs the paper's parameters. All times are *simulated* (see DESIGN.md).
+//! An unknown subcommand or flag prints the usage and exits with status 2.
 //!
-//! `trace` is not part of `all`: besides printing the per-phase fork
-//! breakdown it writes `TRACE_fork.json` at the repo root and rewrites the
-//! marker-delimited trace section of `EXPERIMENTS.md`.
+//! `trace` and `bench-json` are not part of `all`. `trace` prints the
+//! per-phase fork breakdown, writes `TRACE_fork.json` at the repo root and
+//! rewrites the marker-delimited trace section of `EXPERIMENTS.md`.
+//! `bench-json` runs every bench family at full scale, with its gates,
+//! and writes `BENCH_fork.json` at the repo root.
 
 use std::env;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process;
 
 use ufork_bench::report::{num, render_table, size_label};
 use ufork_bench::{
     ablation_aslr, ablation_eager_vs_lazy, ablation_fork_vs_exec, ablation_isolation_sweep,
-    ablation_naive_scan, fig6, fig7, fig8, fig9, fork_frontier_sweep, fork_scaling_sweep,
-    pressure_storm, pressure_sweep, redis_sweep, ring_fork_sweep, ring_service_sweep,
-    snapshot_train_sweep, storm_sweep, table1, trace_chrome_json, trace_fork_runs,
-    trace_summary_text, zygote_fleet_sweep, AblationRow, RedisRow, PRESSURE_P99_LIMIT,
-    PRESSURE_SEED, STORM_CORES, STORM_SEED,
+    ablation_naive_scan, bench_fork_json, fig6, fig7, fig8, fig9, fork_frontier_sweep,
+    fork_scaling_sweep, pressure_storm, pressure_sweep, redis_sweep, ring_fork_sweep,
+    ring_service_sweep, snapshot_train_sweep, storm_sweep, table1, trace_chrome_json,
+    trace_fork_runs, trace_summary_text, zygote_fleet_sweep, AblationRow, RedisRow,
+    PRESSURE_CHILDREN, PRESSURE_P99_LIMIT, PRESSURE_SEED, STORM_CHILDREN, STORM_CORES, STORM_SEED,
 };
+
+/// Every subcommand `repro` accepts, as the usage line spells them.
+const SUBCOMMANDS: &str = "table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablations|scaling|snapshot|\
+                           pressure|storm|ring|trace|bench-json|all";
+
+/// Prints `msg` and the usage line to stderr, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}\nusage: repro [{SUBCOMMANDS}] [--quick]");
+    process::exit(2)
+}
+
+/// The repository root, where the generated artifacts live.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
 
 fn print_ablation(title: &str, rows: &[AblationRow]) {
     println!("== Ablation: {title} ==");
@@ -141,21 +160,40 @@ fn run_trace() {
     let summary = trace_summary_text(&runs);
     print!("{summary}");
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let json_path = root.join("TRACE_fork.json");
     fs::write(&json_path, trace_chrome_json(&runs)).expect("write TRACE_fork.json");
     println!("wrote {}", json_path.display());
     update_experiments(&root.join("EXPERIMENTS.md"), &summary);
 }
 
+/// `repro bench-json`: regenerates `BENCH_fork.json` at the repo root.
+fn run_bench_json() {
+    let path = repo_root().join("BENCH_fork.json");
+    fs::write(&path, bench_fork_json()).expect("write BENCH_fork.json");
+    println!("wrote {}", path.display());
+}
+
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let mut quick = false;
+    let mut what: Option<String> = None;
+    for arg in env::args().skip(1) {
+        if arg == "--quick" {
+            quick = true;
+        } else if what.is_none() && SUBCOMMANDS.split('|').any(|s| s == arg) {
+            what = Some(arg);
+        } else {
+            usage_error(&format!("unexpected argument `{arg}`"));
+        }
+    }
+    let what = what.unwrap_or_else(|| "all".to_string());
+    if what == "bench-json" {
+        if quick {
+            usage_error("bench-json always runs at full scale; drop --quick");
+        }
+        run_bench_json();
+        return;
+    }
 
     let mut redis_cache: Option<Vec<RedisRow>> = None;
     let mut redis = |quick: bool| -> Vec<RedisRow> {
@@ -421,7 +459,7 @@ fn main() {
                 &body
             )
         );
-        let children = if quick { 150 } else { 600 };
+        let children = if quick { 150 } else { PRESSURE_CHILDREN };
         println!(
             "== Fork p99 across the high watermark: {children} churning children, daemon ablation =="
         );
@@ -470,7 +508,7 @@ fn main() {
         );
     }
     if all || what == "storm" {
-        let children = if quick { 800 } else { 10_000 };
+        let children = if quick { 800 } else { STORM_CHILDREN };
         println!("== Fork storm: {children} concurrent children, {STORM_CORES} cores (event-driven scheduler) ==");
         let rows = storm_sweep(children, STORM_SEED, STORM_CORES);
         let body: Vec<Vec<String>> = rows

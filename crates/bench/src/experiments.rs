@@ -626,13 +626,41 @@ pub fn scaling_walk_modes() -> Vec<WalkMode> {
 
 /// The full scaling sweep: {cap-sparse, cap-dense} × {serial, 1, 2, 4,
 /// 8 workers, pipelined}.
+///
+/// Runs every cell twice and asserts the repeats bit-identical, then
+/// enforces the parallel walk's gate: on the cap-dense heap 8 workers
+/// beat the serial walk at least 2×.
 pub fn fork_scaling_sweep() -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    for dense in [false, true] {
-        for walk in scaling_walk_modes() {
-            rows.push(fork_scaling_run(walk, dense));
+    let run = || {
+        let mut rows = Vec::new();
+        for dense in [false, true] {
+            for walk in scaling_walk_modes() {
+                rows.push(fork_scaling_run(walk, dense));
+            }
         }
+        rows
+    };
+    let rows = run();
+    for (a, b) in rows.iter().zip(&run()) {
+        assert_eq!(
+            (a.sim_fork_ns.to_bits(), a.sim_copy_done_ns.to_bits()),
+            (b.sim_fork_ns.to_bits(), b.sim_copy_done_ns.to_bits()),
+            "fork_scaling/{}/{} is nondeterministic",
+            a.heap,
+            a.mode_label()
+        );
     }
+    let dense_ns = |workers: usize| {
+        rows.iter()
+            .find(|r| r.heap == "cap-dense" && r.workers == workers)
+            .expect("dense row")
+            .sim_fork_ns
+    };
+    let speedup = dense_ns(0) / dense_ns(8);
+    assert!(
+        speedup >= 2.0,
+        "parallel walk too slow: cap-dense Parallel(8) is only {speedup:.2}x over Serial (need >= 2x)"
+    );
     rows
 }
 
@@ -692,14 +720,104 @@ pub fn frontier_run(
 
 /// The full frontier: {cap-sparse, cap-dense} × {full, full_par8,
 /// pipelined, coa, copa}.
+///
+/// Runs every point twice and asserts the repeats bit-identical, then
+/// enforces the pipelined walk's gates on both heap shapes: it commits
+/// within 1.5× the CoPA fork and earlier than the eager serial fork, and
+/// it defers copy work past the commit (the trace tests separately prove
+/// the copy-work parity page for page).
 pub fn fork_frontier_sweep() -> Vec<FrontierRow> {
-    let mut rows = Vec::new();
-    for dense in [false, true] {
-        for (mode, strategy, walk) in frontier_modes() {
-            rows.push(frontier_run(mode, strategy, walk, dense));
+    let run = || {
+        let mut rows = Vec::new();
+        for dense in [false, true] {
+            for (mode, strategy, walk) in frontier_modes() {
+                rows.push(frontier_run(mode, strategy, walk, dense));
+            }
         }
+        rows
+    };
+    let rows = run();
+    for (a, b) in rows.iter().zip(&run()) {
+        assert_eq!(
+            (a.commit_ns.to_bits(), a.copy_done_ns.to_bits()),
+            (b.commit_ns.to_bits(), b.copy_done_ns.to_bits()),
+            "fork_pipeline/{}/{} is nondeterministic",
+            a.heap,
+            a.mode
+        );
+    }
+    let pick = |heap: &str, mode: &str| {
+        *rows
+            .iter()
+            .find(|r| r.heap == heap && r.mode == mode)
+            .expect("frontier row")
+    };
+    for heap in ["cap-sparse", "cap-dense"] {
+        let piped = pick(heap, "pipelined");
+        let copa = pick(heap, "copa");
+        let full = pick(heap, "full");
+        let ratio = piped.commit_ns / copa.commit_ns;
+        assert!(
+            ratio <= 1.5,
+            "{heap}: pipelined commit {:.0} ns is {ratio:.3}x CoPA ({:.0} ns), limit 1.5x",
+            piped.commit_ns,
+            copa.commit_ns
+        );
+        assert!(
+            piped.commit_ns < full.commit_ns,
+            "{heap}: pipelined commit not earlier than the eager serial fork"
+        );
+        assert!(
+            piped.copy_done_ns > piped.commit_ns,
+            "{heap}: pipelined fork deferred no copy work"
+        );
     }
     rows
+}
+
+// ---------------------------------------------------------------------------
+// Admission pre-flight cost.
+// ---------------------------------------------------------------------------
+
+/// Simulated kernel time of one uncontended cap-sparse Full fork under
+/// the given admission fallback policy.
+fn admission_fork_ns(policy: FallbackPolicy) -> f64 {
+    let mut os = UforkOs::new(UforkConfig {
+        phys_mib: 128,
+        strategy: CopyStrategy::Full,
+        fallback: policy,
+        ..UforkConfig::default()
+    });
+    let mut ctx = Ctx::new();
+    os.spawn(&mut ctx, Pid(1), &ImageSpec::hello_world())
+        .expect("spawn admission");
+    let mut fctx = Ctx::new();
+    os.fork(&mut fctx, Pid(1), Pid(2)).expect("fork admission");
+    fctx.kernel_ns
+}
+
+/// The admission-control pre-flight cost on an uncontended fork, in
+/// simulated ns: `FallbackPolicy::Disabled` (run straight into the
+/// allocator) and `FallbackPolicy::Strict` (the default: reserve the
+/// frame demand up front). Each policy runs twice, asserted
+/// bit-identical.
+pub fn fork_admission_sweep() -> Vec<(&'static str, f64)> {
+    [
+        ("disabled", FallbackPolicy::Disabled),
+        ("strict", FallbackPolicy::Strict),
+    ]
+    .into_iter()
+    .map(|(label, policy)| {
+        let ns = admission_fork_ns(policy);
+        let again = admission_fork_ns(policy);
+        assert_eq!(
+            ns.to_bits(),
+            again.to_bits(),
+            "fork_admission/{label} is nondeterministic: {ns} ns vs {again} ns"
+        );
+        (label, ns)
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ pub struct PressureStormRow {
     pub occupancy: &'static str,
     /// Background reclaim daemon armed.
     pub daemon: bool,
-    /// Children stormed (part of the gate key: smoke scales must not be
-    /// compared against the committed full-scale baseline).
+    /// Children stormed ([`PRESSURE_CHILDREN`] at full scale).
     pub children: u32,
     /// Median fork latency (ns, simulated).
     pub sim_p50_ns: f64,
@@ -209,14 +208,9 @@ pub fn pressure_sweep(children: u32, seed: u64, cores: usize) -> Vec<PressureSto
     rows
 }
 
-/// Pressure-storm scale from the environment
-/// (`BENCH_PRESSURE_CHILDREN`); CI smoke jobs set a reduced N.
-pub fn pressure_children_from_env() -> u32 {
-    std::env::var("BENCH_PRESSURE_CHILDREN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600)
-}
+/// The pressure storm's full scale: churning children per point in
+/// `repro pressure` and in `BENCH_fork.json`'s `fork_pressure` rows.
+pub const PRESSURE_CHILDREN: u32 = 600;
 
 /// The pressure storm's default seed (distinct from the overlap storm's
 /// so the two families never share an event history).

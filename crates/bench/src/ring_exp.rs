@@ -3,7 +3,7 @@
 //! end to end?
 //!
 //! Two row sets, both in *simulated* time (deterministic, so
-//! `bench_gate.py` holds them to the strict threshold):
+//! `BENCH_fork.json` pins them bit for bit):
 //!
 //! * **fork probe** — one process forks once holding either four pipes
 //!   (the pre-ring IPC primitive) or four shared-memory ring endpoints
@@ -184,6 +184,8 @@ fn run_probe(mode: &StormMode, rings: bool) -> (f64, OpCounters) {
 
 /// The fork-probe sweep: every storm mode × {pipes, rings}, each run
 /// twice and asserted bit-identical (the family's determinism contract).
+/// Enforces the acceptance gate: in every mode the ring fork stays within
+/// [`RING_FORK_OVERHEAD_LIMIT`]× the pipe-only fork.
 pub fn ring_fork_sweep() -> Vec<RingForkRow> {
     let mut rows = Vec::new();
     for mode in storm_modes() {
@@ -220,6 +222,17 @@ pub fn ring_fork_sweep() -> Vec<RingForkRow> {
                 counters,
             });
         }
+    }
+    // Rows come in (pipes, rings) pairs, one pair per mode.
+    for pair in rows.chunks(2) {
+        let (pipes, rings) = (pair[0].sim_fork_ns, pair[1].sim_fork_ns);
+        let ratio = rings / pipes;
+        assert!(
+            ratio <= RING_FORK_OVERHEAD_LIMIT,
+            "fork_ring/{}: fork with live ring endpoints ({rings:.0} ns) is {ratio:.3}x \
+             the pipe-only fork ({pipes:.0} ns); must stay <= {RING_FORK_OVERHEAD_LIMIT}x",
+            pair[0].mode
+        );
     }
     rows
 }
@@ -352,15 +365,9 @@ pub fn ring_service_sweep(requests: u64) -> Vec<RingServiceRow> {
     rows
 }
 
-/// Service scale from the environment (`BENCH_RING_REQUESTS`), default
-/// 2 000 — the bench-trajectory scale. The ≥1M-request acceptance run is
-/// `repro ring` (without `--quick`).
-pub fn ring_requests_from_env() -> u64 {
-    std::env::var("BENCH_RING_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000)
-}
+/// Requests per backend in `BENCH_fork.json`'s `fork_ring_service` rows.
+/// The ≥1M-request acceptance run is `repro ring` (without `--quick`).
+pub const RING_SERVICE_REQUESTS: u64 = 2_000;
 
 /// The fork-probe acceptance gate: in every mode the ring fork stays
 /// within `1.2×` the pipe-only fork.

@@ -184,12 +184,55 @@ pub fn snapshot_train_baseline() -> Vec<SnapshotRow> {
 
 /// The full snapshot-train sweep: every μFork variant plus the
 /// baseline.
+///
+/// Runs the sweep twice and asserts the repeats bit-identical, then
+/// enforces the dirty scope's asymptotic gate under both the serial and
+/// the pipelined walk: at a 5% write rate every steady-state (N ≥ 2)
+/// `DirtySince` fork completes its copy within 0.25× the
+/// `Everything`-scope fork, and shares clean pages.
 pub fn snapshot_train_sweep() -> Vec<SnapshotRow> {
-    let mut rows = Vec::new();
-    for (scope, walk_label, walk, track) in snapshot_train_modes() {
-        rows.extend(snapshot_train_run(scope, walk_label, walk, track));
+    let run = || {
+        let mut rows = Vec::new();
+        for (scope, walk_label, walk, track) in snapshot_train_modes() {
+            rows.extend(snapshot_train_run(scope, walk_label, walk, track));
+        }
+        rows.extend(snapshot_train_baseline());
+        rows
+    };
+    let rows = run();
+    for (a, b) in rows.iter().zip(&run()) {
+        assert_eq!(
+            (a.sim_fork_ns.to_bits(), a.sim_copy_done_ns.to_bits()),
+            (b.sim_fork_ns.to_bits(), b.sim_copy_done_ns.to_bits()),
+            "fork_snapshot_train/{}/{}/{} is nondeterministic",
+            a.scope,
+            a.walk,
+            a.snapshot
+        );
     }
-    rows.extend(snapshot_train_baseline());
+    let pick = |scope: &str, walk: &str, snap: u32| {
+        rows.iter()
+            .find(|r| r.scope == scope && r.walk == walk && r.snapshot == snap)
+            .expect("snapshot row")
+    };
+    for walk in ["serial", "pipelined"] {
+        for snap in 2..=TRAIN_SNAPSHOTS {
+            let dirty = pick("dirty", walk, snap);
+            let every = pick("everything", walk, snap);
+            let ratio = dirty.sim_copy_done_ns / every.sim_copy_done_ns;
+            assert!(
+                ratio <= 0.25,
+                "{walk} snapshot {snap}: DirtySince copy-done {:.0} ns is {ratio:.3}x the \
+                 Everything fork ({:.0} ns); the dirty scope must stay under 0.25x at 5% writes",
+                dirty.sim_copy_done_ns,
+                every.sim_copy_done_ns
+            );
+            assert!(
+                dirty.counters.pages_shared_clean > 0,
+                "{walk} snapshot {snap}: no clean pages were shared"
+            );
+        }
+    }
     rows
 }
 
@@ -268,15 +311,53 @@ pub fn zygote_fleet_run(
 
 /// The zygote-fleet sweep: no-sharing baseline, dedup, and dirty-scope
 /// clean-sharing, under the serial and pipelined walks.
+///
+/// Runs the sweep twice and asserts the repeats identical, then enforces
+/// the sharing gate: every dedup and dirty fleet holds at most 1.2× the
+/// resident frames of a single child, and every dedup fleet actually
+/// deduplicated frames.
 pub fn zygote_fleet_sweep() -> Vec<ZygoteFleetRow> {
-    vec![
-        zygote_fleet_run("baseline/serial", WalkMode::Serial, false, false),
-        zygote_fleet_run("dedup/serial", WalkMode::Serial, true, false),
-        zygote_fleet_run("dirty/serial", WalkMode::Serial, false, true),
-        zygote_fleet_run("baseline/pipelined", WalkMode::Pipelined, false, false),
-        zygote_fleet_run("dedup/pipelined", WalkMode::Pipelined, true, false),
-        zygote_fleet_run("dirty/pipelined", WalkMode::Pipelined, false, true),
-    ]
+    let run = || {
+        vec![
+            zygote_fleet_run("baseline/serial", WalkMode::Serial, false, false),
+            zygote_fleet_run("dedup/serial", WalkMode::Serial, true, false),
+            zygote_fleet_run("dirty/serial", WalkMode::Serial, false, true),
+            zygote_fleet_run("baseline/pipelined", WalkMode::Pipelined, false, false),
+            zygote_fleet_run("dedup/pipelined", WalkMode::Pipelined, true, false),
+            zygote_fleet_run("dirty/pipelined", WalkMode::Pipelined, false, true),
+        ]
+    };
+    let rows = run();
+    for (a, b) in rows.iter().zip(&run()) {
+        assert_eq!(
+            (a.frames_one_child, a.frames_fleet, a.counters),
+            (b.frames_one_child, b.frames_fleet, b.counters),
+            "fork_zygote/{} is nondeterministic",
+            a.variant
+        );
+    }
+    for r in &rows {
+        if r.variant.starts_with("dedup/") || r.variant.starts_with("dirty/") {
+            let ratio = f64::from(r.frames_fleet) / f64::from(r.frames_one_child);
+            assert!(
+                ratio <= 1.2,
+                "fork_zygote/{}: fleet of {} holds {} frames, {ratio:.3}x a single child's {} \
+                 (must stay <= 1.2x)",
+                r.variant,
+                r.children,
+                r.frames_fleet,
+                r.frames_one_child
+            );
+        }
+        if r.variant.starts_with("dedup/") {
+            assert!(
+                r.counters.frames_deduped > 0,
+                "fork_zygote/{}: dedup enabled but no frames were deduplicated",
+                r.variant
+            );
+        }
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! maximum process-table pressure: every child is alive when the last
 //! one is born. Reported metrics are *simulated* time — fork p50/p99
 //! latency and forks per simulated second — so every row is exactly
-//! reproducible and `bench_gate.py` holds them to the strict threshold.
+//! reproducible and `BENCH_fork.json` pins them bit for bit.
 
 use ufork::{UforkConfig, UforkOs, WalkMode};
 use ufork_abi::{CopyStrategy, ImageSpec};
@@ -170,12 +170,16 @@ pub fn run_storm_full(
 /// twice and asserting the two runs are bit-identical (event-log digest,
 /// final simulated time, p50/p99, copy-completion percentiles) — the
 /// storm's determinism contract.
+///
+/// Also enforces the point of committing early: under storm pressure the
+/// pipelined eager fork beats the widest synchronous parallel walk at the
+/// tail, not just the median (`full_pipelined` p99 < `full_par8` p99).
 pub fn storm_sweep(
     children: u32,
     seed: u64,
     cores: usize,
 ) -> Vec<(StormMode, StormReport, StormPipeline)> {
-    storm_modes()
+    let rows: Vec<_> = storm_modes()
         .into_iter()
         .map(|mode| {
             let (a, pa) = run_storm_full(&mode, children, seed, cores);
@@ -193,17 +197,26 @@ pub fn storm_sweep(
             assert_eq!(pa.p99_copy_done_ns.to_bits(), pb.p99_copy_done_ns.to_bits());
             (mode, a, pa)
         })
-        .collect()
+        .collect();
+    let p99 = |label: &str| {
+        rows.iter()
+            .find(|(m, _, _)| m.label == label)
+            .expect("storm mode")
+            .1
+            .p99_fork_ns
+    };
+    assert!(
+        p99("full_pipelined") < p99("full_par8"),
+        "pipelined storm fork p99 ({:.0} ns) does not improve on full_par8 ({:.0} ns)",
+        p99("full_pipelined"),
+        p99("full_par8")
+    );
+    rows
 }
 
-/// Storm scale from the environment (`BENCH_STORM_CHILDREN`), defaulting
-/// to the paper-scale 10 000. CI smoke jobs set a reduced N.
-pub fn storm_children_from_env() -> u32 {
-    std::env::var("BENCH_STORM_CHILDREN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000)
-}
+/// The storm's full scale: concurrent children per mode in `repro storm`
+/// and in `BENCH_fork.json`'s `fork_storm` rows.
+pub const STORM_CHILDREN: u32 = 10_000;
 
 /// The storm's default core count (one coordinator + seven workers'
 /// worth of lanes; children inherit no affinity and spread freely).

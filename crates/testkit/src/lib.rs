@@ -1,7 +1,7 @@
 //! Offline-capable test support for the μFork reproduction.
 //!
 //! The container this repository builds in has no network access, so the
-//! test suite cannot depend on crates.io (`proptest`, `rand`, `criterion`).
+//! test suite cannot depend on crates.io (`proptest`, `rand`).
 //! This crate replaces the parts of those we actually use with ~300 lines
 //! of deterministic, dependency-free code:
 //!
@@ -17,7 +17,6 @@
 //! `props` cargo feature, which is **on by default** — `cargo test` runs
 //! them offline; `--no-default-features` skips them for a quick edit loop.
 
-pub mod bench;
 mod prop;
 mod rng;
 
