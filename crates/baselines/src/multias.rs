@@ -9,7 +9,7 @@ use ufork_cheri::{Capability, Perms};
 use ufork_exec::{Ctx, MemOs};
 use ufork_mem::{MemStats, Pfn, PhysMem, GRANULE_SIZE, PAGE_SIZE};
 use ufork_sim::CostModel;
-use ufork_vmem::{AccessKind, Fault, PageTable, PteFlags, VirtAddr, Vpn};
+use ufork_vmem::{AccessKind, Fault, PageTable, Pte, PteFlags, VirtAddr, Vpn};
 
 use crate::BaselineConfig;
 
@@ -269,7 +269,7 @@ impl MemOs for MultiAsOs {
         ctx.kernel(self.profile.fork_fixed + self.profile.fork_extra);
         let (layout, regs, shm_next, mmap_next, entries) = {
             let p = self.proc(parent)?;
-            let entries: Vec<(Vpn, ufork_vmem::Pte)> = p.pt.iter().collect();
+            let entries: Vec<(Vpn, Pte)> = p.pt.iter().collect();
             (
                 p.layout.clone(),
                 p.regs.clone(),
@@ -278,25 +278,34 @@ impl MemOs for MultiAsOs {
                 entries,
             )
         };
-        let mut cpt = PageTable::new();
-        for (vpn, pte) in &entries {
+        // Stage the child's PTEs for one `extend_sorted` and the parent's
+        // CoW arming for one `protect_many`; charges stay per page.
+        let mut staged = Vec::with_capacity(entries.len());
+        let mut cow_arm = Vec::new();
+        for &(vpn, pte) in &entries {
             self.pm.inc_ref(pte.pfn).map_err(|_| Errno::Fault)?;
             let off = vpn.base().0 - PROC_BASE;
             let seg = layout.segment_of(off);
             let writable = Self::seg_flags(seg).contains(PteFlags::WRITE);
             let is_shm = seg == Segment::Shm;
-            if writable && !is_shm {
+            let flags = if writable && !is_shm {
                 // CoW both sides: no relocation, same virtual addresses.
-                cpt.map(*vpn, pte.pfn, pte.flags.with(PteFlags::COW));
-                if let Some(ppte) = self.procs.get_mut(&parent).unwrap().pt.lookup_mut(*vpn) {
-                    ppte.flags = ppte.flags.with(PteFlags::COW);
-                }
+                cow_arm.push(vpn);
+                pte.flags.with(PteFlags::COW)
             } else {
-                cpt.map(*vpn, pte.pfn, pte.flags);
-            }
+                pte.flags
+            };
+            staged.push((vpn, Pte::new(pte.pfn, flags)));
             ctx.kernel(self.profile.pte_cow + self.profile.per_page_extra);
             ctx.counters.ptes_written += 1;
         }
+        self.procs
+            .get_mut(&parent)
+            .unwrap()
+            .pt
+            .protect_many(cow_arm, PteFlags::COW);
+        let mut cpt = PageTable::new();
+        cpt.extend_sorted(staged);
         self.procs.insert(
             child,
             MProc {
