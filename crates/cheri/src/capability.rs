@@ -60,41 +60,49 @@ impl Capability {
     }
 
     /// The inclusive lower bound.
+    #[inline]
     pub const fn base(&self) -> u64 {
         self.base
     }
 
     /// The length of the addressable range in bytes.
+    #[inline]
     pub const fn len(&self) -> u64 {
         self.len
     }
 
     /// Returns true if the capability covers no bytes.
+    #[inline]
     pub const fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The exclusive upper bound (`base + len`), saturating.
+    #[inline]
     pub const fn top(&self) -> u64 {
         self.base.saturating_add(self.len)
     }
 
     /// The cursor (pointer value).
+    #[inline]
     pub const fn addr(&self) -> u64 {
         self.addr
     }
 
     /// The permission set.
+    #[inline]
     pub const fn perms(&self) -> Perms {
         self.perms
     }
 
     /// The otype if sealed.
+    #[inline]
     pub const fn otype(&self) -> Option<OType> {
         self.otype
     }
 
     /// Returns true if the capability is sealed.
+    #[inline]
     pub const fn is_sealed(&self) -> bool {
         self.otype.is_some()
     }
@@ -238,6 +246,7 @@ impl Capability {
     /// identify capabilities that still point into the parent μprocess
     /// (paper §4.2): a capability found in child memory whose target or
     /// bounds escape the child's region must be relocated.
+    #[inline]
     pub fn confined_to(&self, region_base: u64, region_len: u64) -> bool {
         let region_top = region_base.saturating_add(region_len);
         self.base >= region_base && self.top() <= region_top && self.len <= region_len
@@ -252,8 +261,15 @@ impl Capability {
     /// derived from `root` — so it can never exceed the child region — with
     /// bounds additionally clamped to the intersection with `root`.
     ///
-    /// Fails if the shifted range does not intersect `root` at all (which
-    /// would indicate a kernel bug and is surfaced rather than masked).
+    /// The result keeps this capability's otype and gets `self.perms() &
+    /// root.perms()`. Fails, checked in this order, with
+    /// [`CapError::Sealed`] if `root` is sealed, with
+    /// [`CapError::AddressOverflow`] if shifting the base, the top or the
+    /// cursor overflows, and with [`CapError::BoundsWiden`] if the shifted
+    /// range lies wholly outside `root` (which would indicate a kernel bug
+    /// and is surfaced rather than masked). A range that only touches
+    /// `root` yields an empty capability at the shared edge.
+    #[inline]
     pub fn rebase(&self, delta: i64, root: &Capability) -> Result<Capability, CapError> {
         root.check_unsealed()?;
         let base = self
@@ -269,16 +285,20 @@ impl Capability {
             .checked_add_signed(delta)
             .ok_or(CapError::AddressOverflow)?;
         // Clamp to the root's range (restrict-to-μprocess, paper §4.2).
+        // Bounds inside `root` and permissions masked by `root`'s keep the
+        // result a monotonic derivation of `root`.
         let nbase = base.max(root.base);
         let ntop = top.min(root.top());
         if nbase > ntop {
             return Err(CapError::BoundsWiden);
         }
-        let mut derived = root.with_bounds(nbase, ntop - nbase)?;
-        derived = derived.with_perms(self.perms & root.perms)?;
-        derived = derived.with_addr(addr)?;
-        derived.otype = self.otype;
-        Ok(derived)
+        Ok(Capability {
+            base: nbase,
+            len: ntop - nbase,
+            addr,
+            perms: self.perms & root.perms,
+            otype: self.otype,
+        })
     }
 
     /// Encodes the in-memory *data* view of the capability.
@@ -288,6 +308,7 @@ impl Capability {
     /// bounds/permissions in the high 8 bytes. The tag is *not* part of the
     /// bytes — writing these bytes somewhere else does not create a valid
     /// capability.
+    #[inline]
     pub fn to_bytes(&self) -> [u8; 16] {
         let mut out = [0u8; 16];
         out[..8].copy_from_slice(&self.addr.to_le_bytes());
@@ -298,6 +319,7 @@ impl Capability {
         out
     }
 
+    #[inline]
     fn check_unsealed(&self) -> Result<(), CapError> {
         match self.otype {
             Some(ot) => Err(CapError::Sealed(ot)),

@@ -89,6 +89,7 @@ impl Perms {
     ///
     /// Monotonicity checks use this: a derived permission set must satisfy
     /// `derived.is_subset_of(original)`.
+    #[inline]
     pub const fn is_subset_of(self, other: Perms) -> bool {
         self.0 & !other.0 == 0
     }
@@ -114,6 +115,7 @@ impl BitOr for Perms {
 
 impl BitAnd for Perms {
     type Output = Perms;
+    #[inline]
     fn bitand(self, rhs: Perms) -> Perms {
         Perms(self.0 & rhs.0)
     }

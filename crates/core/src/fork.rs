@@ -51,7 +51,7 @@ use crate::fork_par::{alloc_lane_frame, WalkMode};
 use crate::journal::{FallbackPolicy, ForkJournal, JournalOp};
 use crate::kernel::{UProc, UforkOs};
 use crate::layout::Segment;
-use crate::reloc::{relocate_counted, RelocTarget, ScanMode, SourceLookup};
+use crate::reloc::{relocate_counted, RelocTarget, ScanMode, SourceLookup, SourceMemo};
 /// How much of the parent's address space a fork walks through the copy
 /// machinery.
 ///
@@ -250,13 +250,14 @@ impl UforkOs {
         ctx.phase("fork/regs");
         let mut c_regs = p_regs;
         let source = SourceLookup::new(self.scan, &self.region_index, || self.source_regions());
+        let mut memo = SourceMemo::default();
         for slot in c_regs.iter_mut() {
             if let Some(cap) = slot {
                 if cap.confined_to(c_region.base.0, c_region.len) {
                     continue;
                 }
-                if let Some(src) = source.lookup(cap.base()) {
-                    let delta = c_region.base.0 as i64 - src.base.0 as i64;
+                ctx.counters.region_lookups += 1;
+                if let Some(delta) = memo.delta(cap.base(), c_region.base.0, |a| source.lookup(a)) {
                     match cap.rebase(delta, &c_root) {
                         Ok(new_cap) => {
                             *slot = Some(new_cap);
@@ -276,7 +277,6 @@ impl UforkOs {
                 ctx.kernel(self.cost.cap_relocate);
             }
         }
-        ctx.counters.region_lookups += source.take_lookups();
 
         ctx.phase("fork/commit");
         self.procs.insert(

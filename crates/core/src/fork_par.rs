@@ -20,10 +20,10 @@
 //!    fixed-size chunks of [`CHUNK_PAGES`]; chunk *i* is processed by
 //!    lane `i % workers` on a scoped host thread. Each worker copies the
 //!    source frame into the *detached* destination frame and relocates
-//!    its capabilities via [`relocate_frame_in`] with a memo-free
-//!    [`crate::FrozenIndex`] region lookup. Workers return per-chunk
-//!    simulated costs and statistics; they never touch shared mutable
-//!    state.
+//!    its capabilities via [`relocate_frame_in`], looking source regions
+//!    up in the shared (`Sync`, immutable) [`crate::RegionIndex`].
+//!    Workers return per-chunk simulated costs and statistics, region
+//!    lookups included; they never touch shared mutable state.
 //! 3. **Merge** — destination frames are reattached and per-chunk costs
 //!    are folded into [`LaneClocks`] *in chunk-index order* (never host
 //!    completion order); the elapsed parallel time (max over lanes) is
@@ -41,8 +41,6 @@
 //! run returns with the journal intact and the caller's rollback returns
 //! the destinations to the recycled pools. The parallel phase itself is
 //! infallible by construction: all allocation happens in the walk.
-
-use std::cell::Cell;
 
 use ufork_abi::{Errno, SysResult};
 use ufork_cheri::Capability;
@@ -108,7 +106,6 @@ struct EagerPage {
 struct ChunkOut {
     cost: f64,
     stats: RelocStats,
-    lookups: u64,
 }
 
 /// Allocates the destination frame of the `index`-th eager page of a
@@ -181,7 +178,7 @@ impl UforkOs {
         {
             let pm = &self.pm;
             let cost = &self.cost;
-            let frozen = self.region_index.frozen();
+            let index = &self.region_index;
             let c_root = *c_root;
 
             // Deterministic distribution: chunk i → lane i % workers.
@@ -199,11 +196,7 @@ impl UforkOs {
                             let mut out: Vec<(usize, ChunkOut)> = Vec::with_capacity(work.len());
                             for (idx, chunk) in work {
                                 let mut co = ChunkOut::default();
-                                let lookups = Cell::new(0u64);
-                                let source_of = |addr: u64| {
-                                    lookups.set(lookups.get() + 1);
-                                    frozen.lookup(addr)
-                                };
+                                let source_of = |addr: u64| index.lookup(addr);
                                 for page in chunk.iter_mut() {
                                     // The parent's mapping holds a ref, so
                                     // the source frame must exist; a miss is
@@ -230,7 +223,6 @@ impl UforkOs {
                                         };
                                     co.stats.add(&stats);
                                 }
-                                co.lookups = lookups.get();
                                 out.push((idx, co));
                             }
                             Ok(out)
@@ -272,7 +264,6 @@ impl UforkOs {
         let par_base = ctx.kernel_ns;
         let mut lanes = LaneClocks::new(workers);
         let mut total_stats = RelocStats::default();
-        let mut total_lookups = 0u64;
         for (i, co) in &results {
             ctx.lane_span(
                 "fork/chunk",
@@ -282,14 +273,12 @@ impl UforkOs {
             );
             lanes.charge(*i, co.cost);
             total_stats.add(&co.stats);
-            total_lookups += co.lookups;
         }
         ctx.kernel(lanes.elapsed());
         ctx.counters.fork_chunks += n_chunks as u64;
         ctx.counters.pages_copied += n_eager;
         ctx.counters.pages_copied_eager += n_eager;
         total_stats.count(ctx);
-        ctx.counters.region_lookups += total_lookups;
         Ok(())
     }
 }

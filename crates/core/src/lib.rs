@@ -62,6 +62,6 @@ pub use journal::FallbackPolicy;
 pub use kernel::{UforkConfig, UforkOs};
 pub use layout::{ProcLayout, Segment};
 pub use reclaim::RECLAIM_BATCH;
-pub use region_index::{FrozenIndex, RegionIndex};
+pub use region_index::RegionIndex;
 pub use reloc::ScanMode;
 pub use talloc::{TAlloc, TAllocStats, UserMem};

@@ -18,33 +18,22 @@
 //! retired regions alike: the region containing an address, if any, is
 //! the one with the greatest base at or below it.
 //!
-//! Capability runs within a page are strongly clustered (GOT slots, stack
-//! frames, allocator metadata all point near each other), so the index
-//! memoizes the last hit and answers repeat lookups in O(1).
+//! The index itself is a plain ordered map with no interior state, so
+//! it is `Sync` and the parallel fork walk's worker lanes share it
+//! directly. Clustering of capability targets within a page (GOT slots,
+//! stack frames, allocator metadata all point near each other) is
+//! exploited by the relocation pass's own memo (`crate::reloc`), and
+//! lookups are counted there, in `RelocStats`.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use ufork_vmem::{Region, VirtAddr};
 
-/// Ordered index of disjoint μprocess regions with last-hit memoization.
+/// Ordered index of disjoint μprocess regions.
 #[derive(Default)]
 pub struct RegionIndex {
     /// Regions keyed by base address; pairwise disjoint.
     regions: BTreeMap<u64, Region>,
-    /// The most recent successful lookup (`Cell` so shared `&RegionIndex`
-    /// lookup closures can maintain it). Cleared by every insert and
-    /// remove, so it never names a region that has left the index.
-    last_hit: Cell<Option<Region>>,
-    /// Lookups served since the counter was last drained.
-    lookups: Cell<u64>,
-}
-
-/// The region of `regions` containing `addr`: the one with the greatest
-/// base at or below `addr`, if `addr` falls inside it.
-fn containing(regions: &BTreeMap<u64, Region>, addr: u64) -> Option<Region> {
-    let (_, r) = regions.range(..=addr).next_back()?;
-    r.contains(VirtAddr(addr)).then_some(*r)
 }
 
 impl RegionIndex {
@@ -88,7 +77,6 @@ impl RegionIndex {
             self.regions.range(..base).next_back()
         );
         self.regions.insert(base, region);
-        self.last_hit.set(None);
     }
 
     /// Removes a region previously inserted (exact match on base), in
@@ -97,64 +85,15 @@ impl RegionIndex {
     /// Returns whether it was present. Regions of exited μprocesses that
     /// forked are *not* removed — they stay as relocation sources.
     pub fn remove(&mut self, region: Region) -> bool {
-        let present = self.regions.remove(&region.base.0).is_some();
-        if present {
-            self.last_hit.set(None);
-        }
-        present
+        self.regions.remove(&region.base.0).is_some()
     }
 
-    /// Finds the region containing `addr`, if any.
-    ///
-    /// O(1) when `addr` falls in the memoized last-hit region, O(log n)
-    /// otherwise. Every call is counted; drain the count into the op
-    /// counters with [`RegionIndex::take_lookups`].
+    /// Finds the region containing `addr`, if any, in O(log n): the one
+    /// with the greatest base at or below `addr`, if `addr` falls inside
+    /// it.
     pub fn lookup(&self, addr: u64) -> Option<Region> {
-        self.lookups.set(self.lookups.get() + 1);
-        if let Some(r) = self.last_hit.get() {
-            if r.contains(VirtAddr(addr)) {
-                return Some(r);
-            }
-        }
-        let hit = containing(&self.regions, addr);
-        if hit.is_some() {
-            self.last_hit.set(hit);
-        }
-        hit
-    }
-
-    /// Returns and resets the lookup count (drained into
-    /// `OpCounters::region_lookups` after each relocation pass).
-    pub fn take_lookups(&self) -> u64 {
-        self.lookups.replace(0)
-    }
-
-    /// An immutable, `Sync` snapshot view for cross-thread lookups.
-    ///
-    /// The memo and lookup counter live in `Cell`s, which makes a shared
-    /// `&RegionIndex` unusable from the parallel fork walk's worker
-    /// threads. A [`FrozenIndex`] drops both: a pure O(log n) search of
-    /// the same map, with workers tallying their own lookup counts
-    /// locally.
-    pub fn frozen(&self) -> FrozenIndex<'_> {
-        FrozenIndex {
-            regions: &self.regions,
-        }
-    }
-}
-
-/// A memo-free, `Sync` view of a [`RegionIndex`] (see
-/// [`RegionIndex::frozen`]).
-#[derive(Clone, Copy)]
-pub struct FrozenIndex<'a> {
-    regions: &'a BTreeMap<u64, Region>,
-}
-
-impl FrozenIndex<'_> {
-    /// Finds the region containing `addr`, if any — O(log n), no memo,
-    /// no counting. Agrees with [`RegionIndex::lookup`] on every address.
-    pub fn lookup(&self, addr: u64) -> Option<Region> {
-        containing(self.regions, addr)
+        let (_, r) = self.regions.range(..=addr).next_back()?;
+        r.contains(VirtAddr(addr)).then_some(*r)
     }
 }
 
@@ -195,70 +134,18 @@ mod tests {
     }
 
     #[test]
-    fn memoized_repeat_lookups_stay_correct() {
-        let mut idx = RegionIndex::new();
-        idx.insert(region(0x10_0000, 0x1000));
-        idx.insert(region(0x20_0000, 0x1000));
-        // Prime the memo on one region, then alternate.
-        assert!(idx.lookup(0x10_0010).is_some());
-        assert!(idx.lookup(0x10_0020).is_some()); // memo hit
-        assert_eq!(idx.lookup(0x20_0010), Some(region(0x20_0000, 0x1000)));
-        assert_eq!(idx.lookup(0x10_0030), Some(region(0x10_0000, 0x1000)));
-        assert_eq!(idx.lookup(0x15_0000), None); // memo miss + search miss
-    }
-
-    #[test]
     fn remove_unindexes_exact_region_only() {
         let mut idx = RegionIndex::new();
         let a = region(0x10_0000, 0x1000);
         let b = region(0x20_0000, 0x1000);
         idx.insert(a);
         idx.insert(b);
-        assert!(idx.lookup(a.base.0).is_some()); // prime the memo on `a`
+        assert!(idx.lookup(a.base.0).is_some());
         assert!(idx.remove(a));
         assert!(!idx.remove(a)); // already gone
-        assert_eq!(idx.lookup(0x10_0000), None); // stale memo must not resurrect it
+        assert_eq!(idx.lookup(0x10_0000), None);
         assert_eq!(idx.lookup(0x20_0000), Some(b));
         assert_eq!(idx.len(), 1);
-    }
-
-    #[test]
-    fn frozen_view_agrees_with_live_index() {
-        let mut idx = RegionIndex::new();
-        idx.insert(region(0x10_0000, 0x1000));
-        idx.insert(region(0x30_0000, 0x1000));
-        idx.lookup(0x10_0000); // prime the live index's memo
-        let frozen = idx.frozen();
-        for addr in [
-            0x0f_ffffu64,
-            0x10_0000,
-            0x10_0fff,
-            0x10_1000,
-            0x20_0000,
-            0x30_0800,
-            0x40_0000,
-        ] {
-            assert_eq!(frozen.lookup(addr), idx.lookup(addr), "addr {addr:#x}");
-        }
-        // Frozen lookups are not counted by the live index.
-        idx.take_lookups();
-        let frozen = idx.frozen();
-        frozen.lookup(0x10_0000);
-        assert_eq!(idx.take_lookups(), 0);
-        // The view is Sync: workers can share it.
-        fn assert_sync<T: Sync>(_: &T) {}
-        assert_sync(&frozen);
-    }
-
-    #[test]
-    fn lookup_counter_drains() {
-        let mut idx = RegionIndex::new();
-        idx.insert(region(0x10_0000, 0x1000));
-        idx.lookup(0x10_0000);
-        idx.lookup(0x10_0010);
-        idx.lookup(0xdead_beef);
-        assert_eq!(idx.take_lookups(), 3);
-        assert_eq!(idx.take_lookups(), 0);
     }
 
     /// One step of the property test against the linear-scan reference.
@@ -274,8 +161,8 @@ mod tests {
         RemoveAbsent(usize),
         /// Look up an address of shape `.0` drawn from `.1`.
         Lookup(u8, u64),
-        /// Look up inside the `.0`-th region (priming the memo), remove
-        /// it, then look up the same address again.
+        /// Look up inside the `.0`-th region, remove it, then look up the
+        /// same address again.
         LookupRemoveLookup(usize, u64),
     }
 
@@ -315,18 +202,10 @@ mod tests {
                 let scan = |live: &[Region], addr: u64| {
                     live.iter().copied().find(|r| r.contains(VirtAddr(addr)))
                 };
-                let mut counted = 0u64;
-                let mut check = |idx: &RegionIndex, live: &[Region], addr: u64| {
-                    counted += 1;
-                    let (got, frozen, want) = (
-                        idx.lookup(addr),
-                        idx.frozen().lookup(addr),
-                        scan(live, addr),
-                    );
-                    if got != want || frozen != want {
-                        return Err(format!(
-                            "lookup({addr:#x}) = {got:?}, frozen {frozen:?}, reference {want:?}"
-                        ));
+                let check = |idx: &RegionIndex, live: &[Region], addr: u64| {
+                    let (got, want) = (idx.lookup(addr), scan(live, addr));
+                    if got != want {
+                        return Err(format!("lookup({addr:#x}) = {got:?}, reference {want:?}"));
                     }
                     Ok(())
                 };
@@ -397,11 +276,6 @@ mod tests {
                             live.len()
                         ));
                     }
-                }
-                // One count per live lookup; frozen lookups are free.
-                let drained = idx.take_lookups();
-                if drained != counted {
-                    return Err(format!("take_lookups {drained} != {counted} lookups"));
                 }
                 Ok(())
             },

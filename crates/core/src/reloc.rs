@@ -24,13 +24,23 @@
 //! only in cost (simulated *and* host-side). The `naive` mode is kept as
 //! an ablation so the benchmark harness can show both cost curves.
 //!
-//! Under the fast path the fix-ups themselves are one in-place pass over
-//! the frame's rank-indexed capability array ([`Frame::rewrite_caps`]):
-//! rebased capabilities overwrite their slots and cleared ones are
-//! compacted away as the pass goes, so relocating a page allocates
-//! nothing. The naive sweep applies each fix-up as it meets the granule.
-
-use std::cell::Cell;
+//! Both scans hand each tagged capability to the same fix-up, which
+//! works on one page's invariants computed once per pass: the child's
+//! bounds and root, and a memo of the last source region resolved with
+//! its rebase delta (`child_base - source_base`; the source may be the
+//! parent or a retired ancestor). The memo is checked before the source
+//! lookup is called, because capabilities within a page cluster (GOT
+//! slots, stack frames, allocator metadata point near each other). It
+//! lives for one pass only, never in the shared [`RegionIndex`]. Every
+//! capability not already confined to the child counts one lookup in
+//! [`RelocStats::lookups`], memo hits included, so both scans count
+//! alike.
+//!
+//! Under the fast path the fix-ups are one in-place pass over the frame's
+//! rank-indexed capability array ([`Frame::rewrite_caps`]): rebased
+//! capabilities overwrite their slots and cleared ones are compacted
+//! away as the pass goes, so relocating a page allocates nothing. The
+//! naive sweep applies each fix-up as it meets the granule.
 
 use ufork_cheri::Capability;
 use ufork_exec::Ctx;
@@ -67,6 +77,10 @@ pub struct RelocStats {
     pub relocated: u64,
     /// Capabilities whose tag was cleared (target unknown).
     pub cleared: u64,
+    /// Source-region lookups: one per tagged capability not already
+    /// confined to the child, memo hits included (the same under both
+    /// scans).
+    pub lookups: u64,
 }
 
 impl RelocStats {
@@ -77,6 +91,7 @@ impl RelocStats {
         self.tag_words_loaded += other.tag_words_loaded;
         self.relocated += other.relocated;
         self.cleared += other.cleared;
+        self.lookups += other.lookups;
     }
 
     /// Folds this pass's work into the scan counters.
@@ -85,20 +100,18 @@ impl RelocStats {
         ctx.counters.granules_skipped += self.granules_skipped;
         ctx.counters.tag_words_loaded += self.tag_words_loaded;
         ctx.counters.caps_relocated += self.relocated + self.cleared;
+        ctx.counters.region_lookups += self.lookups;
     }
 }
 
 /// Where relocation resolves a capability's source region.
 pub(crate) enum SourceLookup<'a> {
-    /// The incrementally maintained, memoized region index (fast path).
+    /// The incrementally maintained region index (fast path).
     Index(&'a RegionIndex),
     /// The [`ScanMode::Naive`] ablation's lookup: a region list rebuilt
-    /// for this pass and scanned linearly per capability, reproducing
-    /// the pre-index host cost.
-    Linear {
-        regions: Vec<Region>,
-        lookups: Cell<u64>,
-    },
+    /// for this pass and scanned linearly, reproducing the pre-index
+    /// host cost.
+    Linear(Vec<Region>),
 }
 
 impl<'a> SourceLookup<'a> {
@@ -111,29 +124,17 @@ impl<'a> SourceLookup<'a> {
     ) -> SourceLookup<'a> {
         match scan {
             ScanMode::TagSummary => SourceLookup::Index(index),
-            ScanMode::Naive => SourceLookup::Linear {
-                regions: rebuild(),
-                lookups: Cell::new(0),
-            },
+            ScanMode::Naive => SourceLookup::Linear(rebuild()),
         }
     }
 
-    /// The region containing `addr`, if any (counted).
+    /// The region containing `addr`, if any.
     pub(crate) fn lookup(&self, addr: u64) -> Option<Region> {
         match self {
             SourceLookup::Index(index) => index.lookup(addr),
-            SourceLookup::Linear { regions, lookups } => {
-                lookups.set(lookups.get() + 1);
+            SourceLookup::Linear(regions) => {
                 regions.iter().find(|r| r.contains(VirtAddr(addr))).copied()
             }
-        }
-    }
-
-    /// Returns and resets the lookup count.
-    pub(crate) fn take_lookups(&self) -> u64 {
-        match self {
-            SourceLookup::Index(index) => index.take_lookups(),
-            SourceLookup::Linear { lookups, .. } => lookups.replace(0),
         }
     }
 }
@@ -164,16 +165,17 @@ pub(crate) fn relocate_counted(
         &|addr| target.source.lookup(addr),
         target.mode,
     );
-    ctx.counters.region_lookups += target.source.take_lookups();
     ctx.kernel(reloc_cost(cost, &stats));
     stats.count(ctx);
 }
 
 /// Relocates every out-of-region capability in `frame` into `child`.
 ///
-/// `source_of` maps an address to the region it belongs to (the parent's
+/// `source_of` maps an address to the region containing it (the parent's
 /// region in the common case; an older ancestor's for pages shared across
 /// multiple forks; `None` for addresses outside any μprocess region).
+/// Regions must be disjoint: a capability whose base falls in the region
+/// the previous lookup returned reuses that answer without a call.
 ///
 /// Returns statistics; the caller charges simulated time from them via
 /// [`reloc_cost`].
@@ -201,20 +203,27 @@ pub fn relocate_frame_in(
     source_of: &dyn Fn(u64) -> Option<Region>,
     mode: ScanMode,
 ) -> RelocStats {
-    let mut stats = RelocStats::default();
+    let mut pass = PagePass {
+        child_base: child.base.0,
+        child_len: child.len,
+        child_root: *child_root,
+        source_of,
+        memo: SourceMemo::default(),
+        stats: RelocStats::default(),
+    };
     // The two modes genuinely differ in how they find the tagged
     // granules — this is what the host-side bench measures.
     match mode {
         ScanMode::Naive => {
             // The paper's sweep, performed for real: inspect every
             // granule's tag individually.
-            stats.granules_scanned = GRANULES_PER_PAGE;
+            pass.stats.granules_scanned = GRANULES_PER_PAGE;
             for g in 0..GRANULES_PER_PAGE {
                 let off = g * ufork_mem::GRANULE_SIZE;
                 let Some(cap) = f.load_cap(off) else {
                     continue;
                 };
-                match fix_up(&cap, child, child_root, source_of, &mut stats) {
+                match pass.fix_up(&cap) {
                     Some(new_cap) if new_cap != cap => f.store_cap(off, &new_cap),
                     Some(_) => {}
                     None => f.clear_tag(off),
@@ -225,43 +234,81 @@ pub fn relocate_frame_in(
             // Four CLoadTags-style bulk reads fetch the whole page's tag
             // occupancy; only set bits are then inspected individually.
             let words = f.tag_words();
-            stats.tag_words_loaded = TAG_WORDS_PER_PAGE as u64;
+            pass.stats.tag_words_loaded = TAG_WORDS_PER_PAGE as u64;
             let tagged: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-            stats.granules_scanned = tagged;
-            stats.granules_skipped = GRANULES_PER_PAGE - tagged;
+            pass.stats.granules_scanned = tagged;
+            pass.stats.granules_skipped = GRANULES_PER_PAGE - tagged;
             if tagged == 0 {
-                return stats; // untagged page: nothing to relocate
+                return pass.stats; // untagged page: nothing to relocate
             }
-            f.rewrite_caps(|_, cap| fix_up(cap, child, child_root, source_of, &mut stats));
+            f.rewrite_caps(|_, cap| pass.fix_up(cap));
         }
     }
-    stats
+    pass.stats
 }
 
-/// What relocation leaves in a granule holding `cap`: `cap` itself if it
-/// already points into `child`, the rebased capability if its source
-/// region is known and the rebase succeeds, or `None` (tag cleared).
-fn fix_up(
-    cap: &Capability,
-    child: Region,
-    child_root: &Capability,
-    source_of: &dyn Fn(u64) -> Option<Region>,
-    stats: &mut RelocStats,
-) -> Option<Capability> {
-    if cap.confined_to(child.base.0, child.len) {
-        return Some(*cap); // already points into the child
+/// The last source region a relocation pass resolved, with its rebase
+/// delta into the pass's child. Lives for one pass (a page, or a fork's
+/// register file), never in the shared [`RegionIndex`].
+#[derive(Default)]
+pub(crate) struct SourceMemo(Option<(Region, i64)>);
+
+impl SourceMemo {
+    /// The delta that rebases a capability based at `addr` into the child
+    /// at `child_base`: the memo's if its region holds `addr`, otherwise
+    /// from `source_of`'s region (remembered), or `None` for an unknown
+    /// target.
+    #[inline]
+    pub(crate) fn delta(
+        &mut self,
+        addr: u64,
+        child_base: u64,
+        source_of: impl FnOnce(u64) -> Option<Region>,
+    ) -> Option<i64> {
+        if let Some((src, delta)) = self.0 {
+            if src.contains(VirtAddr(addr)) {
+                return Some(delta);
+            }
+        }
+        let src = source_of(addr)?;
+        let delta = child_base as i64 - src.base.0 as i64;
+        self.0 = Some((src, delta));
+        Some(delta)
     }
-    // Unknown target (kernel or dead region), or a failed rebase: clear
-    // the tag.
-    let rebased = source_of(cap.base()).and_then(|src| {
-        cap.rebase(child.base.0 as i64 - src.base.0 as i64, child_root)
-            .ok()
-    });
-    match rebased {
-        Some(_) => stats.relocated += 1,
-        None => stats.cleared += 1,
+}
+
+/// One page's relocation pass: the child's bounds and root, computed
+/// once, and the source memo.
+struct PagePass<'a> {
+    child_base: u64,
+    child_len: u64,
+    child_root: Capability,
+    source_of: &'a dyn Fn(u64) -> Option<Region>,
+    memo: SourceMemo,
+    stats: RelocStats,
+}
+
+impl PagePass<'_> {
+    /// What relocation leaves in a granule holding `cap`: `cap` itself if
+    /// it already points into the child, the rebased capability if its
+    /// source region is known and the rebase succeeds, or `None` (tag
+    /// cleared).
+    #[inline]
+    fn fix_up(&mut self, cap: &Capability) -> Option<Capability> {
+        if cap.confined_to(self.child_base, self.child_len) {
+            return Some(*cap); // already points into the child
+        }
+        self.stats.lookups += 1;
+        let delta = self.memo.delta(cap.base(), self.child_base, self.source_of);
+        // Unknown target (kernel or dead region), or a failed rebase:
+        // clear the tag.
+        let rebased = delta.and_then(|d| cap.rebase(d, &self.child_root).ok());
+        match rebased {
+            Some(_) => self.stats.relocated += 1,
+            None => self.stats.cleared += 1,
+        }
+        rebased
     }
-    rebased
 }
 
 /// Simulated cost of a relocation pass with the given statistics.
@@ -474,6 +521,7 @@ mod tests {
             tag_words_loaded: 4,
             relocated: 3,
             cleared: 1,
+            lookups: 4,
         };
         let c = reloc_cost(&cost, &fast);
         let expect = 4.0 * cost.tags_load + 4.0 * cost.granule_check + 4.0 * cost.cap_relocate;

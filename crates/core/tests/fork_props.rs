@@ -265,8 +265,9 @@ enum Slot {
 }
 
 /// A child-side heap fingerprint: every touched `(offset, slot)` pair plus
-/// the `(pages_copied, caps_relocated)` counters from the fork itself.
-type Fingerprint = (Vec<(u64, Slot)>, u64, u64);
+/// the `(pages_copied, caps_relocated, region_lookups)` counters from the
+/// fork itself.
+type Fingerprint = (Vec<(u64, Slot)>, u64, u64, u64);
 
 /// A child's mapping structure right after its fork: `(private frames,
 /// shared frames, tagged granules)` over its PTEs.
@@ -368,13 +369,22 @@ fn fork_fingerprint(
     if os.audit_isolation(PARENT) != 0 || os.audit_isolation(CHILD) != 0 {
         return Err(format!("{walk:?}: isolation audit found violations"));
     }
-    Ok(((prints, during.pages_copied, during.caps_relocated), mapped))
+    Ok((
+        (
+            prints,
+            during.pages_copied,
+            during.caps_relocated,
+            during.region_lookups,
+        ),
+        mapped,
+    ))
 }
 
 /// The parallel walk is an *optimization*, not a semantic change: for every
 /// worker count the child heap and its capability map must be bit-identical
 /// to what the serial walk produces (anchor-normalized), and the
-/// walk-independent counters (pages copied, caps relocated) must agree.
+/// walk-independent counters (pages copied, caps relocated,
+/// region lookups) must agree.
 #[test]
 fn parallel_walk_matches_serial_bit_identical() {
     forall(
@@ -437,8 +447,8 @@ fn parallel_walk_matches_serial_bit_identical() {
 /// change: once the background copy drains, the child heap and its
 /// capability map must be bit-identical to what the serial walk produces
 /// (anchor-normalized), and the walk-independent totals (pages copied,
-/// caps relocated) must agree — the pipeline moved the work, it didn't
-/// change it.
+/// caps relocated, region lookups) must agree — the pipeline moved the
+/// work, it didn't change it.
 #[test]
 fn pipelined_walk_matches_serial_after_drain() {
     forall(
@@ -1012,7 +1022,7 @@ fn refork_fingerprint(
     // intentionally copy different page counts, so only the heap
     // fingerprint is compared. Return zeros for the counter slots.
     let _ = during;
-    Ok((prints, 0, 0))
+    Ok((prints, 0, 0, 0))
 }
 
 /// `CopyScope::DirtySince` is an optimization, not a semantic change:

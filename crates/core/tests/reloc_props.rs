@@ -1,7 +1,7 @@
 //! Differential property test of the relocation scan: the tag-summary
 //! fast path must be observationally identical to the naive per-granule
-//! sweep — same bytes, same tags, same capabilities, same fix-up counts —
-//! for any frame population. Only the cost may differ.
+//! sweep — same bytes, same tags, same capabilities, same fix-up and
+//! lookup counts — for any frame population. Only the cost may differ.
 //!
 //! Runs on the in-repo `ufork-testkit` harness (offline; default-on
 //! `props` feature).
@@ -21,9 +21,23 @@ const ANCESTOR: Region = Region {
     base: VirtAddr(0x40_0000),
     len: 0x8000,
 };
+/// Abuts `PARENT` at `PARENT.top()`: a source memo that treated a
+/// region's top as inclusive would resolve a capability based here to
+/// `PARENT` and rebase it by the wrong delta.
+const NEIGHBOUR: Region = Region {
+    base: VirtAddr(0x11_0000),
+    len: 0x1_0000,
+};
 const CHILD: Region = Region {
     base: VirtAddr(0x90_0000),
     len: 0x1_0000,
+};
+/// A child region shorter than `PARENT`: rebasing a capability from the
+/// upper part of `PARENT` lands wholly past its top, so the rebase fails
+/// and the tag is cleared.
+const SHORT_CHILD: Region = Region {
+    base: VirtAddr(0x90_0000),
+    len: 0x2000,
 };
 
 /// One capability planted in the frame before relocation.
@@ -31,8 +45,9 @@ const CHILD: Region = Region {
 struct Plant {
     granule: u8,
     /// Where the capability points: parent region (relocated), an older
-    /// ancestor region (relocated with a different delta), the child
-    /// region itself (left untouched), or nowhere known (tag cleared).
+    /// ancestor region or the parent's abutting neighbour (relocated with
+    /// other deltas), the child region itself (left untouched), or
+    /// nowhere known (tag cleared).
     target: Target,
     /// Offset within the target region (kept in-bounds by construction).
     offset: u16,
@@ -43,33 +58,46 @@ struct Plant {
 enum Target {
     Parent,
     Ancestor,
+    Neighbour,
     Child,
     Unknown,
 }
 
 fn gen_target(rng: &mut Rng) -> Target {
-    match rng.below(4) {
+    match rng.below(5) {
         0 => Target::Parent,
         1 => Target::Ancestor,
-        2 => Target::Child,
+        2 => Target::Neighbour,
+        3 => Target::Child,
         _ => Target::Unknown,
     }
 }
 
+/// Offsets cluster at the start of the target region half the time, so
+/// neighbour capabilities sit right at `PARENT.top()`.
 fn gen_plant(rng: &mut Rng, granule: u8) -> Plant {
+    let offset = if rng.bool() {
+        rng.below(0x40)
+    } else {
+        rng.next_u64()
+    };
     Plant {
         granule,
         target: gen_target(rng),
-        offset: (rng.next_u64() % 0x4000) as u16,
+        offset: offset as u16,
         len: rng.range(1, 128) as u8,
     }
 }
+
+/// One case: the planted capabilities, the plain-data writes over them,
+/// and the child region the page is relocated into.
+type Case = (Vec<Plant>, Vec<(u16, u8)>, Region);
 
 /// A quarter of the pages are completely full, where the in-place
 /// compaction of cleared capabilities has the most to move; the rest are
 /// sparse (under 24 plants) or dense (up to 256 plants at random
 /// granules), half each.
-fn gen_case(rng: &mut Rng) -> (Vec<Plant>, Vec<(u16, u8)>) {
+fn gen_case(rng: &mut Rng) -> Case {
     let plants = if rng.chance(1, 4) {
         (0..=255).map(|g| gen_plant(rng, g)).collect()
     } else {
@@ -94,7 +122,8 @@ fn gen_case(rng: &mut Rng) -> (Vec<Plant>, Vec<(u16, u8)>) {
             )
         })
         .collect();
-    (plants, writes)
+    let child = if rng.chance(1, 4) { SHORT_CHILD } else { CHILD };
+    (plants, writes, child)
 }
 
 fn populate(pm: &mut PhysMem, f: ufork_mem::Pfn, plants: &[Plant], writes: &[(u16, u8)]) {
@@ -106,6 +135,7 @@ fn populate(pm: &mut PhysMem, f: ufork_mem::Pfn, plants: &[Plant], writes: &[(u1
         let region = match p.target {
             Target::Parent => Some(PARENT),
             Target::Ancestor => Some(ANCESTOR),
+            Target::Neighbour => Some(NEIGHBOUR),
             Target::Child => Some(CHILD),
             Target::Unknown => None,
         };
@@ -120,7 +150,7 @@ fn populate(pm: &mut PhysMem, f: ufork_mem::Pfn, plants: &[Plant], writes: &[(u1
 }
 
 fn source_of(addr: u64) -> Option<Region> {
-    [PARENT, ANCESTOR]
+    [PARENT, ANCESTOR, NEIGHBOUR]
         .into_iter()
         .find(|r| r.contains(VirtAddr(addr)))
 }
@@ -133,33 +163,72 @@ fn naive_and_tag_summary_scans_are_observationally_identical() {
         &cfg,
         gen_case,
         |case| {
-            // Shrink by dropping planted caps; keep the writes fixed.
+            // Shrink by dropping planted caps; keep the writes and the
+            // child fixed.
             shrink_vec(&case.0)
                 .into_iter()
-                .map(|plants| (plants, case.1.clone()))
+                .map(|plants| (plants, case.1.clone(), case.2))
                 .collect()
         },
-        |(plants, writes)| differential(plants, writes),
+        |(plants, writes, child)| differential(plants, writes, *child),
     );
 }
 
-/// Relocates two copies of one populated frame, one per scan mode, and
-/// checks that they land on identical frames with identical fix-up counts.
-fn differential(plants: &[Plant], writes: &[(u16, u8)]) -> Result<(), String> {
+/// What the relocation of one frame must produce, computed granule by
+/// granule with a fresh lookup per capability: the surviving
+/// `(offset, capability)` pairs, the `(relocated, cleared)` counts, and
+/// the number of lookups (capabilities not already confined to `child`).
+fn expected(
+    before: &[(u64, Capability)],
+    child: Region,
+    root: &Capability,
+) -> (Vec<(u64, Capability)>, (u64, u64), u64) {
+    let (mut caps, mut fixed, mut lookups) = (Vec::new(), (0, 0), 0);
+    for &(off, cap) in before {
+        if cap.confined_to(child.base.0, child.len) {
+            caps.push((off, cap));
+            continue;
+        }
+        lookups += 1;
+        let rebased = source_of(cap.base()).and_then(|src| {
+            cap.rebase(child.base.0 as i64 - src.base.0 as i64, root)
+                .ok()
+        });
+        match rebased {
+            Some(r) => {
+                caps.push((off, r));
+                fixed.0 += 1;
+            }
+            None => fixed.1 += 1,
+        }
+    }
+    (caps, fixed, lookups)
+}
+
+/// Relocates two copies of one populated frame into `child`, one per scan
+/// mode, and checks that they land on identical frames with identical
+/// fix-up and lookup counts, and that both match the capability-by-
+/// capability reference.
+fn differential(plants: &[Plant], writes: &[(u16, u8)], child: Region) -> Result<(), String> {
     let mut pm = PhysMem::new(4);
     let a = pm.alloc_frame().unwrap();
     let b = pm.alloc_frame().unwrap();
     populate(&mut pm, a, plants, writes);
     pm.copy_frame(a, b).unwrap();
 
-    let root = Capability::new_root(CHILD.base.0, CHILD.len, Perms::data());
-    let s_naive = relocate_frame(&mut pm, a, CHILD, &root, &source_of, ScanMode::Naive);
-    let s_fast = relocate_frame(&mut pm, b, CHILD, &root, &source_of, ScanMode::TagSummary);
+    let root = Capability::new_root(child.base.0, child.len, Perms::data());
+    let before: Vec<_> = pm.frame(a).unwrap().tagged_granules().collect();
+    let (want_caps, want_fixed, want_lookups) = expected(&before, child, &root);
+    let s_naive = relocate_frame(&mut pm, a, child, &root, &source_of, ScanMode::Naive);
+    let s_fast = relocate_frame(&mut pm, b, child, &root, &source_of, ScanMode::TagSummary);
 
-    if s_naive.relocated != s_fast.relocated || s_naive.cleared != s_fast.cleared {
-        return Err(format!(
-            "fix-up counts diverged: naive {s_naive:?}, fast {s_fast:?}"
-        ));
+    for s in [&s_naive, &s_fast] {
+        if (s.relocated, s.cleared) != want_fixed || s.lookups != want_lookups {
+            return Err(format!(
+                "counts {s:?}, reference (relocated, cleared) {want_fixed:?}, \
+                 lookups {want_lookups}"
+            ));
+        }
     }
     // The modes must *search* differently…
     if s_naive.granules_scanned != GRANULES_PER_PAGE || s_naive.tag_words_loaded != 0 {
@@ -188,33 +257,89 @@ fn differential(plants: &[Plant], writes: &[(u16, u8)]) -> Result<(), String> {
     if ca != cb {
         return Err(format!("capability maps diverged: {ca:?} vs {cb:?}"));
     }
+    if ca != want_caps {
+        return Err(format!("capabilities {ca:?}, reference {want_caps:?}"));
+    }
     // Every surviving capability must be confined to the child.
     for (off, cap) in &ca {
-        if !cap.confined_to(CHILD.base.0, CHILD.len) {
+        if !cap.confined_to(child.base.0, child.len) {
             return Err(format!("cap at offset {off} escapes the child: {cap:?}"));
         }
     }
     Ok(())
 }
 
-/// A full page — every granule tagged, the four target kinds rotating so
-/// each tag word holds parents, ancestors, children and unknowns side by
-/// side — relocates identically under both scans.
+/// A full page — every granule tagged, the five target kinds rotating so
+/// each tag word holds parents, ancestors, neighbours, children and
+/// unknowns side by side — relocates identically under both scans.
 #[test]
 fn full_page_of_mixed_targets_relocates_identically() {
     let targets = [
         Target::Parent,
         Target::Ancestor,
+        Target::Neighbour,
         Target::Child,
         Target::Unknown,
     ];
     let plants: Vec<Plant> = (0..=255u8)
         .map(|g| Plant {
             granule: g,
-            target: targets[usize::from(g) % 4],
+            target: targets[usize::from(g) % 5],
             offset: u16::from(g) * 0x20,
             len: 0x10 + g % 64,
         })
         .collect();
-    differential(&plants, &[]).unwrap();
+    differential(&plants, &[], CHILD).unwrap();
+}
+
+/// A neighbour capability based exactly at `PARENT.top()`, right after a
+/// parent capability, is rebased by the neighbour's delta, not by the
+/// parent's the lookup just returned.
+#[test]
+fn capability_at_parent_top_resolves_to_the_neighbour() {
+    let plants = [
+        Plant {
+            granule: 0,
+            target: Target::Parent,
+            offset: 0x100,
+            len: 0x10,
+        },
+        Plant {
+            granule: 1,
+            target: Target::Neighbour,
+            offset: 0,
+            len: 0x10,
+        },
+    ];
+    differential(&plants, &[], CHILD).unwrap();
+}
+
+/// Into a child shorter than the parent, capabilities from the parent's
+/// upper part cannot be rebased: their tags are cleared and counted.
+#[test]
+fn short_child_clears_what_it_cannot_hold() {
+    let plants: Vec<Plant> = (0..16u8)
+        .map(|g| Plant {
+            granule: g,
+            target: Target::Parent,
+            offset: u16::from(g) * 0x1000,
+            len: 0x10,
+        })
+        .collect();
+    differential(&plants, &[], SHORT_CHILD).unwrap();
+    let mut pm = PhysMem::new(2);
+    let f = pm.alloc_frame().unwrap();
+    populate(&mut pm, f, &plants, &[]);
+    let root = Capability::new_root(SHORT_CHILD.base.0, SHORT_CHILD.len, Perms::data());
+    let stats = relocate_frame(
+        &mut pm,
+        f,
+        SHORT_CHILD,
+        &root,
+        &source_of,
+        ScanMode::TagSummary,
+    );
+    // Offsets 0x0000 and 0x1000 fit the 0x2000-byte child, and 0x2000
+    // lands on its top as an empty capability; the other 13 miss it.
+    assert_eq!((stats.relocated, stats.cleared, stats.lookups), (3, 13, 16));
 }

@@ -262,19 +262,27 @@ impl Frame {
     /// the whole rewrite allocates nothing. This is relocation's fix-up
     /// loop (paper §4.2).
     pub fn rewrite_caps(&mut self, mut f: impl FnMut(u64, &Capability) -> Option<Capability>) {
-        let mut kept = 0;
-        for (i, g) in set_bits(self.tags).enumerate() {
-            let old = self.caps[i];
-            let offset = g * GRANULE_SIZE;
-            match f(offset, &old) {
-                Some(cap) => {
-                    if cap != old {
-                        self.write_cap_bytes(offset, &cap);
+        // `i` walks the old ranks, `kept` the new ones. `bits` is a copy of
+        // the tag word, so clearing a tag mid-walk does not disturb it.
+        let (mut i, mut kept) = (0, 0);
+        for w in 0..TAG_WORDS_PER_PAGE {
+            let mut bits = self.tags[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let offset = (w as u64 * GRANULES_PER_TAG_WORD + u64::from(b)) * GRANULE_SIZE;
+                let old = self.caps[i];
+                i += 1;
+                match f(offset, &old) {
+                    Some(cap) => {
+                        if cap != old {
+                            self.write_cap_bytes(offset, &cap);
+                        }
+                        self.caps[kept] = cap;
+                        kept += 1;
                     }
-                    self.caps[kept] = cap;
-                    kept += 1;
+                    None => self.tags[w] &= !(1u64 << b),
                 }
-                None => self.tags[g as usize / 64] &= !(1u64 << (g % 64)),
             }
         }
         self.caps.truncate(kept);

@@ -96,7 +96,9 @@ op_counters! {
         /// Bulk tag-summary words loaded (`CLoadTags`-style, 64 granules
         /// per word).
         tag_words_loaded,
-        /// Source-region lookups performed while relocating capabilities.
+        /// Source-region lookups while relocating: one per tagged
+        /// capability not already confined to the child, memo hits
+        /// included.
         region_lookups,
         /// PTEs copied or created.
         ptes_written,

@@ -26,6 +26,7 @@ impl Region {
     }
 
     /// True if `va` lies within the region.
+    #[inline]
     pub const fn contains(&self, va: VirtAddr) -> bool {
         va.0 >= self.base.0 && va.0 < self.base.0 + self.len
     }
