@@ -234,13 +234,25 @@ mod tests {
         );
     }
 
+    /// Simulated ns a traced context charged to `fork/dedup`.
+    fn dedup_phase_ns(ctx: &Ctx) -> f64 {
+        ctx.trace
+            .phases()
+            .iter()
+            .find(|p| p.name == "fork/dedup")
+            .map_or(0.0, |p| p.total_ns)
+    }
+
     #[test]
     fn traced_dirty_scope_fork_has_scan_and_dedup_phases() {
         // A dirty-tracking + dedup fork must keep the bitwise
         // charge-accumulator contract and surface its two extra phases
         // (`fork/dirty_scan` for the generation stamp, `fork/dedup` for
-        // the content-hash probes) in the same trace stream.
+        // the content-hash probes) in the same trace stream. `fork/dedup`
+        // holds the probes and nothing else: not the PTE write of a
+        // serial dedup hit, nor the copy after a pipelined chunk's miss.
         const PAGES: u64 = 64;
+        let page_hash = UforkConfig::default().cost.page_hash;
         let mut os = UforkOs::new(UforkConfig {
             phys_mib: 64,
             strategy: CopyStrategy::Full,
@@ -262,9 +274,12 @@ mod tests {
                 .expect("store");
         }
         os.fork(&mut ctx, Pid(1), Pid(2)).expect("stamping fork");
-        for p in 0..4 {
+        for p in 0..8 {
+            // Four distinct dirty pages, then four identical ones: the
+            // walk dedups the last three against the first.
+            let v = if p < 4 { p + 2 } else { 0xD0 };
             let slot = arr.with_addr(arr.base() + p * PAGE_SIZE + 8).expect("slot");
-            os.store(&mut ctx, Pid(1), &slot, &(p + 2).to_le_bytes())
+            os.store(&mut ctx, Pid(1), &slot, &v.to_le_bytes())
                 .expect("dirtying store");
         }
 
@@ -286,5 +301,56 @@ mod tests {
         assert!(fctx.counters.pages_dirty_copied > 0, "no dirty copies");
         assert!(fctx.counters.pages_shared_clean > 0, "no clean shares");
         assert!(fctx.counters.dedup_hash_probes > 0, "no dedup probes");
+        assert!(fctx.counters.frames_deduped > 0, "no serial dedup hits");
+        assert_eq!(
+            dedup_phase_ns(&fctx),
+            page_hash * fctx.counters.dedup_hash_probes as f64,
+            "serial fork/dedup holds only the hash probes"
+        );
+
+        // Pipelined: the child's demand faults resolve background chunks
+        // on its own traced context.
+        let mut os = UforkOs::new(UforkConfig {
+            phys_mib: 64,
+            strategy: CopyStrategy::Full,
+            walk: WalkMode::Pipelined,
+            dedup_frames: true,
+            ..UforkConfig::default()
+        });
+        let mut ctx = Ctx::new();
+        os.spawn(&mut ctx, Pid(1), &img).expect("spawn");
+        let arr = os
+            .malloc(&mut ctx, Pid(1), PAGES * PAGE_SIZE)
+            .expect("heap");
+        for p in 0..PAGES {
+            // Four contents repeat across the pages, so the chunks see
+            // both probe misses and hits.
+            let slot = arr.with_addr(arr.base() + p * PAGE_SIZE).expect("slot");
+            os.store(&mut ctx, Pid(1), &slot, &(p % 4 + 1).to_le_bytes())
+                .expect("store");
+        }
+        os.fork(&mut ctx, Pid(1), Pid(2)).expect("pipelined fork");
+        let p_root = os.reg(Pid(1), 0).expect("parent root");
+        let c_root = os.reg(Pid(2), 0).expect("child root");
+        let child_arr = arr
+            .rebase(c_root.base() as i64 - p_root.base() as i64, &c_root)
+            .expect("child view");
+        let mut cctx = Ctx::traced(DEFAULT_TRACE_CAPACITY);
+        for p in [0, PAGES / 2, PAGES - 1] {
+            let slot = child_arr
+                .with_addr(child_arr.base() + p * PAGE_SIZE)
+                .expect("slot");
+            let mut b = [0u8; 8];
+            os.load(&mut cctx, Pid(2), &slot, &mut b)
+                .expect("child demand fault");
+            assert_eq!(u64::from_le_bytes(b), p % 4 + 1, "child page {p}");
+        }
+        assert!(cctx.counters.fork_chunks > 0, "no chunk resolved on demand");
+        assert!(cctx.counters.dedup_hash_probes > 0, "no chunk dedup probes");
+        assert_eq!(
+            dedup_phase_ns(&cctx),
+            page_hash * cctx.counters.dedup_hash_probes as f64,
+            "pipelined fork/dedup holds only the hash probes"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! The μFork fork walk (paper §3.5).
 //!
-//! 1. **Admission** — pre-flight the fork's frame demand against the
-//!    allocator's reservation ledger; under `FallbackPolicy::Degrade`
-//!    the kernel downgrades `Full → CoA → CoPA` until the demand fits
-//!    instead of failing.
+//! 1. **Admission** — fold the fork's frame demand out of its page plan
+//!    and book it in the allocator's reservation ledger; under
+//!    `FallbackPolicy::Degrade` the kernel downgrades `Full → CoA →
+//!    CoPA` until the demand fits instead of failing.
 //! 2. **Parent state duplication** — reserve a contiguous child region,
 //!    copy the parent's PTEs so the child maps the same physical pages,
 //!    proactively copy + relocate the GOT and the in-use allocator
@@ -12,21 +12,29 @@
 //!    the register file, and hand the child to the scheduler (done by
 //!    the executive).
 //!
-//! Step 2 is one walk. A single classifier ([`PagePolicy::classify`])
-//! sorts every parent page into a [`PageClass`] — shm, clean since the
-//! last generation stamp, lazy, or eager — and the one loop in
-//! `fork_walk_pages` stages every shared class the same way (refcount
-//! bump, journaled, one batched child PTE). Only eager pages depend on
-//! the [`WalkMode`], and there are two executors for them: the inline
-//! one (`Serial`: dedup probe, then copy + relocate on the walking
-//! context) and the lane executor (`Parallel(n)`, `crate::fork_par`),
-//! fed with destination frames the walk allocates. `Pipelined` stages
-//! eager pages on the shared parent frame and defers their copies to
-//! background chunks (`crate::pipeline`). Every mode ends in the same
-//! epilogue: the parent's range is streamed directly off the page table,
-//! the child's PTEs land in one sorted
-//! [`ufork_vmem::PageTable::extend_sorted`] sweep, and the parent's COW
-//! protection in one [`ufork_vmem::PageTable::protect_many`] pass.
+//! The parent's page table is read once per attempt. `fork_plan`
+//! streams the parent's range and records every page's PTE with a
+//! [`PageClass`] that does not depend on the strategy — shm, clean since
+//! the last generation stamp, or private (and, if so, whether it holds
+//! the GOT or live allocator metadata). Admission, the Degrade ladder's
+//! density count, the walk and the dirty stamp all read that plan.
+//!
+//! Step 2 is one walk over the plan. The loop in `fork_walk_pages` maps
+//! a private page to eager or lazy under the admitted strategy and
+//! stages every shared page the same way (refcount bump, journaled, one
+//! batched child PTE). Only eager pages depend on the [`WalkMode`], and
+//! there are two executors for them: the inline one (`Serial`,
+//! [`PageWriter::materialize`]: dedup probe, then share or copy +
+//! relocate on the walking context — the same helper a pipelined
+//! background chunk runs) and the lane executor (`Parallel(n)`,
+//! `crate::fork_par`), fed with destination frames the walk allocates.
+//! `Pipelined` stages eager pages on the shared parent frame and defers
+//! their copies to background chunks (`crate::pipeline`). Every mode
+//! ends in the same epilogue: the child's PTEs land in one sorted
+//! [`ufork_vmem::PageTable::extend_sorted`] sweep, the parent's COW
+//! protection in one [`ufork_vmem::PageTable::protect_many`] pass, and —
+//! under dirty tracking — the generation stamp in one
+//! [`ufork_vmem::PageTable::stamp_many`] pass, journaled from the plan.
 //! [`ScanMode::Naive`] is a knob on the same loop: per-granule relocation
 //! sweeps and a rebuilt, linearly scanned region list, always on the
 //! inline executor.
@@ -191,15 +199,15 @@ impl UforkOs {
             )
         };
 
-        // How much allocator metadata is live (eagerly copied, §3.5).
-        let meta_header = p_region.base.0 + layout.heap_meta.0;
-        let blocks_used = self.kread_u64(meta_header + 16).map_err(ForkFail::Fatal)?;
-        let meta_used_bytes = 64 + blocks_used * crate::layout::BLOCK_DESC_BYTES;
+        // The attempt's one read of the parent's page table.
+        let plan = self
+            .fork_plan(p_region, &layout, scope)
+            .map_err(ForkFail::Fatal)?;
 
-        // Admission control: pre-flight the frame demand and book the
-        // reservation (possibly degrading the strategy) before any
-        // side effect that would need unwinding.
-        let strategy = self.admit_fork(ctx, p_region, &layout, meta_used_bytes, scope)?;
+        // Admission control: fold the frame demand out of the plan and
+        // book the reservation (possibly degrading the strategy) before
+        // any side effect that would need unwinding.
+        let strategy = self.admit_fork(ctx, &plan)?;
 
         // Reserve the child's contiguous region.
         ctx.phase("fork/region");
@@ -222,28 +230,11 @@ impl UforkOs {
         let c_root = Capability::new_root(c_region.base.0, layout.region_len(), Perms::data());
         debug_assert!(!c_root.perms().contains(Perms::SYSTEM));
 
-        let deferred = match self.fork_walk_pages(
-            ctx,
-            p_region,
-            &layout,
-            c_region,
-            &c_root,
-            meta_used_bytes,
-            strategy,
-            scope,
-        ) {
-            Ok(deferred) => deferred,
-            Err(e) => return Err(self.abort_fork(ctx, e)),
-        };
-
-        // Stamp the parent's PTEs with the next fork generation (and
-        // clear the soft-dirty bits) so the *next* fork can run
-        // `DirtySince` against this one's snapshot. Runs after the
-        // walk's protection sweep so the journaled pre-stamp state is
-        // the post-arm state reverse-order rollback expects.
-        if let Err(e) = self.stamp_dirty_generation(ctx, parent, p_region, &layout) {
-            return Err(self.abort_fork(ctx, e));
-        }
+        let deferred =
+            match self.fork_walk_pages(ctx, parent, c_region, &c_root, plan, strategy, scope) {
+                Ok(deferred) => deferred,
+                Err(e) => return Err(self.abort_fork(ctx, e)),
+            };
 
         // Relocate the register file (paper §3.5 step 2: "any absolute
         // memory references contained in registers are relocated").
@@ -459,17 +450,14 @@ impl UforkOs {
         ctx.kernel(ns);
     }
 
-    /// Admission control (tentpole of the robustness layer): estimate
-    /// the fork's frame demand, book it in the allocator's reservation
-    /// ledger, and — under [`FallbackPolicy::Degrade`] — downgrade the
-    /// strategy `Full → CoA → CoPA` until the demand fits.
+    /// Admission control (tentpole of the robustness layer): fold the
+    /// fork's frame demand out of `plan`, book it in the allocator's
+    /// reservation ledger, and — under [`FallbackPolicy::Degrade`] —
+    /// downgrade the strategy `Full → CoA → CoPA` until the demand fits.
     fn admit_fork(
         &mut self,
         ctx: &mut Ctx,
-        p_region: Region,
-        layout: &crate::ProcLayout,
-        meta_used_bytes: u64,
-        scope: CopyScope,
+        plan: &[PlannedPage],
     ) -> Result<CopyStrategy, ForkFail> {
         if self.fallback == FallbackPolicy::Disabled {
             return Ok(self.strategy);
@@ -477,9 +465,8 @@ impl UforkOs {
         ctx.phase("fork/admission");
         ctx.kernel(self.cost.admission_check);
         let requested = self.strategy;
-        let (private, eager, _) =
-            self.fork_page_demand(p_region, layout, meta_used_bytes, false, scope);
-        let demand = Self::immediate_demand(requested, private, eager);
+        let (private, pinned) = plan_demand(plan);
+        let demand = Self::immediate_demand(requested, private, pinned);
         if self.pm.reserve(demand).is_ok() {
             if self
                 .journal
@@ -499,14 +486,20 @@ impl UforkOs {
         // their eager pages plus a near-term lazy-copy estimate: CoA
         // faults on *any* child access (assume half the lazy pages copy
         // soon), CoPA only on writes and tagged loads — the tag-summary
-        // bitmaps (PR 2) bound that by the capability-dense page count.
-        let (_, _, cap_dense) =
-            self.fork_page_demand(p_region, layout, meta_used_bytes, true, scope);
+        // bitmaps bound that by the capability-dense page count, a
+        // tag-summary read per private page of the plan.
+        let cap_dense = plan
+            .iter()
+            .filter(|p| {
+                matches!(p.class, PageClass::Private { .. })
+                    && self.pm.frame(p.pte.pfn).is_ok_and(|f| f.cap_count() > 0)
+            })
+            .count() as u64;
         ctx.kernel(self.cost.tags_load * 4.0 * private as f64);
-        let lazy = private - eager;
+        let lazy = private - pinned;
         let ladder = [
-            (CopyStrategy::CoA, eager + lazy / 2),
-            (CopyStrategy::CoPA, eager + cap_dense.min(lazy)),
+            (CopyStrategy::CoA, pinned + lazy / 2),
+            (CopyStrategy::CoPA, pinned + cap_dense.min(lazy)),
         ];
         for (cand, est) in ladder {
             if Self::degrade_rank(cand) <= Self::degrade_rank(requested) {
@@ -534,142 +527,79 @@ impl UforkOs {
     }
 
     /// Frames a fork must allocate up front: every private page under
-    /// `Full`, only the eagerly-copied pages under the lazy strategies.
-    fn immediate_demand(strategy: CopyStrategy, private: u64, eager: u64) -> u64 {
+    /// `Full`, only the pinned (GOT and live allocator-metadata) pages
+    /// under the lazy strategies.
+    fn immediate_demand(strategy: CopyStrategy, private: u64, pinned: u64) -> u64 {
         match strategy {
             CopyStrategy::Full => private,
-            CopyStrategy::CoA | CopyStrategy::CoPA => eager,
+            CopyStrategy::CoA | CopyStrategy::CoPA => pinned,
         }
     }
 
-    /// One read-only pass over the parent's mapped range, classifying
-    /// pages the way the walk will. Returns `(private, eager,
-    /// cap_dense)`: non-shm mapped pages *inside the copy scope*, pages
-    /// copied eagerly under a lazy strategy, and — only when `density`
-    /// is requested, since it costs a tag-summary read per page — pages
-    /// holding at least one tagged granule. Clean pages under
-    /// [`CopyScope::DirtySince`] allocate nothing at fork time (their
-    /// child mappings share the parent frame), so they contribute
-    /// nothing to the demand.
-    fn fork_page_demand(
+    /// The fork's one read of the parent's page table: every mapped page
+    /// of `p_region` in ascending order, with its PTE and a
+    /// strategy-independent [`PageClass`]. Admission, the walk and the
+    /// dirty stamp all read this plan instead of the page table.
+    fn fork_plan(
         &self,
         p_region: Region,
         layout: &crate::ProcLayout,
-        meta_used_bytes: u64,
-        density: bool,
         scope: CopyScope,
-    ) -> (u64, u64, u64) {
-        // `eager` counts the pages copied at fork under a lazy strategy.
-        let policy = self.page_policy(layout, meta_used_bytes, CopyStrategy::CoPA, scope);
+    ) -> SysResult<Vec<PlannedPage>> {
+        // How much allocator metadata is live: pinned, like the GOT,
+        // while eager fork copies are on (§3.5).
+        let meta_header = p_region.base.0 + layout.heap_meta.0;
+        let blocks_used = self.kread_u64(meta_header + 16)?;
+        let meta_used = 64 + blocks_used * crate::layout::BLOCK_DESC_BYTES;
+        let eager_meta = self.eager_fork_copies.then_some(meta_used);
         let start = p_region.base.vpn();
         let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let (mut private, mut eager, mut cap_dense) = (0u64, 0u64, 0u64);
-        for (vpn, pte) in self.pt.range(start, end) {
-            let off = vpn.base().0 - p_region.base.0;
-            match policy.classify(layout.segment_of(off), off, &pte) {
-                PageClass::Shm | PageClass::Clean => continue,
-                PageClass::Eager => eager += 1,
-                PageClass::Lazy => {}
-            }
-            private += 1;
-            if density {
-                if let Ok(frame) = self.pm.frame(pte.pfn) {
-                    if frame.cap_count() > 0 {
-                        cap_dense += 1;
-                    }
-                }
-            }
-        }
-        (private, eager, cap_dense)
-    }
-
-    /// Stamps every non-shm parent PTE with the next fork generation:
-    /// generation field overwritten, soft-dirty bit cleared (each dirty
-    /// bit set since the last fork is cleared exactly once, here),
-    /// writable pages (re-)armed CoW so the *first* post-fork write
-    /// faults and sets the bit again. Skipped unless dirty tracking is
-    /// on; the [`ScanMode::Naive`] ablation never stamps, so it always
-    /// measures the full walk (auto-scoping never picks `DirtySince`
-    /// there). Fully journaled: an abort mid-sweep restores every PTE's
-    /// exact pre-stamp state and the parent's cursor.
-    fn stamp_dirty_generation(
-        &mut self,
-        ctx: &mut Ctx,
-        parent: Pid,
-        p_region: Region,
-        layout: &crate::ProcLayout,
-    ) -> SysResult<()> {
-        if !self.track_dirty || self.scan == ScanMode::Naive {
-            return Ok(());
-        }
-        ctx.phase("fork/dirty_scan");
-        let (old_gen, old_tracked) = {
-            let p = self.proc(parent)?;
-            (p.dirty_gen, p.dirty_tracked)
-        };
-        // Generation 0 means "never stamped" (fresh maps land there and
-        // must read as dirty), so the cursor skips it on wrap.
-        let new_gen = match old_gen.wrapping_add(1) {
-            0 => 1,
-            g => g,
-        };
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let mut stamped: Vec<Vpn> = Vec::new();
-        {
-            let pt = &self.pt;
-            let journal = &mut self.journal;
-            for (vpn, pte) in pt.range(start, end) {
+        Ok(self
+            .pt
+            .range(start, end)
+            .map(|(vpn, pte)| {
                 let off = vpn.base().0 - p_region.base.0;
-                if layout.segment_of(off) == Segment::Shm {
-                    // Shm frames are shared read-write by design; arming
-                    // them CoW would privatize a write. They are also
-                    // always shared by the walk, so they need no scope
-                    // classification.
-                    continue;
+                let seg = layout.segment_of(off);
+                let class = if seg == Segment::Shm {
+                    PageClass::Shm
+                } else if !scope.page_dirty(&pte) {
+                    PageClass::Clean
+                } else {
+                    let pinned = match (seg, eager_meta) {
+                        (Segment::Got, Some(_)) => true,
+                        (Segment::HeapMeta, Some(used)) => off - layout.heap_meta.0 < used,
+                        _ => false,
+                    };
+                    PageClass::Private { pinned }
+                };
+                PlannedPage {
+                    vpn,
+                    off,
+                    pte,
+                    seg,
+                    class,
                 }
-                journal
-                    .record(JournalOp::DirtyStamp {
-                        vpn,
-                        old_gen: pte.gen,
-                        was_dirty: pte.flags.contains(PteFlags::DIRTY),
-                        had_cow: pte.flags.contains(PteFlags::COW),
-                    })
-                    .map_err(|_| Errno::NoMem)?;
-                stamped.push(vpn);
-            }
-        }
-        self.journal
-            .record(JournalOp::DirtyTrack {
-                pid: parent,
-                old_gen,
-                old_tracked,
             })
-            .map_err(|_| Errno::NoMem)?;
-        let n = self.pt.stamp_many(stamped, new_gen);
-        ctx.kernel(self.cost.pte_protect * n as f64);
-        if let Some(p) = self.procs.get_mut(&parent) {
-            p.dirty_gen = new_gen;
-            p.dirty_tracked = true;
-        }
-        Ok(())
+            .collect())
     }
 
-    /// The fork walk: one pass over the parent's mapped range that maps
-    /// (and, where the strategy requires, copies and relocates) every
-    /// page into the child region, recording every side effect in the
+    /// The fork walk: one pass over the fork's `plan` that maps (and,
+    /// where the strategy requires, copies and relocates) every page
+    /// into the child region, recording every side effect in the
     /// journal. On `Err` nothing has been cleaned up yet — the caller
     /// rolls the journal back.
     ///
-    /// [`PagePolicy::classify`] decides each page's [`PageClass`]; shared
-    /// classes all go through [`stage_shared`]. Only `Eager` pages
-    /// consult the walk mode: `Serial` copies them inline (dedup probe,
-    /// then copy + relocate), `Parallel(n)` allocates their
-    /// destinations here and hands the copies to the lane executor
-    /// after the stream, and `Pipelined` stages them on the shared
-    /// parent frame and defers the copy behind the commit. The naive
-    /// scan ablation always copies inline. Every mode ends in the same
-    /// batched PTE install and parent CoW sweep.
+    /// A private page is eager under `Full` or when pinned, lazy
+    /// otherwise; shared pages all go through
+    /// [`PageWriter::stage_shared`]. Only eager pages consult the walk
+    /// mode: `Serial` materializes them inline
+    /// ([`PageWriter::materialize`]), `Parallel(n)` allocates their
+    /// destinations here and hands the copies to the lane executor after
+    /// the stream, and `Pipelined` stages them on the shared parent frame
+    /// and defers the copy behind the commit. The naive scan ablation
+    /// always copies inline. Every mode ends in the same batched PTE
+    /// install, parent CoW sweep and — under dirty tracking — generation
+    /// stamp.
     ///
     /// Returns the pages whose copies were *deferred* behind the commit:
     /// empty except under [`WalkMode::Pipelined`]. Under
@@ -679,11 +609,10 @@ impl UforkOs {
     fn fork_walk_pages(
         &mut self,
         ctx: &mut Ctx,
-        p_region: Region,
-        layout: &crate::ProcLayout,
+        parent: Pid,
         c_region: Region,
         c_root: &Capability,
-        meta_used_bytes: u64,
+        mut plan: Vec<PlannedPage>,
         strategy: CopyStrategy,
         scope: CopyScope,
     ) -> SysResult<Vec<(Vpn, PteFlags)>> {
@@ -694,14 +623,10 @@ impl UforkOs {
         } else {
             self.walk
         };
-        let policy = self.page_policy(layout, meta_used_bytes, strategy, scope);
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
         let validates = self.isolation.validates_syscalls();
-        let dedup_on = self.dedup_frames;
 
         // Staged child PTEs, produced in ascending page order by the
-        // parent-range stream; inserted in one batch on success only.
+        // plan; inserted in one batch on success only.
         let mut batch: Vec<(Vpn, Pte)> = Vec::new();
         // Parent pages to flip to COW in one protection sweep at the end.
         let mut cow_arm: Vec<Vpn> = Vec::new();
@@ -714,42 +639,44 @@ impl UforkOs {
 
         let source = SourceLookup::new(self.scan, &self.region_index, || self.source_regions());
         {
-            // Split borrows: the parent range is streamed off `pt` (shared)
-            // while frames are copied through `pm` (mutable) and effects
-            // land in `journal` (mutable); `pt` itself is only written
-            // after the stream ends.
-            let pm = &mut self.pm;
-            let pt = &self.pt;
-            let journal = &mut self.journal;
-            let cost = &self.cost;
-            let dedup = &mut self.dedup;
+            // Split borrows: frames are copied through `pm` (mutable)
+            // and effects land in `journal` (mutable) while the dedup
+            // probe reads `pt`, which is only written after the loop.
             let target = RelocTarget {
                 region: c_region,
                 root: c_root,
                 source: &source,
                 mode: self.scan,
             };
+            let cost = &self.cost;
+            let mut writer = PageWriter {
+                pm: &mut self.pm,
+                pt: &self.pt,
+                journal: &mut self.journal,
+                dedup: self.dedup_frames.then_some(&mut self.dedup),
+                cost,
+                target: &target,
+                copy_phase: "fork/walk/copy",
+                reloc_phase: "fork/walk/reloc",
+            };
 
-            for (vpn, pte) in pt.range(start, end) {
+            for page in plan.iter_mut() {
                 ctx.phase("fork/walk/pte");
-                let off = vpn.base().0 - p_region.base.0;
-                let seg = layout.segment_of(off);
-                let c_vpn = VirtAddr(c_region.base.0 + off).vpn();
-                let final_flags = Self::seg_flags(seg);
-                let class = policy.classify(seg, off, &pte);
-                if scope != CopyScope::Everything
-                    && matches!(class, PageClass::Lazy | PageClass::Eager)
+                let pte = page.pte;
+                let c_vpn = VirtAddr(c_region.base.0 + page.off).vpn();
+                let final_flags = Self::seg_flags(page.seg);
+                if scope != CopyScope::Everything && matches!(page.class, PageClass::Private { .. })
                 {
                     ctx.counters.pages_dirty_copied += 1;
                 }
 
                 // Does the child keep reading the parent's frame (so the
                 // parent's writable mapping must turn copy-on-write)?
-                let shares_parent_frame = match class {
+                let shares_parent_frame = match page.class {
                     PageClass::Shm => {
                         // Shared mappings stay shared: same frames, full perms.
                         let child = Pte::new(pte.pfn, final_flags);
-                        stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, cost.pte_copy)?;
+                        writer.stage_shared(&mut batch, ctx, c_vpn, child, cost.pte_copy)?;
                         false
                     }
                     PageClass::Clean => {
@@ -759,21 +686,22 @@ impl UforkOs {
                         // *parent's* capabilities, so direct cap loads
                         // must stay fenced).
                         let child = Pte::new(pte.pfn, lazy_child_flags(strategy, final_flags));
-                        stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, cost.pte_copy)?;
+                        writer.stage_shared(&mut batch, ctx, c_vpn, child, cost.pte_copy)?;
                         ctx.counters.pages_shared_clean += 1;
                         true
                     }
-                    PageClass::Lazy => {
+                    PageClass::Private { pinned } if strategy != CopyStrategy::Full && !pinned => {
+                        // Lazy: shared with the strategy's faults armed.
                         let ns = if strategy == CopyStrategy::CoA {
                             cost.pte_copy + cost.coa_pte_extra
                         } else {
                             cost.pte_copy
                         };
                         let child = Pte::new(pte.pfn, lazy_child_flags(strategy, final_flags));
-                        stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, ns)?;
+                        writer.stage_shared(&mut batch, ctx, c_vpn, child, ns)?;
                         true
                     }
-                    PageClass::Eager => match walk {
+                    PageClass::Private { .. } => match walk {
                         WalkMode::Pipelined => {
                             // Stage, don't copy: the child maps the shared
                             // frame CoA-style (any access faults and jumps
@@ -785,14 +713,14 @@ impl UforkOs {
                             let child =
                                 Pte::new(pte.pfn, lazy_child_flags(CopyStrategy::CoA, final_flags));
                             let ns = cost.pte_copy + cost.coa_pte_extra;
-                            stage_shared(pm, journal, &mut batch, ctx, c_vpn, child, ns)?;
+                            writer.stage_shared(&mut batch, ctx, c_vpn, child, ns)?;
                             deferred.push((c_vpn, final_flags));
                             true
                         }
                         WalkMode::Parallel(_) => {
                             let dst = alloc_lane_frame(
-                                pm,
-                                journal,
+                                writer.pm,
+                                writer.journal,
                                 ctx,
                                 lane_pages.len(),
                                 walk.workers(),
@@ -802,52 +730,17 @@ impl UforkOs {
                             false
                         }
                         WalkMode::Serial => {
-                            // Cross-child dedup: before materializing a
-                            // private copy, probe the content index for an
-                            // identical frame a sibling (or an earlier page
-                            // of this walk) already holds. Untagged source
-                            // frames only — relocation is a no-op on them,
-                            // so the copy's content equals the source's.
-                            let probe = if dedup_on {
-                                ctx.phase("fork/dedup");
-                                dedup_probe(pm, pt, &batch, dedup, cost, ctx, pte.pfn)
-                            } else {
-                                DedupProbe::Skip
-                            };
-                            if let DedupProbe::Hit(shared) = probe {
-                                // CoW-protected: the canonical content must
-                                // stay stable under every sharer's writes.
-                                let child = Pte::new(shared, final_flags.with(PteFlags::COW));
-                                stage_shared(
-                                    pm,
-                                    journal,
-                                    &mut batch,
-                                    ctx,
-                                    c_vpn,
-                                    child,
-                                    cost.pte_write,
-                                )?;
-                                ctx.counters.frames_deduped += 1;
-                                false
-                            } else {
+                            if writer.dedup.is_none() {
                                 ctx.phase("fork/walk/copy");
-                                let new = copy_frame_for_child(pm, journal, cost, ctx, pte.pfn)?;
-                                ctx.phase("fork/walk/reloc");
-                                relocate_counted(pm, new, &target, cost, ctx);
-                                ctx.phase("fork/walk/pte");
-                                let mut flags = final_flags;
-                                if let DedupProbe::Miss(hash) = probe {
-                                    // Register the fresh copy as the canonical
-                                    // frame for this content, CoW-armed so it
-                                    // stays byte-stable while indexed. No
-                                    // journal op: a rolled-back fork leaves a
-                                    // stale entry that self-invalidates on the
-                                    // next probe.
-                                    dedup.insert(hash, new, c_vpn.0);
-                                    flags = flags.with(PteFlags::COW);
-                                }
-                                batch.push((c_vpn, Pte::new(new, flags)));
-                                ctx.kernel(cost.pte_write);
+                            }
+                            let made =
+                                writer.materialize(ctx, pte.pfn, &batch, c_vpn, final_flags)?;
+                            ctx.phase("fork/walk/pte");
+                            batch.push((c_vpn, Pte::new(made.pfn, made.flags)));
+                            ctx.kernel(cost.pte_write);
+                            if made.hit {
+                                ctx.counters.frames_deduped += 1;
+                            } else {
                                 if validates {
                                     // Adversarial deployments re-verify every
                                     // relocated capability against the child's
@@ -857,8 +750,8 @@ impl UforkOs {
                                     ctx.kernel(cost.page_scan() + cost.tocttou_fixed);
                                 }
                                 ctx.counters.pages_copied_eager += 1;
-                                false
                             }
+                            false
                         }
                     },
                 };
@@ -866,7 +759,11 @@ impl UforkOs {
                     && final_flags.contains(PteFlags::WRITE)
                     && !pte.flags.contains(PteFlags::COW)
                 {
-                    cow_arm.push(vpn);
+                    cow_arm.push(page.vpn);
+                    // The plan now reads as this PTE will after the
+                    // protection sweep below: what the dirty stamp
+                    // journals as its pre-stamp state.
+                    page.pte.flags = pte.flags.with(PteFlags::COW);
                 }
             }
         }
@@ -892,76 +789,113 @@ impl UforkOs {
         }
         let armed = self.pt.protect_many(cow_arm, PteFlags::COW);
         ctx.kernel(self.cost.pte_protect * armed as f64);
+        // The naive ablation never stamps: it always measures the full
+        // walk (auto-scoping never picks `DirtySince` there).
+        if self.track_dirty && self.scan != ScanMode::Naive {
+            self.stamp_generation(ctx, parent, &plan)?;
+        }
         Ok(deferred)
     }
 
-    /// The page classifier's inputs for one fork.
-    fn page_policy(
-        &self,
-        layout: &crate::ProcLayout,
-        meta_used_bytes: u64,
-        strategy: CopyStrategy,
-        scope: CopyScope,
-    ) -> PagePolicy {
-        PagePolicy {
-            strategy,
-            scope,
-            heap_meta: layout.heap_meta.0,
-            eager_meta: self.eager_fork_copies.then_some(meta_used_bytes),
+    /// The walk's dirty-tracking epilogue: stamps every non-shm parent
+    /// page with the next fork generation — generation overwritten,
+    /// soft-dirty bit cleared, writable pages (re-)armed CoW so the
+    /// *first* post-fork write sets the bit again — so the *next* fork
+    /// can run `DirtySince` against this one's snapshot. Journaled from
+    /// `plan`, which by now reads as the parent's PTEs after the CoW
+    /// sweep, the exact pre-stamp state rollback restores.
+    fn stamp_generation(
+        &mut self,
+        ctx: &mut Ctx,
+        parent: Pid,
+        plan: &[PlannedPage],
+    ) -> SysResult<()> {
+        ctx.phase("fork/dirty_scan");
+        let (old_gen, old_tracked) = {
+            let p = self.proc(parent)?;
+            (p.dirty_gen, p.dirty_tracked)
+        };
+        // Generation 0 means "never stamped" (fresh maps land there and
+        // must read as dirty), so the cursor skips it on wrap.
+        let new_gen = match old_gen.wrapping_add(1) {
+            0 => 1,
+            g => g,
+        };
+        let mut stamped: Vec<Vpn> = Vec::new();
+        for page in plan {
+            if page.class == PageClass::Shm {
+                // Shm frames are shared read-write by design; arming
+                // them CoW would privatize a write.
+                continue;
+            }
+            debug_assert_eq!(
+                self.pt.lookup(page.vpn),
+                Some(page.pte),
+                "plan != swept PTE"
+            );
+            self.journal
+                .record(JournalOp::DirtyStamp {
+                    vpn: page.vpn,
+                    old_gen: page.pte.gen,
+                    was_dirty: page.pte.flags.contains(PteFlags::DIRTY),
+                    had_cow: page.pte.flags.contains(PteFlags::COW),
+                })
+                .map_err(|_| Errno::NoMem)?;
+            stamped.push(page.vpn);
         }
+        self.journal
+            .record(JournalOp::DirtyTrack {
+                pid: parent,
+                old_gen,
+                old_tracked,
+            })
+            .map_err(|_| Errno::NoMem)?;
+        let n = self.pt.stamp_many(stamped, new_gen);
+        ctx.kernel(self.cost.pte_protect * n as f64);
+        if let Some(p) = self.procs.get_mut(&parent) {
+            p.dirty_gen = new_gen;
+            p.dirty_tracked = true;
+        }
+        Ok(())
     }
 }
 
-/// What the fork walk does with one parent page.
+/// What a fork does with one parent page, before the strategy is known.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PageClass {
+enum PageClass {
     /// Shared memory: the child maps the same frame with full perms.
     Shm,
     /// Clean since the parent's last generation stamp
     /// ([`CopyScope::DirtySince`] only): shared, lazily armed, no copy.
     Clean,
-    /// Shared with the lazy strategy's faults armed; copied on demand.
-    Lazy,
-    /// Copied (and relocated) at fork time.
-    Eager,
+    /// Inside the copy scope: copied at fork under `Full`, shared with
+    /// the lazy strategy's faults armed otherwise — unless `pinned`, the
+    /// GOT or live allocator metadata, which every strategy copies at
+    /// fork (paper §3.5).
+    Private { pinned: bool },
 }
 
-/// The per-fork inputs of the page classifier (paper §3.5 as data).
+/// One parent page as the fork's single read of the page table saw it.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct PagePolicy {
-    strategy: CopyStrategy,
-    scope: CopyScope,
-    /// Offset of the allocator-metadata segment in the region.
-    heap_meta: u64,
-    /// Live allocator-metadata bytes copied eagerly; `None` when eager
-    /// fork copies are off.
-    eager_meta: Option<u64>,
+struct PlannedPage {
+    vpn: Vpn,
+    /// Offset of the page in the parent's region.
+    off: u64,
+    pte: Pte,
+    seg: Segment,
+    class: PageClass,
 }
 
-impl PagePolicy {
-    /// Classifies the page at region offset `off` (segment `seg`): shm
-    /// pages are always shared, pages outside the copy scope are clean,
-    /// and the rest are eager under `Full` — or, under the lazy
-    /// strategies, when they hold the GOT or live allocator metadata
-    /// (proactively copied, paper §3.5) — and lazy otherwise.
-    pub(crate) fn classify(&self, seg: Segment, off: u64, pte: &Pte) -> PageClass {
-        if seg == Segment::Shm {
-            return PageClass::Shm;
-        }
-        if !self.scope.page_dirty(pte) {
-            return PageClass::Clean;
-        }
-        let eager_segment = match (seg, self.eager_meta) {
-            (Segment::Got, Some(_)) => true,
-            (Segment::HeapMeta, Some(used)) => off - self.heap_meta < used,
-            _ => false,
-        };
-        if self.strategy == CopyStrategy::Full || eager_segment {
-            PageClass::Eager
-        } else {
-            PageClass::Lazy
-        }
-    }
+/// Admission's fold over a fork plan: `(private, pinned)` — the pages
+/// a `Full` fork copies, and the pinned pages every strategy copies.
+/// Shm and clean pages stay on the parent's frame, so they allocate
+/// nothing at fork time.
+fn plan_demand(plan: &[PlannedPage]) -> (u64, u64) {
+    plan.iter()
+        .fold((0, 0), |(private, pinned), p| match p.class {
+            PageClass::Private { pinned: pin } => (private + 1, pinned + u64::from(pin)),
+            PageClass::Shm | PageClass::Clean => (private, pinned),
+        })
 }
 
 /// Child PTE flags for a page left on a shared frame: fully
@@ -982,30 +916,127 @@ fn lazy_child_flags(strategy: CopyStrategy, final_flags: PteFlags) -> PteFlags {
     f
 }
 
-/// Stages `child` at `c_vpn` on an existing frame: takes and journals a
-/// reference on the frame, queues the PTE in the walk's batch, and
-/// charges `ns`.
-fn stage_shared(
-    pm: &mut PhysMem,
-    journal: &mut ForkJournal,
-    batch: &mut Vec<(Vpn, Pte)>,
-    ctx: &mut Ctx,
-    c_vpn: Vpn,
-    child: Pte,
-    ns: f64,
-) -> SysResult<()> {
-    pm.inc_ref(child.pfn).map_err(|_| Errno::Fault)?;
-    journal
-        .record(JournalOp::RefInc(child.pfn))
-        .map_err(|_| Errno::NoMem)?;
-    batch.push((c_vpn, child));
-    ctx.kernel(ns);
-    Ok(())
+/// The kernel state that materializing an eager page touches, split out
+/// of [`UforkOs`] so a walk can hold it across its loop.
+pub(crate) struct PageWriter<'a> {
+    pub(crate) pm: &'a mut PhysMem,
+    pub(crate) pt: &'a PageTable,
+    pub(crate) journal: &'a mut ForkJournal,
+    /// The cross-child content index; `None` when dedup is off.
+    pub(crate) dedup: Option<&'a mut FrameDedupIndex>,
+    pub(crate) cost: &'a CostModel,
+    /// The child region copies are relocated into.
+    pub(crate) target: &'a RelocTarget<'a>,
+    /// The phases a copy and its relocation are charged to.
+    pub(crate) copy_phase: &'static str,
+    pub(crate) reloc_phase: &'static str,
+}
+
+/// An eager page made ready for the child: the frame and flags its PTE
+/// gets.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EagerPage {
+    pub(crate) pfn: Pfn,
+    pub(crate) flags: PteFlags,
+    /// `pfn` is an indexed canonical frame (a dedup hit), not a copy.
+    pub(crate) hit: bool,
+}
+
+impl PageWriter<'_> {
+    /// Takes a reference on `pfn` for the child, journaled.
+    fn share(&mut self, pfn: Pfn) -> SysResult<()> {
+        self.pm.inc_ref(pfn).map_err(|_| Errno::Fault)?;
+        self.journal
+            .record(JournalOp::RefInc(pfn))
+            .map_err(|_| Errno::NoMem)
+    }
+
+    /// Stages `child` at `c_vpn` on an existing frame: takes the
+    /// reference, queues the PTE in the walk's batch, and charges `ns`.
+    fn stage_shared(
+        &mut self,
+        batch: &mut Vec<(Vpn, Pte)>,
+        ctx: &mut Ctx,
+        c_vpn: Vpn,
+        child: Pte,
+        ns: f64,
+    ) -> SysResult<()> {
+        self.share(child.pfn)?;
+        batch.push((c_vpn, child));
+        ctx.kernel(ns);
+        Ok(())
+    }
+
+    /// Makes the child's private view of parent frame `src`, bound for
+    /// child page `c_vpn` with `final_flags`.
+    ///
+    /// Cross-child dedup first: the content index is probed (charged to
+    /// `fork/dedup`) for an identical frame a sibling — or, through
+    /// `staged`, an earlier page of this walk — already holds. A hit
+    /// shares that frame, its reference journaled. Otherwise `src` is
+    /// copied into a fresh frame and relocated (charged to the copy and
+    /// relocation phases; the caller has the copy phase open unless a
+    /// probe ran), and a probe miss registers the copy as the
+    /// canonical frame for its content. Every probed page is CoW-armed:
+    /// an indexed frame must stay byte-stable under every sharer's
+    /// writes. The caller installs the PTE; on `Err` it rolls the
+    /// journal back.
+    pub(crate) fn materialize(
+        &mut self,
+        ctx: &mut Ctx,
+        src: Pfn,
+        staged: &[(Vpn, Pte)],
+        c_vpn: Vpn,
+        final_flags: PteFlags,
+    ) -> SysResult<EagerPage> {
+        let probe = match self.dedup.as_deref_mut() {
+            Some(dedup) => {
+                ctx.phase("fork/dedup");
+                dedup_probe(self.pm, self.pt, staged, dedup, self.cost, ctx, src)
+            }
+            None => DedupProbe::Skip,
+        };
+        let pfn = if let DedupProbe::Hit(shared) = probe {
+            self.share(shared)?;
+            shared
+        } else {
+            if self.dedup.is_some() {
+                ctx.phase(self.copy_phase);
+            }
+            // Journaled before the copy: on a copy failure the
+            // rollback owns the frame.
+            let new = alloc_zeroed_charged(self.pm, self.cost, ctx).map_err(|_| Errno::NoMem)?;
+            self.journal
+                .record(JournalOp::FrameAlloc(new))
+                .map_err(|_| Errno::NoMem)?;
+            self.pm.copy_frame(src, new).map_err(|_| Errno::Fault)?;
+            ctx.kernel(self.cost.page_alloc + self.cost.page_copy);
+            ctx.counters.pages_copied += 1;
+            ctx.phase(self.reloc_phase);
+            relocate_counted(self.pm, new, self.target, self.cost, ctx);
+            if let (DedupProbe::Miss(hash), Some(dedup)) = (probe, self.dedup.as_deref_mut()) {
+                // No journal op: a rolled-back fork or chunk leaves a
+                // stale entry that self-invalidates on the next probe.
+                dedup.insert(hash, new, c_vpn.0);
+            }
+            new
+        };
+        let flags = if probe == DedupProbe::Skip {
+            final_flags
+        } else {
+            final_flags.with(PteFlags::COW)
+        };
+        Ok(EagerPage {
+            pfn,
+            flags,
+            hit: matches!(probe, DedupProbe::Hit(_)),
+        })
+    }
 }
 
 /// Outcome of a cross-child dedup probe for one eager-copy source page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DedupProbe {
+enum DedupProbe {
     /// Dedup disabled, or the source frame holds tags (per-child
     /// relocation makes tagged copies never byte-identical).
     Skip,
@@ -1026,7 +1057,7 @@ pub(crate) enum DedupProbe {
 /// only an index key, never an equality proof. Stale entries are
 /// evicted on sight, which is what lets inserts skip the journal
 /// entirely.
-pub(crate) fn dedup_probe(
+fn dedup_probe(
     pm: &PhysMem,
     pt: &PageTable,
     staged: &[(Vpn, Pte)],
@@ -1091,23 +1122,78 @@ pub(crate) fn alloc_zeroed_charged(
     Ok(g.pfn)
 }
 
-/// Allocates a private frame for a child and copies `src` into it. The
-/// allocated frame is journaled before the copy: on a copy failure the
-/// frame is *not* freed here — the caller's rollback owns that
-/// reference.
-pub(crate) fn copy_frame_for_child(
-    pm: &mut PhysMem,
-    journal: &mut ForkJournal,
-    cost: &CostModel,
-    ctx: &mut Ctx,
-    src: Pfn,
-) -> SysResult<Pfn> {
-    let new = alloc_zeroed_charged(pm, cost, ctx).map_err(|_| Errno::NoMem)?;
-    journal
-        .record(JournalOp::FrameAlloc(new))
-        .map_err(|_| Errno::NoMem)?;
-    pm.copy_frame(src, new).map_err(|_| Errno::Fault)?;
-    ctx.kernel(cost.page_alloc + cost.page_copy);
-    ctx.counters.pages_copied += 1;
-    Ok(new)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::UforkConfig;
+    use ufork_abi::ImageSpec;
+    use ufork_exec::MemOs;
+
+    /// With dedup off, the demand admission folds out of a fork's plan
+    /// is exactly the frames the Serial fork that follows allocates:
+    /// shm and clean pages stay on the parent's frames, so a fold that
+    /// counted them as private would over-book.
+    #[test]
+    fn plan_demand_equals_serial_fork_allocations() {
+        let strategies = [CopyStrategy::Full, CopyStrategy::CoA, CopyStrategy::CoPA];
+        for strategy in strategies {
+            for eager_fork_copies in [true, false] {
+                for dirty_scope in [false, true] {
+                    let case =
+                        format!("{strategy:?}, eager {eager_fork_copies}, dirty {dirty_scope}");
+                    let mut os = UforkOs::new(UforkConfig {
+                        phys_mib: 64,
+                        strategy,
+                        eager_fork_copies,
+                        walk: WalkMode::Serial,
+                        track_dirty: true,
+                        dedup_frames: false,
+                        ..UforkConfig::default()
+                    });
+                    let mut ctx = Ctx::new();
+                    let img = ImageSpec::with_heap("demand", 24 * PAGE_SIZE + (64 << 10));
+                    os.spawn(&mut ctx, Pid(1), &img).unwrap();
+                    let heap = os.malloc(&mut ctx, Pid(1), 24 * PAGE_SIZE).unwrap();
+                    let store = |os: &mut UforkOs, ctx: &mut Ctx, page: u64, v: u64| {
+                        let slot = heap.with_addr(heap.base() + page * PAGE_SIZE).unwrap();
+                        os.store(ctx, Pid(1), &slot, &v.to_le_bytes()).unwrap();
+                    };
+                    for page in 0..24 {
+                        store(&mut os, &mut ctx, page, page + 1);
+                    }
+                    os.shm_open(&mut ctx, Pid(1), "demand", 4 * PAGE_SIZE)
+                        .unwrap();
+                    // The first fork stamps a generation; dirty a few
+                    // heap pages and the allocator metadata after it.
+                    os.fork(&mut ctx, Pid(1), Pid(2)).unwrap();
+                    for page in [1, 7, 8] {
+                        store(&mut os, &mut ctx, page, 99);
+                    }
+                    os.malloc(&mut ctx, Pid(1), 64).unwrap();
+                    let scope = match os.fork_generation(Pid(1)) {
+                        Some(gen) if dirty_scope => CopyScope::DirtySince(gen),
+                        _ => CopyScope::Everything,
+                    };
+                    assert_eq!(dirty_scope, scope != CopyScope::Everything, "{case}");
+
+                    let (region, layout) = {
+                        let p = os.proc(Pid(1)).unwrap();
+                        (p.region, p.layout.clone())
+                    };
+                    let plan = os.fork_plan(region, &layout, scope).unwrap();
+                    let has = |class: PageClass| plan.iter().any(|p| p.class == class);
+                    assert!(has(PageClass::Shm), "{case}: no shm page in the plan");
+                    assert_eq!(has(PageClass::Clean), dirty_scope, "{case}");
+                    let (private, pinned) = plan_demand(&plan);
+                    let demand = UforkOs::immediate_demand(strategy, private, pinned);
+                    assert_eq!(pinned > 0, eager_fork_copies, "{case}");
+
+                    let before = os.pm.allocated_frames();
+                    os.fork_scoped(&mut ctx, Pid(1), Pid(3), scope).unwrap();
+                    let allocated = u64::from(os.pm.allocated_frames() - before);
+                    assert_eq!(demand, allocated, "{case}");
+                }
+            }
+        }
+    }
 }

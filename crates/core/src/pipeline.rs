@@ -49,7 +49,7 @@ use ufork_exec::Ctx;
 use ufork_sim::LaneClocks;
 use ufork_vmem::{PteFlags, Region, Vpn};
 
-use crate::fork::{copy_frame_for_child, dedup_probe, DedupProbe};
+use crate::fork::{EagerPage, PageWriter};
 use crate::fork_par::CHUNK_PAGES;
 use crate::journal::JournalOp;
 use crate::kernel::UforkOs;
@@ -284,6 +284,13 @@ impl UforkOs {
         pages: &[(Vpn, PteFlags)],
     ) -> SysResult<u64> {
         let validates = self.isolation.validates_syscalls();
+        let source = SourceLookup::Index(&self.region_index);
+        let target = RelocTarget {
+            region,
+            root,
+            source: &source,
+            mode: ScanMode::TagSummary,
+        };
         let mut allocs = 0u64;
         for &(c_vpn, final_flags) in pages {
             ctx.phase("fork/pipeline/copy");
@@ -293,63 +300,38 @@ impl UforkOs {
                 "a pending staged page is CoA-protected"
             );
             let refcount = self.pm.refcount(pte.pfn).map_err(|_| Errno::Fault)?;
-            // Cross-child dedup: a sibling's background window may have
-            // already materialized this exact content — share its frame
-            // instead of allocating another copy. Only probed while the
-            // staged frame is still shared; a sole-owner page adopts in
-            // place below, which is strictly cheaper than any probe.
-            let probe = if self.dedup_frames && refcount > 1 {
-                ctx.phase("fork/dedup");
-                dedup_probe(
-                    &self.pm,
-                    &self.pt,
-                    &[],
-                    &mut self.dedup,
-                    &self.cost,
-                    ctx,
-                    pte.pfn,
-                )
+            let page = if refcount > 1 {
+                // The frame is still shared (the usual case): share the
+                // frame a sibling's background window already
+                // materialized for this content, or allocate the child's
+                // private copy, consuming the admission promise held
+                // since the commit.
+                let page = PageWriter {
+                    pm: &mut self.pm,
+                    pt: &self.pt,
+                    journal: &mut self.journal,
+                    dedup: self.dedup_frames.then_some(&mut self.dedup),
+                    cost: &self.cost,
+                    target: &target,
+                    copy_phase: "fork/pipeline/copy",
+                    reloc_phase: "fork/pipeline/reloc",
+                }
+                .materialize(ctx, pte.pfn, &[], c_vpn, final_flags)?;
+                allocs += u64::from(!page.hit);
+                page
             } else {
-                DedupProbe::Skip
-            };
-            let hit = matches!(probe, DedupProbe::Hit(_));
-            let pfn = if let DedupProbe::Hit(shared) = probe {
-                self.pm.inc_ref(shared).map_err(|_| Errno::Fault)?;
-                self.journal
-                    .record(JournalOp::RefInc(shared))
-                    .map_err(|_| Errno::NoMem)?;
-                shared
-            } else {
-                let pfn = if refcount > 1 {
-                    // The frame is still shared (the usual case): allocate
-                    // the child's private copy. The allocation consumes the
-                    // admission promise held since the commit.
-                    allocs += 1;
-                    copy_frame_for_child(&mut self.pm, &mut self.journal, &self.cost, ctx, pte.pfn)?
-                } else {
-                    // Sole owner — every other sharer CoW'd its mapping
-                    // away or exited, so the fork-time frame (which still
-                    // holds the snapshot) is adopted in place.
-                    ctx.counters.pages_reclaimed += 1;
-                    pte.pfn
-                };
+                // Sole owner — every other sharer CoW'd its mapping
+                // away or exited, so the fork-time frame (which still
+                // holds the snapshot) is adopted in place, which is
+                // strictly cheaper than any probe.
+                ctx.counters.pages_reclaimed += 1;
                 ctx.phase("fork/pipeline/reloc");
-                let source = SourceLookup::Index(&self.region_index);
-                let target = RelocTarget {
-                    region,
-                    root,
-                    source: &source,
-                    mode: ScanMode::TagSummary,
-                };
-                relocate_counted(&mut self.pm, pfn, &target, &self.cost, ctx);
-                pfn
-            };
-            // A shared canonical frame, and a fresh copy registered as one
-            // below, is CoW-armed so its content stays stable while indexed.
-            let flags = if matches!(probe, DedupProbe::Skip) {
-                final_flags
-            } else {
-                final_flags.with(PteFlags::COW)
+                relocate_counted(&mut self.pm, pte.pfn, &target, &self.cost, ctx);
+                EagerPage {
+                    pfn: pte.pfn,
+                    flags: final_flags,
+                    hit: false,
+                }
             };
 
             ctx.phase("fork/pipeline/pte");
@@ -361,21 +343,15 @@ impl UforkOs {
                     old: pte,
                 })
                 .map_err(|_| Errno::NoMem)?;
-            if let DedupProbe::Miss(hash) = probe {
-                // Register the fresh copy as the canonical frame for this
-                // content (no journal op — stale entries self-invalidate
-                // on the next probe).
-                self.dedup.insert(hash, pfn, c_vpn.0);
-            }
-            self.pt.map(c_vpn, pfn, flags);
+            self.pt.map(c_vpn, page.pfn, page.flags);
             ctx.kernel(self.cost.pte_write);
             ctx.counters.ptes_written += 1;
-            if hit {
+            if page.hit {
                 ctx.counters.frames_deduped += 1;
             } else if validates {
                 ctx.kernel(self.cost.page_scan() + self.cost.tocttou_fixed);
             }
-            if hit || pfn != pte.pfn {
+            if page.hit || page.pfn != pte.pfn {
                 // Drop the fork-time shared reference (apply-then-record
                 // — on an injected record failure the op is still in the
                 // journal and rollback re-takes the reference). Observed
