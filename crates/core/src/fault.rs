@@ -13,38 +13,51 @@ use crate::kernel::UforkOs;
 use crate::reloc::{relocate_counted, RelocTarget, SourceLookup};
 
 impl UforkOs {
-    /// Checks a capability for an access, enforcing the μprocess
-    /// confinement invariant (paper §4.2: all capabilities available to a
-    /// μprocess only grant access within its region).
+    /// Checks a capability for an access of `len` bytes at its address,
+    /// enforcing the μprocess confinement invariant (paper §4.2: all
+    /// capabilities available to a μprocess only grant access within its
+    /// region). A capability store also names the `stored` value, which
+    /// must be confined the same way; the region is looked up once.
     fn check_cap(
         &self,
         ctx: &mut Ctx,
         pid: Pid,
         cap: &Capability,
-        addr: u64,
         len: u64,
         perms: Perms,
+        stored: Option<&Capability>,
     ) -> SysResult<()> {
         if !self.isolation.checks_memory() {
             return Ok(());
         }
-        let p = self.proc(pid)?;
-        if !cap.confined_to(p.region.base.0, p.region.len) {
+        let region = self.proc(pid)?.region;
+        if !cap.confined_to(region.base.0, region.len) {
             // A capability escaping the region (stale parent pointer,
             // forgery, leaked kernel cap) — the hardware would never have
             // produced it; the kernel refuses and records the violation.
             ctx.counters.isolation_violations += 1;
             return Err(Errno::Fault);
         }
-        cap.check_access(addr, len, perms).map_err(|_| {
+        cap.check_access(cap.addr(), len, perms).map_err(|_| {
             // A bounds/permission refusal by the capability hardware is
             // the isolation mechanism firing.
             ctx.counters.isolation_violations += 1;
             Errno::Fault
-        })
+        })?;
+        // Storing a capability that escapes the region would plant a
+        // landmine for a future sharer; the hardware's monotonicity makes
+        // this impossible (the μprocess cannot *have* such a cap), and the
+        // kernel enforces the same.
+        if stored.is_some_and(|v| !v.confined_to(region.base.0, region.len)) {
+            ctx.counters.isolation_violations += 1;
+            return Err(Errno::Fault);
+        }
+        Ok(())
     }
 
     /// Translates one page-confined access, resolving transparent faults.
+    /// Each attempt probes the page table once and checks the access
+    /// against the entry it found.
     fn translate_user(
         &mut self,
         ctx: &mut Ctx,
@@ -66,14 +79,12 @@ impl UforkOs {
             let tagged = if kind == AccessKind::CapLoad {
                 ctx.kernel(self.cost.tags_load);
                 self.pm
-                    .load_cap(pte.pfn, va.granule_align_down().page_offset())
-                    .ok()
-                    .flatten()
-                    .is_some()
+                    .frame(pte.pfn)
+                    .is_ok_and(|f| f.is_tagged_at(va.granule_align_down().page_offset()))
             } else {
                 false
             };
-            match self.pt.translate(va, kind, tagged) {
+            match pte.check_access(va, kind, tagged) {
                 Ok(pte) => return Ok(pte),
                 Err(f) if f.is_transparent() => {
                     last = Some(f);
@@ -222,13 +233,14 @@ impl UforkOs {
             self.pm.reserve(1).map_err(|_| Errno::NoMem)?;
             self.pm.release(1);
         }
-        if let Ok(pfn) = crate::fork::alloc_zeroed_charged(&mut self.pm, &self.cost, ctx) {
+        if let Ok(pfn) = crate::fork::alloc_copy_dest_charged(&mut self.pm, &self.cost, ctx) {
             return Ok(pfn);
         }
         ctx.phase("fault/reclaim");
         self.reclaim_inline(ctx);
         ctx.phase("fault/copy");
-        crate::fork::alloc_zeroed_charged(&mut self.pm, &self.cost, ctx).map_err(|_| Errno::NoMem)
+        crate::fork::alloc_copy_dest_charged(&mut self.pm, &self.cost, ctx)
+            .map_err(|_| Errno::NoMem)
     }
 
     /// User data load (multi-page capable).
@@ -239,7 +251,7 @@ impl UforkOs {
         cap: &Capability,
         buf: &mut [u8],
     ) -> SysResult<()> {
-        self.check_cap(ctx, pid, cap, cap.addr(), buf.len() as u64, Perms::LOAD)?;
+        self.check_cap(ctx, pid, cap, buf.len() as u64, Perms::LOAD, None)?;
         let mut done = 0usize;
         while done < buf.len() {
             let va = VirtAddr(cap.addr() + done as u64);
@@ -261,7 +273,7 @@ impl UforkOs {
         cap: &Capability,
         data: &[u8],
     ) -> SysResult<()> {
-        self.check_cap(ctx, pid, cap, cap.addr(), data.len() as u64, Perms::STORE)?;
+        self.check_cap(ctx, pid, cap, data.len() as u64, Perms::STORE, None)?;
         let mut done = 0usize;
         while done < data.len() {
             let va = VirtAddr(cap.addr() + done as u64);
@@ -290,9 +302,9 @@ impl UforkOs {
             ctx,
             pid,
             cap,
-            cap.addr(),
             GRANULE_SIZE,
             Perms::LOAD | Perms::LOAD_CAP,
+            None,
         )?;
         let pte = self.translate_user(ctx, pid, va, AccessKind::CapLoad)?;
         self.pm
@@ -316,21 +328,10 @@ impl UforkOs {
             ctx,
             pid,
             cap,
-            cap.addr(),
             GRANULE_SIZE,
             Perms::STORE | Perms::STORE_CAP,
+            Some(value),
         )?;
-        // Storing a capability that escapes the region would plant a
-        // landmine for a future sharer; the hardware's monotonicity makes
-        // this impossible (the μprocess cannot *have* such a cap), and the
-        // kernel enforces the same.
-        if self.isolation.checks_memory() {
-            let p = self.proc(pid)?;
-            if !value.confined_to(p.region.base.0, p.region.len) {
-                ctx.counters.isolation_violations += 1;
-                return Err(Errno::Fault);
-            }
-        }
         let pte = self.translate_user(ctx, pid, va, AccessKind::CapStore)?;
         self.pm
             .store_cap(pte.pfn, va.page_offset(), value)

@@ -1005,7 +1005,7 @@ impl PageWriter<'_> {
             }
             // Journaled before the copy: on a copy failure the
             // rollback owns the frame.
-            let new = alloc_zeroed_charged(self.pm, self.cost, ctx).map_err(|_| Errno::NoMem)?;
+            let new = alloc_copy_dest_charged(self.pm, self.cost, ctx).map_err(|_| Errno::NoMem)?;
             self.journal
                 .record(JournalOp::FrameAlloc(new))
                 .map_err(|_| Errno::NoMem)?;
@@ -1102,18 +1102,20 @@ fn dedup_probe(
     DedupProbe::Miss(hash)
 }
 
-/// Allocates one `ZeroPolicy::Zeroed` frame on the fork/fault hot path,
+/// Allocates one page-copy destination on the fork/fault hot path,
 /// charging the grant-time scrub of a recycled dirty frame to `ctx` —
 /// unless the background reclaim daemon already pre-zeroed it (a
 /// clean-frame magazine hit: counted, but free). Fresh frames are clean
 /// by construction and charge nothing, preserving the cold-start cost
-/// profile exactly.
-pub(crate) fn alloc_zeroed_charged(
+/// profile exactly. The model charges a `ZeroPolicy::Zeroed` grant; the
+/// host skips the data scrub, since the caller's copy overwrites every
+/// byte and tag ([`PhysMem::alloc_overwrite_grant`]).
+pub(crate) fn alloc_copy_dest_charged(
     pm: &mut PhysMem,
     cost: &CostModel,
     ctx: &mut Ctx,
 ) -> Result<Pfn, ufork_mem::MemError> {
-    let g = pm.alloc_frame_grant()?;
+    let g = pm.alloc_overwrite_grant()?;
     if g.prezeroed {
         ctx.counters.magazine_hits += 1;
     } else if g.recycled {

@@ -1758,17 +1758,18 @@ impl<O: MemOs> Env for StepEnv<'_, O> {
 
     fn sys_write(&mut self, fd: Fd, buf: &Capability, len: u64) -> SysResult<u64> {
         charge_syscall(self.os, self.ctx, len);
-        let kind = self.fds.get(fd)?.clone();
-        match kind {
-            FdKind::File { path, offset } => {
-                let data = self.read_user(buf, len)?;
-                let cost = self.os.cost();
-                self.ctx.kernel(
-                    cost.fs_op
-                        + cost.ramdisk_per_byte * len as f64
-                        + self.os.copyio_cost_per_byte() * len as f64,
-                );
-                let n = self.vfs.write_file(&path, offset, &data)?;
+        match *self.fds.get(fd)? {
+            FdKind::File { ref path, offset } => {
+                let n = self.vfs.write_file(path, offset, len, |span| {
+                    self.os.load(self.ctx, self.pid, buf, span)?;
+                    let cost = self.os.cost();
+                    self.ctx.kernel(
+                        cost.fs_op
+                            + cost.ramdisk_per_byte * len as f64
+                            + self.os.copyio_cost_per_byte() * len as f64,
+                    );
+                    Ok(())
+                })?;
                 if let Ok(FdKind::File { offset, .. }) = self.fds.get_mut(fd) {
                     *offset += n;
                 }

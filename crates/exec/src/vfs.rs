@@ -270,16 +270,46 @@ impl Vfs {
         Ok(())
     }
 
-    /// Writes at `offset`, extending the file as needed. Returns bytes
-    /// written.
-    pub fn write_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SysResult<u64> {
-        let node = self.files.get_mut(path).ok_or(Errno::NoEnt)?;
-        let end = offset as usize + data.len();
-        if node.data.len() < end {
+    /// Writes `len` bytes at `offset`, extending the file as needed.
+    /// Returns bytes written.
+    ///
+    /// `fill` produces the bytes straight into the file's span
+    /// `[offset, offset + len)` (a gap before `offset` reads as zeros).
+    /// The write is all or nothing: when `fill` fails, the file gets its
+    /// old bytes and length back and `fill`'s error is returned. A
+    /// missing file still runs `fill`, into a scratch buffer, before
+    /// failing with `NoEnt`, so the caller's side effects (a user-memory
+    /// load with its faults and charges) do not depend on the namespace.
+    pub fn write_file(
+        &mut self,
+        path: &str,
+        offset: u64,
+        len: u64,
+        fill: impl FnOnce(&mut [u8]) -> SysResult<()>,
+    ) -> SysResult<u64> {
+        let Some(node) = self.files.get_mut(path) else {
+            fill(&mut vec![0; len as usize])?;
+            return Err(Errno::NoEnt);
+        };
+        let (start, end) = (offset as usize, offset as usize + len as usize);
+        let old_len = node.data.len();
+        // The bytes the write replaces, to undo a failed fill.
+        let replaced = node
+            .data
+            .get(start..end.min(old_len))
+            .unwrap_or(&[])
+            .to_vec();
+        if old_len < end {
             node.data.resize(end, 0);
         }
-        node.data[offset as usize..end].copy_from_slice(data);
-        Ok(data.len() as u64)
+        if let Err(e) = fill(&mut node.data[start..end]) {
+            node.data.truncate(old_len);
+            if !replaced.is_empty() {
+                node.data[start..start + replaced.len()].copy_from_slice(&replaced);
+            }
+            return Err(e);
+        }
+        Ok(len)
     }
 
     /// Reads up to `len` bytes at `offset`. Returns the bytes (possibly
@@ -686,6 +716,13 @@ pub enum ConnRead {
 mod tests {
     use super::*;
 
+    fn write(v: &mut Vfs, path: &str, offset: u64, data: &[u8]) -> SysResult<u64> {
+        v.write_file(path, offset, data.len() as u64, |span| {
+            span.copy_from_slice(data);
+            Ok(())
+        })
+    }
+
     #[test]
     fn fd_table_insert_get_remove() {
         let mut t = FdTable::new();
@@ -701,8 +738,8 @@ mod tests {
         let mut v = Vfs::new();
         assert_eq!(v.open_file("a", false).unwrap_err(), Errno::NoEnt);
         v.open_file("a", true).unwrap();
-        v.write_file("a", 0, b"hello").unwrap();
-        v.write_file("a", 5, b" world").unwrap();
+        write(&mut v, "a", 0, b"hello").unwrap();
+        write(&mut v, "a", 5, b" world").unwrap();
         assert_eq!(v.read_file("a", 0, 100).unwrap(), b"hello world");
         v.rename("a", "b").unwrap();
         assert!(v.file_contents("a").is_none());
@@ -713,8 +750,36 @@ mod tests {
     fn sparse_write_zero_fills() {
         let mut v = Vfs::new();
         v.open_file("f", true).unwrap();
-        v.write_file("f", 4, b"x").unwrap();
+        write(&mut v, "f", 4, b"x").unwrap();
         assert_eq!(v.read_file("f", 0, 5).unwrap(), vec![0, 0, 0, 0, b'x']);
+    }
+
+    #[test]
+    fn failed_fill_leaves_the_file_as_it_was() {
+        let mut v = Vfs::new();
+        v.open_file("f", true).unwrap();
+        write(&mut v, "f", 0, b"abcdef").unwrap();
+        // Overwrite inside, overwrite past the end, sparse append: each
+        // fill writes some bytes and then fails.
+        for (offset, len) in [(1, 3), (4, 6), (9, 2)] {
+            let r = v.write_file("f", offset, len, |span| {
+                span[0] = b'!';
+                Err(Errno::Fault)
+            });
+            assert_eq!(r, Err(Errno::Fault));
+            assert_eq!(v.file_contents("f"), Some(&b"abcdef"[..]));
+        }
+        // A missing file runs the fill before failing; its error wins.
+        let mut ran = false;
+        let r = v.write_file("gone", 0, 3, |span| {
+            ran = span.len() == 3;
+            Ok(())
+        });
+        assert_eq!((r, ran), (Err(Errno::NoEnt), true));
+        assert_eq!(
+            v.write_file("gone", 0, 3, |_| Err(Errno::Fault)),
+            Err(Errno::Fault)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use ufork_abi::{
-    BlockingCall, Capability, Env, Errno, ForkResult, ImageSpec, IsolationLevel, Pid, Program,
+    BlockingCall, Capability, Env, Errno, Fd, ForkResult, ImageSpec, IsolationLevel, Pid, Program,
     Resume, StepOutcome, SysResult,
 };
 use ufork_cheri::Perms;
@@ -14,11 +14,15 @@ use ufork_mem::MemStats;
 use ufork_sim::CostModel;
 
 /// A trivially simple backend: every process gets a flat 64 KiB buffer;
-/// fork memcpys it. No page tables, no faults — pure machine testing.
+/// fork memcpys it. No page tables — pure machine testing. The one fault
+/// it can raise is a load reaching the page at `poisoned_page` (an offset
+/// into the buffer): like a real page-by-page load, the bytes before that
+/// page are delivered first.
 struct MockOs {
     cost: CostModel,
     big_lock: bool,
     procs: BTreeMap<Pid, (Vec<u8>, Vec<Option<Capability>>)>,
+    poisoned_page: Option<usize>,
 }
 
 impl MockOs {
@@ -27,6 +31,7 @@ impl MockOs {
             cost: CostModel::morello(),
             big_lock,
             procs: BTreeMap::new(),
+            poisoned_page: None,
         }
     }
 }
@@ -64,7 +69,13 @@ impl MemOs for MockOs {
     fn load(&mut self, _c: &mut Ctx, pid: Pid, cap: &Capability, buf: &mut [u8]) -> SysResult<()> {
         let (mem, _) = self.procs.get(&pid).ok_or(Errno::Inval)?;
         let off = (cap.addr() & 0xf_ffff) as usize;
-        buf.copy_from_slice(&mem[off..off + buf.len()]);
+        let end = off + buf.len();
+        if let Some(bad) = self.poisoned_page.filter(|&p| off < p + 4096 && p < end) {
+            let good = bad.saturating_sub(off);
+            buf[..good].copy_from_slice(&mem[off..off + good]);
+            return Err(Errno::Fault);
+        }
+        buf.copy_from_slice(&mem[off..end]);
         Ok(())
     }
     fn store(&mut self, _c: &mut Ctx, pid: Pid, cap: &Capability, data: &[u8]) -> SysResult<()> {
@@ -523,4 +534,98 @@ fn cross_core_times_are_consistent() {
             f.at
         );
     }
+}
+
+/// The page of the mock buffer whose loads fault in the file-write tests.
+const POISONED: u64 = 0x3000;
+
+/// Writes to a ram-disk file: a good write, loads that fail on their
+/// second page (an append and an overwrite inside the file), a write on
+/// each fd afterwards to show where its offset stands, then writes to an
+/// fd whose file was renamed away. Records each write's result and the
+/// simulated time it took.
+#[derive(Clone, Default)]
+struct FileWriter {
+    writes: Vec<(SysResult<u64>, f64)>,
+}
+
+impl FileWriter {
+    fn write(&mut self, env: &mut dyn Env, fd: Fd, at: u64, len: u64) {
+        let base = env.reg(0).unwrap();
+        let buf = base.with_addr(base.addr() + at).unwrap();
+        let t0 = env.now();
+        let r = env.sys_write(fd, &buf, len);
+        self.writes.push((r, env.now() - t0));
+    }
+}
+
+impl Program for FileWriter {
+    fn resume(&mut self, env: &mut dyn Env, _input: Resume) -> StepOutcome {
+        let pattern: Vec<u8> = (0..0x4000u32).map(|i| (i % 251) as u8 + 1).collect();
+        env.store(&env.reg(0).unwrap(), &pattern).unwrap();
+        let a = env.sys_open("f", true).unwrap();
+        self.write(env, a, 0, 12_000);
+        let b = env.sys_open("f", false).unwrap();
+        self.write(env, a, POISONED - 4096, 8192); // append
+        self.write(env, b, POISONED - 4096, 8192); // overwrite at 0
+        self.write(env, a, 0, 16);
+        self.write(env, b, 100, 4);
+        let c = env.sys_open("f", false).unwrap();
+        env.sys_rename("f", "g").unwrap();
+        self.write(env, c, 0, 4096);
+        self.write(env, c, POISONED - 4096, 8192);
+        StepOutcome::Exit(0)
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn file_write_is_all_or_nothing_and_charges_like_a_load_then_a_write() {
+    let mut os = MockOs::new(false);
+    os.poisoned_page = Some(POISONED as usize);
+    let cost = os.cost.clone();
+    let mut m = Machine::new(os, MachineConfig::default());
+    let pid = m
+        .spawn(&ImageSpec::hello_world(), Box::<FileWriter>::default())
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
+    // The mock's syscall entry is 100 ns and its copy-in is free; a write
+    // whose load succeeds adds the file-system charge.
+    let entry = 100.0;
+    let written = |len: f64| entry + cost.fs_op + cost.ramdisk_per_byte * len;
+    let want = [
+        (Ok(12_000), written(12_000.0)),
+        (Err(Errno::Fault), entry),
+        (Err(Errno::Fault), entry),
+        (Ok(16), written(16.0)),
+        (Ok(4), written(4.0)),
+        // Renamed away: the load and the file-system charge still run
+        // before `NoEnt`, and the load's own fault comes first.
+        (Err(Errno::NoEnt), written(4096.0)),
+        (Err(Errno::Fault), entry),
+    ];
+    let got = &m.program::<FileWriter>(pid).unwrap().writes;
+    assert_eq!(got.len(), want.len());
+    for (i, ((r, dt), (wr, wdt))) in got.iter().zip(&want).enumerate() {
+        assert_eq!(r, wr, "write {i}");
+        assert!(
+            (dt - wdt).abs() < 1e-6,
+            "write {i}: took {dt} ns, want {wdt}"
+        );
+    }
+    // The failed append left the length and fd `a`'s offset alone: its
+    // next 16 bytes land at 12 000. The failed overwrite left the bytes
+    // and fd `b`'s offset alone: its next 4 bytes land at 0.
+    let pattern: Vec<u8> = (0..0x4000u32).map(|i| (i % 251) as u8 + 1).collect();
+    let mut file = pattern[..12_000].to_vec();
+    file[..4].copy_from_slice(&pattern[100..104]);
+    file.extend_from_slice(&pattern[..16]);
+    assert_eq!(m.vfs().file_contents("g"), Some(&file[..]));
+    assert!(m.vfs().file_contents("f").is_none());
 }

@@ -105,10 +105,22 @@ impl Frame {
     /// allocation-time scrub of a recycled frame).
     pub fn zero(&mut self) {
         self.data.fill(0);
-        // Release the storage too: a recycled frame should not pin the
-        // capacity its previous owner's capabilities needed.
+        self.drop_caps();
+    }
+
+    /// Clears every tag and releases the capability storage, leaving the
+    /// data bytes as they are (the scrub of a recycled frame the caller
+    /// overwrites whole). A recycled frame should not pin the capacity
+    /// its previous owner's capabilities needed.
+    pub fn drop_caps(&mut self) {
         self.caps = Vec::new();
         self.tags = [0; TAG_WORDS_PER_PAGE];
+    }
+
+    /// Capacity of the capability storage.
+    #[cfg(test)]
+    pub(crate) fn caps_capacity(&self) -> usize {
+        self.caps.capacity()
     }
 
     #[inline]
@@ -210,6 +222,13 @@ impl Frame {
         debug_assert_eq!(offset % GRANULE_SIZE, 0);
         let g = (offset / GRANULE_SIZE) as usize;
         self.is_tagged(g).then(|| self.caps[self.rank(g)])
+    }
+
+    /// True if the granule at `offset` holds a valid capability: a tag
+    /// read that copies nothing out.
+    #[inline]
+    pub fn is_tagged_at(&self, offset: u64) -> bool {
+        self.is_tagged((offset / GRANULE_SIZE) as usize)
     }
 
     /// Clears the tag (if any) of the granule at `offset`.

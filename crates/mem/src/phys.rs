@@ -98,7 +98,7 @@ pub enum ZeroPolicy {
 }
 
 /// What [`PhysMem::alloc_frame_in`] actually did, for cost accounting.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AllocGrant {
     /// The allocated frame.
     pub pfn: Pfn,
@@ -458,6 +458,27 @@ impl PhysMem {
     /// single-lane callers can account magazine hits and inline-zeroing
     /// cost like the sharded entry point's callers do.
     pub fn alloc_frame_grant(&mut self) -> Result<AllocGrant, MemError> {
+        self.alloc_legacy(false)
+    }
+
+    /// [`PhysMem::alloc_frame_grant`] for a frame the caller overwrites
+    /// whole, data and tags (a copy destination).
+    ///
+    /// Chosen and accounted exactly like a [`ZeroPolicy::Zeroed`] grant:
+    /// the same frame, the same [`AllocGrant`] and the same
+    /// [`ShardStats`], a magazine hit included, so the caller charges the
+    /// same scrub. Only the host work differs: a recycled frame no
+    /// reclaim pass scrubbed loses its previous owner's capabilities and
+    /// tags, but its data bytes are not zeroed. A frame freed before it
+    /// was overwritten goes back to its pool as not scrubbed, so the next
+    /// `Zeroed` grant of it zeroes it.
+    pub fn alloc_overwrite_grant(&mut self) -> Result<AllocGrant, MemError> {
+        self.alloc_legacy(true)
+    }
+
+    /// The single-lane probe behind [`PhysMem::alloc_frame_grant`] and
+    /// [`PhysMem::alloc_overwrite_grant`].
+    fn alloc_legacy(&mut self, overwrite: bool) -> Result<AllocGrant, MemError> {
         self.count_attempt()?;
         let home = self.legacy_cursor;
         let popped = (0..NUM_SHARDS)
@@ -472,7 +493,7 @@ impl PhysMem {
             }
             None => return Err(MemError::OutOfFrames),
         };
-        Ok(self.grant(pfn, frame, home, false, ZeroPolicy::Zeroed))
+        Ok(self.grant(pfn, frame, home, false, ZeroPolicy::Zeroed, overwrite))
     }
 
     /// Allocates a frame with refcount 1 from home shard `shard`
@@ -510,7 +531,7 @@ impl PhysMem {
         } else {
             return Err(MemError::OutOfFrames);
         };
-        Ok(self.grant(pfn, frame, home, stolen, zero))
+        Ok(self.grant(pfn, frame, home, stolen, zero, false))
     }
 
     /// The global attempt counter + one-shot fault injection, shared by
@@ -527,6 +548,7 @@ impl PhysMem {
 
     /// Installs a granted frame (recycled `Some(frame)` or fresh `None`)
     /// into its slot, applying the zero policy and recording stats.
+    /// `overwrite` narrows a `Zeroed` scrub to the tags and capabilities.
     fn grant(
         &mut self,
         pfn: Pfn,
@@ -534,6 +556,7 @@ impl PhysMem {
         home: usize,
         stolen: bool,
         zero: ZeroPolicy,
+        overwrite: bool,
     ) -> AllocGrant {
         let recycled = frame.is_some();
         let zeroing_skipped = recycled && zero == ZeroPolicy::Uninit;
@@ -541,7 +564,11 @@ impl PhysMem {
         let frame = match frame {
             Some((mut f, scrubbed)) => {
                 if zero == ZeroPolicy::Zeroed && !scrubbed {
-                    f.zero();
+                    if overwrite {
+                        f.drop_caps();
+                    } else {
+                        f.zero();
+                    }
                 }
                 f
             }
@@ -948,6 +975,58 @@ mod tests {
         pm.fail_copy_at(99);
         pm.clear_copy_failure();
         assert!(pm.copy_frame(b, a).is_ok());
+    }
+
+    #[test]
+    fn overwrite_grant_drops_caps_and_is_accounted_like_zeroed() {
+        // The same history on two machines: a frame fills every granule
+        // with a capability and is freed.
+        let (mut pm, mut twin) = (PhysMem::new(4), PhysMem::new(4));
+        for m in [&mut pm, &mut twin] {
+            let f = m.alloc_frame().unwrap();
+            for g in 0..crate::GRANULES_PER_PAGE {
+                m.store_cap(f, g * GRANULE_SIZE, &cap()).unwrap();
+            }
+            assert_eq!(m.frame(f).unwrap().cap_count(), 256);
+            m.dec_ref(f).unwrap();
+        }
+        let g = pm.alloc_overwrite_grant().unwrap();
+        assert_eq!(g, twin.alloc_frame_grant().unwrap());
+        assert!(g.recycled && !g.prezeroed && !g.zeroing_skipped);
+        assert_eq!(pm.shard_stats(), twin.shard_stats());
+        let frame = pm.frame(g.pfn).unwrap();
+        assert_eq!(frame.cap_count(), 0);
+        assert_eq!(frame.caps_capacity(), 0);
+        assert!(frame.check_tag_invariant());
+        // The data bytes were left for the caller to overwrite.
+        assert!(frame.data().iter().any(|&b| b != 0));
+
+        // A copy into it fails: the frame goes back to its pool as not
+        // scrubbed, and the next `Zeroed` grant of it zeroes it.
+        let src = pm.alloc_frame().unwrap();
+        pm.fail_copy_at(pm.copy_attempts());
+        assert!(pm.copy_frame(src, g.pfn).is_err());
+        pm.dec_ref(g.pfn).unwrap();
+        assert_eq!(pm.pending_scrub(), 1);
+        let z = pm.alloc_frame_grant().unwrap();
+        assert_eq!(z.pfn, g.pfn);
+        assert!(z.recycled && !z.prezeroed);
+        assert!(pm.frame(z.pfn).unwrap().data().iter().all(|&b| b == 0));
+
+        // The same allocations on the twin, then a frame a reclaim pass
+        // scrubbed is a magazine hit for both.
+        assert_eq!(twin.alloc_frame().unwrap(), src);
+        twin.dec_ref(g.pfn).unwrap();
+        assert_eq!(twin.alloc_frame_grant().unwrap(), z);
+        for m in [&mut pm, &mut twin] {
+            m.dec_ref(z.pfn).unwrap();
+            m.dec_ref(src).unwrap();
+            m.reclaim_pass();
+        }
+        let a = pm.alloc_overwrite_grant().unwrap();
+        assert_eq!(a, twin.alloc_frame_grant().unwrap());
+        assert!(a.prezeroed);
+        assert_eq!(pm.shard_stats(), twin.shard_stats());
     }
 
     #[test]

@@ -131,6 +131,49 @@ impl Pte {
     pub fn new(pfn: Pfn, flags: PteFlags) -> Pte {
         Pte { pfn, flags, gen: 0 }
     }
+
+    /// Checks an access to `va` against this entry's permission and
+    /// copy-strategy bits, returning the entry when it is allowed.
+    ///
+    /// `tagged` reports whether a `CapLoad` access would actually read a
+    /// tagged granule; the hardware only raises an `LC_FAULT` fault when
+    /// the loaded granule's tag is set. Callers that don't know yet may
+    /// pass `true` conservatively.
+    pub fn check_access(self, va: VirtAddr, kind: AccessKind, tagged: bool) -> Result<Pte, Fault> {
+        let f = self.flags;
+        if f.contains(PteFlags::COA) {
+            return Err(Fault::CoAccess { va, kind });
+        }
+        match kind {
+            AccessKind::Load => {
+                if !f.contains(PteFlags::READ) {
+                    return Err(Fault::Protection { va, kind });
+                }
+            }
+            AccessKind::CapLoad => {
+                if !f.contains(PteFlags::READ) {
+                    return Err(Fault::Protection { va, kind });
+                }
+                if f.contains(PteFlags::LC_FAULT) && tagged {
+                    return Err(Fault::CapLoad { va });
+                }
+            }
+            AccessKind::Store | AccessKind::CapStore => {
+                if f.contains(PteFlags::COW) {
+                    return Err(Fault::Cow { va });
+                }
+                if !f.contains(PteFlags::WRITE) {
+                    return Err(Fault::Protection { va, kind });
+                }
+            }
+            AccessKind::Fetch => {
+                if !f.contains(PteFlags::EXEC) {
+                    return Err(Fault::Protection { va, kind });
+                }
+            }
+        }
+        Ok(self)
+    }
 }
 
 /// log2 of the pages per page-table leaf.
@@ -445,52 +488,18 @@ impl PageTable {
         self.leaves.len()
     }
 
-    /// Translates an access, enforcing PTE flags and copy-strategy bits.
+    /// Translates an access, enforcing PTE flags and copy-strategy bits:
+    /// one [`PageTable::lookup`] and then [`Pte::check_access`] on the
+    /// entry it found.
     ///
     /// On success returns the backing frame; the byte offset within it is
     /// `va.page_offset()`. Transparent faults ([`Fault::is_transparent`])
     /// must be resolved by the kernel's fault handler, after which the
     /// access is retried.
-    ///
-    /// `tagged` reports whether a `CapLoad` access would actually read a
-    /// tagged granule; the hardware only raises an `LC_FAULT` fault when
-    /// the loaded granule's tag is set. Callers that don't know yet may
-    /// pass `true` conservatively.
     pub fn translate(&self, va: VirtAddr, kind: AccessKind, tagged: bool) -> Result<Pte, Fault> {
-        let pte = self.lookup(va.vpn()).ok_or(Fault::NotMapped { va })?;
-        let f = pte.flags;
-        if f.contains(PteFlags::COA) {
-            return Err(Fault::CoAccess { va, kind });
-        }
-        match kind {
-            AccessKind::Load => {
-                if !f.contains(PteFlags::READ) {
-                    return Err(Fault::Protection { va, kind });
-                }
-            }
-            AccessKind::CapLoad => {
-                if !f.contains(PteFlags::READ) {
-                    return Err(Fault::Protection { va, kind });
-                }
-                if f.contains(PteFlags::LC_FAULT) && tagged {
-                    return Err(Fault::CapLoad { va });
-                }
-            }
-            AccessKind::Store | AccessKind::CapStore => {
-                if f.contains(PteFlags::COW) {
-                    return Err(Fault::Cow { va });
-                }
-                if !f.contains(PteFlags::WRITE) {
-                    return Err(Fault::Protection { va, kind });
-                }
-            }
-            AccessKind::Fetch => {
-                if !f.contains(PteFlags::EXEC) {
-                    return Err(Fault::Protection { va, kind });
-                }
-            }
-        }
-        Ok(pte)
+        self.lookup(va.vpn())
+            .ok_or(Fault::NotMapped { va })?
+            .check_access(va, kind, tagged)
     }
 }
 

@@ -7,6 +7,10 @@
 //! leaf) and under directory keys far apart, so runs cross leaves and
 //! land in sparse parts of the directory.
 //!
+//! A second, exhaustive test checks translation: `translate` and
+//! `lookup` + `Pte::check_access` against the access rules written out
+//! here, for every flag combination, access kind and tag state.
+//!
 //! Runs on the in-repo `ufork-testkit` harness (offline; default-on
 //! `props` feature). `PROP_CASES` / `PROP_SEED` override the defaults.
 #![cfg(feature = "props")]
@@ -15,7 +19,7 @@ use std::collections::BTreeMap;
 
 use ufork_mem::Pfn;
 use ufork_testkit::{forall, shrink_vec, PropConfig, Rng};
-use ufork_vmem::{PageTable, Pte, PteFlags, Vpn};
+use ufork_vmem::{AccessKind, Fault, PageTable, Pte, PteFlags, VirtAddr, Vpn};
 
 fn cfg() -> PropConfig {
     PropConfig::from_env(256)
@@ -310,4 +314,71 @@ fn page_table_matches_sorted_map_model() {
             Ok(())
         },
     );
+}
+
+/// The access rules of a page-table entry, written out independently of
+/// the crate: copy-on-access faults first, whatever the access; then each
+/// kind's own permission bit, where a capability load of a tagged granule
+/// under `LC_FAULT` raises CoPA's fault and a store to a CoW page raises
+/// CoW's before its permission is looked at.
+fn expected_access(f: PteFlags, va: VirtAddr, kind: AccessKind, tagged: bool) -> Option<Fault> {
+    let has = |bit| f.contains(bit);
+    if has(PteFlags::COA) {
+        return Some(Fault::CoAccess { va, kind });
+    }
+    let denied = Fault::Protection { va, kind };
+    match kind {
+        AccessKind::Load => (!has(PteFlags::READ)).then_some(denied),
+        AccessKind::CapLoad if !has(PteFlags::READ) => Some(denied),
+        AccessKind::CapLoad => (has(PteFlags::LC_FAULT) && tagged).then_some(Fault::CapLoad { va }),
+        AccessKind::Store | AccessKind::CapStore if has(PteFlags::COW) => Some(Fault::Cow { va }),
+        AccessKind::Store | AccessKind::CapStore => (!has(PteFlags::WRITE)).then_some(denied),
+        AccessKind::Fetch => (!has(PteFlags::EXEC)).then_some(denied),
+    }
+}
+
+/// `translate` and the access path's `lookup` + `check_access` give the
+/// same answer as the written-out rules for every flag combination, every
+/// access kind and both tag states, and `NotMapped` for unmapped pages.
+#[test]
+fn translate_is_lookup_then_check() {
+    const KINDS: [AccessKind; 5] = [
+        AccessKind::Load,
+        AccessKind::Store,
+        AccessKind::Fetch,
+        AccessKind::CapLoad,
+        AccessKind::CapStore,
+    ];
+    let mut pt = PageTable::new();
+    for bits in 0..=u8::MAX {
+        let vpn = Vpn(u64::from(bits) * 3);
+        pt.map(vpn, Pfn(u32::from(bits)), flags(bits));
+    }
+    for bits in 0..=u8::MAX {
+        let va = VirtAddr(u64::from(bits) * 3 * 4096 + 0x40);
+        let entry = pt.lookup(va.vpn()).expect("mapped above");
+        assert_eq!(entry.flags, flags(bits));
+        for kind in KINDS {
+            for tagged in [false, true] {
+                let want = match expected_access(flags(bits), va, kind, tagged) {
+                    Some(fault) => Err(fault),
+                    None => Ok(entry),
+                };
+                let ctx = format!("{:?} {kind:?} tagged={tagged}", flags(bits));
+                assert_eq!(pt.translate(va, kind, tagged), want, "translate, {ctx}");
+                assert_eq!(entry.check_access(va, kind, tagged), want, "check, {ctx}");
+            }
+        }
+    }
+    // Unmapped: a neighbour of a mapped page, a page in an empty leaf and
+    // one under a far directory key.
+    for vpn in [1, 64 * 100, 1 << 40] {
+        let va = VirtAddr(vpn * 4096 + 8);
+        assert!(pt.lookup(va.vpn()).is_none());
+        for kind in KINDS {
+            for tagged in [false, true] {
+                assert_eq!(pt.translate(va, kind, tagged), Err(Fault::NotMapped { va }));
+            }
+        }
+    }
 }
