@@ -67,18 +67,15 @@ pub trait Env {
     fn cpu_flops(&mut self, n: u64);
 
     // ---- non-blocking system calls ----------------------------------------
+    //
+    // Reads have no call here: a program reads a pipe, file or connection
+    // through [`crate::BlockingCall::Read`].
 
     /// Writes `len` bytes from `buf`'s cursor to `fd`. Never blocks:
     /// files are ram-disk backed, and a pipe whose bounded buffer cannot
     /// take the whole write returns [`Errno::Again`] (use
     /// [`crate::BlockingCall::Write`] to block until space drains).
     fn sys_write(&mut self, fd: Fd, buf: &Capability, len: u64) -> SysResult<u64>;
-
-    /// Attempts a non-blocking read; `Ok(0)` may mean end-of-file.
-    ///
-    /// Returns [`Errno::Again`] when no data is available yet — use
-    /// [`crate::BlockingCall::Read`] to block instead.
-    fn sys_read_nonblock(&mut self, fd: Fd, buf: &Capability, len: u64) -> SysResult<u64>;
 
     /// Opens (optionally creating) a ram-disk file.
     fn sys_open(&mut self, path: &str, create: bool) -> SysResult<Fd>;

@@ -27,6 +27,7 @@ mod machine;
 mod memos;
 pub mod ring;
 mod sched;
+mod syscall;
 mod vfs;
 
 pub use ctx::Ctx;

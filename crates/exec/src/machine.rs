@@ -1,5 +1,10 @@
 //! The discrete-event machine: scheduler, processes, threads, and the
-//! [`Env`] glue.
+//! servicing of blocking calls.
+//!
+//! A program's system calls live in `syscall.rs`: the `Env` a thread
+//! steps in and the I/O operations it shares with the blocking calls
+//! serviced here (pipe, file and connection reads, pipe writes, ring
+//! push and pop, accept).
 //!
 //! Processes contain one or more **threads** (paper §3.4: "each μprocess
 //! may have many threads"); threads share the process's memory, file
@@ -17,17 +22,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ufork_abi::{
-    BlockingCall, Capability, Env, Errno, Fd, ForkResult, ImageSpec, Pid, Program, Resume,
-    StepOutcome, SysResult, RING_EOF,
+    BlockingCall, Errno, Fd, ForkResult, ImageSpec, Pid, Program, Resume, StepOutcome, SysResult,
 };
-use ufork_cheri::OType;
 use ufork_sim::OpCounters;
 
 use crate::ctx::Ctx;
 use crate::memos::{charge_syscall, MemOs};
-use crate::ring::{self, RingPop as RawPop, RingPush as RawPush};
 use crate::sched::{BlockedOn, Cores, QEntry, RunQueue, SchedEngine, Task, TimeKey};
-use crate::vfs::{ConnRead, ConnTemplate, FdKind, FdTable, PipeRead, RingMeta, Vfs, WakeEvent};
+use crate::syscall::{Io, StepEnv};
+use crate::vfs::{ConnTemplate, FdKind, FdTable, Vfs, WakeEvent};
 
 /// Machine-wide configuration.
 #[derive(Clone, Debug)]
@@ -275,15 +278,11 @@ pub struct Machine<O: MemOs> {
     reclaim_engine: Option<BgClock>,
     oom_log: Vec<OomEvent>,
     runq: RunQueue,
-    /// Threads parked on pipe `id` — readers on empty *and* writers on
-    /// full (event engine): wakeups touch only the affected pipe's
-    /// waiters, not every thread.
-    pipe_waiters: BTreeMap<usize, Vec<(Pid, u32)>>,
-    /// Threads parked reading connection `id` (event engine).
-    conn_waiters: BTreeMap<usize, Vec<(Pid, u32)>>,
-    /// Threads parked on ring `id` — producers on full and consumers on
-    /// empty (event engine).
-    ring_waiters: BTreeMap<usize, Vec<(Pid, u32)>>,
+    /// Threads parked on each pipe or ring (event engine): readers on an
+    /// empty pipe and writers on a full one, consumers on an empty ring
+    /// and producers on a full one. A wakeup touches only the affected
+    /// channel's waiters, not every thread.
+    waiters: BTreeMap<BlockedOn, Vec<(Pid, u32)>>,
 }
 
 impl<O: MemOs> Machine<O> {
@@ -306,9 +305,7 @@ impl<O: MemOs> Machine<O> {
             reclaim_engine: None,
             oom_log: Vec::new(),
             runq,
-            pipe_waiters: BTreeMap::new(),
-            conn_waiters: BTreeMap::new(),
-            ring_waiters: BTreeMap::new(),
+            waiters: BTreeMap::new(),
         }
     }
 
@@ -711,25 +708,14 @@ impl<O: MemOs> Machine<O> {
             .expect("picked thread exists");
         let mut resume_with = thread.resume_with;
         if let Some(call) = thread.pending.take() {
-            match self.service_blocking(pid, tid, call, start, &mut ctx, &mut events) {
-                ServiceOutcome::Done(r) => resume_with = Resume::Ret(r),
-                ServiceOutcome::BlockIndefinite(call) => {
-                    self.block_thread(pid, tid, call);
-                    let end = self.finish_step(core_idx, pid, tid, start, ctx);
-                    self.deliver_events(events, end);
-                    self.maybe_arm_reclaim(end);
-                    return true;
-                }
-                ServiceOutcome::RetryAt(call, t_at) => {
-                    let t = self.thread_mut(pid, tid);
-                    t.pending = Some(call);
-                    t.state = ThreadState::Ready { at: t_at };
-                    let end = self.finish_step(core_idx, pid, tid, start, ctx);
-                    self.deliver_events(events, end);
-                    self.maybe_arm_reclaim(end);
-                    return true;
-                }
-            }
+            let outcome = self.service_blocking(pid, tid, call, start, &mut ctx, &mut events);
+            let Some(r) = self.settle(pid, tid, outcome) else {
+                let end = self.finish_step(core_idx, pid, tid, start, ctx);
+                self.deliver_events(events, end);
+                self.maybe_arm_reclaim(end);
+                return true;
+            };
+            resume_with = Resume::Ret(r);
         }
 
         // Run the program.
@@ -738,18 +724,10 @@ impl<O: MemOs> Machine<O> {
             .program
             .take()
             .expect("ready thread has a program");
-        let outcome = {
-            let mut env = StepEnv {
-                os: &mut self.os,
-                vfs: &mut self.vfs,
-                fds: &mut self.procs.get_mut(&pid).unwrap().fds,
-                pid,
-                start,
-                ctx: &mut ctx,
-                events: &mut events,
-            };
-            program.resume(&mut env, resume_with)
-        };
+        let outcome = program.resume(
+            &mut self.env(pid, start, &mut ctx, &mut events),
+            resume_with,
+        );
         self.thread_mut(pid, tid).program = Some(program);
 
         // Handle the outcome.
@@ -797,20 +775,11 @@ impl<O: MemOs> Machine<O> {
             }
             StepOutcome::Block(call) => {
                 let now = start + ctx.total();
-                match self.service_blocking(pid, tid, call, now, &mut ctx, &mut events) {
-                    ServiceOutcome::Done(r) => {
-                        let t = self.thread_mut(pid, tid);
-                        t.resume_with = Resume::Ret(r);
-                        t.state = ThreadState::Ready { at: now };
-                    }
-                    ServiceOutcome::BlockIndefinite(call) => {
-                        self.block_thread(pid, tid, call);
-                    }
-                    ServiceOutcome::RetryAt(call, t_at) => {
-                        let t = self.thread_mut(pid, tid);
-                        t.pending = Some(call);
-                        t.state = ThreadState::Ready { at: t_at };
-                    }
+                let outcome = self.service_blocking(pid, tid, call, now, &mut ctx, &mut events);
+                if let Some(r) = self.settle(pid, tid, outcome) {
+                    let t = self.thread_mut(pid, tid);
+                    t.resume_with = Resume::Ret(r);
+                    t.state = ThreadState::Ready { at: now };
                 }
             }
         }
@@ -819,6 +788,25 @@ impl<O: MemOs> Machine<O> {
         self.deliver_events(events, end);
         self.maybe_arm_reclaim(end);
         true
+    }
+
+    /// The environment thread `pid` steps in, starting at `start`.
+    fn env<'a>(
+        &'a mut self,
+        pid: Pid,
+        start: f64,
+        ctx: &'a mut Ctx,
+        events: &'a mut Vec<WakeEvent>,
+    ) -> StepEnv<'a, O> {
+        StepEnv {
+            os: &mut self.os,
+            vfs: &mut self.vfs,
+            fds: &mut self.procs.get_mut(&pid).expect("caller exists").fds,
+            pid,
+            start,
+            ctx,
+            events,
+        }
     }
 
     fn thread_mut(&mut self, pid: Pid, tid: u32) -> &mut Thread {
@@ -851,50 +839,29 @@ impl<O: MemOs> Machine<O> {
             .push(QEntry::new(at, Task::Thread { pid, tid, gen }));
     }
 
-    /// Parks the running thread on an indefinite blocking call, recording
-    /// what it waits for and (event engine) indexing pipe/conn waits so
-    /// wakeup delivery is O(woken), not O(threads).
-    fn block_thread(&mut self, pid: Pid, tid: u32, call: BlockingCall) {
-        #[allow(clippy::cast_possible_truncation)]
-        let on = match &call {
-            BlockingCall::Wait => BlockedOn::Wait,
-            BlockingCall::JoinThread { tid: jt } => BlockedOn::Join(*jt as u32),
-            BlockingCall::Read { fd, .. } => {
-                match self.procs.get(&pid).and_then(|p| p.fds.get(*fd).ok()) {
-                    Some(FdKind::PipeRead(id)) => BlockedOn::Pipe(*id),
-                    Some(FdKind::Conn(id)) => BlockedOn::Conn(*id),
-                    // Only pipe/conn reads block indefinitely today.
-                    _ => BlockedOn::Fault,
+    /// Settles a serviced blocking call of the running thread: returns a
+    /// completed call's result, or parks the thread — until an event on
+    /// the channel the call waits for (indexed by the event engine, so
+    /// wakeup delivery is O(woken), not O(threads)), or until a timed
+    /// retry.
+    fn settle(&mut self, pid: Pid, tid: u32, outcome: ServiceOutcome) -> Option<SysResult<u64>> {
+        let (call, state, on) = match outcome {
+            ServiceOutcome::Done(r) => return Some(r),
+            ServiceOutcome::BlockIndefinite(call, on) => {
+                if self.config.engine == SchedEngine::EventDriven
+                    && matches!(on, BlockedOn::Pipe(_) | BlockedOn::Ring(_))
+                {
+                    self.waiters.entry(on).or_default().push((pid, tid));
                 }
+                (call, ThreadState::Blocked, Some(on))
             }
-            BlockingCall::Write { fd, .. } => {
-                match self.procs.get(&pid).and_then(|p| p.fds.get(*fd).ok()) {
-                    Some(FdKind::PipeWrite(id)) => BlockedOn::Pipe(*id),
-                    _ => BlockedOn::Fault,
-                }
-            }
-            BlockingCall::RingPush { fd, .. } | BlockingCall::RingPop { fd, .. } => {
-                match self.procs.get(&pid).and_then(|p| p.fds.get(*fd).ok()) {
-                    Some(FdKind::RingProd(id) | FdKind::RingCons(id)) => BlockedOn::Ring(*id),
-                    _ => BlockedOn::Fault,
-                }
-            }
-            // Yield/Sleep/SpawnThread/Accept resolve to Done or a timed
-            // retry; this arm is unreachable but harmless.
-            _ => BlockedOn::Fault,
+            ServiceOutcome::RetryAt(call, at) => (call, ThreadState::Ready { at }, None),
         };
-        if self.config.engine == SchedEngine::EventDriven {
-            match on {
-                BlockedOn::Pipe(id) => self.pipe_waiters.entry(id).or_default().push((pid, tid)),
-                BlockedOn::Conn(id) => self.conn_waiters.entry(id).or_default().push((pid, tid)),
-                BlockedOn::Ring(id) => self.ring_waiters.entry(id).or_default().push((pid, tid)),
-                _ => {}
-            }
-        }
         let t = self.thread_mut(pid, tid);
         t.pending = Some(call);
-        t.state = ThreadState::Blocked;
-        t.blocked_on = Some(on);
+        t.state = state;
+        t.blocked_on = on;
+        None
     }
 
     /// Reserves the big kernel lock for `dur` ns no earlier than
@@ -1006,9 +973,12 @@ impl<O: MemOs> Machine<O> {
                         },
                         at,
                     ),
-                    None => ServiceOutcome::BlockIndefinite(BlockingCall::JoinThread {
-                        tid: u64::from(target),
-                    }),
+                    None => ServiceOutcome::BlockIndefinite(
+                        BlockingCall::JoinThread {
+                            tid: u64::from(target),
+                        },
+                        BlockedOn::Join(target),
+                    ),
                 }
             }
             BlockingCall::Wait => {
@@ -1042,236 +1012,16 @@ impl<O: MemOs> Machine<O> {
                 } else if p.children.is_empty() {
                     ServiceOutcome::Done(Err(Errno::Child))
                 } else {
-                    ServiceOutcome::BlockIndefinite(BlockingCall::Wait)
+                    ServiceOutcome::BlockIndefinite(BlockingCall::Wait, BlockedOn::Wait)
                 }
             }
-            BlockingCall::Accept { fd } => {
-                charge_syscall(&self.os, ctx, 0);
-                let kind = match self.procs[&pid].fds.get(fd) {
-                    Ok(k) => k.clone(),
-                    Err(e) => return ServiceOutcome::Done(Err(e)),
-                };
-                let FdKind::Listener(lid) = kind else {
-                    return ServiceOutcome::Done(Err(Errno::BadFd));
-                };
-                match self.vfs.accept(lid, now) {
-                    Ok(Some(conn)) => {
-                        let p = self.procs.get_mut(&pid).unwrap();
-                        let cfd = p.fds.insert(FdKind::Conn(conn));
-                        ServiceOutcome::Done(Ok(cfd.0 as u64))
-                    }
-                    Ok(None) => ServiceOutcome::Done(Err(Errno::Again)),
-                    Err(e) => ServiceOutcome::Done(Err(e)),
-                }
-            }
-            BlockingCall::Read { fd, buf, len } => {
-                let kind = match self.procs[&pid].fds.get(fd) {
-                    Ok(k) => k.clone(),
-                    Err(e) => return ServiceOutcome::Done(Err(e)),
-                };
-                match kind {
-                    FdKind::PipeRead(id) => match self.vfs.pipe_read(id, len, now) {
-                        Ok(PipeRead::Data(data)) => {
-                            charge_syscall(&self.os, ctx, data.len() as u64);
-                            let n = data.len() as u64;
-                            ctx.kernel(
-                                self.os.copyio_cost_per_byte() * n as f64
-                                    + self.os.cost().pipe_per_byte * n as f64,
-                            );
-                            if n > 0 {
-                                if let Err(e) = self.os.store(ctx, pid, &buf, &data) {
-                                    return ServiceOutcome::Done(Err(e));
-                                }
-                                // Space drained: writers blocked on the
-                                // full pipe can retry.
-                                events.push(WakeEvent::PipeDrained(id));
-                            }
-                            ServiceOutcome::Done(Ok(n))
-                        }
-                        Ok(PipeRead::Eof) => {
-                            charge_syscall(&self.os, ctx, 0);
-                            ServiceOutcome::Done(Ok(0))
-                        }
-                        Ok(PipeRead::NotUntil(t)) => {
-                            ServiceOutcome::RetryAt(BlockingCall::Read { fd, buf, len }, t)
-                        }
-                        Ok(PipeRead::Empty) => {
-                            ServiceOutcome::BlockIndefinite(BlockingCall::Read { fd, buf, len })
-                        }
-                        Err(e) => ServiceOutcome::Done(Err(e)),
-                    },
-                    FdKind::Conn(id) => match self.vfs.conn_read(id, now) {
-                        Ok(ConnRead::Ready(req_bytes)) => {
-                            let n = req_bytes.min(len);
-                            charge_syscall(&self.os, ctx, n);
-                            ctx.kernel(self.os.copyio_cost_per_byte() * n as f64);
-                            let data = vec![0x47u8; n as usize]; // 'G' for GET
-                            if let Err(e) = self.os.store(ctx, pid, &buf, &data) {
-                                return ServiceOutcome::Done(Err(e));
-                            }
-                            ServiceOutcome::Done(Ok(n))
-                        }
-                        Ok(ConnRead::Eof) => {
-                            charge_syscall(&self.os, ctx, 0);
-                            ServiceOutcome::Done(Ok(0))
-                        }
-                        Ok(ConnRead::NotUntil(t)) => {
-                            ServiceOutcome::RetryAt(BlockingCall::Read { fd, buf, len }, t)
-                        }
-                        Err(e) => ServiceOutcome::Done(Err(e)),
-                    },
-                    FdKind::File { path, offset } => match self.vfs.read_file(&path, offset, len) {
-                        Ok(data) => {
-                            charge_syscall(&self.os, ctx, data.len() as u64);
-                            let n = data.len() as u64;
-                            ctx.kernel(
-                                self.os.cost().fs_op
-                                    + self.os.cost().ramdisk_per_byte * n as f64
-                                    + self.os.copyio_cost_per_byte() * n as f64,
-                            );
-                            if n > 0 {
-                                if let Err(e) = self.os.store(ctx, pid, &buf, &data) {
-                                    return ServiceOutcome::Done(Err(e));
-                                }
-                                if let Ok(FdKind::File { offset, .. }) =
-                                    self.procs.get_mut(&pid).unwrap().fds.get_mut(fd)
-                                {
-                                    *offset += n;
-                                }
-                            }
-                            ServiceOutcome::Done(Ok(n))
-                        }
-                        Err(e) => ServiceOutcome::Done(Err(e)),
-                    },
-                    _ => ServiceOutcome::Done(Err(Errno::BadFd)),
-                }
-            }
-            BlockingCall::Write { fd, buf, len } => {
-                charge_syscall(&self.os, ctx, len);
-                let kind = match self.procs[&pid].fds.get(fd) {
-                    Ok(k) => k.clone(),
-                    Err(e) => return ServiceOutcome::Done(Err(e)),
-                };
-                // Only pipes can block on write; files/conns use the
-                // non-blocking `sys_write`.
-                let FdKind::PipeWrite(id) = kind else {
-                    return ServiceOutcome::Done(Err(Errno::Inval));
-                };
-                let mut data = vec![0u8; len as usize];
-                if let Err(e) = self.os.load(ctx, pid, &buf, &mut data) {
-                    return ServiceOutcome::Done(Err(e));
-                }
-                match self.vfs.pipe_write(id, &data, now) {
-                    Ok(n) => {
-                        ctx.kernel(
-                            self.os.cost().pipe_per_byte * n as f64
-                                + self.os.copyio_cost_per_byte() * n as f64,
-                        );
-                        events.push(WakeEvent::PipeWritten(id));
-                        ServiceOutcome::Done(Ok(n))
-                    }
-                    // Full: park until a read drains space (PipeDrained).
-                    Err(Errno::Again) => {
-                        ServiceOutcome::BlockIndefinite(BlockingCall::Write { fd, buf, len })
-                    }
-                    Err(e) => ServiceOutcome::Done(Err(e)),
-                }
-            }
-            BlockingCall::RingPush { fd, ring, buf, len } => {
-                charge_syscall(&self.os, ctx, len);
-                let kind = match self.procs[&pid].fds.get(fd) {
-                    Ok(k) => k.clone(),
-                    Err(e) => return ServiceOutcome::Done(Err(e)),
-                };
-                let FdKind::RingProd(id) = kind else {
-                    return ServiceOutcome::Done(Err(Errno::BadFd));
-                };
-                // The sealed endpoint capability *is* the authority: the
-                // kernel unseals it with the machine-held authority and
-                // drives the shared window through the unsealed view.
-                // After fork this is the child's relocated register cap.
-                let Ok(window) = ring.unseal(&ring::seal_authority()) else {
-                    return ServiceOutcome::Done(Err(Errno::Perm));
-                };
-                match self.vfs.ring_meta(id) {
-                    // EPIPE only once a consumer has come *and* gone;
-                    // before the first attach the ring buffers like a FIFO.
-                    Ok(m) if m.cons_ends == 0 && m.ever_cons => {
-                        return ServiceOutcome::Done(Err(Errno::BadFd)); // EPIPE
-                    }
-                    Ok(_) => {}
-                    Err(e) => return ServiceOutcome::Done(Err(e)),
-                }
-                let mut data = vec![0u8; len as usize];
-                if let Err(e) = self.os.load(ctx, pid, &buf, &mut data) {
-                    return ServiceOutcome::Done(Err(e));
-                }
-                match ring::ring_push_raw(&mut self.os, ctx, pid, &window, &data, now) {
-                    Ok(RawPush::Pushed(seq)) => {
-                        let m = self.vfs.ring_meta_mut(id).expect("ring exists");
-                        m.pushed += 1;
-                        RingMeta::mix(&mut m.push_digest, seq, &data);
-                        ctx.counters.ring_msgs += 1;
-                        events.push(WakeEvent::RingPushed(id));
-                        ServiceOutcome::Done(Ok(len))
-                    }
-                    Ok(RawPush::Full) => {
-                        ctx.counters.ring_full_stalls += 1;
-                        ServiceOutcome::BlockIndefinite(BlockingCall::RingPush {
-                            fd,
-                            ring,
-                            buf,
-                            len,
-                        })
-                    }
-                    Ok(RawPush::NotUntil(t)) => {
-                        ServiceOutcome::RetryAt(BlockingCall::RingPush { fd, ring, buf, len }, t)
-                    }
-                    Err(e) => ServiceOutcome::Done(Err(e)),
-                }
-            }
-            BlockingCall::RingPop { fd, ring, buf } => {
-                charge_syscall(&self.os, ctx, 0);
-                let kind = match self.procs[&pid].fds.get(fd) {
-                    Ok(k) => k.clone(),
-                    Err(e) => return ServiceOutcome::Done(Err(e)),
-                };
-                let FdKind::RingCons(id) = kind else {
-                    return ServiceOutcome::Done(Err(Errno::BadFd));
-                };
-                let Ok(window) = ring.unseal(&ring::seal_authority()) else {
-                    return ServiceOutcome::Done(Err(Errno::Perm));
-                };
-                match ring::ring_pop_raw(&mut self.os, ctx, pid, &window, now) {
-                    Ok(RawPop::Popped { seq, data }) => {
-                        if let Err(e) = self.os.store(ctx, pid, &buf, &data) {
-                            return ServiceOutcome::Done(Err(e));
-                        }
-                        let m = self.vfs.ring_meta_mut(id).expect("ring exists");
-                        m.popped += 1;
-                        RingMeta::mix(&mut m.pop_digest, seq, &data);
-                        events.push(WakeEvent::RingPopped(id));
-                        ServiceOutcome::Done(Ok(data.len() as u64))
-                    }
-                    Ok(RawPop::Empty) => {
-                        let eof = self
-                            .vfs
-                            .ring_meta(id)
-                            .is_ok_and(|m| m.prod_ends == 0 && m.ever_prod);
-                        if eof {
-                            // Drained with no producers left: EOF, like a
-                            // pipe read.
-                            ServiceOutcome::Done(Ok(0))
-                        } else {
-                            ServiceOutcome::BlockIndefinite(BlockingCall::RingPop { fd, ring, buf })
-                        }
-                    }
-                    Ok(RawPop::NotUntil(t)) => {
-                        ServiceOutcome::RetryAt(BlockingCall::RingPop { fd, ring, buf }, t)
-                    }
-                    Err(e) => ServiceOutcome::Done(Err(e)),
-                }
-            }
+            // The rest is I/O on one of the caller's descriptors.
+            call => match self.env(pid, now, ctx, events).blocking_io(&call, now) {
+                Ok(Io::Done(n)) => ServiceOutcome::Done(Ok(n)),
+                Ok(Io::Block(on)) => ServiceOutcome::BlockIndefinite(call, on),
+                Ok(Io::NotUntil(t)) => ServiceOutcome::RetryAt(call, t),
+                Err(e) => ServiceOutcome::Done(Err(e)),
+            },
         }
     }
 
@@ -1473,21 +1223,7 @@ impl<O: MemOs> Machine<O> {
         let fds = std::mem::take(&mut self.procs.get_mut(&pid).unwrap().fds);
         let mut events = Vec::new();
         for (_, kind) in fds.iter() {
-            match kind {
-                FdKind::PipeRead(id) => {
-                    events.extend(self.vfs.pipe_drop_end(*id, false));
-                }
-                FdKind::PipeWrite(id) => {
-                    events.extend(self.vfs.pipe_drop_end(*id, true));
-                }
-                FdKind::RingProd(id) => {
-                    events.extend(self.vfs.ring_drop_end(*id, true));
-                }
-                FdKind::RingCons(id) => {
-                    events.extend(self.vfs.ring_drop_end(*id, false));
-                }
-                _ => {}
-            }
+            events.extend(self.vfs.close(kind));
         }
         self.os.destroy(ctx, pid);
 
@@ -1585,9 +1321,6 @@ impl<O: MemOs> Machine<O> {
             (WakeEvent::RingPopped(id), BlockingCall::RingPush { fd, .. }) => {
                 matches!(fds.get(*fd), Ok(FdKind::RingProd(r)) if r == id)
             }
-            (WakeEvent::ConnAdvanced(id), BlockingCall::Read { fd, .. }) => {
-                matches!(fds.get(*fd), Ok(FdKind::Conn(c)) if c == id)
-            }
             _ => false,
         }
     }
@@ -1617,31 +1350,22 @@ impl<O: MemOs> Machine<O> {
         }
     }
 
-    /// Event-engine wake path: consult only the affected pipe/ring/conn's
+    /// Event-engine wake path: consult only the affected pipe or ring's
     /// waiter list. Entries whose thread died or moved on are dropped;
     /// entries whose thread is still parked but does not match this event
     /// stay registered.
     fn deliver_by_index(&mut self, events: &[WakeEvent], at: f64) {
-        enum Chan {
-            Pipe,
-            Conn,
-            Ring,
-        }
         for ev in events {
-            let (id, chan) = match ev {
+            let chan = match *ev {
                 WakeEvent::PipeWritten(id)
                 | WakeEvent::PipeHangup(id)
-                | WakeEvent::PipeDrained(id) => (*id, Chan::Pipe),
-                WakeEvent::RingPushed(id) | WakeEvent::RingPopped(id) => (*id, Chan::Ring),
-                WakeEvent::ConnAdvanced(id) => (*id, Chan::Conn),
+                | WakeEvent::PipeDrained(id) => BlockedOn::Pipe(id),
+                WakeEvent::RingPushed(id) | WakeEvent::RingPopped(id) => BlockedOn::Ring(id),
                 WakeEvent::Kill(_) => continue,
             };
-            let list = match chan {
-                Chan::Pipe => self.pipe_waiters.remove(&id),
-                Chan::Conn => self.conn_waiters.remove(&id),
-                Chan::Ring => self.ring_waiters.remove(&id),
+            let Some(list) = self.waiters.remove(&chan) else {
+                continue;
             };
-            let Some(list) = list else { continue };
             let mut wake = Vec::new();
             let mut keep = Vec::new();
             for (wpid, wtid) in list {
@@ -1668,12 +1392,7 @@ impl<O: MemOs> Machine<O> {
                 self.make_ready(wpid, wtid, at);
             }
             if !keep.is_empty() {
-                let map = match chan {
-                    Chan::Pipe => &mut self.pipe_waiters,
-                    Chan::Conn => &mut self.conn_waiters,
-                    Chan::Ring => &mut self.ring_waiters,
-                };
-                map.entry(id).or_default().extend(keep);
+                self.waiters.entry(chan).or_default().extend(keep);
             }
         }
     }
@@ -1682,345 +1401,8 @@ impl<O: MemOs> Machine<O> {
 enum ServiceOutcome {
     /// The call completed with this result.
     Done(Result<u64, Errno>),
-    /// Block until an event wakes the thread.
-    BlockIndefinite(BlockingCall),
+    /// Block until an event on the named channel wakes the thread.
+    BlockIndefinite(BlockingCall, BlockedOn),
     /// Re-try the call at the given simulated time.
     RetryAt(BlockingCall, f64),
-}
-
-// ---------------------------------------------------------------------------
-// Env implementation
-// ---------------------------------------------------------------------------
-
-struct StepEnv<'a, O: MemOs> {
-    os: &'a mut O,
-    vfs: &'a mut Vfs,
-    fds: &'a mut FdTable,
-    pid: Pid,
-    start: f64,
-    ctx: &'a mut Ctx,
-    events: &'a mut Vec<WakeEvent>,
-}
-
-impl<O: MemOs> StepEnv<'_, O> {
-    fn now_inner(&self) -> f64 {
-        self.start + self.ctx.total()
-    }
-
-    /// Reads `len` user bytes for an outgoing I/O operation.
-    fn read_user(&mut self, buf: &Capability, len: u64) -> SysResult<Vec<u8>> {
-        let mut data = vec![0u8; len as usize];
-        self.os.load(self.ctx, self.pid, buf, &mut data)?;
-        Ok(data)
-    }
-}
-
-impl<O: MemOs> Env for StepEnv<'_, O> {
-    fn load(&mut self, cap: &Capability, buf: &mut [u8]) -> SysResult<()> {
-        self.os.load(self.ctx, self.pid, cap, buf)
-    }
-
-    fn store(&mut self, cap: &Capability, data: &[u8]) -> SysResult<()> {
-        self.os.store(self.ctx, self.pid, cap, data)
-    }
-
-    fn load_cap(&mut self, cap: &Capability) -> SysResult<Option<Capability>> {
-        self.os.load_cap(self.ctx, self.pid, cap)
-    }
-
-    fn store_cap(&mut self, cap: &Capability, value: &Capability) -> SysResult<()> {
-        self.os.store_cap(self.ctx, self.pid, cap, value)
-    }
-
-    fn reg(&self, idx: usize) -> SysResult<Capability> {
-        self.os.reg(self.pid, idx)
-    }
-
-    fn set_reg(&mut self, idx: usize, cap: Capability) -> SysResult<()> {
-        self.os.set_reg(self.pid, idx, cap)
-    }
-
-    fn malloc(&mut self, len: u64) -> SysResult<Capability> {
-        self.os.malloc(self.ctx, self.pid, len)
-    }
-
-    fn mfree(&mut self, cap: &Capability) -> SysResult<()> {
-        self.os.mfree(self.ctx, self.pid, cap)
-    }
-
-    fn cpu_ops(&mut self, n: u64) {
-        self.ctx.user(self.os.cost().cpu_op * n as f64);
-    }
-
-    fn cpu_flops(&mut self, n: u64) {
-        self.ctx.user(self.os.cost().flop * n as f64);
-    }
-
-    fn sys_write(&mut self, fd: Fd, buf: &Capability, len: u64) -> SysResult<u64> {
-        charge_syscall(self.os, self.ctx, len);
-        match *self.fds.get(fd)? {
-            FdKind::File { ref path, offset } => {
-                let n = self.vfs.write_file(path, offset, len, |span| {
-                    self.os.load(self.ctx, self.pid, buf, span)?;
-                    let cost = self.os.cost();
-                    self.ctx.kernel(
-                        cost.fs_op
-                            + cost.ramdisk_per_byte * len as f64
-                            + self.os.copyio_cost_per_byte() * len as f64,
-                    );
-                    Ok(())
-                })?;
-                if let Ok(FdKind::File { offset, .. }) = self.fds.get_mut(fd) {
-                    *offset += n;
-                }
-                Ok(n)
-            }
-            FdKind::PipeWrite(id) => {
-                let data = self.read_user(buf, len)?;
-                let cost = self.os.cost();
-                self.ctx.kernel(
-                    cost.pipe_per_byte * len as f64 + self.os.copyio_cost_per_byte() * len as f64,
-                );
-                let now = self.now_inner();
-                let n = self.vfs.pipe_write(id, &data, now)?;
-                self.events.push(WakeEvent::PipeWritten(id));
-                Ok(n)
-            }
-            FdKind::Conn(id) => {
-                // Response bytes: charge copy but content is synthetic.
-                let cost = self.os.cost();
-                self.ctx.kernel(
-                    self.os.copyio_cost_per_byte() * len as f64 + cost.pipe_per_byte * len as f64,
-                );
-                let now = self.now_inner();
-                self.vfs.conn_write(id, now)?;
-                self.events.push(WakeEvent::ConnAdvanced(id));
-                Ok(len)
-            }
-            _ => Err(Errno::BadFd),
-        }
-    }
-
-    fn sys_read_nonblock(&mut self, fd: Fd, buf: &Capability, len: u64) -> SysResult<u64> {
-        charge_syscall(self.os, self.ctx, len);
-        let kind = self.fds.get(fd)?.clone();
-        match kind {
-            FdKind::PipeRead(id) => match self.vfs.pipe_read(id, len, self.now_inner())? {
-                PipeRead::Data(data) => {
-                    let n = data.len() as u64;
-                    let cost = self.os.cost();
-                    self.ctx.kernel(
-                        cost.pipe_per_byte * n as f64 + self.os.copyio_cost_per_byte() * n as f64,
-                    );
-                    if n > 0 {
-                        self.os.store(self.ctx, self.pid, buf, &data)?;
-                    }
-                    Ok(n)
-                }
-                PipeRead::Eof => Ok(0),
-                PipeRead::Empty | PipeRead::NotUntil(_) => Err(Errno::Again),
-            },
-            FdKind::File { path, offset } => {
-                let data = self.vfs.read_file(&path, offset, len)?;
-                let n = data.len() as u64;
-                let cost = self.os.cost();
-                self.ctx.kernel(
-                    cost.fs_op
-                        + cost.ramdisk_per_byte * n as f64
-                        + self.os.copyio_cost_per_byte() * n as f64,
-                );
-                if n > 0 {
-                    self.os.store(self.ctx, self.pid, buf, &data)?;
-                    if let Ok(FdKind::File { offset, .. }) = self.fds.get_mut(fd) {
-                        *offset += n;
-                    }
-                }
-                Ok(n)
-            }
-            _ => Err(Errno::BadFd),
-        }
-    }
-
-    fn sys_open(&mut self, path: &str, create: bool) -> SysResult<Fd> {
-        charge_syscall(self.os, self.ctx, 0);
-        self.ctx.kernel(self.os.cost().fs_op);
-        self.vfs.open_file(path, create)?;
-        Ok(self.fds.insert(FdKind::File {
-            path: path.to_string(),
-            offset: 0,
-        }))
-    }
-
-    fn sys_close(&mut self, fd: Fd) -> SysResult<()> {
-        charge_syscall(self.os, self.ctx, 0);
-        let kind = self.fds.remove(fd)?;
-        match kind {
-            FdKind::PipeRead(id) => {
-                self.events.extend(self.vfs.pipe_drop_end(id, false));
-            }
-            FdKind::PipeWrite(id) => {
-                self.events.extend(self.vfs.pipe_drop_end(id, true));
-            }
-            FdKind::RingProd(id) => {
-                self.events.extend(self.vfs.ring_drop_end(id, true));
-            }
-            FdKind::RingCons(id) => {
-                self.events.extend(self.vfs.ring_drop_end(id, false));
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    fn sys_rename(&mut self, from: &str, to: &str) -> SysResult<()> {
-        charge_syscall(self.os, self.ctx, 0);
-        self.ctx.kernel(self.os.cost().fs_op);
-        self.vfs.rename(from, to)
-    }
-
-    fn sys_pipe(&mut self) -> SysResult<(Fd, Fd)> {
-        charge_syscall(self.os, self.ctx, 0);
-        let id = self.vfs.create_pipe();
-        let r = self.fds.insert(FdKind::PipeRead(id));
-        let w = self.fds.insert(FdKind::PipeWrite(id));
-        Ok((r, w))
-    }
-
-    fn sys_shm_open(&mut self, name: &str, len: u64) -> SysResult<Capability> {
-        charge_syscall(self.os, self.ctx, 0);
-        self.os.shm_open(self.ctx, self.pid, name, len)
-    }
-
-    fn sys_mmap_anon(&mut self, len: u64) -> SysResult<Capability> {
-        charge_syscall(self.os, self.ctx, 0);
-        self.os.mmap_anon(self.ctx, self.pid, len)
-    }
-
-    fn sys_kill(&mut self, pid: Pid) -> SysResult<()> {
-        charge_syscall(self.os, self.ctx, 0);
-        if pid == self.pid {
-            return Err(Errno::Inval);
-        }
-        // Delivered by the machine after this step completes.
-        self.events.push(WakeEvent::Kill(pid));
-        Ok(())
-    }
-
-    fn sys_ring_open(
-        &mut self,
-        name: &str,
-        slots: u64,
-        msg_bytes: u64,
-        producer: bool,
-    ) -> SysResult<(Fd, Capability)> {
-        charge_syscall(self.os, self.ctx, 0);
-        let (id, created) = self.vfs.ring_register(name, slots, msg_bytes)?;
-        // The ring lives in a named shared-memory object: fork's Shm
-        // arms refcount-share these frames instead of copying them.
-        let shm_name = format!("ring:{name}");
-        let window = self.os.shm_open(
-            self.ctx,
-            self.pid,
-            &shm_name,
-            ring::ring_bytes(slots, msg_bytes),
-        )?;
-        if created {
-            ring::ring_init(self.os, self.ctx, self.pid, &window, slots, msg_bytes)?;
-        } else {
-            ring::ring_verify(self.os, self.ctx, self.pid, &window, slots, msg_bytes)?;
-        }
-        self.vfs.ring_add_end(id, producer);
-        let fd = self.fds.insert(if producer {
-            FdKind::RingProd(id)
-        } else {
-            FdKind::RingCons(id)
-        });
-        // Hand the program a *sealed* view: it cannot dereference the
-        // window, only present the capability back to push/pop.
-        let sealed = window
-            .seal(OType::RING_ENDPOINT, &ring::seal_authority())
-            .map_err(|_| Errno::Perm)?;
-        Ok((fd, sealed))
-    }
-
-    fn sys_ring_try_push(
-        &mut self,
-        fd: Fd,
-        ring_cap: &Capability,
-        buf: &Capability,
-        len: u64,
-    ) -> SysResult<u64> {
-        charge_syscall(self.os, self.ctx, len);
-        let FdKind::RingProd(id) = self.fds.get(fd)?.clone() else {
-            return Err(Errno::BadFd);
-        };
-        let window = ring_cap
-            .unseal(&ring::seal_authority())
-            .map_err(|_| Errno::Perm)?;
-        let meta = self.vfs.ring_meta(id)?;
-        if meta.cons_ends == 0 && meta.ever_cons {
-            return Err(Errno::BadFd); // EPIPE
-        }
-        let data = self.read_user(buf, len)?;
-        let now = self.now_inner();
-        match ring::ring_push_raw(self.os, self.ctx, self.pid, &window, &data, now)? {
-            RawPush::Pushed(seq) => {
-                let m = self.vfs.ring_meta_mut(id).expect("ring exists");
-                m.pushed += 1;
-                RingMeta::mix(&mut m.push_digest, seq, &data);
-                self.ctx.counters.ring_msgs += 1;
-                self.events.push(WakeEvent::RingPushed(id));
-                Ok(len)
-            }
-            RawPush::Full | RawPush::NotUntil(_) => {
-                self.ctx.counters.ring_full_stalls += 1;
-                Err(Errno::Again)
-            }
-        }
-    }
-
-    fn sys_ring_try_pop(
-        &mut self,
-        fd: Fd,
-        ring_cap: &Capability,
-        buf: &Capability,
-    ) -> SysResult<u64> {
-        charge_syscall(self.os, self.ctx, 0);
-        let FdKind::RingCons(id) = self.fds.get(fd)?.clone() else {
-            return Err(Errno::BadFd);
-        };
-        let window = ring_cap
-            .unseal(&ring::seal_authority())
-            .map_err(|_| Errno::Perm)?;
-        let now = self.now_inner();
-        match ring::ring_pop_raw(self.os, self.ctx, self.pid, &window, now)? {
-            RawPop::Popped { seq, data } => {
-                self.os.store(self.ctx, self.pid, buf, &data)?;
-                let m = self.vfs.ring_meta_mut(id).expect("ring exists");
-                m.popped += 1;
-                RingMeta::mix(&mut m.pop_digest, seq, &data);
-                self.events.push(WakeEvent::RingPopped(id));
-                Ok(data.len() as u64)
-            }
-            RawPop::Empty => {
-                let meta = self.vfs.ring_meta(id)?;
-                if meta.prod_ends == 0 && meta.ever_prod {
-                    Ok(RING_EOF)
-                } else {
-                    Ok(0)
-                }
-            }
-            // Not yet visible at this simulated instant: look empty.
-            RawPop::NotUntil(_) => Ok(0),
-        }
-    }
-
-    fn sys_getpid(&mut self) -> Pid {
-        charge_syscall(self.os, self.ctx, 0);
-        self.pid
-    }
-
-    fn now(&self) -> f64 {
-        self.now_inner()
-    }
 }

@@ -3,12 +3,13 @@
 //! A ring lives entirely in `Shm`-backed *simulated* memory: a 64-byte
 //! header of little-endian u64 words followed by fixed-size message
 //! slots. Because the whole structure is ordinary shared memory, fork
-//! does nothing special for it — the `Shm` arms of all three fork walks
-//! refcount-share the frames, and the *endpoint capability* the program
-//! holds (sealed with [`OType::RING_ENDPOINT`]) is relocated by the
-//! ordinary register walk, seal intact. That is the property this fabric
-//! exists to exercise: IPC connectivity survives address-space surgery
-//! purely through capability relocation (paper §3.5–3.7).
+//! does nothing special for it — the one fork walk refcount-shares `Shm`
+//! pages the same way in all three of its modes, and the *endpoint
+//! capability* the program holds (sealed with [`OType::RING_ENDPOINT`])
+//! is relocated by the ordinary register walk, seal intact. That is the
+//! property this fabric exists to exercise: IPC connectivity survives
+//! address-space surgery purely through capability relocation (paper
+//! §3.5–3.7).
 //!
 //! Layout (`word = u64 LE`):
 //!

@@ -21,7 +21,7 @@
 //!   [`ufork_sim::LaneClocks`], the same machinery the parallel fork
 //!   walkers use, so whole-machine time remains exactly replayable;
 //! * [`BlockedOn`] — why a parked thread is parked, which both documents
-//!   the wait graph and lets the machine index pipe/ring/conn waiters for
+//!   the wait graph and lets the machine index pipe and ring waiters for
 //!   O(woken) wakeups instead of rescanning every thread.
 
 use std::cmp::Reverse;
@@ -84,11 +84,11 @@ impl TimeKey {
 
 /// What an indefinitely blocked thread is waiting for.
 ///
-/// `BlockIndefinite` used to park a thread with nothing but its pending
-/// call; the wake path then had to rescan every thread against every
-/// event. Recording the wait explicitly lets the machine index waiters
-/// by pipe/ring/connection id and wake exactly the affected threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A blocking call that cannot complete names the channel it waits on,
+/// so the machine indexes waiters by pipe or ring and wakes exactly the
+/// affected threads instead of rescanning every thread against every
+/// event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BlockedOn {
     /// Reading an empty pipe with writers still open, or writing a full
     /// one with readers still open.
@@ -96,20 +96,10 @@ pub enum BlockedOn {
     /// Pushing onto a full ring, or popping an empty one with producer
     /// ends still open.
     Ring(usize),
-    /// Reading a synthetic connection (defensive: the traffic model
-    /// currently always yields a timed retry instead).
-    Conn(usize),
     /// `wait()` with live, un-exited children.
     Wait,
     /// Joining a running thread (the target tid).
     Join(u32),
-    /// Awaiting in-kernel fault resolution. Pipelined fork runs a child
-    /// before its pages finish copying, but its demand-priority faults
-    /// resolve *inline* (the faulting access copies the chunk itself and
-    /// charges its own context — see `ufork::pipeline`), so even there
-    /// nothing parks here; the variant remains the defensive default for
-    /// blocking calls with no other classification.
-    Fault,
 }
 
 /// A task the machine can run next.

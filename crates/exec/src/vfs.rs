@@ -117,9 +117,6 @@ pub enum WakeEvent {
     /// A slot was freed on ring `id`, or its last consumer end closed
     /// (blocked producers must re-poll: space or EPIPE).
     RingPopped(usize),
-    /// A response was written on connection `id` (its next request is now
-    /// scheduled).
-    ConnAdvanced(usize),
     /// A SIGKILL-style signal was sent to the process.
     Kill(ufork_abi::Pid),
 }
@@ -312,13 +309,24 @@ impl Vfs {
         Ok(len)
     }
 
-    /// Reads up to `len` bytes at `offset`. Returns the bytes (possibly
-    /// fewer than `len` at end of file).
-    pub fn read_file(&self, path: &str, offset: u64, len: u64) -> SysResult<Vec<u8>> {
+    /// Reads up to `len` bytes at `offset` (fewer at end of file, none
+    /// past it). Returns the bytes read.
+    ///
+    /// `sink` takes the bytes straight from the file's span; its error
+    /// fails the read. A missing file fails with `NoEnt` without running
+    /// `sink`.
+    pub fn read_file(
+        &self,
+        path: &str,
+        offset: u64,
+        len: u64,
+        sink: impl FnOnce(&[u8]) -> SysResult<()>,
+    ) -> SysResult<u64> {
         let node = self.files.get(path).ok_or(Errno::NoEnt)?;
         let start = (offset as usize).min(node.data.len());
-        let end = (start + len as usize).min(node.data.len());
-        Ok(node.data[start..end].to_vec())
+        let end = start.saturating_add(len as usize).min(node.data.len());
+        sink(&node.data[start..end])?;
+        Ok((end - start) as u64)
     }
 
     /// Atomically renames a file.
@@ -407,6 +415,18 @@ impl Vfs {
             self.pipes[id] = None;
         }
         events
+    }
+
+    /// Closes the pipe or ring end `kind` refers to, returning the wake
+    /// events the close implies. Other descriptors close without effect.
+    pub fn close(&mut self, kind: &FdKind) -> Vec<WakeEvent> {
+        match *kind {
+            FdKind::PipeRead(id) => self.pipe_drop_end(id, false),
+            FdKind::PipeWrite(id) => self.pipe_drop_end(id, true),
+            FdKind::RingProd(id) => self.ring_drop_end(id, true),
+            FdKind::RingCons(id) => self.ring_drop_end(id, false),
+            _ => Vec::new(),
+        }
     }
 
     /// Appends to a pipe at simulated time `now`.
@@ -723,6 +743,16 @@ mod tests {
         })
     }
 
+    fn read(v: &Vfs, path: &str, offset: u64, len: u64) -> SysResult<Vec<u8>> {
+        let mut out = Vec::new();
+        let n = v.read_file(path, offset, len, |span| {
+            out.extend_from_slice(span);
+            Ok(())
+        })?;
+        assert_eq!(n, out.len() as u64);
+        Ok(out)
+    }
+
     #[test]
     fn fd_table_insert_get_remove() {
         let mut t = FdTable::new();
@@ -740,7 +770,7 @@ mod tests {
         v.open_file("a", true).unwrap();
         write(&mut v, "a", 0, b"hello").unwrap();
         write(&mut v, "a", 5, b" world").unwrap();
-        assert_eq!(v.read_file("a", 0, 100).unwrap(), b"hello world");
+        assert_eq!(read(&v, "a", 0, 100).unwrap(), b"hello world");
         v.rename("a", "b").unwrap();
         assert!(v.file_contents("a").is_none());
         assert_eq!(v.file_len("b"), Some(11));
@@ -751,7 +781,34 @@ mod tests {
         let mut v = Vfs::new();
         v.open_file("f", true).unwrap();
         write(&mut v, "f", 4, b"x").unwrap();
-        assert_eq!(v.read_file("f", 0, 5).unwrap(), vec![0, 0, 0, 0, b'x']);
+        assert_eq!(read(&v, "f", 0, 5).unwrap(), vec![0, 0, 0, 0, b'x']);
+    }
+
+    #[test]
+    fn read_hands_the_span_to_the_sink() {
+        let mut v = Vfs::new();
+        v.open_file("f", true).unwrap();
+        write(&mut v, "f", 0, b"abcdef").unwrap();
+        assert_eq!(read(&v, "f", 1, 3).unwrap(), b"bcd");
+        // Short at end of file, empty at and past it: the sink still
+        // runs, on an empty span.
+        assert_eq!(read(&v, "f", 4, 10).unwrap(), b"ef");
+        assert_eq!(read(&v, "f", 6, 4).unwrap(), b"");
+        assert_eq!(read(&v, "f", 100, 4).unwrap(), b"");
+        // A length the program chose cannot overflow the span's end.
+        assert_eq!(read(&v, "f", 2, u64::MAX).unwrap(), b"cdef");
+        // The sink's error fails the read.
+        assert_eq!(
+            v.read_file("f", 0, 2, |_| Err(Errno::Fault)),
+            Err(Errno::Fault)
+        );
+        // A missing file fails before the sink runs.
+        let mut ran = false;
+        let r = v.read_file("gone", 0, 2, |_| {
+            ran = true;
+            Ok(())
+        });
+        assert_eq!((r, ran), (Err(Errno::NoEnt), false));
     }
 
     #[test]

@@ -11,7 +11,9 @@ use ufork_abi::{
     ProgramBox, Resume, StepOutcome, SysResult, RING_EOF,
 };
 use ufork_cheri::Perms;
-use ufork_exec::{Ctx, Machine, MachineConfig, MemOs, SchedEngine};
+use ufork_exec::{
+    BlockedOn, Ctx, Machine, MachineConfig, MemOs, SchedEngine, MAIN_TID, PIPE_CAPACITY,
+};
 use ufork_mem::MemStats;
 use ufork_sim::CostModel;
 
@@ -29,15 +31,24 @@ struct IpcOs {
     procs: BTreeMap<Pid, (Vec<u8>, Vec<Option<Capability>>)>,
     shm: Vec<Vec<u8>>,
     shm_names: Vec<String>,
+    isolation: IsolationLevel,
+    copyio: f64,
 }
 
 impl IpcOs {
     fn new() -> IpcOs {
+        IpcOs::with(IsolationLevel::Fault, 0.0)
+    }
+
+    /// A backend at `isolation` whose user copies cost `copyio` ns/byte.
+    fn with(isolation: IsolationLevel, copyio: f64) -> IpcOs {
         IpcOs {
             cost: CostModel::morello(),
             procs: BTreeMap::new(),
             shm: Vec::new(),
             shm_names: Vec::new(),
+            isolation,
+            copyio,
         }
     }
 }
@@ -172,10 +183,10 @@ impl MemOs for IpcOs {
         false
     }
     fn isolation(&self) -> IsolationLevel {
-        IsolationLevel::Fault
+        self.isolation
     }
     fn copyio_cost_per_byte(&self) -> f64 {
-        0.0
+        self.copyio
     }
     fn mem_stats(&self, _pid: Pid) -> MemStats {
         MemStats::default()
@@ -766,4 +777,347 @@ fn try_ops_report_full_empty_and_eof() {
     m.run();
     assert_eq!(m.exit_code(pid), Some(0));
     assert_eq!(m.counters().ring_full_stalls, 1);
+}
+
+// ---------------------------------------------------------------------------
+// One operation, two entry points: each shared I/O operation charges,
+// counts and wakes the same through its try-call and its blocking call,
+// apart from the charges that differ between the two on purpose.
+// ---------------------------------------------------------------------------
+
+/// Payload bytes of every pinned ring message and pipe write.
+const MSG: u64 = 24;
+
+/// Per-byte cost of the backend's user copies in the pinned cases.
+const COPYIO: f64 = 0.5;
+
+/// A shared I/O operation in one state of its channel.
+#[derive(Clone, Copy, Debug)]
+enum Case {
+    PushPushed,
+    PushFull,
+    PopMessage,
+    PopEmpty,
+    PopEof,
+    WriteWritten,
+    WriteFull,
+}
+
+/// Parks on one blocking call; a wake event on its channel lets it run.
+#[derive(Clone)]
+struct Witness(BlockingCall);
+impl Program for Witness {
+    fn resume(&mut self, _env: &mut dyn Env, input: Resume) -> StepOutcome {
+        match input {
+            Resume::Start => StepOutcome::Block(self.0.clone()),
+            _ => StepOutcome::Exit(0),
+        }
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// Puts one channel into `case`'s state, parks a [`Witness`] thread on
+/// it, then performs the operation once, through the try-call or the
+/// blocking call. `op_at` is the simulated time the operation starts and
+/// `result` what it returned (`None` while a blocking call is parked).
+#[derive(Clone)]
+struct Pinned {
+    case: Case,
+    blocking: bool,
+    call: Option<BlockingCall>,
+    op_at: Option<f64>,
+    result: Option<SysResult<u64>>,
+}
+
+impl Pinned {
+    fn new(case: Case, blocking: bool) -> Pinned {
+        Pinned {
+            case,
+            blocking,
+            call: None,
+            op_at: None,
+            result: None,
+        }
+    }
+
+    /// Sets the channel up; returns the operation, as a blocking call,
+    /// and the call that parks the witness.
+    fn setup(&self, env: &mut dyn Env) -> (BlockingCall, BlockingCall) {
+        let buf = env.reg(0).unwrap();
+        if let Case::WriteWritten | Case::WriteFull = self.case {
+            let (r, w) = env.sys_pipe().unwrap();
+            let write = BlockingCall::Write {
+                fd: w,
+                buf,
+                len: MSG,
+            };
+            if let Case::WriteFull = self.case {
+                let cap = PIPE_CAPACITY as u64;
+                assert_eq!(env.sys_write(w, &buf, cap), Ok(cap));
+                // A second writer parks on the full pipe.
+                return (write.clone(), write);
+            }
+            // A reader parks on the empty pipe.
+            return (
+                write,
+                BlockingCall::Read {
+                    fd: r,
+                    buf,
+                    len: MSG,
+                },
+            );
+        }
+        let (pf, ring) = env.sys_ring_open("pin", 1, MSG, true).unwrap();
+        let push = BlockingCall::RingPush {
+            fd: pf,
+            ring,
+            buf,
+            len: MSG,
+        };
+        let (fd, ring) = env.sys_ring_open("pin", 1, MSG, false).unwrap();
+        let pop = BlockingCall::RingPop { fd, ring, buf };
+        match self.case {
+            // Empty ring: a consumer parks.
+            Case::PushPushed => (push, pop),
+            Case::PopEmpty => (pop.clone(), pop),
+            // Full one-slot ring: a producer parks.
+            Case::PushFull | Case::PopMessage => {
+                assert_eq!(Self::try_call(env, &push), Ok(MSG));
+                match self.case {
+                    Case::PushFull => (push.clone(), push),
+                    _ => (pop, push),
+                }
+            }
+            // Drained with its producer gone: nothing can park on the
+            // ring, so the witness joins the main thread instead.
+            _ => {
+                env.sys_close(pf).unwrap();
+                let join = BlockingCall::JoinThread {
+                    tid: u64::from(MAIN_TID),
+                };
+                (pop, join)
+            }
+        }
+    }
+
+    /// The operation through its try-call.
+    fn try_call(env: &mut dyn Env, call: &BlockingCall) -> SysResult<u64> {
+        match *call {
+            BlockingCall::Write { fd, buf, len } => env.sys_write(fd, &buf, len),
+            BlockingCall::RingPush { fd, ring, buf, len } => {
+                env.sys_ring_try_push(fd, &ring, &buf, len)
+            }
+            BlockingCall::RingPop { fd, ring, buf } => env.sys_ring_try_pop(fd, &ring, &buf),
+            _ => unreachable!("not a shared operation"),
+        }
+    }
+}
+
+impl Program for Pinned {
+    fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
+        let Resume::Ret(r) = input else {
+            let (op, witness) = self.setup(env);
+            self.call = Some(op);
+            return StepOutcome::Block(BlockingCall::SpawnThread {
+                program: ProgramBox(Box::new(Witness(witness))),
+            });
+        };
+        let Some(call) = self.call.take() else {
+            if self.blocking {
+                self.result = Some(r);
+            }
+            return StepOutcome::Exit(0);
+        };
+        // The witness (thread 1) has parked: the operation is the first
+        // thing this step does after the context switch.
+        assert_eq!(r, Ok(1));
+        self.op_at = Some(env.now());
+        if self.blocking {
+            return StepOutcome::Block(call);
+        }
+        self.result = Some(Self::try_call(env, &call));
+        StepOutcome::Block(BlockingCall::Sleep { ns: 1e9 })
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// What a [`Pinned`] run showed at the end of the step that performed
+/// the operation, plus the operation's result.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    syscalls: u64,
+    tocttou_bytes: u64,
+    ring_msgs: u64,
+    ring_full_stalls: u64,
+    /// Where the caller is parked.
+    caller: Option<BlockedOn>,
+    /// Where the witness is still parked (`None`: a wake event freed it).
+    witness: Option<BlockedOn>,
+    result: Option<SysResult<u64>>,
+}
+
+/// Runs one case; returns the operation's simulated kernel time and what
+/// the run showed.
+fn observe(case: Case, blocking: bool, iso: IsolationLevel, engine: SchedEngine) -> (f64, Seen) {
+    let mut m = Machine::new(
+        IpcOs::with(iso, COPYIO),
+        MachineConfig {
+            engine,
+            ..MachineConfig::default()
+        },
+    );
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(Pinned::new(case, blocking)),
+        )
+        .unwrap();
+    loop {
+        let before = *m.counters();
+        assert!(m.step(), "{case:?}: idle before the operation ran");
+        let Some(op_at) = m.program::<Pinned>(pid).unwrap().op_at else {
+            continue;
+        };
+        // One core: the machine's clock stands where the operation's
+        // step ended.
+        let kernel_ns = m.now() - op_at;
+        let c = m.counters().since(&before);
+        let caller = m.blocked_on(pid, MAIN_TID);
+        let witness = m.blocked_on(pid, 1);
+        m.run();
+        let result = m.program::<Pinned>(pid).unwrap().result;
+        let seen = Seen {
+            syscalls: c.syscalls,
+            tocttou_bytes: c.tocttou_bytes,
+            ring_msgs: c.ring_msgs,
+            ring_full_stalls: c.ring_full_stalls,
+            caller,
+            witness,
+            result,
+        };
+        return (kernel_ns, seen);
+    }
+}
+
+#[test]
+fn try_call_and_blocking_call_share_each_operation() {
+    use BlockedOn::{Join, Pipe, Ring};
+    use Case::*;
+    let cost = CostModel::morello();
+    let msg = MSG as f64;
+    for iso in [IsolationLevel::Fault, IsolationLevel::Full] {
+        let full = iso == IsolationLevel::Full;
+        // The syscall charge for `n` buffer bytes: the mock's 100 ns
+        // entry, then validation and the TOCTTOU copy at full isolation.
+        let sys = |n: f64| {
+            let copy = if n > 0.0 {
+                cost.tocttou_fixed + cost.copyio_per_byte * n
+            } else {
+                0.0
+            };
+            100.0
+                + if full {
+                    cost.syscall_validate + copy
+                } else {
+                    0.0
+                }
+        };
+        let pipe = cost.pipe_per_byte * msg + COPYIO * msg;
+        let tocttou = |n: u64| if full { n } else { 0 };
+        let seen = |n: u64, msgs, stalls, caller, witness, result| Seen {
+            syscalls: 1,
+            tocttou_bytes: tocttou(n),
+            ring_msgs: msgs,
+            ring_full_stalls: stalls,
+            caller,
+            witness,
+            result,
+        };
+        let check = |case: Case, blocking: bool, kernel_ns: f64, want: Seen| {
+            for engine in [SchedEngine::Lockstep, SchedEngine::EventDriven] {
+                let at = format!("{case:?} blocking={blocking} {iso:?} {engine:?}");
+                let (ns, got) = observe(case, blocking, iso, engine);
+                assert_eq!(got, want, "{at}");
+                assert!(
+                    (ns - kernel_ns).abs() < 1e-6,
+                    "{at}: {ns} ns, want {kernel_ns}"
+                );
+            }
+        };
+        let (ok, again) = (|n| Some(Ok(n)), Some(Err(Errno::Again)));
+        for blocking in [false, true] {
+            check(
+                PushPushed,
+                blocking,
+                sys(msg),
+                seen(MSG, 1, 0, None, None, ok(MSG)),
+            );
+            check(
+                PopMessage,
+                blocking,
+                sys(0.0),
+                seen(0, 0, 0, None, None, ok(MSG)),
+            );
+            let written = seen(MSG, 0, 0, None, None, ok(MSG));
+            check(WriteWritten, blocking, sys(msg) + pipe, written);
+        }
+        check(
+            PushFull,
+            false,
+            sys(msg),
+            seen(MSG, 0, 1, None, Some(Ring(0)), again),
+        );
+        let parked = Some(Ring(0));
+        check(
+            PushFull,
+            true,
+            sys(msg),
+            seen(MSG, 0, 1, parked, parked, None),
+        );
+        check(
+            PopEmpty,
+            false,
+            sys(0.0),
+            seen(0, 0, 0, None, parked, ok(0)),
+        );
+        check(
+            PopEmpty,
+            true,
+            sys(0.0),
+            seen(0, 0, 0, parked, parked, None),
+        );
+        let joined = Some(Join(0));
+        check(
+            PopEof,
+            false,
+            sys(0.0),
+            seen(0, 0, 0, None, joined, ok(RING_EOF)),
+        );
+        check(PopEof, true, sys(0.0), seen(0, 0, 0, None, joined, ok(0)));
+        // A refused try-write still pays the pipe copy; the blocking
+        // write parks before it.
+        let parked = Some(Pipe(0));
+        check(
+            WriteFull,
+            false,
+            sys(msg) + pipe,
+            seen(MSG, 0, 0, None, parked, again),
+        );
+        check(
+            WriteFull,
+            true,
+            sys(msg),
+            seen(MSG, 0, 0, parked, parked, None),
+        );
+    }
 }
