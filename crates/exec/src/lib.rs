@@ -35,7 +35,7 @@ pub use machine::{
     ExitEvent, ForkEvent, Machine, MachineConfig, OomEvent, PipelineEvent, MAIN_TID,
 };
 pub use memos::MemOs;
-pub use sched::{BlockedOn, SchedEngine, TimeKey};
+pub use sched::{BlockedOn, TimeKey};
 pub use vfs::{
     ConnTemplate, FdKind, FdTable, PipeRead, RingMeta, RingSnapshot, Vfs, WakeEvent, PIPE_CAPACITY,
 };

@@ -13,11 +13,15 @@
 //!
 //! One step loop ([`Machine::step`]) runs everything: threads, the
 //! background copy engines of pipelined forks and the background reclaim
-//! daemon are all picked by one `(time, class, order)` key. The default
-//! event engine pops that key from a run queue that scales to thousands
-//! of live μprocesses; the lockstep reference ([`SchedEngine`]) builds the
-//! same key by a linear scan. Everything after the pick is shared, and
-//! `tests/sched_differential.rs` holds the two to bit-identical schedules.
+//! daemon are all picked by one `(time, class, order)` key, popped from a
+//! run queue that scales to thousands of live μprocesses. Parked threads
+//! are indexed by the pipe or ring they wait on, so a wakeup touches only
+//! that channel's waiters.
+//!
+//! Debug builds check both against the linear reference: every pick must
+//! equal the minimum key over every task, and no delivered event may
+//! leave a thread parked that it should have woken. A divergence panics
+//! at the step where it happens.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -28,7 +32,7 @@ use ufork_sim::OpCounters;
 
 use crate::ctx::Ctx;
 use crate::memos::{charge_syscall, MemOs};
-use crate::sched::{BlockedOn, Cores, QEntry, RunQueue, SchedEngine, Task, TimeKey};
+use crate::sched::{BlockedOn, Cores, QEntry, RunQueue, Task, TimeKey};
 use crate::syscall::{Io, StepEnv};
 use crate::vfs::{ConnTemplate, FdKind, FdTable, Vfs, WakeEvent};
 
@@ -44,9 +48,6 @@ pub struct MachineConfig {
     /// Stop scheduling steps that would start at or after this simulated
     /// time (ns).
     pub time_limit: Option<f64>,
-    /// Scheduling engine. [`SchedEngine::EventDriven`] unless a test
-    /// explicitly asks for the lockstep reference.
-    pub engine: SchedEngine,
     /// Enable the OOM last resort: when a fork still fails with `NoMem`
     /// after the backend's own degrade ladder and reclaim retries, the
     /// machine deterministically kills victim μprocesses (largest
@@ -63,7 +64,6 @@ impl Default for MachineConfig {
             cores: 1,
             child_affinity: None,
             time_limit: None,
-            engine: SchedEngine::EventDriven,
             oom_kill: false,
         }
     }
@@ -159,12 +159,13 @@ pub struct ExitEvent {
 /// The main thread's id in every process.
 pub const MAIN_TID: u32 = 0;
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 enum ThreadState {
     /// Runnable no earlier than `at`.
     Ready { at: f64 },
-    /// Blocked with no known wake time; woken by events.
-    Blocked,
+    /// Blocked with no known wake time, on this channel; woken by
+    /// events.
+    Blocked(BlockedOn),
     /// Finished.
     Dead,
 }
@@ -175,8 +176,6 @@ struct Thread {
     resume_with: Resume,
     /// A blocking call to (re)try when next scheduled.
     pending: Option<BlockingCall>,
-    /// What the thread is parked on while `Blocked`.
-    blocked_on: Option<BlockedOn>,
     /// Ready-generation: bumped on every transition into (or re-keying
     /// of) the ready state. A run-queue entry is live iff its `gen`
     /// matches — the lazy-deletion validity check.
@@ -192,7 +191,6 @@ impl Thread {
             state: ThreadState::Ready { at },
             resume_with,
             pending: None,
-            blocked_on: None,
             gen: 0,
             exited: None,
         }
@@ -278,17 +276,16 @@ pub struct Machine<O: MemOs> {
     reclaim_engine: Option<BgClock>,
     oom_log: Vec<OomEvent>,
     runq: RunQueue,
-    /// Threads parked on each pipe or ring (event engine): readers on an
-    /// empty pipe and writers on a full one, consumers on an empty ring
-    /// and producers on a full one. A wakeup touches only the affected
-    /// channel's waiters, not every thread.
+    /// Threads parked on each pipe or ring: readers on an empty pipe and
+    /// writers on a full one, consumers on an empty ring and producers on
+    /// a full one. A wakeup touches only the affected channel's waiters,
+    /// not every thread.
     waiters: BTreeMap<BlockedOn, Vec<(Pid, u32)>>,
 }
 
 impl<O: MemOs> Machine<O> {
     /// Creates a machine over the given backend.
     pub fn new(os: O, config: MachineConfig) -> Machine<O> {
-        let runq = RunQueue::new(config.engine == SchedEngine::EventDriven);
         Machine {
             os,
             vfs: Vfs::new(),
@@ -304,7 +301,7 @@ impl<O: MemOs> Machine<O> {
             copy_engines: BTreeMap::new(),
             reclaim_engine: None,
             oom_log: Vec::new(),
-            runq,
+            runq: RunQueue::default(),
             waiters: BTreeMap::new(),
         }
     }
@@ -428,12 +425,14 @@ impl<O: MemOs> Machine<O> {
         })
     }
 
-    /// What a thread is blocked on, if it is indefinitely parked.
+    /// What a thread is blocked on, if it is indefinitely parked. A
+    /// ready, timed-out or dead thread reports `None`, whatever it last
+    /// waited on.
     pub fn blocked_on(&self, pid: Pid, tid: u32) -> Option<BlockedOn> {
-        self.procs
-            .get(&pid)
-            .and_then(|p| p.threads.get(&tid))
-            .and_then(|t| t.blocked_on)
+        match self.procs.get(&pid)?.threads.get(&tid)?.state {
+            ThreadState::Blocked(on) => Some(on),
+            _ => None,
+        }
     }
 
     // ---- the scheduler loop ---------------------------------------------
@@ -476,39 +475,49 @@ impl<O: MemOs> Machine<O> {
         true
     }
 
-    /// The live task with the minimum key. The event engine pops its run
-    /// queue, discarding stale entries; the lockstep reference scans
-    /// every task and builds the same key.
+    /// The live task with the minimum key: the run queue's first entry
+    /// that is not stale. Debug builds check it against the reference
+    /// scan, also when the queue runs dry, where a lost entry would
+    /// otherwise end the run early without an error.
     fn pick(&mut self) -> Option<QEntry> {
-        match self.config.engine {
-            SchedEngine::EventDriven => loop {
-                let entry = self.runq.pop()?;
-                if self.current_entry(entry.task) == Some(entry) {
-                    return Some(entry);
-                }
-                // Stale: superseded since it was pushed.
-            },
-            SchedEngine::Lockstep => {
-                let threads = self
-                    .procs
-                    .iter()
-                    .filter(|(_, p)| p.life == ProcLife::Alive)
-                    .flat_map(|(pid, p)| {
-                        p.threads.iter().map(|(tid, t)| Task::Thread {
-                            pid: *pid,
-                            tid: *tid,
-                            gen: t.gen,
-                        })
-                    });
-                let copies = self.copy_engines.keys().map(|pid| Task::Copy(*pid));
-                let reclaim = self.reclaim_engine.map(|_| Task::Reclaim);
-                threads
-                    .chain(copies)
-                    .chain(reclaim)
-                    .filter_map(|task| self.current_entry(task))
-                    .min()
+        let picked = loop {
+            let Some(entry) = self.runq.pop() else {
+                break None;
+            };
+            if self.current_entry(entry.task) == Some(entry) {
+                break Some(entry);
             }
-        }
+            // Stale: superseded since it was pushed.
+        };
+        debug_assert_eq!(
+            picked,
+            self.reference_pick(),
+            "the run queue lost or misordered a task"
+        );
+        picked
+    }
+
+    /// The minimum current entry over every thread, copy engine and the
+    /// reclaim daemon, by linear scan: what the run queue must pop.
+    fn reference_pick(&self) -> Option<QEntry> {
+        let threads = self
+            .procs
+            .iter()
+            .filter(|(_, p)| p.life == ProcLife::Alive)
+            .flat_map(|(pid, p)| {
+                p.threads.iter().map(|(tid, t)| Task::Thread {
+                    pid: *pid,
+                    tid: *tid,
+                    gen: t.gen,
+                })
+            });
+        let copies = self.copy_engines.keys().map(|pid| Task::Copy(*pid));
+        let reclaim = self.reclaim_engine.map(|_| Task::Reclaim);
+        threads
+            .chain(copies)
+            .chain(reclaim)
+            .filter_map(|task| self.current_entry(task))
+            .min()
     }
 
     /// `task`'s entry as of now, or `None` when it cannot run: a queued
@@ -635,7 +644,7 @@ impl<O: MemOs> Machine<O> {
     /// backend reports pending work and the daemon is not already armed.
     /// Called at every point the memory state can change (end of a
     /// dispatched step, after a background-copy chunk, after spawn), so
-    /// both scheduling engines arm it at identical instants.
+    /// it arms at a deterministic instant.
     fn maybe_arm_reclaim(&mut self, at: f64) {
         if self.reclaim_engine.is_none() && self.os.reclaim_pending() {
             self.reclaim_engine = Some(BgClock::new(at));
@@ -698,8 +707,7 @@ impl<O: MemOs> Machine<O> {
         // Retry any pending blocking call first. A retried call can
         // complete I/O (a woken writer fills a pipe, a woken consumer
         // frees ring slots), so its wake events must be delivered even
-        // on the early returns — dropping them here is exactly the
-        // lost-wakeup shape the multi-reader EOF bug had.
+        // on the early returns, or the threads they satisfy stay parked.
         let mut events = Vec::new();
         let thread = self
             .procs
@@ -821,8 +829,8 @@ impl<O: MemOs> Machine<O> {
     /// Every transition into the ready state MUST go through here or
     /// through [`Machine::finish_step`] (which re-enqueues the thread
     /// that just ran): the run queue uses lazy deletion, so a ready
-    /// thread without a live queue entry would never be scheduled by the
-    /// event engine.
+    /// thread without a live queue entry would never be scheduled. Debug
+    /// builds catch such a thread at the next pick.
     fn make_ready(&mut self, pid: Pid, tid: u32, at: f64) {
         let Some(t) = self
             .procs
@@ -832,7 +840,6 @@ impl<O: MemOs> Machine<O> {
             return;
         };
         t.state = ThreadState::Ready { at };
-        t.blocked_on = None;
         t.gen += 1;
         let gen = t.gen;
         self.runq
@@ -841,26 +848,23 @@ impl<O: MemOs> Machine<O> {
 
     /// Settles a serviced blocking call of the running thread: returns a
     /// completed call's result, or parks the thread — until an event on
-    /// the channel the call waits for (indexed by the event engine, so
-    /// wakeup delivery is O(woken), not O(threads)), or until a timed
-    /// retry.
+    /// the channel the call waits for (pipe and ring waiters are indexed
+    /// by channel, so wakeup delivery is O(woken), not O(threads)), or
+    /// until a timed retry.
     fn settle(&mut self, pid: Pid, tid: u32, outcome: ServiceOutcome) -> Option<SysResult<u64>> {
-        let (call, state, on) = match outcome {
+        let (call, state) = match outcome {
             ServiceOutcome::Done(r) => return Some(r),
             ServiceOutcome::BlockIndefinite(call, on) => {
-                if self.config.engine == SchedEngine::EventDriven
-                    && matches!(on, BlockedOn::Pipe(_) | BlockedOn::Ring(_))
-                {
+                if matches!(on, BlockedOn::Pipe(_) | BlockedOn::Ring(_)) {
                     self.waiters.entry(on).or_default().push((pid, tid));
                 }
-                (call, ThreadState::Blocked, Some(on))
+                (call, ThreadState::Blocked(on))
             }
-            ServiceOutcome::RetryAt(call, at) => (call, ThreadState::Ready { at }, None),
+            ServiceOutcome::RetryAt(call, at) => (call, ThreadState::Ready { at }),
         };
         let t = self.thread_mut(pid, tid);
         t.pending = Some(call);
         t.state = state;
-        t.blocked_on = on;
         None
     }
 
@@ -987,8 +991,8 @@ impl<O: MemOs> Machine<O> {
                 // a zombie created later in simulated time (by a step that
                 // happened to execute earlier in host order) is not yet
                 // visible. The zombie table is ordered by (exit time,
-                // arrival order), so the first entry is exactly the child
-                // the old linear scan picked.
+                // arrival order), so the first entry is the earliest
+                // exit, ties going to the first to arrive.
                 let p = self.procs.get_mut(&pid).expect("caller exists");
                 let first = p.zombies.iter().next().map(|(k, v)| (*k, *v));
                 if let Some((key, (child, code, z_at))) = first {
@@ -1186,22 +1190,19 @@ impl<O: MemOs> Machine<O> {
 
     /// A non-main thread exited: record it and wake joiners.
     fn handle_thread_exit(&mut self, pid: Pid, tid: u32, code: i32, at: f64) {
-        let mut woken = Vec::new();
-        {
-            let p = self.procs.get_mut(&pid).expect("process exists");
-            if let Some(t) = p.threads.get_mut(&tid) {
-                t.state = ThreadState::Dead;
-                t.exited = Some((code, at));
-            }
-            // Wake siblings joined on this thread.
-            for (jtid, t) in p.threads.iter_mut() {
-                if matches!(t.state, ThreadState::Blocked)
-                    && matches!(t.pending, Some(BlockingCall::JoinThread { tid: jt }) if jt == u64::from(tid))
-                {
-                    woken.push(*jtid);
-                }
-            }
+        let p = self.procs.get_mut(&pid).expect("process exists");
+        if let Some(t) = p.threads.get_mut(&tid) {
+            t.state = ThreadState::Dead;
+            t.exited = Some((code, at));
         }
+        // Wake siblings joined on this thread.
+        let joined = ThreadState::Blocked(BlockedOn::Join(tid));
+        let woken: Vec<u32> = p
+            .threads
+            .iter()
+            .filter(|(_, t)| t.state == joined)
+            .map(|(jtid, _)| *jtid)
+            .collect();
         for jtid in woken {
             self.make_ready(pid, jtid, at);
         }
@@ -1216,10 +1217,8 @@ impl<O: MemOs> Machine<O> {
                 t.exited = Some((code, at));
             }
         }
-        // Close all fds, collecting every wake event: the old code
-        // discarded read-end drop events entirely and kept at most one
-        // write-end event, losing wakeups when an exit closed several
-        // ends at once.
+        // Close all fds, collecting every wake event: an exit that closes
+        // several pipe or ring ends at once must wake the waiters of each.
         let fds = std::mem::take(&mut self.procs.get_mut(&pid).unwrap().fds);
         let mut events = Vec::new();
         for (_, kind) in fds.iter() {
@@ -1257,14 +1256,10 @@ impl<O: MemOs> Machine<O> {
                 let key = (TimeKey::from_ns(at), par.zombie_seq);
                 par.zombie_seq += 1;
                 par.zombies.insert(key, (pid, code, at));
-                for (wtid, t) in par.threads.iter_mut() {
-                    if matches!(t.state, ThreadState::Blocked)
-                        && matches!(t.pending, Some(BlockingCall::Wait))
-                    {
-                        waiter = Some(*wtid);
-                        break; // one waiter reaps one child
-                    }
-                }
+                // One waiter reaps one child.
+                let waiting = ThreadState::Blocked(BlockedOn::Wait);
+                let mut threads = par.threads.iter();
+                waiter = threads.find(|(_, t)| t.state == waiting).map(|(w, _)| *w);
             }
             if let Some(wtid) = waiter {
                 self.make_ready(pp, wtid, at);
@@ -1291,16 +1286,17 @@ impl<O: MemOs> Machine<O> {
                 }
             }
         }
-        match self.config.engine {
-            SchedEngine::Lockstep => self.deliver_by_scan(&events, at),
-            SchedEngine::EventDriven => self.deliver_by_index(&events, at),
-        }
+        self.wake_waiters(&events, at);
+        debug_assert_eq!(
+            self.missed_wakeup(&events),
+            None,
+            "a delivered event left a thread parked that it satisfies"
+        );
     }
 
-    /// Does one event wake a thread parked on `pending`? Shared by the
-    /// lockstep scan and the event-engine index so the two paths cannot
-    /// drift: the fd's *current* kind is re-checked on every event (a
-    /// sibling may have closed and remapped the fd).
+    /// Does one event wake a thread parked on `pending`? The fd's
+    /// *current* kind is re-checked on every event (a sibling may have
+    /// closed and remapped the fd).
     fn wake_match(ev: &WakeEvent, pending: &BlockingCall, fds: &FdTable) -> bool {
         match (ev, pending) {
             // Readers wake on data or hangup of their pipe.
@@ -1325,36 +1321,12 @@ impl<O: MemOs> Machine<O> {
         }
     }
 
-    /// Lockstep wake path: rescan every thread against the event batch
-    /// (the original behavior the event engine must reproduce). Wakes
-    /// *every* matching thread — the multi-reader EOF fix: one
-    /// `PipeHangup` must release all readers blocked on the pipe.
-    fn deliver_by_scan(&mut self, events: &[WakeEvent], at: f64) {
-        for (_, p) in self.procs.iter_mut() {
-            if p.life != ProcLife::Alive {
-                continue;
-            }
-            for t in p.threads.values_mut() {
-                if !matches!(t.state, ThreadState::Blocked) {
-                    continue;
-                }
-                let Some(pending) = &t.pending else { continue };
-                if events
-                    .iter()
-                    .any(|ev| Self::wake_match(ev, pending, &p.fds))
-                {
-                    t.state = ThreadState::Ready { at };
-                    t.blocked_on = None;
-                }
-            }
-        }
-    }
-
-    /// Event-engine wake path: consult only the affected pipe or ring's
-    /// waiter list. Entries whose thread died or moved on are dropped;
-    /// entries whose thread is still parked but does not match this event
-    /// stay registered.
-    fn deliver_by_index(&mut self, events: &[WakeEvent], at: f64) {
+    /// Wakes every thread an event batch satisfies (one hangup releases
+    /// all readers of a pipe), consulting only the affected pipe or
+    /// ring's waiter list. Entries whose thread died or moved on are
+    /// dropped; entries whose thread is still parked but does not match
+    /// this event stay registered.
+    fn wake_waiters(&mut self, events: &[WakeEvent], at: f64) {
         for ev in events {
             let chan = match *ev {
                 WakeEvent::PipeWritten(id)
@@ -1369,23 +1341,10 @@ impl<O: MemOs> Machine<O> {
             let mut wake = Vec::new();
             let mut keep = Vec::new();
             for (wpid, wtid) in list {
-                let Some(p) = self.procs.get(&wpid) else {
-                    continue;
-                };
-                if p.life != ProcLife::Alive {
-                    continue;
-                }
-                let Some(t) = p.threads.get(&wtid) else {
-                    continue;
-                };
-                if !matches!(t.state, ThreadState::Blocked) {
-                    continue;
-                }
-                let Some(pending) = &t.pending else { continue };
-                if Self::wake_match(ev, pending, &p.fds) {
-                    wake.push((wpid, wtid));
-                } else {
-                    keep.push((wpid, wtid));
+                match self.parked_call(wpid, wtid) {
+                    Some((call, fds)) if Self::wake_match(ev, call, fds) => wake.push((wpid, wtid)),
+                    Some(_) => keep.push((wpid, wtid)),
+                    None => {}
                 }
             }
             for (wpid, wtid) in wake {
@@ -1395,6 +1354,34 @@ impl<O: MemOs> Machine<O> {
                 self.waiters.entry(chan).or_default().extend(keep);
             }
         }
+    }
+
+    /// The call a live, parked thread waits to retry, with its process's
+    /// descriptors: what a wake event is matched against.
+    fn parked_call(&self, pid: Pid, tid: u32) -> Option<(&BlockingCall, &FdTable)> {
+        let p = self.procs.get(&pid).filter(|p| p.life == ProcLife::Alive)?;
+        let t = p.threads.get(&tid)?;
+        match (&t.state, &t.pending) {
+            (ThreadState::Blocked(_), Some(call)) => Some((call, &p.fds)),
+            _ => None,
+        }
+    }
+
+    /// A live thread still parked on a call that an event of `events`
+    /// satisfies, found by scanning every thread: after delivery there
+    /// must be none.
+    fn missed_wakeup(&self, events: &[WakeEvent]) -> Option<(Pid, u32)> {
+        let satisfied = |(call, fds): (&BlockingCall, &FdTable)| {
+            events.iter().any(|ev| Self::wake_match(ev, call, fds))
+        };
+        for (pid, p) in &self.procs {
+            for tid in p.threads.keys() {
+                if self.parked_call(*pid, *tid).is_some_and(satisfied) {
+                    return Some((*pid, *tid));
+                }
+            }
+        }
+        None
     }
 }
 

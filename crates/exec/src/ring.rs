@@ -29,8 +29,8 @@
 //! observes [`RingPop::NotUntil`] instead of data from its future; a pop
 //! overwrites the stamp with *its* time (the free time), so a producer
 //! cannot reuse a slot freed in its future. All comparisons use the
-//! scheduler's exact [`TimeKey`] ordering — the same fix the pipe layer
-//! got for its epsilon off-by-one.
+//! scheduler's exact [`TimeKey`] ordering, as the pipe layer's do, so a
+//! slot stamped exactly at `now` is visible in this slice.
 
 use ufork_abi::{Errno, Pid, SysResult};
 use ufork_cheri::{Capability, OType, Perms};

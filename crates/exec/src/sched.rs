@@ -4,11 +4,9 @@
 //! The [`crate::Machine`] runs three kinds of task — threads, the
 //! background copy engines of pipelined forks, and the background reclaim
 //! daemon — and picks every step by one key, `(time, class, order)`
-//! ([`QEntry`]). The default engine pops that key from a lazy-deletion
-//! heap in O(log runnable); the lockstep reference builds the same key by
-//! linearly scanning every task. Everything after the pick is shared, and
-//! `tests/sched_differential.rs` holds both engines to the same event
-//! logs:
+//! ([`QEntry`]), popped from a lazy-deletion heap in O(log runnable).
+//! Debug builds check every pick against a linear scan of every task for
+//! the minimum key. The pieces:
 //!
 //! * [`TimeKey`] — an **integer** ordering key over simulated
 //!   nanoseconds, so heap ordering can never be perturbed by
@@ -30,19 +28,6 @@ use std::collections::BinaryHeap;
 use ufork_abi::Pid;
 use ufork_sim::LaneClocks;
 
-/// Which scheduling algorithm picks the next task in
-/// [`crate::Machine::step`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedEngine {
-    /// O(tasks)-per-step linear scan for the minimum key. Kept as the
-    /// reference implementation for the differential suite; produces the
-    /// exact schedule the event engine must reproduce.
-    Lockstep,
-    /// Run queue with lazy deletion: O(log runnable) per step. The
-    /// default.
-    EventDriven,
-}
-
 /// An integer ordering key over a simulated-time nanosecond value.
 ///
 /// IEEE-754 doubles have the property that for non-negative finite
@@ -51,9 +36,8 @@ pub enum SchedEngine {
 /// zombie table) a plain `u64` ordering key — integer comparisons, no
 /// NaN/total_cmp corner cases inside the heap — **without** quantizing
 /// the timestamp. Quantizing (e.g. rounding to whole ns) would collapse
-/// sub-ns-distinct events into new ties and diverge from the lockstep
-/// engine's schedule; the bit encoding keys every distinct `f64` instant
-/// distinctly.
+/// sub-ns-distinct events into new ties and reorder the schedule; the
+/// bit encoding keys every distinct `f64` instant distinctly.
 ///
 /// Negative inputs clamp to 0 (simulated time starts at 0; a negative
 /// ready time is a cost-model bug, not a schedulable instant) and NaN
@@ -109,9 +93,9 @@ pub enum BlockedOn {
 /// daemon (copied pages are latency-critical, scrubbing is slack work),
 /// which beats threads (so magazines refill before the next fork
 /// allocates). The fields are the order within a class: ascending child
-/// pid for copy engines, ascending `(pid, tid)` for threads — the
-/// lockstep scan's iteration order. A thread's `gen` never decides
-/// between two live entries: only one generation of a thread is live.
+/// pid for copy engines, ascending `(pid, tid)` for threads. A thread's
+/// `gen` never decides between two live entries: only one generation of
+/// a thread is live.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Task {
     /// The background copy engine of a pipelined fork's child.
@@ -149,28 +133,19 @@ impl QEntry {
 
 /// The lazy-deletion run queue.
 ///
-/// A disabled queue (lockstep engine) ignores pushes, so the machine can
-/// route every ready-transition through one helper without the reference
-/// engine paying for or accumulating heap entries.
+/// Every task that can run must have its current entry queued: a task
+/// without one is never picked. Debug builds of the machine check each
+/// pick against a scan of every task, so a lost entry fails at the step
+/// that should have run it.
+#[derive(Default)]
 pub(crate) struct RunQueue {
     heap: BinaryHeap<Reverse<QEntry>>,
-    enabled: bool,
 }
 
 impl RunQueue {
-    /// Creates the queue; `enabled` iff the event engine is selected.
-    pub fn new(enabled: bool) -> RunQueue {
-        RunQueue {
-            heap: BinaryHeap::new(),
-            enabled,
-        }
-    }
-
-    /// Pushes an entry (no-op when disabled).
+    /// Pushes an entry.
     pub fn push(&mut self, entry: QEntry) {
-        if self.enabled {
-            self.heap.push(Reverse(entry));
-        }
+        self.heap.push(Reverse(entry));
     }
 
     /// Pops the minimum entry (which may be stale — the caller validates
@@ -311,7 +286,7 @@ mod tests {
 
     #[test]
     fn run_queue_pops_in_key_order() {
-        let mut q = RunQueue::new(true);
+        let mut q = RunQueue::default();
         q.push(QEntry::new(30.0, thread(1, 0)));
         q.push(QEntry::new(10.0, thread(2, 0)));
         q.push(QEntry::new(10.0, Task::Reclaim));
@@ -328,13 +303,6 @@ mod tests {
                 thread(1, 0),
             ]
         );
-    }
-
-    #[test]
-    fn disabled_queue_ignores_pushes() {
-        let mut q = RunQueue::new(false);
-        q.push(QEntry::new(1.0, thread(1, 0)));
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -69,7 +69,8 @@ impl<O: MemOs> StepEnv<'_, O> {
 
     /// Writes `len` bytes from `buf` to pipe `id`, whole or not at all,
     /// and wakes its readers. `at` reads the caller's clock when the
-    /// write reaches the pipe.
+    /// write reaches the pipe. A write longer than the whole buffer can
+    /// never succeed: it fails before it reads user memory.
     fn pipe_write(
         &mut self,
         id: usize,
@@ -77,6 +78,9 @@ impl<O: MemOs> StepEnv<'_, O> {
         len: u64,
         at: impl FnOnce(&mut Ctx) -> f64,
     ) -> SysResult<Io> {
+        if self.vfs.pipe_capacity(id).is_ok_and(|cap| len > cap) {
+            return Err(Errno::Inval);
+        }
         let data = self.read_user(buf, len)?;
         let now = at(self.ctx);
         match self.vfs.pipe_write(id, &data, now) {
@@ -93,7 +97,8 @@ impl<O: MemOs> StepEnv<'_, O> {
     /// Pushes one `len`-byte message from `buf` onto the ring behind
     /// `fd`, presenting the sealed endpoint `ring_cap`, and wakes its
     /// consumers. A full ring counts a stall. `at` reads the caller's
-    /// clock when the push reaches the ring.
+    /// clock when the push reaches the ring. A `len` other than the
+    /// ring's message size fails before it reads user memory.
     fn ring_push(
         &mut self,
         fd: Fd,
@@ -117,6 +122,9 @@ impl<O: MemOs> StepEnv<'_, O> {
         // first attach the ring buffers like a FIFO.
         if meta.cons_ends == 0 && meta.ever_cons {
             return Err(Errno::BadFd);
+        }
+        if len != meta.msg_bytes {
+            return Err(Errno::Inval);
         }
         let data = self.read_user(buf, len)?;
         let now = at(self.ctx);

@@ -7,10 +7,6 @@ use ufork_abi::{Errno, Fd, SysResult};
 
 use crate::sched::TimeKey;
 
-/// Ram-disk contents as `(path, bytes)` pairs in path order.
-pub type FileSnapshot = Vec<(String, Vec<u8>)>;
-/// Residual unread bytes of every live pipe, as `(pipe id, bytes)`.
-pub type PipeSnapshot = Vec<(usize, Vec<u8>)>;
 /// Per-ring traffic summary, as `(ring id, name, pushed, popped,
 /// push digest, pop digest)` in id order.
 pub type RingSnapshot = Vec<(usize, String, u64, u64, u64, u64)>;
@@ -227,11 +223,10 @@ struct Conn {
 }
 
 /// True when simulated time `t` is strictly after `now` under the
-/// scheduler's [`TimeKey`] ordering. The old epsilon comparison
-/// (`t > now + 1e-9`) deferred chunks stamped *exactly* at `now` on some
-/// platforms and admitted sub-epsilon-future ones; the integer key is
-/// exact: a chunk stamped at `now` is readable, one stamped one ulp
-/// later is not.
+/// scheduler's [`TimeKey`] ordering. The integer key is exact: a chunk
+/// stamped at `now` is readable, one stamped one ulp later is not. An
+/// epsilon comparison would defer some chunks stamped exactly at `now`
+/// and admit sub-epsilon-future ones.
 fn after(t: f64, now: f64) -> bool {
     TimeKey::from_ns(t) > TimeKey::from_ns(now)
 }
@@ -277,6 +272,8 @@ impl Vfs {
     /// missing file still runs `fill`, into a scratch buffer, before
     /// failing with `NoEnt`, so the caller's side effects (a user-memory
     /// load with its faults and charges) do not depend on the namespace.
+    /// A span whose end overflows, or lies past what a host buffer can
+    /// hold (`isize::MAX`), fails with `Inval` before anything runs.
     pub fn write_file(
         &mut self,
         path: &str,
@@ -284,11 +281,14 @@ impl Vfs {
         len: u64,
         fill: impl FnOnce(&mut [u8]) -> SysResult<()>,
     ) -> SysResult<u64> {
+        let end = offset
+            .checked_add(len)
+            .and_then(|end| isize::try_from(end).ok());
+        let (start, end) = (offset as usize, end.ok_or(Errno::Inval)? as usize);
         let Some(node) = self.files.get_mut(path) else {
             fill(&mut vec![0; len as usize])?;
             return Err(Errno::NoEnt);
         };
-        let (start, end) = (offset as usize, offset as usize + len as usize);
         let old_len = node.data.len();
         // The bytes the write replaces, to undo a failed fill.
         let replaced = node
@@ -427,6 +427,13 @@ impl Vfs {
             FdKind::RingCons(id) => self.ring_drop_end(id, false),
             _ => Vec::new(),
         }
+    }
+
+    /// Pipe `id`'s buffer capacity in bytes: the longest write that can
+    /// ever succeed.
+    pub(crate) fn pipe_capacity(&self, id: usize) -> SysResult<u64> {
+        let p = self.pipes.get(id).and_then(Option::as_ref);
+        p.map(|p| p.capacity as u64).ok_or(Errno::BadFd)
     }
 
     /// Appends to a pipe at simulated time `now`.
@@ -676,36 +683,6 @@ impl Vfs {
     pub fn conn_served(&self, id: usize) -> u64 {
         self.conns.get(id).map_or(0, |c| c.served)
     }
-
-    /// Deterministic snapshot of externally observable state: every file
-    /// as `(path, contents)` in path order, plus the residual (unread)
-    /// bytes of every live pipe in id order. The differential scheduler
-    /// suite compares this across engines — two schedules are only
-    /// equivalent if they leave the *same* bytes behind. Ring traffic has
-    /// its own snapshot ([`Vfs::ring_snapshot`]).
-    pub fn state_snapshot(&self) -> (FileSnapshot, PipeSnapshot) {
-        let files = self
-            .files
-            .iter()
-            .map(|(p, n)| (p.clone(), n.data.clone()))
-            .collect();
-        let pipes = self
-            .pipes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, p)| {
-                p.as_ref().map(|p| {
-                    let residue: Vec<u8> = p
-                        .chunks
-                        .iter()
-                        .flat_map(|(bytes, _)| bytes.iter().copied())
-                        .collect();
-                    (id, residue)
-                })
-            })
-            .collect();
-        (files, pipes)
-    }
 }
 
 /// Result of [`Vfs::pipe_read`].
@@ -837,6 +814,15 @@ mod tests {
             v.write_file("gone", 0, 3, |_| Err(Errno::Fault)),
             Err(Errno::Fault)
         );
+        // A span whose end overflows, or lies past `isize::MAX`, fails
+        // before the fill runs, on an existing file and on a missing one.
+        for path in ["f", "gone"] {
+            for offset in [0, 1] {
+                let r = v.write_file(path, offset, u64::MAX, |_| unreachable!("fill ran"));
+                assert_eq!(r, Err(Errno::Inval), "{path} at {offset}");
+            }
+        }
+        assert_eq!(v.file_contents("f"), Some(&b"abcdef"[..]));
     }
 
     #[test]
@@ -878,9 +864,8 @@ mod tests {
 
     #[test]
     fn pipe_chunk_stamped_exactly_at_now_is_readable() {
-        // The off-by-one the TimeKey alignment fixes: a chunk stamped at
-        // precisely `now` belongs to this slice, and only a strictly
-        // later stamp — even one ulp later — defers it.
+        // A chunk stamped at precisely `now` belongs to this slice, and
+        // only a strictly later stamp — even one ulp later — defers it.
         let mut v = Vfs::new();
         let p = v.create_pipe();
         let now = 123_456.789_f64;

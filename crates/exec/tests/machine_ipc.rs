@@ -1,8 +1,8 @@
 //! Machine-level IPC semantics against a mock backend whose shm objects
 //! are *genuinely shared* between processes (unlike `machine_mock`'s
 //! per-process flat buffers): pipe wake/EOF/EPIPE paths, bounded-pipe
-//! backpressure, and the shared-memory ring fabric across fork — all on
-//! both scheduler engines, bit-identically.
+//! backpressure, and the shared-memory ring fabric across fork. Debug
+//! builds check every pick and wakeup against the linear reference.
 
 use std::collections::BTreeMap;
 
@@ -11,9 +11,7 @@ use ufork_abi::{
     ProgramBox, Resume, StepOutcome, SysResult, RING_EOF,
 };
 use ufork_cheri::Perms;
-use ufork_exec::{
-    BlockedOn, Ctx, Machine, MachineConfig, MemOs, SchedEngine, MAIN_TID, PIPE_CAPACITY,
-};
+use ufork_exec::{BlockedOn, Ctx, Machine, MachineConfig, MemOs, MAIN_TID, PIPE_CAPACITY};
 use ufork_mem::MemStats;
 use ufork_sim::CostModel;
 
@@ -307,35 +305,28 @@ impl Program for TwoReaderMain {
 
 #[test]
 fn closing_last_write_end_wakes_every_blocked_reader() {
-    for engine in [SchedEngine::Lockstep, SchedEngine::EventDriven] {
-        let mut m = Machine::new(
-            IpcOs::new(),
-            MachineConfig {
-                cores: 2,
-                engine,
-                ..MachineConfig::default()
-            },
-        );
-        let pid = m
-            .spawn(
-                &ImageSpec::hello_world(),
-                Box::new(TwoReaderMain {
-                    phase: 0,
-                    wfd: None,
-                    tids: Vec::new(),
-                }),
-            )
-            .unwrap();
-        m.run();
-        assert_eq!(
-            m.exit_code(pid),
-            Some(0),
-            "{engine:?}: join of both readers"
-        );
-        for tid in [1u32, 2] {
-            let r = m.thread_program::<EofReader>(pid, tid).unwrap();
-            assert!(r.got_eof, "{engine:?}: reader {tid} saw EOF");
-        }
+    let mut m = Machine::new(
+        IpcOs::new(),
+        MachineConfig {
+            cores: 2,
+            ..MachineConfig::default()
+        },
+    );
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(TwoReaderMain {
+                phase: 0,
+                wfd: None,
+                tids: Vec::new(),
+            }),
+        )
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0), "join of both readers");
+    for tid in [1u32, 2] {
+        let r = m.thread_program::<EofReader>(pid, tid).unwrap();
+        assert!(r.got_eof, "reader {tid} saw EOF");
     }
 }
 
@@ -444,36 +435,33 @@ impl Program for BackpressureWriter {
 
 #[test]
 fn blocked_writer_wakes_when_reader_drains() {
-    for engine in [SchedEngine::Lockstep, SchedEngine::EventDriven] {
-        let mut m = Machine::new(
-            IpcOs::new(),
-            MachineConfig {
-                cores: 2,
-                engine,
-                ..MachineConfig::default()
-            },
-        );
-        let pid = m
-            .spawn(
-                &ImageSpec::hello_world(),
-                Box::new(BackpressureWriter {
-                    phase: 0,
-                    wfd: None,
-                    tid: 0,
-                    wrote_at: None,
-                }),
-            )
-            .unwrap();
-        m.run();
-        assert_eq!(m.exit_code(pid), Some(0), "{engine:?}");
-        let w = m.program::<BackpressureWriter>(pid).unwrap();
-        let r = m.thread_program::<DrainReader>(pid, 1).unwrap();
-        let (wrote, read) = (w.wrote_at.unwrap(), r.read_at.unwrap());
-        assert!(
-            wrote >= 2e6 && wrote >= read,
-            "{engine:?}: write completed at {wrote}, after the drain at {read}"
-        );
-    }
+    let mut m = Machine::new(
+        IpcOs::new(),
+        MachineConfig {
+            cores: 2,
+            ..MachineConfig::default()
+        },
+    );
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(BackpressureWriter {
+                phase: 0,
+                wfd: None,
+                tid: 0,
+                wrote_at: None,
+            }),
+        )
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
+    let w = m.program::<BackpressureWriter>(pid).unwrap();
+    let r = m.thread_program::<DrainReader>(pid, 1).unwrap();
+    let (wrote, read) = (w.wrote_at.unwrap(), r.read_at.unwrap());
+    assert!(
+        wrote >= 2e6 && wrote >= read,
+        "write completed at {wrote}, after the drain at {read}"
+    );
 }
 
 /// Closes the read end out from under a blocked writer.
@@ -557,28 +545,25 @@ impl Program for EpipeWriter {
 
 #[test]
 fn blocked_writer_gets_epipe_when_last_reader_closes() {
-    for engine in [SchedEngine::Lockstep, SchedEngine::EventDriven] {
-        let mut m = Machine::new(
-            IpcOs::new(),
-            MachineConfig {
-                cores: 2,
-                engine,
-                ..MachineConfig::default()
-            },
-        );
-        let pid = m
-            .spawn(
-                &ImageSpec::hello_world(),
-                Box::new(EpipeWriter {
-                    phase: 0,
-                    wfd: None,
-                    tid: 0,
-                }),
-            )
-            .unwrap();
-        m.run();
-        assert_eq!(m.exit_code(pid), Some(0), "{engine:?}");
-    }
+    let mut m = Machine::new(
+        IpcOs::new(),
+        MachineConfig {
+            cores: 2,
+            ..MachineConfig::default()
+        },
+    );
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(EpipeWriter {
+                phase: 0,
+                wfd: None,
+                tid: 0,
+            }),
+        )
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -688,50 +673,42 @@ impl Program for RingPair {
 
 #[test]
 fn ring_endpoints_survive_fork_and_deliver_eof() {
-    let run = |engine: SchedEngine| {
-        let mut m = Machine::new(
-            IpcOs::new(),
-            MachineConfig {
-                cores: 2,
-                engine,
-                ..MachineConfig::default()
-            },
-        );
-        let pid = m
-            .spawn(
-                &ImageSpec::hello_world(),
-                Box::new(RingPair {
-                    phase: 0,
-                    pf: None,
-                    cf: None,
-                    is_child: false,
-                    pushed: 0,
-                    popped: 0,
-                }),
-            )
-            .unwrap();
-        m.run();
-        assert_eq!(m.exit_code(pid), Some(0), "{engine:?}: parent");
-        let child = m.fork_log()[0].child;
-        assert_eq!(
-            m.exit_code(child),
-            Some(MSGS as i32),
-            "{engine:?}: child popped all messages then saw EOF"
-        );
-        let c = m.counters();
-        assert_eq!(c.ring_msgs, u64::from(MSGS), "{engine:?}");
-        // Both ring fds were duplicated across the fork.
-        assert_eq!(c.ring_caps_relocated, 2, "{engine:?}");
-        assert!(
-            c.ring_full_stalls >= 1,
-            "{engine:?}: the sleeping child must have forced a Full stall"
-        );
-        (m.now(), *m.counters())
-    };
-    let (now_l, ctr_l) = run(SchedEngine::Lockstep);
-    let (now_e, ctr_e) = run(SchedEngine::EventDriven);
-    assert_eq!(now_l.to_bits(), now_e.to_bits(), "engines agree");
-    assert_eq!(ctr_l, ctr_e);
+    let mut m = Machine::new(
+        IpcOs::new(),
+        MachineConfig {
+            cores: 2,
+            ..MachineConfig::default()
+        },
+    );
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(RingPair {
+                phase: 0,
+                pf: None,
+                cf: None,
+                is_child: false,
+                pushed: 0,
+                popped: 0,
+            }),
+        )
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0), "parent");
+    let child = m.fork_log()[0].child;
+    assert_eq!(
+        m.exit_code(child),
+        Some(MSGS as i32),
+        "child popped all messages then saw EOF"
+    );
+    let c = m.counters();
+    assert_eq!(c.ring_msgs, u64::from(MSGS));
+    // Both ring fds were duplicated across the fork.
+    assert_eq!(c.ring_caps_relocated, 2);
+    assert!(
+        c.ring_full_stalls >= 1,
+        "the sleeping child must have forced a Full stall"
+    );
 }
 
 /// Non-blocking ring ops in a single process: empty → 0, full → EAGAIN,
@@ -968,14 +945,8 @@ struct Seen {
 
 /// Runs one case; returns the operation's simulated kernel time and what
 /// the run showed.
-fn observe(case: Case, blocking: bool, iso: IsolationLevel, engine: SchedEngine) -> (f64, Seen) {
-    let mut m = Machine::new(
-        IpcOs::with(iso, COPYIO),
-        MachineConfig {
-            engine,
-            ..MachineConfig::default()
-        },
-    );
+fn observe(case: Case, blocking: bool, iso: IsolationLevel) -> (f64, Seen) {
+    let mut m = Machine::new(IpcOs::with(iso, COPYIO), MachineConfig::default());
     let pid = m
         .spawn(
             &ImageSpec::hello_world(),
@@ -1044,15 +1015,13 @@ fn try_call_and_blocking_call_share_each_operation() {
             result,
         };
         let check = |case: Case, blocking: bool, kernel_ns: f64, want: Seen| {
-            for engine in [SchedEngine::Lockstep, SchedEngine::EventDriven] {
-                let at = format!("{case:?} blocking={blocking} {iso:?} {engine:?}");
-                let (ns, got) = observe(case, blocking, iso, engine);
-                assert_eq!(got, want, "{at}");
-                assert!(
-                    (ns - kernel_ns).abs() < 1e-6,
-                    "{at}: {ns} ns, want {kernel_ns}"
-                );
-            }
+            let at = format!("{case:?} blocking={blocking} {iso:?}");
+            let (ns, got) = observe(case, blocking, iso);
+            assert_eq!(got, want, "{at}");
+            assert!(
+                (ns - kernel_ns).abs() < 1e-6,
+                "{at}: {ns} ns, want {kernel_ns}"
+            );
         };
         let (ok, again) = (|n| Some(Ok(n)), Some(Err(Errno::Again)));
         for blocking in [false, true] {
@@ -1120,4 +1089,79 @@ fn try_call_and_blocking_call_share_each_operation() {
             seen(MSG, 0, 0, parked, parked, None),
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Program-chosen lengths that can never succeed.
+// ---------------------------------------------------------------------------
+
+/// Writes and pushes whose length can never succeed, each through its
+/// try-call and (pipe and ring) its blocking call.
+#[derive(Clone, Default)]
+struct OverLong {
+    /// Blocking calls still to make, by name.
+    calls: Vec<(String, BlockingCall)>,
+    /// What each call returned, by name.
+    results: Vec<(String, SysResult<u64>)>,
+}
+
+impl Program for OverLong {
+    fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
+        if let Resume::Ret(r) = input {
+            let (name, _) = self.calls.remove(0);
+            self.results.push((name, r));
+        } else {
+            let buf = env.reg(0).unwrap();
+            let (_, wfd) = env.sys_pipe().unwrap();
+            let cap = PIPE_CAPACITY as u64;
+            for len in [cap + 1, u64::MAX] {
+                let r = env.sys_write(wfd, &buf, len);
+                self.results.push((format!("try-write pipe {len}"), r));
+                let call = BlockingCall::Write { fd: wfd, buf, len };
+                self.calls.push((format!("write pipe {len}"), call));
+            }
+            let (fd, ring) = env.sys_ring_open("over", 2, MSG, true).unwrap();
+            for len in [MSG - 1, MSG + 1, u64::MAX] {
+                let r = env.sys_ring_try_push(fd, &ring, &buf, len);
+                self.results.push((format!("try-push ring {len}"), r));
+                let call = BlockingCall::RingPush { fd, ring, buf, len };
+                self.calls.push((format!("push ring {len}"), call));
+            }
+            // File writes whose end lies past what a host buffer can
+            // hold, the second one's past `u64::MAX`.
+            let file = env.sys_open("over.txt", true).unwrap();
+            let r = env.sys_write(file, &buf, u64::MAX);
+            self.results.push(("try-write file at 0".into(), r));
+            assert_eq!(env.sys_write(file, &buf, 8), Ok(8));
+            let r = env.sys_write(file, &buf, u64::MAX);
+            self.results.push(("try-write file at 8".into(), r));
+        }
+        match self.calls.first() {
+            Some((_, call)) => StepOutcome::Block(call.clone()),
+            None => StepOutcome::Exit(0),
+        }
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn lengths_that_can_never_succeed_fail_with_einval() {
+    let mut m = Machine::new(IpcOs::new(), MachineConfig::default());
+    let pid = m
+        .spawn(&ImageSpec::hello_world(), Box::new(OverLong::default()))
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
+    let results = &m.program::<OverLong>(pid).unwrap().results;
+    assert_eq!(results.len(), 12, "{results:?}");
+    for (name, r) in results {
+        assert_eq!(*r, Err(Errno::Inval), "{name}");
+    }
+    // The refused file writes left the file as it was.
+    assert_eq!(m.vfs().file_contents("over.txt").map(<[u8]>::len), Some(8));
 }

@@ -9,7 +9,7 @@ use ufork_abi::{
     Resume, StepOutcome, SysResult,
 };
 use ufork_cheri::Perms;
-use ufork_exec::{BlockedOn, Ctx, Machine, MachineConfig, MemOs, SchedEngine, MAIN_TID};
+use ufork_exec::{BlockedOn, Ctx, Machine, MachineConfig, MemOs, MAIN_TID};
 use ufork_mem::MemStats;
 use ufork_sim::CostModel;
 
@@ -439,51 +439,30 @@ fn orphans_keep_running_after_parent_exit() {
 }
 
 // ---------------------------------------------------------------------------
-// Event-driven scheduler: equivalence, priorities, slices, blocked states.
+// Scheduler: reference checks, priorities, slices, blocked states.
 // ---------------------------------------------------------------------------
 
-/// Both engines over the same workload must produce bit-identical
-/// schedules (the full differential suite lives in
+/// A fan-out over three cores, with and without the big kernel lock.
+/// Debug builds check every pick and every wakeup against the linear
+/// reference (the full scheduler suite lives in
 /// `tests/sched_differential.rs`; this is the mock-backend smoke).
 #[test]
-fn engines_agree_on_fanout_schedule() {
+fn fanout_schedule_matches_the_reference_scan() {
     for big_lock in [false, true] {
-        let run = |engine: SchedEngine| {
-            let mut m = Machine::new(
-                MockOs::new(big_lock),
-                MachineConfig {
-                    cores: 3,
-                    engine,
-                    ..MachineConfig::default()
-                },
-            );
-            let pid = m
-                .spawn(&ImageSpec::hello_world(), fanout(6, 100_000))
-                .unwrap();
-            m.run();
-            assert_eq!(m.exit_code(pid), Some(0));
-            (
-                m.now(),
-                m.fork_log().to_vec(),
-                m.exit_log().to_vec(),
-                *m.counters(),
-            )
-        };
-        let (now_l, forks_l, exits_l, ctr_l) = run(SchedEngine::Lockstep);
-        let (now_e, forks_e, exits_e, ctr_e) = run(SchedEngine::EventDriven);
-        assert_eq!(now_l.to_bits(), now_e.to_bits(), "big_lock={big_lock}");
-        assert_eq!(ctr_l, ctr_e);
-        assert_eq!(forks_l.len(), forks_e.len());
-        for (a, b) in forks_l.iter().zip(&forks_e) {
-            assert_eq!((a.parent, a.child), (b.parent, b.child));
-            assert_eq!(a.at.to_bits(), b.at.to_bits());
-            assert_eq!(a.latency_ns.to_bits(), b.latency_ns.to_bits());
-        }
-        assert_eq!(exits_l.len(), exits_e.len());
-        for (a, b) in exits_l.iter().zip(&exits_e) {
-            assert_eq!((a.pid, a.code), (b.pid, b.code));
-            assert_eq!(a.at.to_bits(), b.at.to_bits());
-        }
+        let mut m = Machine::new(
+            MockOs::new(big_lock),
+            MachineConfig {
+                cores: 3,
+                ..MachineConfig::default()
+            },
+        );
+        let pid = m
+            .spawn(&ImageSpec::hello_world(), fanout(6, 100_000))
+            .unwrap();
+        m.run();
+        assert_eq!(m.exit_code(pid), Some(0), "big_lock={big_lock}");
+        assert_eq!(m.fork_log().len(), 6, "big_lock={big_lock}");
+        assert_eq!(m.exit_log().len(), 7, "big_lock={big_lock}");
     }
 }
 

@@ -1,23 +1,25 @@
-//! Differential scheduler regression suite: every scenario runs under
-//! BOTH engines — the legacy lockstep linear scan and the event-driven
-//! run queue — and must produce *bitwise identical* machine histories:
-//! exit codes, fork/exit event logs (times and latencies to the bit),
-//! op counters, final simulated time, VFS file contents and residual
-//! pipe bytes.
+//! Differential scheduler regression suite: the run queue against the
+//! linear reference, step by step.
 //!
-//! Both engines pick by the same `(time, class, order)` key, so the
-//! event-driven run queue is specified to replay the lockstep schedule
-//! exactly; this suite is the executable form of that contract across
-//! the fork-pattern (U1/U3/U5) and multi-threading scenarios of the
-//! tier-1 tests, and across pipelined forks whose copy engines compete
-//! with threads and the background reclaim daemon.
+//! The machine picks every step from a lazy-deletion run queue and wakes
+//! parked threads through a per-channel waiter index. Debug builds check
+//! each pick against a scan of every task for the minimum
+//! `(time, class, order)` key, and each event delivery against a scan of
+//! every parked thread, so a lost or misordered entry or a missed wakeup
+//! panics at the step where it happens. This suite drives those checks
+//! across the fork-pattern (U1/U3/U5) and multi-threading scenarios of
+//! the tier-1 tests, and across pipelined forks whose copy engines
+//! compete with threads and the background reclaim daemon; each scenario
+//! must also do the work that makes the comparison meaningful. The
+//! checks are compiled out of release builds, so run this suite in the
+//! dev profile.
 
 use std::any::Any;
 
 use ufork_repro::abi::{
-    BlockingCall, Env, ForkResult, ImageSpec, Pid, Program, ProgramBox, Resume, StepOutcome,
+    BlockingCall, Env, ForkResult, ImageSpec, Program, ProgramBox, Resume, StepOutcome,
 };
-use ufork_repro::exec::{Machine, MachineConfig, SchedEngine};
+use ufork_repro::exec::{Machine, MachineConfig};
 use ufork_repro::sim::OpCounters;
 use ufork_repro::ufork::{UforkConfig, UforkOs};
 use ufork_repro::workloads::forkserver::{ForkServer, ForkServerConfig};
@@ -25,20 +27,13 @@ use ufork_repro::workloads::mtkv::{MtKv, MtKvConfig};
 use ufork_repro::workloads::privsep::{Privsep, PrivsepConfig};
 use ufork_repro::workloads::shell::{Command, Shell};
 
-/// Everything observable about a finished machine, with every float
-/// captured as raw bits so comparisons are exact.
-#[derive(Debug, PartialEq)]
+/// What the suite asserts about a finished machine.
 struct History {
     exit_code: Option<i32>,
-    now_bits: u64,
-    forks: Vec<(Pid, Pid, u64, u64)>,
-    exits: Vec<(Pid, u64, i32)>,
-    /// Closed pipelined-fork copy windows (child, commit, done, pages).
-    pipelines: Vec<(Pid, u64, u64, u64)>,
+    exits: usize,
+    /// Closed pipelined-fork copy windows (commit, done, pages).
+    pipelines: Vec<(f64, f64, u64)>,
     counters: OpCounters,
-    files: Vec<(String, Vec<u8>)>,
-    pipes: Vec<(usize, Vec<u8>)>,
-    total_served: u64,
 }
 
 /// One differential scenario: a root program plus machine shape.
@@ -49,7 +44,7 @@ struct Scenario {
     make: fn() -> Box<dyn Program>,
 }
 
-fn run_engine(s: &Scenario, engine: SchedEngine) -> History {
+fn run_scenario(s: &Scenario) -> History {
     let os = UforkOs::new(UforkConfig {
         phys_mib: 256,
         ..UforkConfig::default()
@@ -59,7 +54,6 @@ fn run_engine(s: &Scenario, engine: SchedEngine) -> History {
         &ImageSpec::hello_world(),
         s.cores,
         s.time_limit,
-        engine,
         (s.make)(),
     )
 }
@@ -69,7 +63,6 @@ fn run_machine(
     image: &ImageSpec,
     cores: usize,
     time_limit: Option<f64>,
-    engine: SchedEngine,
     program: Box<dyn Program>,
 ) -> History {
     let mut m = Machine::new(
@@ -77,59 +70,33 @@ fn run_machine(
         MachineConfig {
             cores,
             time_limit,
-            engine,
             ..MachineConfig::default()
         },
     );
     let pid = m.spawn(image, program).unwrap();
     m.run();
-    let (files, pipes) = m.vfs().state_snapshot();
     History {
         exit_code: m.exit_code(pid),
-        now_bits: m.now().to_bits(),
-        forks: m
-            .fork_log()
-            .iter()
-            .map(|f| (f.parent, f.child, f.at.to_bits(), f.latency_ns.to_bits()))
-            .collect(),
-        exits: m
-            .exit_log()
-            .iter()
-            .map(|e| (e.pid, e.at.to_bits(), e.code))
-            .collect(),
+        exits: m.exit_log().len(),
         pipelines: m
             .pipeline_log()
             .iter()
-            .map(|p| {
-                (
-                    p.child,
-                    p.committed_at.to_bits(),
-                    p.done_at.to_bits(),
-                    p.pages,
-                )
-            })
+            .map(|p| (p.committed_at, p.done_at, p.pages))
             .collect(),
         counters: *m.counters(),
-        files,
-        pipes,
-        total_served: m.vfs().total_served,
     }
 }
 
-fn assert_engines_agree(s: &Scenario) {
-    let lockstep = run_engine(s, SchedEngine::Lockstep);
-    let event = run_engine(s, SchedEngine::EventDriven);
-    assert_eq!(
-        lockstep, event,
-        "engines diverged on scenario `{}` ({} cores)",
-        s.name, s.cores
-    );
+/// Runs one scenario under the scheduler checks.
+fn check_scenario(s: &Scenario) {
+    let h = run_scenario(s);
     // A scenario that never forks or never exits exercises nothing;
     // guard against silently-degenerate comparisons.
     assert!(
-        !lockstep.exits.is_empty(),
-        "scenario `{}` recorded no exits",
-        s.name
+        h.exits > 0,
+        "scenario `{}` ({} cores) recorded no exits",
+        s.name,
+        s.cores
     );
 }
 
@@ -453,20 +420,20 @@ fn thread_scenarios() -> Vec<Scenario> {
 #[test]
 fn engines_agree_on_fork_pattern_programs() {
     for s in fork_pattern_scenarios() {
-        assert_engines_agree(&s);
+        check_scenario(&s);
     }
 }
 
 #[test]
 fn engines_agree_on_thread_programs() {
     for s in thread_scenarios() {
-        assert_engines_agree(&s);
+        check_scenario(&s);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Pipelined fork: the child runs INSIDE the background-copy window, so
-// the replay contract must additionally cover copy-engine firings and
+// the checks must additionally cover copy-engine firings and
 // demand-priority jumps interleaving with thread execution.
 // ---------------------------------------------------------------------------
 
@@ -597,7 +564,7 @@ fn engines_agree_on_pipelined_fork() {
         .into_iter()
         .flat_map(|cores| [(cores, false), (cores, true)]);
     for (cores, daemon) in inputs {
-        let run = |engine| {
+        let h = {
             let mut os = UforkOs::new(UforkConfig {
                 phys_mib: 256,
                 strategy: CopyStrategy::Full,
@@ -625,32 +592,25 @@ fn engines_agree_on_pipelined_fork() {
                 &ImageSpec::with_heap("pipe-diff", TOUCH_PAGES * TOUCH_PAGE + 64 * 1024),
                 cores,
                 None,
-                engine,
                 program,
             )
         };
-        let lockstep = run(SchedEngine::Lockstep);
-        let event = run(SchedEngine::EventDriven);
-        assert_eq!(
-            lockstep, event,
-            "engines diverged on pipelined fork ({cores} cores, daemon {daemon})"
-        );
-        assert_eq!(lockstep.exit_code, Some(0), "workload failed");
+        assert_eq!(h.exit_code, Some(0), "workload failed");
         assert!(
-            !daemon || lockstep.counters.reclaim_background > 0,
+            !daemon || h.counters.reclaim_background > 0,
             "the reclaim daemon never ran ({cores} cores)"
         );
         assert!(
-            !lockstep.pipelines.is_empty(),
+            !h.pipelines.is_empty(),
             "no background-copy window was opened and closed"
         );
         assert!(
-            lockstep.counters.pipeline_chunks_jumped > 0,
+            h.counters.pipeline_chunks_jumped > 0,
             "child touches never jumped the copy queue"
         );
-        for (_, committed, done, pages) in &lockstep.pipelines {
+        for (committed, done, pages) in &h.pipelines {
             assert!(
-                f64::from_bits(*done) >= f64::from_bits(*committed),
+                done >= committed,
                 "copy completed before its fork committed"
             );
             assert!(*pages > 0, "empty pipeline window was logged");
@@ -661,7 +621,7 @@ fn engines_agree_on_pipelined_fork() {
 #[test]
 fn engines_agree_across_core_counts() {
     // The same fork-heavy scenario swept over machine widths: the
-    // replay contract must hold regardless of how many lanes exist.
+    // checks must hold regardless of how many lanes exist.
     for cores in [1, 2, 4] {
         let s = Scenario {
             name: "fork_server_cores_sweep",
@@ -674,6 +634,6 @@ fn engines_agree_across_core_counts() {
                 }))
             },
         };
-        assert_engines_agree(&s);
+        check_scenario(&s);
     }
 }
