@@ -50,11 +50,20 @@ impl fmt::Debug for Pfn {
 /// granule order: tagged granule `g`'s capability is at index `rank(g)`,
 /// the number of tag bits set below `g`. The bitmap alone decides which
 /// granules are tagged, so `caps.len()` always equals its popcount.
+///
+/// A fresh frame holds no host buffer: its bytes read as zeros until the
+/// first write allocates the page. Many mapped frames are never written,
+/// so only written frames cost host memory.
 pub struct Frame {
-    data: Box<[u8]>,
+    /// The data bytes; `None` while the frame is all zero and has never
+    /// been written. A detached placeholder holds an empty buffer.
+    data: Option<Box<[u8]>>,
     caps: Vec<Capability>,
     tags: [u64; TAG_WORDS_PER_PAGE],
 }
+
+/// What an unwritten frame's bytes read as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
 
 /// Indices of the set bits of a tag bitmap, ascending.
 fn set_bits(tags: [u64; TAG_WORDS_PER_PAGE]) -> impl Iterator<Item = u64> {
@@ -70,10 +79,11 @@ fn set_bits(tags: [u64; TAG_WORDS_PER_PAGE]) -> impl Iterator<Item = u64> {
 }
 
 impl Frame {
-    /// Allocates a zeroed frame with all tags clear.
+    /// A zeroed frame with all tags clear. Its page buffer is allocated
+    /// by the first write.
     pub fn zeroed() -> Frame {
         Frame {
-            data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+            data: None,
             caps: Vec::new(),
             tags: [0; TAG_WORDS_PER_PAGE],
         }
@@ -89,7 +99,7 @@ impl Frame {
     /// while it is detached.
     pub fn detached() -> Frame {
         Frame {
-            data: Vec::new().into_boxed_slice(),
+            data: Some(Box::default()),
             caps: Vec::new(),
             tags: [0; TAG_WORDS_PER_PAGE],
         }
@@ -98,14 +108,24 @@ impl Frame {
     /// True if this is a [`Frame::detached`] placeholder.
     #[inline]
     pub fn is_detached(&self) -> bool {
-        self.data.is_empty()
+        self.data.as_ref().is_some_and(|d| d.is_empty())
     }
 
     /// Resets the frame to the all-zero, no-tags state in place (the
-    /// allocation-time scrub of a recycled frame).
+    /// allocation-time scrub of a recycled frame). A written frame keeps
+    /// its buffer for the next owner to write into.
     pub fn zero(&mut self) {
-        self.data.fill(0);
+        if let Some(d) = &mut self.data {
+            d.fill(0);
+        }
         self.drop_caps();
+    }
+
+    /// The page buffer, allocated zeroed on first use.
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self.data
+            .get_or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
     }
 
     /// Clears every tag and releases the capability storage, leaving the
@@ -115,6 +135,12 @@ impl Frame {
     pub fn drop_caps(&mut self) {
         self.caps = Vec::new();
         self.tags = [0; TAG_WORDS_PER_PAGE];
+    }
+
+    /// True once a write has given the frame its page buffer.
+    #[cfg(test)]
+    pub(crate) fn has_buffer(&self) -> bool {
+        self.data.is_some()
     }
 
     /// Capacity of the capability storage.
@@ -141,7 +167,7 @@ impl Frame {
     /// Read-only view of the frame's data bytes.
     #[inline]
     pub fn data(&self) -> &[u8] {
-        &self.data
+        self.data.as_deref().unwrap_or(&ZERO_PAGE)
     }
 
     /// Reads `buf.len()` bytes starting at `offset`.
@@ -153,7 +179,7 @@ impl Frame {
     #[inline]
     pub fn read(&self, offset: u64, buf: &mut [u8]) {
         let o = offset as usize;
-        buf.copy_from_slice(&self.data[o..o + buf.len()]);
+        buf.copy_from_slice(&self.data()[o..o + buf.len()]);
     }
 
     /// Writes `buf` at `offset`, clearing the tags of every granule the
@@ -164,11 +190,11 @@ impl Frame {
     /// run of `caps`, drained in one go; writing plain data to an untagged
     /// range never touches the array.
     pub fn write(&mut self, offset: u64, buf: &[u8]) {
-        let o = offset as usize;
-        self.data[o..o + buf.len()].copy_from_slice(buf);
         if buf.is_empty() {
             return;
         }
+        let o = offset as usize;
+        self.bytes_mut()[o..o + buf.len()].copy_from_slice(buf);
         let first = offset / GRANULE_SIZE;
         let last = (offset + buf.len() as u64 - 1) / GRANULE_SIZE;
         let mut removed = 0;
@@ -210,7 +236,7 @@ impl Frame {
     #[inline]
     fn write_cap_bytes(&mut self, offset: u64, cap: &Capability) {
         let o = offset as usize;
-        self.data[o..o + GRANULE_SIZE as usize].copy_from_slice(&cap.to_bytes());
+        self.bytes_mut()[o..o + GRANULE_SIZE as usize].copy_from_slice(&cap.to_bytes());
     }
 
     /// Loads the capability at granule-aligned `offset`.
@@ -308,9 +334,14 @@ impl Frame {
     }
 
     /// Deep-copies another frame's data and tags into this one, reusing
-    /// this frame's capability storage.
+    /// this frame's buffer and capability storage. A copy of an unwritten
+    /// frame allocates no buffer.
     pub fn copy_from(&mut self, other: &Frame) {
-        self.data.copy_from_slice(&other.data);
+        match (&other.data, &mut self.data) {
+            (Some(src), _) => self.bytes_mut().copy_from_slice(src),
+            (None, Some(d)) => d.fill(0),
+            (None, None) => {}
+        }
         self.caps.clone_from(&other.caps);
         self.tags = other.tags;
     }
@@ -344,6 +375,33 @@ mod tests {
         assert_eq!(f.load_cap(0), None);
         assert!(f.data().iter().all(|&b| b == 0));
         assert_eq!(f.tag_words(), [0; TAG_WORDS_PER_PAGE]);
+    }
+
+    #[test]
+    fn unwritten_frame_allocates_its_buffer_on_first_write() {
+        let mut f = Frame::zeroed();
+        let mut out = [0xffu8; 8];
+        f.read(4088, &mut out);
+        assert_eq!(out, [0; 8]);
+        assert_eq!(f.data().len(), PAGE_SIZE as usize);
+        f.zero();
+        f.write(0, &[]);
+        assert!(!f.has_buffer());
+        f.write(4095, &[7]);
+        assert!(f.has_buffer());
+        assert_eq!(f.data()[4095], 7);
+
+        // A copy of an unwritten frame zeroes a written destination in
+        // place and leaves an unwritten one without a buffer.
+        let blank = Frame::zeroed();
+        f.copy_from(&blank);
+        assert!(f.has_buffer() && f.data().iter().all(|&b| b == 0));
+        let mut g = Frame::zeroed();
+        g.copy_from(&blank);
+        assert!(!g.has_buffer());
+        g.store_cap(16, &cap(0x9000));
+        assert!(g.has_buffer());
+        assert_eq!(g.load_cap(16), Some(cap(0x9000)));
     }
 
     #[test]
