@@ -14,7 +14,8 @@ use ufork_abi::{CopyStrategy, ImageSpec, Pid};
 use ufork_exec::{Ctx, MemOs};
 use ufork_mem::PAGE_SIZE;
 use ufork_sim::{
-    chrome_trace_json, summary_table, OpCounters, TraceBuf, TraceRun, DEFAULT_TRACE_CAPACITY,
+    assert_counter_pairs, chrome_trace_json, summary_table, OpCounters, TraceBuf, TraceRun,
+    DEFAULT_TRACE_CAPACITY,
 };
 
 use crate::SCALING_PAGES;
@@ -46,7 +47,8 @@ pub struct TracedFork {
 ///
 /// Panics if the trace's same-order charge accumulator is not bitwise
 /// equal to the fork's `kernel_ns` — the exactness contract the whole
-/// phase breakdown rests on.
+/// phase breakdown rests on — or if a counter differs from the trace
+/// events the phase table pairs it with.
 pub fn trace_fork_run(walk: WalkMode) -> TracedFork {
     let mut os = UforkOs::new(UforkConfig {
         phys_mib: 256,
@@ -87,6 +89,7 @@ pub fn trace_fork_run(walk: WalkMode) -> TracedFork {
         fctx.trace.charged_total().to_bits(),
         "trace charge accumulator must survive the background drain bitwise"
     );
+    assert_counter_pairs(&fctx.trace, &fctx.counters);
     let (workers, name) = match walk {
         WalkMode::Serial => (0, "serial".to_string()),
         WalkMode::Pipelined => (1, "pipelined".to_string()),
@@ -147,6 +150,7 @@ pub fn trace_summary_text(runs: &[TracedFork]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ufork_sim::{Instant, Lane, Phase};
 
     #[test]
     fn traced_serial_fork_phases_tile_end_to_end() {
@@ -161,21 +165,25 @@ mod tests {
         );
         // The fork pipeline phases all show up.
         for phase in [
-            "fork/fixed",
-            "fork/region",
-            "fork/walk/pte",
-            "fork/walk/copy",
-            "fork/walk/reloc",
-            "fork/walk/cow_arm",
-            "fork/regs",
-            "fork/commit",
+            Phase::ForkFixed,
+            Phase::ForkRegion,
+            Phase::ForkWalkPte,
+            Phase::ForkWalkCopy,
+            Phase::ForkWalkReloc,
+            Phase::ForkWalkCowArm,
+            Phase::ForkRegs,
+            Phase::ForkCommit,
         ] {
             assert!(
-                r.buf.phases().iter().any(|p| p.name == phase),
-                "missing phase {phase}"
+                r.buf.phase_total(phase).is_some(),
+                "missing phase {phase:?}"
             );
         }
-        assert_eq!(r.buf.instant_count("gate/enter"), 0, "direct fork, no gate");
+        assert_eq!(
+            r.buf.instant_count(Instant::GateEnter),
+            0,
+            "direct fork, no gate"
+        );
     }
 
     #[test]
@@ -190,8 +198,11 @@ mod tests {
         let ja = trace_chrome_json(&[a]);
         let jb = trace_chrome_json(&[b]);
         assert_eq!(ja, jb, "byte-identical export");
-        assert!(ja.contains("fork/chunk"), "lane spans recorded");
-        assert!(ja.contains("fork/walk/par"), "parallel phase recorded");
+        assert!(ja.contains(Lane::ForkChunk.name()), "lane spans recorded");
+        assert!(
+            ja.contains(Phase::ForkWalkPar.name()),
+            "parallel phase recorded"
+        );
     }
 
     #[test]
@@ -206,14 +217,14 @@ mod tests {
             "phase sum {sum} vs end-to-end {}",
             piped.end_to_end_ns
         );
-        for phase in ["fork/pipeline/stage", "fork/pipeline/copy"] {
+        for phase in [Phase::ForkPipelineStage, Phase::ForkPipelineCopy] {
             assert!(
-                piped.buf.phases().iter().any(|p| p.name == phase),
-                "missing phase {phase}"
+                piped.buf.phase_total(phase).is_some(),
+                "missing phase {phase:?}"
             );
         }
         assert_eq!(
-            piped.buf.instant_count("fork/pipeline/commit"),
+            piped.buf.instant_count(Instant::ForkPipelineCommit),
             1,
             "exactly one early commit"
         );
@@ -237,9 +248,7 @@ mod tests {
     /// Simulated ns a traced context charged to `fork/dedup`.
     fn dedup_phase_ns(ctx: &Ctx) -> f64 {
         ctx.trace
-            .phases()
-            .iter()
-            .find(|p| p.name == "fork/dedup")
+            .phase_total(Phase::ForkDedup)
             .map_or(0.0, |p| p.total_ns)
     }
 
@@ -291,10 +300,11 @@ mod tests {
             fctx.trace.charged_total().to_bits(),
             "charge accumulator must stay exact with dirty scan + dedup on"
         );
-        for phase in ["fork/dirty_scan", "fork/dedup"] {
+        assert_counter_pairs(&fctx.trace, &fctx.counters);
+        for phase in [Phase::ForkDirtyScan, Phase::ForkDedup] {
             assert!(
-                fctx.trace.phases().iter().any(|p| p.name == phase),
-                "missing phase {phase}"
+                fctx.trace.phase_total(phase).is_some(),
+                "missing phase {phase:?}"
             );
         }
         // The phases tie out to the counters they narrate.
@@ -345,6 +355,7 @@ mod tests {
                 .expect("child demand fault");
             assert_eq!(u64::from_le_bytes(b), p % 4 + 1, "child page {p}");
         }
+        assert_counter_pairs(&cctx.trace, &cctx.counters);
         assert!(cctx.counters.fork_chunks > 0, "no chunk resolved on demand");
         assert!(cctx.counters.dedup_hash_probes > 0, "no chunk dedup probes");
         assert_eq!(

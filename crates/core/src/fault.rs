@@ -4,6 +4,7 @@ use ufork_abi::{Errno, Pid, SysResult};
 use ufork_cheri::{Capability, Perms};
 use ufork_exec::Ctx;
 use ufork_mem::{GRANULE_SIZE, PAGE_SIZE};
+use ufork_sim::{Instant, Phase};
 use ufork_vmem::{AccessKind, Fault, PteFlags, VirtAddr};
 
 use ufork_mem::Pfn;
@@ -128,26 +129,26 @@ impl UforkOs {
         if let Fault::CoAccess { .. } = fault {
             if let Some(idx) = self.pipeline_chunk_of(pid, fault.va().vpn()) {
                 ctx.counters.pipeline_chunks_jumped += 1;
-                ctx.instant("fork/pipeline/jump");
+                ctx.instant(Instant::ForkPipelineJump);
                 return self.pipeline_copy_chunk(ctx, pid, idx);
             }
         }
         match fault {
             Fault::Cow { .. } => {
                 ctx.counters.cow_faults += 1;
-                ctx.instant("fault/cow");
+                ctx.instant(Instant::FaultCow);
             }
             Fault::CoAccess { .. } => {
                 ctx.counters.coa_faults += 1;
-                ctx.instant("fault/coa");
+                ctx.instant(Instant::FaultCoa);
             }
             Fault::CapLoad { .. } => {
                 ctx.counters.cap_load_faults += 1;
-                ctx.instant("fault/capload");
+                ctx.instant(Instant::FaultCapload);
             }
             _ => return Err(Errno::Fault),
         }
-        ctx.phase("fault/entry");
+        ctx.phase(Phase::FaultEntry);
         ctx.kernel(self.cost.fault_entry);
         let va = fault.va();
         let vpn = va.vpn();
@@ -160,7 +161,7 @@ impl UforkOs {
         let refcount = self.pm.refcount(pte.pfn).map_err(|_| Errno::Fault)?;
         let pfn = if refcount > 1 {
             // Step 1+2: point the child PTE at a fresh frame and copy.
-            ctx.phase("fault/copy");
+            ctx.phase(Phase::FaultCopy);
             let new = self.fault_alloc_frame(ctx)?;
             if self.pm.copy_frame(pte.pfn, new).is_err() {
                 // The fresh frame must not leak when the copy fails: drop
@@ -182,7 +183,7 @@ impl UforkOs {
             ctx.counters.pages_reclaimed += 1;
             pte.pfn
         };
-        ctx.phase("fault/pte");
+        ctx.phase(Phase::FaultPte);
         // Soft-dirty maintenance: the first store after a generation
         // stamp lands here (the stamp CoW-armed every writable page), so
         // a store-kind fault marks the page dirty for the next
@@ -207,7 +208,7 @@ impl UforkOs {
         // resolved copy; under the tag-summary fast path an untagged page
         // costs four bulk tag reads and nothing more, and for parent-side
         // CoW faults it finds nothing to fix up.
-        ctx.phase("fault/reloc");
+        ctx.phase(Phase::FaultReloc);
         let root = self.proc(pid)?.root;
         let source = SourceLookup::new(self.scan, &self.region_index, || self.source_regions());
         let target = RelocTarget {
@@ -236,9 +237,9 @@ impl UforkOs {
         if let Ok(pfn) = crate::fork::alloc_copy_dest_charged(&mut self.pm, &self.cost, ctx) {
             return Ok(pfn);
         }
-        ctx.phase("fault/reclaim");
+        ctx.phase(Phase::FaultReclaim);
         self.reclaim_inline(ctx);
-        ctx.phase("fault/copy");
+        ctx.phase(Phase::FaultCopy);
         crate::fork::alloc_copy_dest_charged(&mut self.pm, &self.cost, ctx)
             .map_err(|_| Errno::NoMem)
     }

@@ -52,7 +52,7 @@ use ufork_abi::{CopyStrategy, Errno, Pid, SysResult};
 use ufork_cheri::{Capability, Perms};
 use ufork_exec::Ctx;
 use ufork_mem::{content_hash, FrameDedupIndex, Pfn, PhysMem, PAGE_SIZE};
-use ufork_sim::CostModel;
+use ufork_sim::{CostModel, Instant, Phase};
 use ufork_vmem::{PageTable, Pte, PteFlags, Region, VirtAddr, Vpn};
 
 use crate::fork_par::{alloc_lane_frame, WalkMode};
@@ -155,7 +155,7 @@ impl UforkOs {
                         return Err(e);
                     }
                     retries += 1;
-                    ctx.phase("fork/reclaim");
+                    ctx.phase(Phase::ForkReclaim);
                     self.reclaim_inline(ctx);
                 }
             }
@@ -185,7 +185,7 @@ impl UforkOs {
         debug_assert_eq!(self.journal.len(), 0, "journal must be empty between forks");
         // Fixed path: task struct, PID allocation, fd duplication hooks,
         // thread creation, scheduler insertion (paper §3.5 step 2).
-        ctx.phase("fork/fixed");
+        ctx.phase(Phase::ForkFixed);
         ctx.kernel(self.cost.fork_fixed_ufork);
 
         let (p_region, layout, p_regs, p_shm_next, p_mmap_next) = {
@@ -210,7 +210,7 @@ impl UforkOs {
         let strategy = self.admit_fork(ctx, &plan)?;
 
         // Reserve the child's contiguous region.
-        ctx.phase("fork/region");
+        ctx.phase(Phase::ForkRegion);
         let c_region = match self.regions.alloc(layout.region_len()) {
             Ok(r) => r,
             Err(_) => {
@@ -238,7 +238,7 @@ impl UforkOs {
 
         // Relocate the register file (paper §3.5 step 2: "any absolute
         // memory references contained in registers are relocated").
-        ctx.phase("fork/regs");
+        ctx.phase(Phase::ForkRegs);
         let mut c_regs = p_regs;
         let source = SourceLookup::new(self.scan, &self.region_index, || self.source_regions());
         let mut memo = SourceMemo::default();
@@ -269,7 +269,7 @@ impl UforkOs {
             }
         }
 
-        ctx.phase("fork/commit");
+        ctx.phase(Phase::ForkCommit);
         self.procs.insert(
             child,
             UProc {
@@ -345,7 +345,7 @@ impl UforkOs {
         let hold = behind.min(reserved);
         self.pm.release(reserved - hold);
         ctx.counters.pipeline_bytes_behind += behind * PAGE_SIZE;
-        ctx.instant("fork/pipeline/commit");
+        ctx.instant(Instant::ForkPipelineCommit);
         self.pipelines.insert(
             child,
             crate::pipeline::PipelineState::new(c_region, c_root, deferred, hold),
@@ -358,7 +358,7 @@ impl UforkOs {
     /// arming reverted, region and process-table entries removed, the
     /// admission reservation released.
     pub(crate) fn rollback_fork(&mut self, ctx: &mut Ctx) {
-        ctx.phase("fork/rollback");
+        ctx.phase(Phase::ForkRollback);
         let ops = self.journal.take_ops();
         ctx.counters.journal_ops += ops.len() as u64;
         ctx.counters.fork_rollbacks += 1;
@@ -462,7 +462,7 @@ impl UforkOs {
         if self.fallback == FallbackPolicy::Disabled {
             return Ok(self.strategy);
         }
-        ctx.phase("fork/admission");
+        ctx.phase(Phase::ForkAdmission);
         ctx.kernel(self.cost.admission_check);
         let requested = self.strategy;
         let (private, pinned) = plan_demand(plan);
@@ -510,7 +510,7 @@ impl UforkOs {
                     return Err(self.abort_fork(ctx, Errno::NoMem));
                 }
                 ctx.counters.forks_degraded += 1;
-                ctx.instant("fork/degrade");
+                ctx.instant(Instant::ForkDegrade);
                 return Ok(cand);
             }
         }
@@ -656,12 +656,12 @@ impl UforkOs {
                 dedup: self.dedup_frames.then_some(&mut self.dedup),
                 cost,
                 target: &target,
-                copy_phase: "fork/walk/copy",
-                reloc_phase: "fork/walk/reloc",
+                copy_phase: Phase::ForkWalkCopy,
+                reloc_phase: Phase::ForkWalkReloc,
             };
 
             for page in plan.iter_mut() {
-                ctx.phase("fork/walk/pte");
+                ctx.phase(Phase::ForkWalkPte);
                 let pte = page.pte;
                 let c_vpn = VirtAddr(c_region.base.0 + page.off).vpn();
                 let final_flags = Self::seg_flags(page.seg);
@@ -709,7 +709,7 @@ impl UforkOs {
                             // its writes cannot perturb the fork-time
                             // snapshot, and the copy + relocation runs as
                             // a background chunk after the commit.
-                            ctx.phase("fork/pipeline/stage");
+                            ctx.phase(Phase::ForkPipelineStage);
                             let child =
                                 Pte::new(pte.pfn, lazy_child_flags(CopyStrategy::CoA, final_flags));
                             let ns = cost.pte_copy + cost.coa_pte_extra;
@@ -731,11 +731,11 @@ impl UforkOs {
                         }
                         WalkMode::Serial => {
                             if writer.dedup.is_none() {
-                                ctx.phase("fork/walk/copy");
+                                ctx.phase(Phase::ForkWalkCopy);
                             }
                             let made =
                                 writer.materialize(ctx, pte.pfn, &batch, c_vpn, final_flags)?;
-                            ctx.phase("fork/walk/pte");
+                            ctx.phase(Phase::ForkWalkPte);
                             batch.push((c_vpn, Pte::new(made.pfn, made.flags)));
                             ctx.kernel(cost.pte_write);
                             if made.hit {
@@ -781,7 +781,7 @@ impl UforkOs {
                 .map_err(|_| Errno::NoMem)?;
         }
         ctx.counters.ptes_written += self.pt.extend_sorted(batch);
-        ctx.phase("fork/walk/cow_arm");
+        ctx.phase(Phase::ForkWalkCowArm);
         for &vpn in &cow_arm {
             self.journal
                 .record(JournalOp::CowArm(vpn))
@@ -810,7 +810,7 @@ impl UforkOs {
         parent: Pid,
         plan: &[PlannedPage],
     ) -> SysResult<()> {
-        ctx.phase("fork/dirty_scan");
+        ctx.phase(Phase::ForkDirtyScan);
         let (old_gen, old_tracked) = {
             let p = self.proc(parent)?;
             (p.dirty_gen, p.dirty_tracked)
@@ -928,8 +928,8 @@ pub(crate) struct PageWriter<'a> {
     /// The child region copies are relocated into.
     pub(crate) target: &'a RelocTarget<'a>,
     /// The phases a copy and its relocation are charged to.
-    pub(crate) copy_phase: &'static str,
-    pub(crate) reloc_phase: &'static str,
+    pub(crate) copy_phase: Phase,
+    pub(crate) reloc_phase: Phase,
 }
 
 /// An eager page made ready for the child: the frame and flags its PTE
@@ -991,7 +991,7 @@ impl PageWriter<'_> {
     ) -> SysResult<EagerPage> {
         let probe = match self.dedup.as_deref_mut() {
             Some(dedup) => {
-                ctx.phase("fork/dedup");
+                ctx.phase(Phase::ForkDedup);
                 dedup_probe(self.pm, self.pt, staged, dedup, self.cost, ctx, src)
             }
             None => DedupProbe::Skip,

@@ -46,7 +46,7 @@ use ufork_abi::{Errno, SysResult};
 use ufork_cheri::Capability;
 use ufork_exec::Ctx;
 use ufork_mem::{Frame, Pfn, PhysMem, ZeroPolicy};
-use ufork_sim::LaneClocks;
+use ufork_sim::{Instant, Lane, LaneClocks, Phase};
 use ufork_vmem::Region;
 
 use crate::journal::{ForkJournal, JournalOp};
@@ -127,15 +127,15 @@ pub(crate) fn alloc_lane_frame(
         .map_err(|_| Errno::NoMem)?;
     if grant.recycled {
         ctx.counters.frames_recycled += 1;
-        ctx.instant("alloc/recycle");
+        ctx.instant(Instant::AllocRecycle);
     }
     if grant.zeroing_skipped {
         ctx.counters.zeroing_skipped += 1;
-        ctx.instant("alloc/zero_skip");
+        ctx.instant(Instant::AllocZeroSkip);
     }
     if grant.stolen {
         ctx.counters.alloc_steals += 1;
-        ctx.instant("alloc/steal");
+        ctx.instant(Instant::AllocSteal);
     }
     Ok(grant.pfn)
 }
@@ -255,7 +255,7 @@ impl UforkOs {
         // host completion order: simulated time must be a pure function
         // of the inputs.
         results.sort_by_key(|(i, _)| *i);
-        ctx.phase("fork/walk/par");
+        ctx.phase(Phase::ForkWalkPar);
         // Lane timelines start where the main (kernel) clock stands when
         // the parallel section is entered; each chunk's span begins at its
         // lane's simulated clock and runs for the chunk's cost. Both are
@@ -266,7 +266,7 @@ impl UforkOs {
         let mut total_stats = RelocStats::default();
         for (i, co) in &results {
             ctx.lane_span(
-                "fork/chunk",
+                Lane::ForkChunk,
                 (*i % workers) as u32,
                 par_base + lanes.lane(*i),
                 co.cost,

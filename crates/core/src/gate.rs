@@ -10,6 +10,7 @@
 
 use ufork_cheri::{CapError, Capability, OType, Perms};
 use ufork_exec::Ctx;
+use ufork_sim::Instant;
 
 /// The kernel's system-call gate.
 ///
@@ -73,16 +74,18 @@ impl SyscallGate {
         Ok(())
     }
 
-    /// [`SyscallGate::enter`] with trace markers: accepted invocations
-    /// record a `gate/enter` instant on `ctx`'s sink, refused ones a
-    /// `gate/reject`. Identical verification either way.
+    /// [`SyscallGate::enter`] with trace markers: an accepted invocation
+    /// counts a sealed entry and records a `gate/enter` instant on `ctx`'s
+    /// sink, a refused one a `gate/reject`. Identical verification either
+    /// way.
     pub fn enter_traced(&self, ctx: &mut Ctx, entry: &Capability) -> Result<(), CapError> {
         let r = self.enter(entry);
-        ctx.instant(if r.is_ok() {
-            "gate/enter"
+        if r.is_ok() {
+            ctx.counters.sealed_entries += 1;
+            ctx.instant(Instant::GateEnter);
         } else {
-            "gate/reject"
-        });
+            ctx.instant(Instant::GateReject);
+        }
         r
     }
 }
@@ -118,8 +121,9 @@ mod tests {
         gate.enter_traced(&mut ctx, &gate.user_entry()).unwrap();
         let forged = kernel_text().with_addr(0xffff_0000_1000).unwrap();
         assert!(gate.enter_traced(&mut ctx, &forged).is_err());
-        assert_eq!(ctx.trace.instant_count("gate/enter"), 1);
-        assert_eq!(ctx.trace.instant_count("gate/reject"), 1);
+        ufork_sim::assert_counter_pairs(&ctx.trace, &ctx.counters);
+        assert_eq!(ctx.counters.sealed_entries, 1);
+        assert_eq!(ctx.trace.instant_count(Instant::GateReject), 1);
     }
 
     #[test]

@@ -181,11 +181,6 @@ impl ForkJournal {
         self.fail_at = Some(idx);
     }
 
-    /// Disarms injection.
-    pub(crate) fn clear_failure(&mut self) {
-        self.fail_at = None;
-    }
-
     /// True if the last abort came from injection; consumes the flag.
     pub(crate) fn take_injected(&mut self) -> bool {
         std::mem::take(&mut self.injected)

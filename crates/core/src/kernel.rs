@@ -288,11 +288,6 @@ impl UforkOs {
         self.pm.fail_alloc_at(attempt);
     }
 
-    /// Disarms frame-allocation fault injection.
-    pub fn clear_frame_alloc_failure(&mut self) {
-        self.pm.clear_alloc_failure();
-    }
-
     /// Total frame-copy attempts since boot (successful or not), the
     /// index space for [`UforkOs::inject_frame_copy_failure`].
     pub fn frame_copy_attempts(&self) -> u64 {
@@ -305,11 +300,6 @@ impl UforkOs {
     /// CoW/CoA/CoPA fault resolution.
     pub fn inject_frame_copy_failure(&mut self, attempt: u64) {
         self.pm.fail_copy_at(attempt);
-    }
-
-    /// Disarms frame-copy fault injection.
-    pub fn clear_frame_copy_failure(&mut self) {
-        self.pm.clear_copy_failure();
     }
 
     /// Total fork-journal ops recorded since boot, the index space for
@@ -330,11 +320,6 @@ impl UforkOs {
         self.journal.fail_at(op);
     }
 
-    /// Disarms journal fault injection.
-    pub fn clear_journal_failure(&mut self) {
-        self.journal.clear_failure();
-    }
-
     /// Overrides the allocator's pressure watermarks (both counted in
     /// *available* frames). Tests and the chaos sweep use this to force
     /// elevated pressure on an otherwise lightly-loaded machine, so the
@@ -342,12 +327,6 @@ impl UforkOs {
     /// memory first.
     pub fn set_pressure_watermarks(&mut self, low: u32, high: u32) {
         self.pm.set_watermarks(low, high);
-    }
-
-    /// Cumulative sharded-allocator statistics (also surfaced per-process
-    /// through [`MemStats::alloc`] via [`MemOs::mem_stats`]).
-    pub fn alloc_shard_stats(&self) -> ufork_mem::ShardStats {
-        self.pm.shard_stats()
     }
 
     /// Audits global kernel memory state; the invariants a failed or
@@ -458,19 +437,6 @@ impl UforkOs {
             arena_base: p.region.base.0 + p.layout.heap_arena.0,
             arena_len: p.layout.heap_arena.1,
         })
-    }
-
-    /// Reads allocator statistics for a μprocess (through the checked
-    /// user path, like the allocator itself).
-    pub fn talloc_stats(&mut self, pid: Pid) -> SysResult<crate::talloc::TAllocStats> {
-        let ta = self.talloc_of(pid)?;
-        let mut ctx = Ctx::new();
-        let mut um = KUserMem {
-            os: self,
-            ctx: &mut ctx,
-            pid,
-        };
-        ta.stats(&mut um)
     }
 
     /// Maps fresh zeroed frames for `[base, base+len)` with `flags`.

@@ -46,7 +46,7 @@
 use ufork_abi::{Errno, Pid, SysResult};
 use ufork_cheri::Capability;
 use ufork_exec::Ctx;
-use ufork_sim::LaneClocks;
+use ufork_sim::{Instant, Lane, LaneClocks, Phase};
 use ufork_vmem::{PteFlags, Region, Vpn};
 
 use crate::fork::{EagerPage, PageWriter};
@@ -111,16 +111,6 @@ impl UforkOs {
         self.pipelines.get(&pid).map_or(0, |s| s.pending_pages)
     }
 
-    /// Total uncopied background pages across all children.
-    pub fn pipeline_backlog_pages(&self) -> u64 {
-        self.pipelines.values().map(|s| s.pending_pages).sum()
-    }
-
-    /// Children with a background-copy window still open.
-    pub fn pipeline_children(&self) -> Vec<Pid> {
-        self.pipelines.keys().copied().collect()
-    }
-
     /// The pending chunk containing `vpn` in `pid`'s window, if any —
     /// the demand-priority lookup the CoA fault path uses to decide
     /// whether to jump the copy queue.
@@ -173,7 +163,7 @@ impl UforkOs {
         if !self.pipelines.contains_key(&pid) {
             return Ok(0);
         }
-        ctx.phase("fork/pipeline/copy");
+        ctx.phase(Phase::ForkPipelineCopy);
         let base = ctx.kernel_ns;
         let mut lanes = LaneClocks::new(1);
         let mut chunks = 0u64;
@@ -192,7 +182,7 @@ impl UforkOs {
                 }
             };
             let cost = scratch.kernel_ns;
-            ctx.lane_span("fork/pipeline/chunk", 0, base + lanes.lane(idx), cost);
+            ctx.lane_span(Lane::ForkPipelineChunk, 0, base + lanes.lane(idx), cost);
             lanes.charge(idx, cost);
             ctx.counters.merge(&scratch.counters);
             chunks += 1;
@@ -267,7 +257,7 @@ impl UforkOs {
             let remainder = s.reserved;
             self.pipelines.remove(&pid);
             self.pm.release(remainder);
-            ctx.instant("fork/pipeline/done");
+            ctx.instant(Instant::ForkPipelineDone);
         }
         Ok(())
     }
@@ -293,7 +283,7 @@ impl UforkOs {
         };
         let mut allocs = 0u64;
         for &(c_vpn, final_flags) in pages {
-            ctx.phase("fork/pipeline/copy");
+            ctx.phase(Phase::ForkPipelineCopy);
             let pte = self.pt.lookup(c_vpn).ok_or(Errno::Fault)?;
             debug_assert!(
                 pte.flags.contains(PteFlags::COA),
@@ -313,8 +303,8 @@ impl UforkOs {
                     dedup: self.dedup_frames.then_some(&mut self.dedup),
                     cost: &self.cost,
                     target: &target,
-                    copy_phase: "fork/pipeline/copy",
-                    reloc_phase: "fork/pipeline/reloc",
+                    copy_phase: Phase::ForkPipelineCopy,
+                    reloc_phase: Phase::ForkPipelineReloc,
                 }
                 .materialize(ctx, pte.pfn, &[], c_vpn, final_flags)?;
                 allocs += u64::from(!page.hit);
@@ -325,7 +315,7 @@ impl UforkOs {
                 // holds the snapshot) is adopted in place, which is
                 // strictly cheaper than any probe.
                 ctx.counters.pages_reclaimed += 1;
-                ctx.phase("fork/pipeline/reloc");
+                ctx.phase(Phase::ForkPipelineReloc);
                 relocate_counted(&mut self.pm, pte.pfn, &target, &self.cost, ctx);
                 EagerPage {
                     pfn: pte.pfn,
@@ -334,7 +324,7 @@ impl UforkOs {
                 }
             };
 
-            ctx.phase("fork/pipeline/pte");
+            ctx.phase(Phase::ForkPipelinePte);
             // Record-then-apply: the inverse restores the staged CoA
             // mapping exactly, a no-op if the rewrite never ran.
             self.journal

@@ -26,6 +26,7 @@
 use ufork_abi::{Errno, Pid, SysResult};
 use ufork_exec::Ctx;
 use ufork_mem::{PressureLevel, PAGE_SIZE};
+use ufork_sim::Phase;
 use ufork_vmem::{Pte, Vpn};
 
 use crate::journal::JournalOp;
@@ -61,7 +62,7 @@ impl UforkOs {
             return Ok(0);
         }
         debug_assert_eq!(self.journal.len(), 0, "journal busy entering reclaim");
-        ctx.phase("mem/reclaim_bg");
+        ctx.phase(Phase::MemReclaimBg);
         let mut scrubbed = 0u64;
         while scrubbed < RECLAIM_BATCH {
             let Some(pfn) = self.pm.scrub_one() else {
@@ -118,7 +119,7 @@ impl UforkOs {
             return Ok(());
         };
         debug_assert_eq!(self.journal.len(), 0, "journal busy entering oom reap");
-        ctx.phase("fork/oom");
+        ctx.phase(Phase::ForkOom);
         let start = region.base.vpn();
         let end = Vpn(region.top().0.div_ceil(PAGE_SIZE));
         let mapped: Vec<(Vpn, Pte)> = self.pt.range(start, end).collect();
@@ -139,6 +140,7 @@ impl UforkOs {
         let (ops, reserved) = self.journal.commit();
         debug_assert_eq!(reserved, 0, "oom reap reserves no frames");
         ctx.counters.journal_ops += ops;
+        ctx.counters.oom_kills += 1;
 
         // Past the commit nothing can fail: pure reference drops and
         // bookkeeping, identical to `destroy`'s tail.

@@ -1,6 +1,6 @@
 //! Per-step accounting context.
 
-use ufork_sim::{OpCounters, TraceBuf};
+use ufork_sim::{Instant, Lane, OpCounters, Phase, TraceBuf};
 
 /// Accounting context threaded through every backend operation during one
 /// program step.
@@ -65,10 +65,10 @@ impl Ctx {
     /// Opens a trace phase span (closing any open one) at the current
     /// simulated kernel time. No-op when tracing is disabled.
     #[inline]
-    pub fn phase(&mut self, name: &'static str) {
+    pub fn phase(&mut self, phase: Phase) {
         if self.trace.is_enabled() {
             let now = self.kernel_ns;
-            self.trace.phase(name, now);
+            self.trace.phase(phase, now);
         }
     }
 
@@ -83,19 +83,19 @@ impl Ctx {
 
     /// Records a zero-duration trace marker at the current kernel time.
     #[inline]
-    pub fn instant(&mut self, name: &'static str) {
+    pub fn instant(&mut self, instant: Instant) {
         if self.trace.is_enabled() {
             let now = self.kernel_ns;
-            self.trace.instant(name, now);
+            self.trace.instant(instant, now);
         }
     }
 
     /// Records a span of per-chunk work on a parallel lane. `start_ns`
     /// and `dur_ns` come from the caller's deterministic lane clocks.
     #[inline]
-    pub fn lane_span(&mut self, name: &'static str, lane: u32, start_ns: f64, dur_ns: f64) {
+    pub fn lane_span(&mut self, span: Lane, lane: u32, start_ns: f64, dur_ns: f64) {
         if self.trace.is_enabled() {
-            self.trace.lane_span(name, lane, start_ns, dur_ns);
+            self.trace.lane_span(span, lane, start_ns, dur_ns);
         }
     }
 }
@@ -123,8 +123,8 @@ mod tests {
         for ns in [1.5, 0.7, 400.0, 30.0] {
             plain.kernel(ns);
             traced_off.kernel(ns);
-            traced_off.phase("ignored");
-            traced_off.instant("ignored");
+            traced_off.phase(Phase::ForkFixed);
+            traced_off.instant(Instant::FaultCow);
         }
         traced_off.phase_end();
         assert_eq!(plain.kernel_ns.to_bits(), traced_off.kernel_ns.to_bits());
@@ -134,12 +134,12 @@ mod tests {
     #[test]
     fn charged_total_is_bitwise_kernel_ns_on_fresh_ctx() {
         let mut c = Ctx::traced(64);
-        c.phase("a");
+        c.phase(Phase::ForkFixed);
         // Non-dyadic charges: order-sensitive f64 sums.
         for ns in [0.7, 0.9, 0.45, 350.0, 5.5, 1.2] {
             c.kernel(ns);
         }
-        c.phase("b");
+        c.phase(Phase::ForkRegion);
         c.kernel(12.0);
         c.phase_end();
         assert_eq!(c.kernel_ns.to_bits(), c.trace.charged_total().to_bits());
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn user_time_is_not_phase_attributed() {
         let mut c = Ctx::traced(16);
-        c.phase("p");
+        c.phase(Phase::ForkFixed);
         c.user(100.0);
         c.kernel(10.0);
         c.phase_end();

@@ -371,14 +371,6 @@ impl<O: MemOs> Machine<O> {
         &self.oom_log
     }
 
-    /// Pages still queued behind committed pipelined forks, machine-wide.
-    pub fn copy_backlog(&self) -> u64 {
-        self.copy_engines
-            .keys()
-            .map(|pid| self.os.pipeline_pending(*pid))
-            .sum()
-    }
-
     /// Merged operation counters.
     pub fn counters(&self) -> &OpCounters {
         &self.counters
@@ -413,16 +405,6 @@ impl<O: MemOs> Machine<O> {
         self.procs
             .get(&pid)
             .is_none_or(|p| p.life != ProcLife::Alive)
-    }
-
-    /// Number of live threads in a process.
-    pub fn thread_count(&self, pid: Pid) -> usize {
-        self.procs.get(&pid).map_or(0, |p| {
-            p.threads
-                .values()
-                .filter(|t| !matches!(t.state, ThreadState::Dead))
-                .count()
-        })
     }
 
     /// What a thread is blocked on, if it is indefinitely parked. A
@@ -1050,7 +1032,6 @@ impl<O: MemOs> Machine<O> {
                 if self.os.oom_reap(ctx, victim).is_err() {
                     break;
                 }
-                ctx.counters.oom_kills += 1;
                 let kill_at = start + ctx.total();
                 self.oom_log.push(OomEvent {
                     victim,

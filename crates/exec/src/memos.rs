@@ -3,7 +3,7 @@
 use ufork_abi::{ImageSpec, IsolationLevel, Pid, SysResult};
 use ufork_cheri::Capability;
 use ufork_mem::MemStats;
-use ufork_sim::CostModel;
+use ufork_sim::{CostModel, Instant};
 
 use crate::ctx::Ctx;
 
@@ -131,9 +131,11 @@ pub trait MemOs {
     /// transactional teardown override this with a journaled
     /// implementation (abortable mid-sweep, leak-free either way); the
     /// default simply delegates to [`MemOs::destroy`], which must then
-    /// be a no-op when the executive's exit path calls it again.
+    /// be a no-op when the executive's exit path calls it again. A
+    /// completed reap counts one `oom_kills`.
     fn oom_reap(&mut self, ctx: &mut Ctx, pid: Pid) -> SysResult<()> {
         self.destroy(ctx, pid);
+        ctx.counters.oom_kills += 1;
         Ok(())
     }
 
@@ -189,10 +191,10 @@ pub fn charge_syscall<O: MemOs + ?Sized>(os: &O, ctx: &mut Ctx, buffer_bytes: u6
     ctx.counters.syscalls += 1;
     if os.syscall_is_trap() {
         ctx.counters.traps += 1;
-        ctx.instant("gate/trap");
+        ctx.instant(Instant::GateTrap);
     } else {
         ctx.counters.sealed_entries += 1;
-        ctx.instant("gate/enter");
+        ctx.instant(Instant::GateEnter);
     }
     let iso = os.isolation();
     if iso.validates_syscalls() {

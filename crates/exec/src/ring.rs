@@ -34,6 +34,7 @@
 
 use ufork_abi::{Errno, Pid, SysResult};
 use ufork_cheri::{Capability, OType, Perms};
+use ufork_sim::Phase;
 
 use crate::ctx::Ctx;
 use crate::memos::MemOs;
@@ -129,7 +130,7 @@ pub fn ring_init<O: MemOs>(
     slots: u64,
     msg_bytes: u64,
 ) -> SysResult<()> {
-    ctx.phase("ipc/ring/init");
+    ctx.phase(Phase::IpcRingInit);
     store_word(os, ctx, pid, window, 0, RING_MAGIC)?;
     store_word(os, ctx, pid, window, 8, 0)?; // head
     store_word(os, ctx, pid, window, 16, 0)?; // tail
@@ -168,7 +169,7 @@ pub fn ring_push_raw<O: MemOs>(
     payload: &[u8],
     now: f64,
 ) -> SysResult<RingPush> {
-    ctx.phase("ipc/ring/push");
+    ctx.phase(Phase::IpcRingPush);
     let head = load_word(os, ctx, pid, window, 8)?;
     let tail = load_word(os, ctx, pid, window, 16)?;
     let slots = load_word(os, ctx, pid, window, 24)?;
@@ -201,7 +202,7 @@ pub fn ring_pop_raw<O: MemOs>(
     window: &Capability,
     now: f64,
 ) -> SysResult<RingPop> {
-    ctx.phase("ipc/ring/pop");
+    ctx.phase(Phase::IpcRingPop);
     let head = load_word(os, ctx, pid, window, 8)?;
     let tail = load_word(os, ctx, pid, window, 16)?;
     let slots = load_word(os, ctx, pid, window, 24)?;

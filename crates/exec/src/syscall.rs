@@ -31,6 +31,14 @@ pub(crate) enum Io {
     NotUntil(f64),
 }
 
+/// Refuses an outgoing transfer of `len` bytes that `buf` cannot hold.
+/// Writes and pushes call it before the syscall charge, so a failed call
+/// is charged nothing and a program-chosen length never reaches the
+/// charged byte counts.
+fn check_len(buf: &Capability, len: u64) -> SysResult<()> {
+    (len <= buf.len()).then_some(()).ok_or(Errno::Fault)
+}
+
 /// The clock a try-call acts at: the step's running clock, read when the
 /// operation reaches its channel.
 fn running(start: f64) -> impl FnOnce(&mut Ctx) -> f64 {
@@ -258,6 +266,7 @@ impl<O: MemOs> StepEnv<'_, O> {
         match *call {
             BlockingCall::Read { fd, buf, len } => self.read(fd, &buf, len, now),
             BlockingCall::Write { fd, buf, len } => {
+                check_len(&buf, len)?;
                 charge_syscall(self.os, self.ctx, len);
                 // Only pipes can block on write; files and connections
                 // use the non-blocking `sys_write`.
@@ -271,6 +280,7 @@ impl<O: MemOs> StepEnv<'_, O> {
                 Ok(io)
             }
             BlockingCall::RingPush { fd, ring, buf, len } => {
+                check_len(&buf, len)?;
                 charge_syscall(self.os, self.ctx, len);
                 self.ring_push(fd, &ring, &buf, len, at)
             }
@@ -337,6 +347,7 @@ impl<O: MemOs> Env for StepEnv<'_, O> {
     }
 
     fn sys_write(&mut self, fd: Fd, buf: &Capability, len: u64) -> SysResult<u64> {
+        check_len(buf, len)?;
         charge_syscall(self.os, self.ctx, len);
         match *self.fds.get(fd)? {
             FdKind::File { ref path, offset } => {
@@ -478,6 +489,7 @@ impl<O: MemOs> Env for StepEnv<'_, O> {
         buf: &Capability,
         len: u64,
     ) -> SysResult<u64> {
+        check_len(buf, len)?;
         charge_syscall(self.os, self.ctx, len);
         match self.ring_push(fd, ring_cap, buf, len, running(self.start))? {
             Io::Done(n) => Ok(n),

@@ -1096,7 +1096,8 @@ fn try_call_and_blocking_call_share_each_operation() {
 // ---------------------------------------------------------------------------
 
 /// Writes and pushes whose length can never succeed, each through its
-/// try-call and (pipe and ring) its blocking call.
+/// try-call and (pipe and ring) its blocking call. Each result's name
+/// ends in the length asked for.
 #[derive(Clone, Default)]
 struct OverLong {
     /// Blocking calls still to make, by name.
@@ -1131,10 +1132,12 @@ impl Program for OverLong {
             // hold, the second one's past `u64::MAX`.
             let file = env.sys_open("over.txt", true).unwrap();
             let r = env.sys_write(file, &buf, u64::MAX);
-            self.results.push(("try-write file at 0".into(), r));
+            self.results
+                .push((format!("try-write file at 0 {}", u64::MAX), r));
             assert_eq!(env.sys_write(file, &buf, 8), Ok(8));
             let r = env.sys_write(file, &buf, u64::MAX);
-            self.results.push(("try-write file at 8".into(), r));
+            self.results
+                .push((format!("try-write file at 8 {}", u64::MAX), r));
         }
         match self.calls.first() {
             Some((_, call)) => StepOutcome::Block(call.clone()),
@@ -1149,9 +1152,11 @@ impl Program for OverLong {
     }
 }
 
-#[test]
-fn lengths_that_can_never_succeed_fail_with_einval() {
-    let mut m = Machine::new(IpcOs::new(), MachineConfig::default());
+/// Runs [`OverLong`] on `os` and checks each refusal: a length past the
+/// buffer capability fails with `Fault` at entry, one that fits the
+/// buffer but not the pipe or ring with `Inval`.
+fn run_over_long(os: IpcOs) -> Machine<IpcOs> {
+    let mut m = Machine::new(os, MachineConfig::default());
     let pid = m
         .spawn(&ImageSpec::hello_world(), Box::new(OverLong::default()))
         .unwrap();
@@ -1160,8 +1165,34 @@ fn lengths_that_can_never_succeed_fail_with_einval() {
     let results = &m.program::<OverLong>(pid).unwrap().results;
     assert_eq!(results.len(), 12, "{results:?}");
     for (name, r) in results {
-        assert_eq!(*r, Err(Errno::Inval), "{name}");
+        let len: u64 = name.rsplit(' ').next().unwrap().parse().unwrap();
+        let errno = if len > MOCK_LEN {
+            Errno::Fault
+        } else {
+            Errno::Inval
+        };
+        assert_eq!(*r, Err(errno), "{name}");
     }
     // The refused file writes left the file as it was.
     assert_eq!(m.vfs().file_contents("over.txt").map(<[u8]>::len), Some(8));
+    m
+}
+
+#[test]
+fn lengths_that_can_never_succeed_are_refused() {
+    run_over_long(IpcOs::new());
+}
+
+/// At `Full` isolation every syscall charges its byte count as TOCTTOU
+/// copy-in. A length past the buffer is refused before that charge, so
+/// two `u64::MAX`-byte writes neither overflow nor wrap the counter:
+/// only the calls that passed the entry check are charged.
+#[test]
+fn over_long_lengths_are_refused_before_the_tocttou_charge() {
+    let m = run_over_long(IpcOs::with(IsolationLevel::Full, 0.0));
+    let cap = PIPE_CAPACITY as u64;
+    assert_eq!(
+        m.counters().tocttou_bytes,
+        2 * (cap + 1) + 2 * (MSG - 1) + 2 * (MSG + 1) + 8
+    );
 }

@@ -415,11 +415,6 @@ impl PhysMem {
         self.fail_at_attempt = Some(attempt);
     }
 
-    /// Disarms fault injection.
-    pub fn clear_alloc_failure(&mut self) {
-        self.fail_at_attempt = None;
-    }
-
     /// Total `copy_frame` attempts so far (successful or not), counted
     /// like [`PhysMem::alloc_attempts`] for replay-style fault injection.
     pub fn copy_attempts(&self) -> u64 {
@@ -433,11 +428,6 @@ impl PhysMem {
     /// disarms after firing so a retry can succeed.
     pub fn fail_copy_at(&mut self, attempt: u64) {
         self.fail_copy_at = Some(attempt);
-    }
-
-    /// Disarms copy-failure injection.
-    pub fn clear_copy_failure(&mut self) {
-        self.fail_copy_at = None;
     }
 
     /// Allocates a zeroed frame with refcount 1.
@@ -949,14 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn disarming_cancels_injection() {
-        let mut pm = PhysMem::new(2);
-        pm.fail_alloc_at(0);
-        pm.clear_alloc_failure();
-        assert!(pm.alloc_frame().is_ok());
-    }
-
-    #[test]
     fn injected_copy_failure_is_one_shot_and_leaves_frames_intact() {
         let mut pm = PhysMem::new(4);
         let a = pm.alloc_frame().unwrap();
@@ -972,9 +954,6 @@ mod tests {
         pm.read(b, 0, &mut out).unwrap();
         assert_eq!(&out, b"keep");
         assert_eq!(pm.copy_attempts(), 3);
-        pm.fail_copy_at(99);
-        pm.clear_copy_failure();
-        assert!(pm.copy_frame(b, a).is_ok());
     }
 
     #[test]

@@ -149,7 +149,7 @@ op_counters! {
         /// magazine (no inline zeroing charged).
         magazine_hits,
         /// μprocesses killed by the OOM last resort so a fork under memory
-        /// exhaustion could be admitted.
+        /// exhaustion could be admitted, counted by the completed reap.
         oom_kills,
         /// Simulated nanoseconds spent in reclaim backoff between fork
         /// retries (whole ns; the f64 charge is truncated when accumulated).

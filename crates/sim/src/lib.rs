@@ -22,13 +22,15 @@ mod clock;
 mod cost;
 mod counters;
 mod lanes;
+mod phases;
 mod trace;
 
 pub use clock::{Clock, Ns};
 pub use cost::CostModel;
 pub use counters::OpCounters;
 pub use lanes::LaneClocks;
+pub use phases::{assert_counter_pairs, Instant, Lane, Phase};
 pub use trace::{
     chrome_trace_json, summary_table, EventKind, InstantTotal, PhaseTotal, TraceBuf, TraceEvent,
-    TraceRun, DEFAULT_TRACE_CAPACITY, TRACE_SCHEMA, UNATTRIBUTED,
+    TraceRun, DEFAULT_TRACE_CAPACITY, TRACE_SCHEMA,
 };

@@ -18,6 +18,10 @@
 //!
 //! Zero overhead when disabled: every entry point is a single branch on
 //! [`TraceBuf::is_enabled`]; the disabled buffer owns no allocations.
+//! Names are the typed values of the `phases!` table, and totals are
+//! found at the name's table index: no trace call compares strings.
+
+use crate::phases::{Instant, Lane, Phase};
 
 /// Schema identifier stamped into the Chrome-trace export.
 pub const TRACE_SCHEMA: &str = "ufork-trace-fork/v1";
@@ -42,7 +46,7 @@ pub enum EventKind {
 /// charging context's kernel timeline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
-    /// Static event name, e.g. `"fork/walk/copy"`.
+    /// Static event name, e.g. `fork/walk/copy`.
     pub name: &'static str,
     /// Span/lane/instant discriminator.
     pub kind: EventKind,
@@ -80,15 +84,43 @@ pub struct InstantTotal {
 
 #[derive(Clone, Debug)]
 struct OpenPhase {
-    name: &'static str,
+    phase: Phase,
     start_ns: f64,
     /// Charges accumulated while this span is open, in charge order.
     acc: f64,
 }
 
-/// Bucket for charges arriving with no phase open. Kept as a phase so
-/// that the sum over all phase totals still tiles end-to-end time.
-pub const UNATTRIBUTED: &str = "(unattributed)";
+/// Totals in the order their names first occurred, each found in O(1)
+/// at its name's table index.
+#[derive(Clone, Debug)]
+struct FirstSeen<T, const N: usize> {
+    list: Vec<T>,
+    /// Each name's position in `list` plus one; 0 (no entry) while unseen.
+    slot: [u8; N],
+}
+
+impl<T, const N: usize> Default for FirstSeen<T, N> {
+    fn default() -> Self {
+        const { assert!(N <= u8::MAX as usize, "slot index overflows u8") };
+        let (list, slot) = (Vec::new(), [0; N]);
+        FirstSeen { list, slot }
+    }
+}
+
+impl<T, const N: usize> FirstSeen<T, N> {
+    fn get(&self, index: usize) -> Option<&T> {
+        self.list.get(usize::from(self.slot[index]).wrapping_sub(1))
+    }
+
+    /// The total at `index`, made by `first` when the name first occurs.
+    fn get_or_insert(&mut self, index: usize, first: impl FnOnce() -> T) -> &mut T {
+        if self.slot[index] == 0 {
+            self.list.push(first());
+            self.slot[index] = self.list.len() as u8;
+        }
+        &mut self.list[usize::from(self.slot[index]) - 1]
+    }
+}
 
 /// Bounded ring of trace events plus drop-free aggregation, fed by the
 /// accounting context's charge stream.
@@ -101,8 +133,8 @@ pub struct TraceBuf {
     events: Vec<TraceEvent>,
     head: usize,
     dropped: u64,
-    phases: Vec<PhaseTotal>,
-    instants: Vec<InstantTotal>,
+    phases: FirstSeen<PhaseTotal, { Phase::ALL.len() }>,
+    instants: FirstSeen<InstantTotal, { Instant::ALL.len() }>,
     open: Option<OpenPhase>,
     charged_total: f64,
 }
@@ -142,19 +174,19 @@ impl TraceBuf {
         self.charged_total += ns;
         match &mut self.open {
             Some(open) => open.acc += ns,
-            None => self.fold_phase(UNATTRIBUTED, ns),
+            None => self.fold_phase(Phase::Unattributed, ns),
         }
     }
 
     /// Opens a phase span at simulated time `now_ns`, closing any span
     /// already open (phases tile; they never nest).
-    pub fn phase(&mut self, name: &'static str, now_ns: f64) {
+    pub fn phase(&mut self, phase: Phase, now_ns: f64) {
         if !self.enabled {
             return;
         }
         self.close_open(now_ns);
         self.open = Some(OpenPhase {
-            name,
+            phase,
             start_ns: now_ns,
             acc: 0.0,
         });
@@ -171,61 +203,59 @@ impl TraceBuf {
     fn close_open(&mut self, _now_ns: f64) {
         if let Some(open) = self.open.take() {
             self.push(TraceEvent {
-                name: open.name,
+                name: open.phase.name(),
                 kind: EventKind::Phase,
                 lane: 0,
                 start_ns: open.start_ns,
                 dur_ns: open.acc,
             });
-            let acc = open.acc;
-            self.fold_phase(open.name, acc);
+            self.fold_phase(open.phase, open.acc);
         }
     }
 
-    fn fold_phase(&mut self, name: &'static str, span_ns: f64) {
-        match self.phases.iter_mut().find(|p| p.name == name) {
-            Some(p) => {
-                p.total_ns += span_ns;
-                p.count += 1;
-                p.max_ns = p.max_ns.max(span_ns);
-            }
-            None => self.phases.push(PhaseTotal {
-                name,
-                total_ns: span_ns,
-                count: 1,
-                max_ns: span_ns,
-            }),
-        }
+    fn fold_phase(&mut self, phase: Phase, span_ns: f64) {
+        // A first span adds to exact zeros: `0.0 + x` is `x` bitwise for
+        // every charge sum, which is never NaN or negative.
+        let p = self.phases.get_or_insert(phase as usize, || PhaseTotal {
+            name: phase.name(),
+            total_ns: 0.0,
+            count: 0,
+            max_ns: 0.0,
+        });
+        p.total_ns += span_ns;
+        p.count += 1;
+        p.max_ns = p.max_ns.max(span_ns);
     }
 
     /// Records a zero-duration marker at simulated time `now_ns`.
-    pub fn instant(&mut self, name: &'static str, now_ns: f64) {
+    pub fn instant(&mut self, instant: Instant, now_ns: f64) {
         if !self.enabled {
             return;
         }
         self.push(TraceEvent {
-            name,
+            name: instant.name(),
             kind: EventKind::Instant,
             lane: 0,
             start_ns: now_ns,
             dur_ns: 0.0,
         });
-        match self.instants.iter_mut().find(|i| i.name == name) {
-            Some(i) => i.count += 1,
-            None => self.instants.push(InstantTotal { name, count: 1 }),
-        }
+        let name = instant.name();
+        let total = self
+            .instants
+            .get_or_insert(instant as usize, || InstantTotal { name, count: 0 });
+        total.count += 1;
     }
 
     /// Records a span of per-chunk work on a parallel lane. Lane spans
     /// are *not* folded into phase totals — the merged elapsed time of
     /// the parallel section is charged to the main timeline (and thus to
     /// the open phase) by the caller via `LaneClocks::elapsed`.
-    pub fn lane_span(&mut self, name: &'static str, lane: u32, start_ns: f64, dur_ns: f64) {
+    pub fn lane_span(&mut self, span: Lane, lane: u32, start_ns: f64, dur_ns: f64) {
         if !self.enabled {
             return;
         }
         self.push(TraceEvent {
-            name,
+            name: span.name(),
             kind: EventKind::Lane,
             lane,
             start_ns,
@@ -255,23 +285,25 @@ impl TraceBuf {
         self.dropped
     }
 
-    /// Per-phase totals, in first-seen order. Includes [`UNATTRIBUTED`]
-    /// if any charge arrived with no phase open.
+    /// Per-phase totals, in first-seen order. Includes
+    /// [`Phase::Unattributed`] if any charge arrived with no phase open.
     pub fn phases(&self) -> &[PhaseTotal] {
-        &self.phases
+        &self.phases.list
+    }
+
+    /// Totals of one phase (`None` if no span of it closed yet).
+    pub fn phase_total(&self, phase: Phase) -> Option<&PhaseTotal> {
+        self.phases.get(phase as usize)
     }
 
     /// Per-instant counts, in first-seen order.
     pub fn instants(&self) -> &[InstantTotal] {
-        &self.instants
+        &self.instants.list
     }
 
-    /// Count for one instant name (0 if never fired).
-    pub fn instant_count(&self, name: &str) -> u64 {
-        self.instants
-            .iter()
-            .find(|i| i.name == name)
-            .map_or(0, |i| i.count)
+    /// Count for one instant (0 if never fired).
+    pub fn instant_count(&self, instant: Instant) -> u64 {
+        self.instants.get(instant as usize).map_or(0, |i| i.count)
     }
 
     /// Sum of every kernel charge seen while enabled, in charge order.
@@ -283,7 +315,7 @@ impl TraceBuf {
     /// Sum of the per-phase totals (the re-associated grouping of
     /// [`TraceBuf::charged_total`]; equal up to f64 re-association).
     pub fn phase_sum(&self) -> f64 {
-        self.phases.iter().map(|p| p.total_ns).sum()
+        self.phases().iter().map(|p| p.total_ns).sum()
     }
 }
 
@@ -450,9 +482,9 @@ mod tests {
         let mut t = TraceBuf::disabled();
         assert!(!t.is_enabled());
         t.on_charge(10.0);
-        t.phase("a", 0.0);
-        t.instant("i", 1.0);
-        t.lane_span("l", 0, 0.0, 5.0);
+        t.phase(Phase::ForkFixed, 0.0);
+        t.instant(Instant::FaultCow, 1.0);
+        t.lane_span(Lane::ForkChunk, 0, 0.0, 5.0);
         t.phase_end(2.0);
         assert_eq!(t.events().count(), 0);
         assert!(t.phases().is_empty());
@@ -464,21 +496,29 @@ mod tests {
     #[test]
     fn charges_attribute_to_the_open_phase_in_order() {
         let mut t = TraceBuf::enabled(64);
-        t.phase("a", 0.0);
+        t.phase(Phase::ForkFixed, 0.0);
         t.on_charge(1.5);
         t.on_charge(2.5);
-        t.phase("b", 4.0);
+        t.phase(Phase::ForkRegion, 4.0);
         t.on_charge(10.0);
         t.phase_end(14.0);
         let a = &t.phases()[0];
         let b = &t.phases()[1];
-        assert_eq!((a.name, a.total_ns, a.count), ("a", 4.0, 1));
-        assert_eq!((b.name, b.total_ns, b.count), ("b", 10.0, 1));
+        assert_eq!(
+            (a.name, a.total_ns, a.count),
+            (Phase::ForkFixed.name(), 4.0, 1)
+        );
+        assert_eq!(
+            (b.name, b.total_ns, b.count),
+            (Phase::ForkRegion.name(), 10.0, 1)
+        );
+        assert_eq!(t.phase_total(Phase::ForkRegion), Some(b));
+        assert_eq!(t.phase_total(Phase::ForkCommit), None);
         assert_eq!(t.charged_total(), 14.0);
         assert_eq!(t.phase_sum(), 14.0);
         let evs: Vec<_> = t.events().collect();
         assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].name, "a");
+        assert_eq!(evs[0].name, Phase::ForkFixed.name());
         assert_eq!(evs[0].dur_ns, 4.0);
         assert_eq!(evs[1].start_ns, 4.0);
     }
@@ -487,10 +527,10 @@ mod tests {
     fn charge_with_no_open_phase_lands_in_unattributed() {
         let mut t = TraceBuf::enabled(8);
         t.on_charge(3.0);
-        t.phase("p", 3.0);
+        t.phase(Phase::ForkFixed, 3.0);
         t.on_charge(1.0);
         t.phase_end(4.0);
-        assert_eq!(t.phases()[0].name, UNATTRIBUTED);
+        assert_eq!(t.phases()[0].name, Phase::Unattributed.name());
         assert_eq!(t.phases()[0].total_ns, 3.0);
         assert_eq!(t.phase_sum(), t.charged_total());
     }
@@ -499,7 +539,7 @@ mod tests {
     fn repeated_spans_aggregate_with_count_and_max() {
         let mut t = TraceBuf::enabled(64);
         for ns in [5.0, 9.0, 2.0] {
-            t.phase("walk", 0.0);
+            t.phase(Phase::ForkWalkPte, 0.0);
             t.on_charge(ns);
         }
         t.phase_end(0.0);
@@ -513,21 +553,27 @@ mod tests {
     fn ring_overwrites_oldest_and_counts_drops() {
         let mut t = TraceBuf::enabled(3);
         for i in 0..5 {
-            t.instant(if i % 2 == 0 { "even" } else { "odd" }, i as f64);
+            let instant = if i % 2 == 0 {
+                Instant::FaultCow
+            } else {
+                Instant::FaultCoa
+            };
+            t.instant(instant, i as f64);
         }
         assert_eq!(t.dropped(), 2);
         let starts: Vec<f64> = t.events().map(|e| e.start_ns).collect();
         assert_eq!(starts, vec![2.0, 3.0, 4.0]);
         // Aggregation is drop-free.
-        assert_eq!(t.instant_count("even"), 3);
-        assert_eq!(t.instant_count("odd"), 2);
+        assert_eq!(t.instant_count(Instant::FaultCow), 3);
+        assert_eq!(t.instant_count(Instant::FaultCoa), 2);
+        assert_eq!(t.instant_count(Instant::GateTrap), 0);
     }
 
     #[test]
     fn lane_spans_do_not_touch_phase_totals() {
         let mut t = TraceBuf::enabled(8);
-        t.phase("par", 0.0);
-        t.lane_span("chunk", 2, 0.0, 100.0);
+        t.phase(Phase::ForkWalkPar, 0.0);
+        t.lane_span(Lane::ForkChunk, 2, 0.0, 100.0);
         t.on_charge(40.0); // the merged elapsed time
         t.phase_end(40.0);
         assert_eq!(t.phases()[0].total_ns, 40.0);
@@ -539,10 +585,10 @@ mod tests {
     fn chrome_export_is_deterministic_and_shaped() {
         let mk = || {
             let mut t = TraceBuf::enabled(16);
-            t.phase("fork/fixed", 0.0);
+            t.phase(Phase::ForkFixed, 0.0);
             t.on_charge(50_000.0);
-            t.instant("alloc/recycle", 50_000.0);
-            t.lane_span("fork/chunk", 1, 50_000.0, 432.7);
+            t.instant(Instant::AllocRecycle, 50_000.0);
+            t.lane_span(Lane::ForkChunk, 1, 50_000.0, 432.7);
             t.phase_end(50_000.0);
             t
         };
@@ -570,21 +616,21 @@ mod tests {
     #[test]
     fn summary_table_orders_by_total() {
         let mut t = TraceBuf::enabled(8);
-        t.phase("small", 0.0);
+        t.phase(Phase::ForkRegion, 0.0);
         t.on_charge(1.0);
-        t.phase("big", 1.0);
+        t.phase(Phase::ForkWalkCopy, 1.0);
         t.on_charge(99.0);
         t.phase_end(100.0);
         let s = summary_table(&t);
-        let big = s.find("big").unwrap();
-        let small = s.find("small").unwrap();
+        let big = s.find(Phase::ForkWalkCopy.name()).unwrap();
+        let small = s.find(Phase::ForkRegion.name()).unwrap();
         assert!(big < small, "largest phase first:\n{s}");
     }
 
     #[test]
     fn nan_and_negative_charges_ignored() {
         let mut t = TraceBuf::enabled(4);
-        t.phase("p", 0.0);
+        t.phase(Phase::ForkFixed, 0.0);
         t.on_charge(f64::NAN);
         t.on_charge(-5.0);
         t.on_charge(7.0);

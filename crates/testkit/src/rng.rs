@@ -60,14 +60,6 @@ impl Rng {
         &items[self.index(items.len())]
     }
 
-    /// Fills a byte buffer with pseudo-random data.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Derives an independent child generator (for sub-streams that must
     /// not perturb the parent's sequence, e.g. one per generated case).
     pub fn split(&mut self) -> Rng {

@@ -19,7 +19,9 @@ pub struct NginxConfig {
     /// CPU ops to parse a request and build the response (user-space
     /// request handling).
     pub parse_ops: u64,
-    /// Response size in bytes.
+    /// Response size in bytes. The response is written from the
+    /// worker's 8 KiB request buffer, so a longer one fails with
+    /// `Errno::Fault`.
     pub resp_bytes: u64,
 }
 

@@ -7,6 +7,7 @@ use ufork_repro::abi::{
     StepOutcome,
 };
 use ufork_repro::exec::{Ctx, Machine, MachineConfig, MemOs};
+use ufork_repro::sim::{assert_counter_pairs, Phase};
 use ufork_repro::ufork::{UforkConfig, UforkOs};
 use ufork_repro::workloads::redis::{RedisConfig, RedisServer};
 use ufork_repro::workloads::ubench::SpawnBench;
@@ -424,11 +425,12 @@ fn capload_on_cow_page_resolves_in_one_fault_without_retry_exhaustion() {
 
 #[test]
 fn rollback_and_reclaim_counters_match_trace_phases() {
-    // Counter/trace consistency for the transactional fork journal: every
-    // rollback leaves exactly one `fork/rollback` phase span, every fork
-    // reclaim pass one `fork/reclaim` span, each fork attempt opens one
-    // `fork/admission` span, and the `journal_ops` counter equals the
-    // kernel's boot-cumulative journal record delta across the fork.
+    // Counter/trace consistency for the transactional fork journal: the
+    // phase table's declared pairs hold (one `fork/rollback` span per
+    // rollback, one `fork/reclaim` span per reclaim pass), each fork
+    // attempt opens one `fork/admission` span, and the `journal_ops`
+    // counter equals the kernel's boot-cumulative journal record delta
+    // across the fork.
     let mut os = UforkOs::new(UforkConfig {
         phys_mib: 64,
         strategy: CopyStrategy::Full,
@@ -467,26 +469,12 @@ fn rollback_and_reclaim_counters_match_trace_phases() {
         os.journal_ops_recorded() - j0,
         "journal_ops counter tracks every recorded op"
     );
-    let span_count = |name: &str| {
+    assert_counter_pairs(&fctx.trace, c);
+    assert_eq!(
         fctx.trace
-            .phases()
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0, |p| p.count)
-    };
-    assert_eq!(
-        c.fork_rollbacks,
-        span_count("fork/rollback"),
-        "one trace span per rollback"
-    );
-    assert_eq!(
-        c.reclaim_inline,
-        span_count("fork/reclaim"),
-        "one trace span per reclaim pass"
-    );
-    assert_eq!(
-        span_count("fork/admission"),
-        c.fork_rollbacks + 1,
+            .phase_total(Phase::ForkAdmission)
+            .map(|p| p.count),
+        Some(c.fork_rollbacks + 1),
         "one admission span per fork attempt"
     );
     assert_eq!(os.audit_kernel(), (0, 0));
@@ -495,8 +483,9 @@ fn rollback_and_reclaim_counters_match_trace_phases() {
 #[test]
 fn fault_counters_match_trace_events_and_page_motion() {
     // Counter-consistency property: every resolved transparent fault
-    // leaves exactly one trace instant, and every resolution either
-    // copied a page or reclaimed one (refcount == 1) — nothing silent.
+    // leaves exactly one trace instant (the phase table's declared
+    // pairs), and every resolution either copied a page or reclaimed one
+    // (refcount == 1) — nothing silent.
     let mut os = UforkOs::new(UforkConfig {
         phys_mib: 32,
         strategy: CopyStrategy::CoPA,
@@ -538,13 +527,7 @@ fn fault_counters_match_trace_events_and_page_motion() {
     let resolutions = c.cow_faults + c.coa_faults + c.cap_load_faults;
     assert!(resolutions > 0, "the pattern must fault");
     assert!(c.pages_reclaimed > 0, "reclaim branch must be exercised");
-    assert_eq!(
-        resolutions,
-        fctx.trace.instant_count("fault/cow")
-            + fctx.trace.instant_count("fault/coa")
-            + fctx.trace.instant_count("fault/capload"),
-        "each resolved fault records exactly one trace instant"
-    );
+    assert_counter_pairs(&fctx.trace, c);
     assert_eq!(
         c.pages_copied + c.pages_reclaimed,
         resolutions,

@@ -28,6 +28,7 @@
 use ufork_repro::abi::{CopyStrategy, ImageSpec, Pid};
 use ufork_repro::cheri::Capability;
 use ufork_repro::exec::{Ctx, Machine, MachineConfig, MemOs};
+use ufork_repro::sim::{assert_counter_pairs, Phase};
 use ufork_repro::ufork::{UforkConfig, UforkOs, WalkMode};
 use ufork_repro::workloads::storm::{StormConfig, StormZygote};
 
@@ -191,8 +192,9 @@ fn reclaim_daemon_on_equals_daemon_off() {
 
 // ---- counter/trace consistency -----------------------------------------
 
-/// One `mem/reclaim_bg` span per background pass, one `fork/oom` span
-/// per victim teardown, and the spans' kernel time is real charge time.
+/// The phase table's declared pairs hold across background passes and an
+/// OOM reap (one `mem/reclaim_bg` span per pass, one `fork/oom` span per
+/// victim teardown), and the spans' kernel time is real charge time.
 #[test]
 fn reclaim_and_oom_spans_match_counters() {
     let mut os = build(64, true);
@@ -212,16 +214,16 @@ fn reclaim_and_oom_spans_match_counters() {
     os.oom_reap(&mut ctx, Pid(3)).expect("reap");
     ctx.phase_end();
 
-    let phase = |name: &str| ctx.trace.phases().iter().find(|p| p.name == name);
-    let bg = phase("mem/reclaim_bg").expect("no mem/reclaim_bg span recorded");
-    assert_eq!(
-        bg.count, ctx.counters.reclaim_background,
-        "reclaim_bg spans vs reclaim_background counter"
+    assert_counter_pairs(&ctx.trace, &ctx.counters);
+    assert!(
+        ctx.counters.reclaim_background > 0,
+        "no background pass ran"
     );
-    assert!(bg.total_ns > 0.0, "reclaim_bg spans carried no kernel time");
-    let oom = phase("fork/oom").expect("no fork/oom span recorded");
-    assert_eq!(oom.count, 1, "exactly one reap ran");
-    assert!(oom.total_ns > 0.0, "fork/oom span carried no kernel time");
+    assert_eq!(ctx.counters.oom_kills, 1, "exactly one reap ran");
+    for phase in [Phase::MemReclaimBg, Phase::ForkOom] {
+        let t = ctx.trace.phase_total(phase).expect("span recorded");
+        assert!(t.total_ns > 0.0, "{phase:?} spans carried no kernel time");
+    }
     assert!(
         ctx.counters.frames_prezeroed > 0,
         "drain scrubbed no frames"

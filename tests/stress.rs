@@ -231,7 +231,7 @@ fn random_programs_terminate_deterministically() {
                 return Err(format!("end time not reproducible: {} vs {}", a.1, b.1));
             }
             if a.2 != b.2 || a.4 != b.4 {
-                return Err("fork/exit counts not reproducible".into());
+                return Err("fork and exit counts not reproducible".into());
             }
             // Never an isolation violation from a well-behaved program.
             if a.3 != 0 {
