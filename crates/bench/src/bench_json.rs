@@ -30,16 +30,13 @@ pub fn bench_fork_json() -> String {
         "fork_scaling",
         fork_scaling_sweep().into_iter().map(|r| {
             format!(
-                "\"heap\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"sim_fork_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}, \"chunks\": {}, \"steals\": {}, \"recycled\": {}, \"zeroing_skipped\": {}",
+                "\"heap\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"sim_fork_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}, \"chunks\": {}",
                 r.heap,
                 r.mode_label(),
                 r.workers,
                 r.sim_fork_ns,
                 r.sim_copy_done_ns,
-                r.counters.fork_chunks,
-                r.counters.alloc_steals,
-                r.counters.frames_recycled,
-                r.counters.zeroing_skipped
+                r.counters.fork_chunks
             )
         }),
     );
@@ -185,7 +182,7 @@ pub fn bench_fork_json() -> String {
         ring_service,
     ];
     format!(
-        "{{\n  \"schema\": \"ufork-bench-fork/v10\",\n  \"unit\": \"simulated ns\",\n{}\n}}\n",
+        "{{\n  \"schema\": \"ufork-bench-fork/v11\",\n  \"unit\": \"simulated ns\",\n{}\n}}\n",
         families.join(",\n")
     )
 }

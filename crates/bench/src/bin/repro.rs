@@ -332,25 +332,6 @@ fn main() {
                 &body
             )
         );
-        // Allocator shard statistics (via MemStats) for the widest run.
-        if let Some(r) = rows
-            .iter()
-            .find(|r| r.heap == "cap-dense" && r.workers == 8)
-        {
-            let per: Vec<String> = r
-                .shard
-                .per_shard_allocated
-                .iter()
-                .map(|n| n.to_string())
-                .collect();
-            println!("cap-dense par8 allocator shards:");
-            println!("  per_shard_allocated: [{}]", per.join(", "));
-            println!(
-                "  steals: {}  recycled_hits: {}  zeroing_skipped: {}",
-                r.shard.steals, r.shard.recycled_hits, r.shard.zeroing_skipped
-            );
-            println!();
-        }
     }
     if all || what == "snapshot" {
         println!("== Snapshot train: per-snapshot fork cost, 5% writes between snapshots ==");

@@ -4,7 +4,7 @@ use ufork::{FallbackPolicy, UforkConfig, UforkOs, WalkMode};
 use ufork_abi::{CopyStrategy, Fd, ImageSpec, IsolationLevel, Pid, Program, SysResult};
 use ufork_baselines::{mono, nephele, BaselineConfig, MultiAsOs};
 use ufork_exec::{ConnTemplate, Ctx, ExitEvent, ForkEvent, Machine, MachineConfig, MemOs};
-use ufork_mem::{MemStats, ShardStats, PAGE_SIZE};
+use ufork_mem::{MemStats, PAGE_SIZE};
 use ufork_sim::OpCounters;
 use ufork_workloads::faas::{FaasConfig, Zygote};
 use ufork_workloads::hello::HelloWorld;
@@ -535,8 +535,6 @@ pub struct ScalingRow {
     pub sim_copy_done_ns: f64,
     /// The fork's counters, including any drained pipelined window.
     pub counters: OpCounters,
-    /// Cumulative allocator shard statistics after the fork.
-    pub shard: ShardStats,
 }
 
 impl ScalingRow {
@@ -592,9 +590,7 @@ fn scaling_fork(strategy: CopyStrategy, walk: WalkMode, dense: bool) -> (UforkOs
 /// capabilities under the given walk mode and reports the fork's
 /// simulated latency plus the parallel-walk counter family.
 pub fn fork_scaling_run(walk: WalkMode, dense: bool) -> ScalingRow {
-    let (os, fctx, commit_ns) = scaling_fork(CopyStrategy::Full, walk, dense);
-    // Shard stats ride along on the ordinary per-process memory stats.
-    let shard = os.mem_stats(Pid(2)).alloc;
+    let (_, fctx, commit_ns) = scaling_fork(CopyStrategy::Full, walk, dense);
     ScalingRow {
         heap: if dense { "cap-dense" } else { "cap-sparse" },
         walk,
@@ -606,7 +602,6 @@ pub fn fork_scaling_run(walk: WalkMode, dense: bool) -> ScalingRow {
         sim_fork_ns: commit_ns,
         sim_copy_done_ns: fctx.kernel_ns,
         counters: fctx.counters,
-        shard,
     }
 }
 

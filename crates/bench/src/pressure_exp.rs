@@ -9,7 +9,7 @@
 //! Unlike the peak-overlap storm (`fork_storm`), this storm *churns*:
 //! services are short enough that children exit while later ones are
 //! still arriving, so freed frames are continuously recycled into new
-//! forks — exactly the regime where pre-zeroed magazines pay off.
+//! forks — exactly the regime where the pre-zeroed magazine pays off.
 
 use ufork::{UforkConfig, UforkOs, WalkMode};
 use ufork_abi::CopyStrategy;

@@ -224,8 +224,8 @@ impl UforkOs {
     /// Allocates one frame for fault resolution under admission control:
     /// the allocation consults the same reservation ledger as fork (a
     /// frame promised to an in-flight reservation is not handed out),
-    /// and on exhaustion one bounded reclaim pass drains the recycled
-    /// pools' deferred-zero queue before the final retry — the same
+    /// and on exhaustion one bounded reclaim pass drains the free
+    /// stack's deferred-zero queue before the final retry — the same
     /// graceful-degradation path the fork retry loop uses, charged with
     /// the same deterministic backoff.
     fn fault_alloc_frame(&mut self, ctx: &mut Ctx) -> SysResult<Pfn> {

@@ -44,14 +44,14 @@
 //! exhaustion, refcount overflow, injected journal abort — rolls the
 //! kernel back to its exact pre-fork state ([`UforkOs::rollback_fork`]).
 //! On memory exhaustion the kernel then runs a bounded
-//! reclaim-then-retry loop (drain the recycled pools' deferred-zero
-//! queues, charge a deterministic simulated backoff, re-attempt the
+//! reclaim-then-retry loop (drain the free stack's deferred-zero
+//! queue, charge a deterministic simulated backoff, re-attempt the
 //! fork) before surfacing `NoMem`.
 
 use ufork_abi::{CopyStrategy, Errno, Pid, SysResult};
 use ufork_cheri::{Capability, Perms};
 use ufork_exec::Ctx;
-use ufork_mem::{content_hash, FrameDedupIndex, Pfn, PhysMem, PAGE_SIZE};
+use ufork_mem::{content_hash, FrameDedupIndex, Pfn, PhysMem, ZeroPolicy, PAGE_SIZE};
 use ufork_sim::{CostModel, Instant, Phase};
 use ufork_vmem::{PageTable, Pte, PteFlags, Region, VirtAddr, Vpn};
 
@@ -162,8 +162,8 @@ impl UforkOs {
         }
     }
 
-    /// One inline reclaim pass: drains the recycled pools' deferred-zero
-    /// queues (the one reclaim the simulation models) and charges a
+    /// One inline reclaim pass: drains the free stack's deferred-zero
+    /// queue (the one reclaim the simulation models) and charges a
     /// deterministic backoff plus the scrubbing.
     pub(crate) fn reclaim_inline(&mut self, ctx: &mut Ctx) {
         let scrubbed = self.pm.reclaim_pass();
@@ -718,13 +718,7 @@ impl UforkOs {
                             true
                         }
                         WalkMode::Parallel(_) => {
-                            let dst = alloc_lane_frame(
-                                writer.pm,
-                                writer.journal,
-                                ctx,
-                                lane_pages.len(),
-                                walk.workers(),
-                            )?;
+                            let dst = alloc_lane_frame(writer.pm, writer.journal, ctx)?;
                             batch.push((c_vpn, Pte::new(dst, final_flags)));
                             lane_pages.push((pte.pfn, dst));
                             false
@@ -1109,13 +1103,13 @@ fn dedup_probe(
 /// by construction and charge nothing, preserving the cold-start cost
 /// profile exactly. The model charges a `ZeroPolicy::Zeroed` grant; the
 /// host skips the data scrub, since the caller's copy overwrites every
-/// byte and tag ([`PhysMem::alloc_overwrite_grant`]).
+/// byte and tag ([`ZeroPolicy::Overwrite`]).
 pub(crate) fn alloc_copy_dest_charged(
     pm: &mut PhysMem,
     cost: &CostModel,
     ctx: &mut Ctx,
 ) -> Result<Pfn, ufork_mem::MemError> {
-    let g = pm.alloc_overwrite_grant()?;
+    let g = pm.alloc(ZeroPolicy::Overwrite)?;
     if g.prezeroed {
         ctx.counters.magazine_hits += 1;
     } else if g.recycled {

@@ -8,11 +8,11 @@
 //!
 //! 1. **Serial walk** — the shared walk classifies and stages every page
 //!    as in the serial mode, except that each eager page's destination
-//!    frame is allocated up front from the sharded physical allocator
-//!    (`alloc_lane_frame`: [`ufork_mem::PhysMem::alloc_frame_in`], home
-//!    shard = chunk's lane). Allocating serially keeps the global
-//!    `alloc_attempts` order — and therefore fault injection — identical
-//!    across worker counts. Destination frames are granted
+//!    frame is allocated up front, in walk order, from the one physical
+//!    free stack (`alloc_lane_frame`: [`ufork_mem::PhysMem::alloc`]).
+//!    Allocating serially keeps the global `alloc_attempts` order — and
+//!    therefore fault injection — and the frames taken identical across
+//!    worker counts. Destination frames are granted
 //!    [`ufork_mem::ZeroPolicy::Uninit`]: a Full-copy destination is
 //!    entirely overwritten, so recycled frames skip the zeroing scrub
 //!    (the deferred-zeroing win; fresh frames are zeroed by construction).
@@ -39,7 +39,7 @@
 //!
 //! Every allocation is journaled by the walk; a failure before the lanes
 //! run returns with the journal intact and the caller's rollback returns
-//! the destinations to the recycled pools. The parallel phase itself is
+//! the destinations to the free stack. The parallel phase itself is
 //! infallible by construction: all allocation happens in the walk.
 
 use ufork_abi::{Errno, SysResult};
@@ -108,20 +108,14 @@ struct ChunkOut {
     stats: RelocStats,
 }
 
-/// Allocates the destination frame of the `index`-th eager page of a
-/// parallel walk from the home shard of the lane its chunk lands on,
-/// journaled and counted.
+/// Allocates the destination frame of the next eager page of a parallel
+/// walk, journaled and counted.
 pub(crate) fn alloc_lane_frame(
     pm: &mut PhysMem,
     journal: &mut ForkJournal,
     ctx: &mut Ctx,
-    index: usize,
-    workers: usize,
 ) -> SysResult<Pfn> {
-    let home = (index / CHUNK_PAGES) % workers;
-    let grant = pm
-        .alloc_frame_in(home, ZeroPolicy::Uninit)
-        .map_err(|_| Errno::NoMem)?;
+    let grant = pm.alloc(ZeroPolicy::Uninit).map_err(|_| Errno::NoMem)?;
     journal
         .record(JournalOp::FrameAlloc(grant.pfn))
         .map_err(|_| Errno::NoMem)?;
@@ -132,10 +126,6 @@ pub(crate) fn alloc_lane_frame(
     if grant.zeroing_skipped {
         ctx.counters.zeroing_skipped += 1;
         ctx.instant(Instant::AllocZeroSkip);
-    }
-    if grant.stolen {
-        ctx.counters.alloc_steals += 1;
-        ctx.instant(Instant::AllocSteal);
     }
     Ok(grant.pfn)
 }

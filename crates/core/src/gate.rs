@@ -9,8 +9,6 @@
 //! the exception cost.
 
 use ufork_cheri::{CapError, Capability, OType, Perms};
-use ufork_exec::Ctx;
-use ufork_sim::Instant;
 
 /// The kernel's system-call gate.
 ///
@@ -73,21 +71,6 @@ impl SyscallGate {
         unsealed.check_access(self.handler_addr, 4, Perms::EXECUTE)?;
         Ok(())
     }
-
-    /// [`SyscallGate::enter`] with trace markers: an accepted invocation
-    /// counts a sealed entry and records a `gate/enter` instant on `ctx`'s
-    /// sink, a refused one a `gate/reject`. Identical verification either
-    /// way.
-    pub fn enter_traced(&self, ctx: &mut Ctx, entry: &Capability) -> Result<(), CapError> {
-        let r = self.enter(entry);
-        if r.is_ok() {
-            ctx.counters.sealed_entries += 1;
-            ctx.instant(Instant::GateEnter);
-        } else {
-            ctx.instant(Instant::GateReject);
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -112,18 +95,6 @@ mod tests {
         let entry = gate.user_entry();
         // Retargeting the entry point fails: sealed caps are frozen.
         assert!(entry.with_addr(0xffff_0000_2000).is_err());
-    }
-
-    #[test]
-    fn traced_entry_records_accept_and_reject_instants() {
-        let gate = SyscallGate::new(&kernel_text(), 0xffff_0000_1000).unwrap();
-        let mut ctx = Ctx::traced(16);
-        gate.enter_traced(&mut ctx, &gate.user_entry()).unwrap();
-        let forged = kernel_text().with_addr(0xffff_0000_1000).unwrap();
-        assert!(gate.enter_traced(&mut ctx, &forged).is_err());
-        ufork_sim::assert_counter_pairs(&ctx.trace, &ctx.counters);
-        assert_eq!(ctx.counters.sealed_entries, 1);
-        assert_eq!(ctx.trace.instant_count(Instant::GateReject), 1);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub struct UforkConfig {
     pub dedup_frames: bool,
     /// Run the background reclaim daemon: a schedulable kernel μtask
     /// (driven by the executive, like the pipelined-fork copy engine)
-    /// that scrubs recycled frames into the clean-frame magazines
+    /// that scrubs recycled frames into the clean-frame magazine
     /// whenever allocator pressure reaches `Elevated`, so grant-time
     /// zeroing of `ZeroPolicy::Zeroed` allocations hits pre-zeroed
     /// frames off the hot path. Off by default: with the daemon off the

@@ -8,8 +8,9 @@
 //! chaos sweep's `inject_journal_failure` reaches every one of them.
 //!
 //! * **Background reclaim** ([`UforkOs::reclaim_step_uproc`]) scrubs
-//!   recycled frames from the sharded allocator's deferred-zero queues
-//!   into the per-shard clean-frame magazines. It runs as a schedulable
+//!   freed frames on the physical allocator's free stack, newest first
+//!   (the next frames an allocation pops), turning its deferred-zero
+//!   queue into the clean-frame magazine. It runs as a schedulable
 //!   kernel μtask (the executive arms it like the pipelined-fork copy
 //!   engine) whenever the hysteretic [`PressureLevel`] leaves `Normal`,
 //!   so the zeroing cost of `ZeroPolicy::Zeroed` grants moves off the
@@ -48,10 +49,10 @@ impl UforkOs {
     }
 
     /// One bounded background-reclaim pass: scrubs up to
-    /// [`RECLAIM_BATCH`] pooled frames into the clean-frame magazines,
+    /// [`RECLAIM_BATCH`] pooled frames into the clean-frame magazine,
     /// charging the zeroing to background simulated time under the
     /// `mem/reclaim_bg` phase. Returns how many frames were scrubbed;
-    /// `Ok(0)` means no work (pressure normal, queues drained, or the
+    /// `Ok(0)` means no work (pressure normal, queue drained, or the
     /// daemon disabled) and the executive disarms the μtask.
     ///
     /// Each scrub is journaled apply-then-record, so an injected abort

@@ -708,12 +708,12 @@ fn child_touching_pages_during_copy_sees_snapshot() {
     );
 }
 
-/// Deterministic shard-allocation failure anywhere inside the parallel
+/// Deterministic lane-allocation failure anywhere inside the parallel
 /// fork walk must be absorbed by the journal: the fork rolls back, runs a
 /// reclaim pass, retries, and succeeds — with no leaked frames, no
 /// dangling PTEs, and a parent and child that both work.
 #[test]
-fn shard_alloc_failure_mid_walk_leaks_nothing() {
+fn lane_alloc_failure_mid_walk_leaks_nothing() {
     const PAGES: u64 = 40; // > CHUNK_PAGES, so the walk is multi-chunk
     let setup = |walk: WalkMode| {
         let mut os = UforkOs::new(UforkConfig {
@@ -737,7 +737,7 @@ fn shard_alloc_failure_mid_walk_leaks_nothing() {
         (os, ctx, arr)
     };
     forall(
-        "shard_alloc_failure_mid_walk_leaks_nothing",
+        "lane_alloc_failure_mid_walk_leaks_nothing",
         &cfg(),
         |rng| {
             let workers = *rng.pick(&[1usize, 2, 4, 8]);

@@ -271,7 +271,7 @@ pub struct Machine<O: MemOs> {
     /// armed while the backend has pending reclaim work
     /// ([`MemOs::reclaim_pending`]) and fired like the copy engines. Each
     /// firing scrubs one bounded batch of recycled frames into the
-    /// clean-frame magazines on background simulated time, keeping the
+    /// clean-frame magazine on background simulated time, keeping the
     /// zeroing cost off the fork/fault hot path.
     reclaim_engine: Option<BgClock>,
     oom_log: Vec<OomEvent>,

@@ -111,7 +111,7 @@ pub trait MemOs {
     }
 
     /// Runs one bounded background-reclaim pass, scrubbing recycled
-    /// frames into the clean-frame magazines and charging the zeroing
+    /// frames into the clean-frame magazine and charging the zeroing
     /// work to `ctx`. Returns how many frames were scrubbed; `Ok(0)`
     /// means no work remained (the default for systems without a
     /// daemon) and the executive disarms the μtask.

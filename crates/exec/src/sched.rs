@@ -91,7 +91,7 @@ pub enum BlockedOn {
 /// The derived ordering is the `(class, order)` part of the scheduling
 /// key. The variant order is the class: a copy engine beats the reclaim
 /// daemon (copied pages are latency-critical, scrubbing is slack work),
-/// which beats threads (so magazines refill before the next fork
+/// which beats threads (so the magazine refills before the next fork
 /// allocates). The fields are the order within a class: ascending child
 /// pid for copy engines, ascending `(pid, tid)` for threads. A thread's
 /// `gen` never decides between two live entries: only one generation of

@@ -44,5 +44,5 @@ pub use frame::{
     Frame, Pfn, GRANULES_PER_PAGE, GRANULES_PER_TAG_WORD, GRANULE_SIZE, PAGE_SIZE,
     TAG_WORDS_PER_PAGE,
 };
-pub use phys::{AllocGrant, MemError, PhysMem, PressureLevel, ShardStats, ZeroPolicy, NUM_SHARDS};
+pub use phys::{AllocGrant, MemError, PhysMem, PressureLevel, ZeroPolicy};
 pub use stats::MemStats;

@@ -47,7 +47,7 @@ struct Slot {
     refcount: u32,
 }
 
-/// A freed frame parked on a recycled pool. `zeroed` records whether a
+/// A freed frame parked on the free stack. `zeroed` records whether a
 /// background reclaim pass already scrubbed it — in that case a later
 /// [`ZeroPolicy::Zeroed`] allocation skips the redundant scrub.
 struct Pooled {
@@ -81,55 +81,43 @@ pub enum PressureLevel {
     Critical,
 }
 
-/// Number of free-list shards in the physical allocator. Matches the
-/// Morello SoC's 8 cores: each fork worker draws from its own shard and
-/// falls back to deterministic work-stealing when its shard runs dry.
-pub const NUM_SHARDS: usize = 8;
-
-/// Whether an allocation needs the frame scrubbed before use.
+/// How an allocation treats a recycled frame's old contents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ZeroPolicy {
     /// The caller reads the frame before fully writing it: a recycled
     /// frame must be zeroed (data and tags) at allocation time.
     Zeroed,
+    /// The caller overwrites every byte and tag (a copy destination).
+    /// Chosen and accounted exactly like `Zeroed`, a magazine hit
+    /// included, so the caller charges the same scrub. Only the host
+    /// work differs: a recycled frame no reclaim pass scrubbed loses its
+    /// previous owner's capabilities and tags, but its data bytes are
+    /// not zeroed. A frame freed before it was overwritten goes back to
+    /// the free stack as not scrubbed, so the next `Zeroed` grant of it
+    /// zeroes it.
+    Overwrite,
     /// The caller overwrites the entire frame (e.g. a Full-copy fork
-    /// destination): skip the scrub — the deferred-zeroing win.
+    /// destination): skip the scrub and charge none — the
+    /// deferred-zeroing win.
     Uninit,
 }
 
-/// What [`PhysMem::alloc_frame_in`] actually did, for cost accounting.
+/// What [`PhysMem::alloc`] actually did, for cost accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AllocGrant {
     /// The allocated frame.
     pub pfn: Pfn,
-    /// The frame came from a recycled pool rather than fresh memory.
+    /// The frame came from the free stack rather than fresh memory.
     pub recycled: bool,
     /// The frame was recycled *and* the scrub was skipped
     /// ([`ZeroPolicy::Uninit`]): its old contents are garbage the caller
     /// has promised to overwrite.
     pub zeroing_skipped: bool,
-    /// The frame was stolen from another shard's pool.
-    pub stolen: bool,
-    /// A [`ZeroPolicy::Zeroed`] request was served from the clean-frame
-    /// magazine: the frame was recycled but a background reclaim pass had
-    /// already scrubbed it, so no zeroing was charged at grant time.
+    /// A `Zeroed` (or `Overwrite`) request was served from the
+    /// clean-frame magazine: the frame was recycled but a background
+    /// reclaim pass had already scrubbed it, so no zeroing was charged
+    /// at grant time.
     pub prezeroed: bool,
-}
-
-/// Cumulative sharded-allocator statistics, surfaced through `MemStats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Allocations served with each shard as the home shard.
-    pub per_shard_allocated: [u64; NUM_SHARDS],
-    /// Allocations that had to steal from a foreign shard's pool.
-    pub steals: u64,
-    /// Allocations served from a recycled pool (any shard).
-    pub recycled_hits: u64,
-    /// Recycled allocations that skipped the zeroing scrub.
-    pub zeroing_skipped: u64,
-    /// [`ZeroPolicy::Zeroed`] allocations served pre-scrubbed from the
-    /// clean-frame magazine.
-    pub magazine_hits: u64,
 }
 
 /// Simulated physical memory: a bounded pool of refcounted, tagged frames.
@@ -140,15 +128,14 @@ pub struct ShardStats {
 /// `refcount == N` and contributes `1/N` to each one's proportional
 /// resident set.
 ///
-/// Freed frames land on one of [`NUM_SHARDS`] **recycled pools** (keyed by
-/// `pfn % NUM_SHARDS`), keeping their backing storage so a later
-/// allocation can skip or defer the zeroing scrub ([`ZeroPolicy`]). The
-/// shards exist for the parallel fork walk: each worker lane has a home
-/// shard, so concurrent chunks never contend on one free list in the
-/// modeled machine, and allocation order stays deterministic.
+/// Freed frames land on one LIFO **free stack**, keeping their backing
+/// storage so a later allocation can skip or defer the zeroing scrub
+/// ([`ZeroPolicy`]). Allocation pops the most recent free (cache-warm)
+/// before it breaks fresh memory, so the sequence of granted frames is a
+/// pure function of the call sequence.
 pub struct PhysMem {
     slots: Vec<Option<Slot>>,
-    shards: Vec<Vec<Pooled>>,
+    free: Vec<Pooled>,
     next_fresh: u32,
     total_frames: u32,
     allocated: u32,
@@ -157,7 +144,6 @@ pub struct PhysMem {
     fail_at_attempt: Option<u64>,
     copy_attempts: u64,
     fail_copy_at: Option<u64>,
-    stats: ShardStats,
     /// Frames promised to in-flight multi-frame operations (fork
     /// admission): they still sit on the free side of the ledger but are
     /// excluded from [`PhysMem::available_frames`], so a second admission
@@ -172,13 +158,6 @@ pub struct PhysMem {
     /// Hysteretic pressure state (see [`PressureLevel`]): recomputed on
     /// every availability change, read by [`PhysMem::pressure`].
     level: PressureLevel,
-    /// Probe start for the single-lane [`PhysMem::alloc_frame`] entry
-    /// point: the shard that received the most recent free. Starting
-    /// there (and wrapping across all pools) makes legacy callers reuse
-    /// freed, cache-warm frames in near-LIFO order instead of camping on
-    /// one shard and burning fresh (cache-cold) memory while freed
-    /// frames sit idle.
-    legacy_cursor: usize,
 }
 
 impl PhysMem {
@@ -186,7 +165,7 @@ impl PhysMem {
     pub fn new(total_frames: u32) -> PhysMem {
         let mut pm = PhysMem {
             slots: Vec::new(),
-            shards: (0..NUM_SHARDS).map(|_| Vec::new()).collect(),
+            free: Vec::new(),
             next_fresh: 0,
             total_frames,
             allocated: 0,
@@ -195,7 +174,6 @@ impl PhysMem {
             fail_at_attempt: None,
             copy_attempts: 0,
             fail_copy_at: None,
-            stats: ShardStats::default(),
             reserved: 0,
             // Defaults scale with the machine: pressure turns Elevated
             // below 1/8 of capacity and Critical below 1/64 (clamped so
@@ -203,7 +181,6 @@ impl PhysMem {
             low_watermark: (total_frames / 64).max(1),
             high_watermark: (total_frames / 8).max(2),
             level: PressureLevel::Normal,
-            legacy_cursor: 0,
         };
         pm.recompute_pressure();
         pm
@@ -229,7 +206,7 @@ impl PhysMem {
         self.peak_allocated
     }
 
-    /// Frames not currently allocated (recycled pools + fresh memory).
+    /// Frames not currently allocated (free stack + fresh memory).
     pub fn free_frames(&self) -> u32 {
         self.total_frames - self.allocated
     }
@@ -325,9 +302,9 @@ impl PhysMem {
     }
 
     /// One bounded reclaim pass: scrubs every not-yet-zeroed frame parked
-    /// on the recycled pools (the deferred-zero queue), so subsequent
+    /// on the free stack (the deferred-zero queue), so subsequent
     /// [`ZeroPolicy::Zeroed`] allocations skip their scrub. Returns the
-    /// number of frames scrubbed — `0` means the pools were already clean
+    /// number of frames scrubbed — `0` means the stack was already clean
     /// and retrying reclaim cannot help.
     ///
     /// Reclaim converts deferred work into done work; it cannot conjure
@@ -335,72 +312,56 @@ impl PhysMem {
     /// the caller's bounded retry loop.
     pub fn reclaim_pass(&mut self) -> u64 {
         let mut scrubbed = 0;
-        for pool in &mut self.shards {
-            for p in pool.iter_mut() {
-                if !p.zeroed {
-                    p.frame.zero();
-                    p.zeroed = true;
-                    scrubbed += 1;
-                }
-            }
+        for p in self.free.iter_mut().filter(|p| !p.zeroed) {
+            p.frame.zero();
+            p.zeroed = true;
+            scrubbed += 1;
         }
         scrubbed
     }
 
-    /// Pooled frames still awaiting a scrub (the deferred-zero queue the
+    /// Free frames still awaiting a scrub (the deferred-zero queue the
     /// background reclaim daemon drains).
     pub fn pending_scrub(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|pool| pool.iter())
-            .filter(|p| !p.zeroed)
-            .count() as u64
+        self.free.iter().filter(|p| !p.zeroed).count() as u64
     }
 
-    /// Pre-scrubbed frames parked on the clean-frame magazines, ready to
+    /// Pre-scrubbed free frames (the clean-frame magazine), ready to
     /// serve a [`ZeroPolicy::Zeroed`] allocation without an inline zero.
     pub fn magazine_depth(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|pool| pool.iter())
-            .filter(|p| p.zeroed)
-            .count() as u64
+        self.free.iter().filter(|p| p.zeroed).count() as u64
     }
 
-    /// Scrubs exactly one unzeroed pooled frame into the clean-frame
+    /// Scrubs exactly one unzeroed free frame into the clean-frame
     /// magazine and returns its pfn, or `None` when the deferred-zero
     /// queue is empty. The background reclaim daemon's unit of work:
-    /// bounded, journalable per frame, deterministic order (shards
-    /// ascending; within a pool the *newest* free first, since that is
-    /// the next frame an allocation will pop).
+    /// bounded, journalable per frame, deterministic order (the *newest*
+    /// unscrubbed free first, since that is the next frame an allocation
+    /// will pop).
     pub fn scrub_one(&mut self) -> Option<Pfn> {
-        for pool in &mut self.shards {
-            if let Some(p) = pool.iter_mut().rev().find(|p| !p.zeroed) {
-                p.frame.zero();
-                p.zeroed = true;
-                return Some(p.pfn);
-            }
-        }
-        None
+        let p = self.free.iter_mut().rev().find(|p| !p.zeroed)?;
+        p.frame.zero();
+        p.zeroed = true;
+        Some(p.pfn)
     }
 
-    /// Journal inverse of [`PhysMem::scrub_one`]: marks the pooled frame
+    /// Journal inverse of [`PhysMem::scrub_one`]: marks the free frame
     /// as not scrubbed again, so magazine accounting rolls back exactly.
     /// (The zeroed *contents* stay — a free frame's contents are
     /// unobservable until reallocation, and a `Zeroed` grant of an
     /// unmarked frame simply re-scrubs.) Returns `false` if `pfn` is not
-    /// parked on a pool in the scrubbed state.
+    /// on the free stack in the scrubbed state.
     pub fn unscrub_frame(&mut self, pfn: Pfn) -> bool {
-        for pool in &mut self.shards {
-            if let Some(p) = pool.iter_mut().find(|p| p.pfn == pfn && p.zeroed) {
+        match self.free.iter_mut().find(|p| p.pfn == pfn && p.zeroed) {
+            Some(p) => {
                 p.zeroed = false;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
-    /// Total `alloc_frame` attempts so far (successful or not). A
+    /// Total allocation attempts so far (successful or not). A
     /// fault-injection campaign first counts a clean run's attempts, then
     /// replays with [`PhysMem::fail_alloc_at`] targeting each index.
     pub fn alloc_attempts(&self) -> u64 {
@@ -430,140 +391,43 @@ impl PhysMem {
         self.fail_copy_at = Some(attempt);
     }
 
-    /// Allocates a zeroed frame with refcount 1.
-    ///
-    /// Legacy single-lane entry point ([`ZeroPolicy::Zeroed`] — the frame
-    /// is always safe to read). Recycled pools are drained before fresh
-    /// memory, like the old global free list: the probe starts at the
-    /// pool that received the most recent free (tracked by
-    /// [`PhysMem::dec_ref`]) and wraps across all shards, so single-lane
-    /// workloads reuse recently-freed (cache-warm) frames no matter which
-    /// pool they landed in. Draining another shard's pool is not a steal
-    /// here — there is no other lane to contend with.
+    /// Allocates a zeroed frame with refcount 1: [`PhysMem::alloc`] with
+    /// [`ZeroPolicy::Zeroed`], for callers that need only the pfn.
     pub fn alloc_frame(&mut self) -> Result<Pfn, MemError> {
-        self.alloc_frame_grant().map(|g| g.pfn)
+        self.alloc(ZeroPolicy::Zeroed).map(|g| g.pfn)
     }
 
-    /// [`PhysMem::alloc_frame`] with the full [`AllocGrant`] record, so
-    /// single-lane callers can account magazine hits and inline-zeroing
-    /// cost like the sharded entry point's callers do.
-    pub fn alloc_frame_grant(&mut self) -> Result<AllocGrant, MemError> {
-        self.alloc_legacy(false)
-    }
-
-    /// [`PhysMem::alloc_frame_grant`] for a frame the caller overwrites
-    /// whole, data and tags (a copy destination).
+    /// Allocates a frame with refcount 1: the most recently freed frame
+    /// if the free stack holds one, else fresh (never-used) memory.
     ///
-    /// Chosen and accounted exactly like a [`ZeroPolicy::Zeroed`] grant:
-    /// the same frame, the same [`AllocGrant`] and the same
-    /// [`ShardStats`], a magazine hit included, so the caller charges the
-    /// same scrub. Only the host work differs: a recycled frame no
-    /// reclaim pass scrubbed loses its previous owner's capabilities and
-    /// tags, but its data bytes are not zeroed. A frame freed before it
-    /// was overwritten goes back to its pool as not scrubbed, so the next
-    /// `Zeroed` grant of it zeroes it.
-    pub fn alloc_overwrite_grant(&mut self) -> Result<AllocGrant, MemError> {
-        self.alloc_legacy(true)
-    }
-
-    /// The single-lane probe behind [`PhysMem::alloc_frame_grant`] and
-    /// [`PhysMem::alloc_overwrite_grant`].
-    fn alloc_legacy(&mut self, overwrite: bool) -> Result<AllocGrant, MemError> {
-        self.count_attempt()?;
-        let home = self.legacy_cursor;
-        let popped = (0..NUM_SHARDS)
-            .map(|d| (home + d) % NUM_SHARDS)
-            .find_map(|s| self.shards[s].pop());
-        let (pfn, frame) = match popped {
-            Some(p) => (p.pfn, Some((p.frame, p.zeroed))),
-            None if self.next_fresh < self.total_frames => {
-                let p = Pfn(self.next_fresh);
-                self.next_fresh += 1;
-                (p, None)
-            }
-            None => return Err(MemError::OutOfFrames),
-        };
-        Ok(self.grant(pfn, frame, home, false, ZeroPolicy::Zeroed, overwrite))
-    }
-
-    /// Allocates a frame with refcount 1 from home shard `shard`
-    /// (wrapping modulo [`NUM_SHARDS`]).
-    ///
-    /// Allocation order: the home shard's recycled pool, then fresh
-    /// (never-used) memory, then stealing from the other shards' pools in
-    /// the fixed probe order `home+1, home+2, …` (mod `NUM_SHARDS`) — so
-    /// the sequence of granted frames is a pure function of the call
-    /// sequence, independent of host threading.
-    ///
-    /// `zero` controls the recycled-frame scrub; fresh frames are zeroed
-    /// by construction, so [`ZeroPolicy::Uninit`] only has an effect (and
-    /// only shows up in [`AllocGrant::zeroing_skipped`]) on recycled
-    /// frames. Fault injection armed via [`PhysMem::fail_alloc_at`]
-    /// counts attempts globally across all shards.
-    pub fn alloc_frame_in(
-        &mut self,
-        shard: usize,
-        zero: ZeroPolicy,
-    ) -> Result<AllocGrant, MemError> {
-        self.count_attempt()?;
-        let home = shard % NUM_SHARDS;
-        let (pfn, frame, stolen) = if let Some(p) = self.shards[home].pop() {
-            (p.pfn, Some((p.frame, p.zeroed)), false)
-        } else if self.next_fresh < self.total_frames {
-            let p = Pfn(self.next_fresh);
-            self.next_fresh += 1;
-            (p, None, false)
-        } else if let Some(p) = (1..NUM_SHARDS)
-            .map(|d| (home + d) % NUM_SHARDS)
-            .find_map(|s| self.shards[s].pop())
-        {
-            (p.pfn, Some((p.frame, p.zeroed)), true)
-        } else {
-            return Err(MemError::OutOfFrames);
-        };
-        Ok(self.grant(pfn, frame, home, stolen, zero, false))
-    }
-
-    /// The global attempt counter + one-shot fault injection, shared by
-    /// every allocation entry point.
-    fn count_attempt(&mut self) -> Result<(), MemError> {
+    /// `zero` controls the recycled-frame scrub (see [`ZeroPolicy`]);
+    /// fresh frames are zeroed by construction, so it only has an effect
+    /// on recycled frames. Fault injection armed via
+    /// [`PhysMem::fail_alloc_at`] counts every attempt.
+    pub fn alloc(&mut self, zero: ZeroPolicy) -> Result<AllocGrant, MemError> {
         let attempt = self.alloc_attempts;
         self.alloc_attempts += 1;
         if self.fail_at_attempt == Some(attempt) {
             self.fail_at_attempt = None;
             return Err(MemError::OutOfFrames);
         }
-        Ok(())
-    }
-
-    /// Installs a granted frame (recycled `Some(frame)` or fresh `None`)
-    /// into its slot, applying the zero policy and recording stats.
-    /// `overwrite` narrows a `Zeroed` scrub to the tags and capabilities.
-    fn grant(
-        &mut self,
-        pfn: Pfn,
-        frame: Option<(Frame, bool)>,
-        home: usize,
-        stolen: bool,
-        zero: ZeroPolicy,
-        overwrite: bool,
-    ) -> AllocGrant {
-        let recycled = frame.is_some();
-        let zeroing_skipped = recycled && zero == ZeroPolicy::Uninit;
-        let prezeroed = matches!(frame, Some((_, true))) && zero == ZeroPolicy::Zeroed;
-        let frame = match frame {
-            Some((mut f, scrubbed)) => {
-                if zero == ZeroPolicy::Zeroed && !scrubbed {
-                    if overwrite {
-                        f.drop_caps();
-                    } else {
-                        f.zero();
-                    }
-                }
-                f
+        // `scrubbed` is `None` for fresh memory, else whether a reclaim
+        // pass already zeroed the recycled frame.
+        let (pfn, mut frame, scrubbed) = match self.free.pop() {
+            Some(p) => (p.pfn, p.frame, Some(p.zeroed)),
+            None if self.next_fresh < self.total_frames => {
+                self.next_fresh += 1;
+                (Pfn(self.next_fresh - 1), Frame::zeroed(), None)
             }
-            None => Frame::zeroed(),
+            None => return Err(MemError::OutOfFrames),
         };
+        if scrubbed == Some(false) {
+            match zero {
+                ZeroPolicy::Zeroed => frame.zero(),
+                ZeroPolicy::Overwrite => frame.drop_caps(),
+                ZeroPolicy::Uninit => {}
+            }
+        }
         let idx = pfn.0 as usize;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
@@ -571,32 +435,13 @@ impl PhysMem {
         self.slots[idx] = Some(Slot { frame, refcount: 1 });
         self.allocated += 1;
         self.peak_allocated = self.peak_allocated.max(self.allocated);
-        self.stats.per_shard_allocated[home] += 1;
-        if recycled {
-            self.stats.recycled_hits += 1;
-        }
-        if zeroing_skipped {
-            self.stats.zeroing_skipped += 1;
-        }
-        if prezeroed {
-            self.stats.magazine_hits += 1;
-        }
-        if stolen {
-            self.stats.steals += 1;
-        }
         self.recompute_pressure();
-        AllocGrant {
+        Ok(AllocGrant {
             pfn,
-            recycled,
-            zeroing_skipped,
-            stolen,
-            prezeroed,
-        }
-    }
-
-    /// Cumulative sharded-allocator statistics.
-    pub fn shard_stats(&self) -> ShardStats {
-        self.stats
+            recycled: scrubbed.is_some(),
+            zeroing_skipped: scrubbed.is_some() && zero == ZeroPolicy::Uninit,
+            prezeroed: scrubbed == Some(true) && zero != ZeroPolicy::Uninit,
+        })
     }
 
     /// Increments a frame's refcount (a new sharer, e.g. a CoW mapping).
@@ -608,9 +453,9 @@ impl PhysMem {
 
     /// Decrements a frame's refcount, freeing the frame when it hits zero.
     ///
-    /// A freed frame moves (contents and all) to the recycled pool of
-    /// shard `pfn % NUM_SHARDS`; the scrub is deferred to reallocation
-    /// time, where [`ZeroPolicy::Uninit`] callers can skip it entirely.
+    /// A freed frame moves (contents and all) to the top of the free
+    /// stack; the scrub is deferred to reallocation time, where
+    /// [`ZeroPolicy::Uninit`] callers can skip it entirely.
     ///
     /// Returns the remaining refcount.
     pub fn dec_ref(&mut self, pfn: Pfn) -> Result<u32, MemError> {
@@ -619,15 +464,11 @@ impl PhysMem {
         let remaining = slot.refcount;
         if remaining == 0 {
             let slot = self.slots[pfn.0 as usize].take().expect("checked above");
-            let shard = pfn.0 as usize % NUM_SHARDS;
-            self.shards[shard].push(Pooled {
+            self.free.push(Pooled {
                 pfn,
                 frame: slot.frame,
                 zeroed: false,
             });
-            // Point the single-lane probe at the freshest free so the next
-            // legacy alloc reuses it first (LIFO, cache-warm).
-            self.legacy_cursor = shard;
             self.allocated -= 1;
             self.recompute_pressure();
         }
@@ -800,22 +641,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_alloc_drains_every_pool_before_fresh_memory() {
+    fn alloc_drains_the_free_stack_before_fresh_memory() {
         let mut pm = PhysMem::new(64);
-        // Free frames spread across several shard pools.
         let pfns: Vec<Pfn> = (0..12).map(|_| pm.alloc_frame().unwrap()).collect();
         for p in &pfns {
             pm.dec_ref(*p).unwrap();
         }
-        // The single-lane entry point must recycle all 12 (cache-warm)
-        // frames before reaching for fresh (cold) memory.
-        let mut recycled: Vec<u32> = (0..12).map(|_| pm.alloc_frame().unwrap().0).collect();
-        recycled.sort_unstable();
-        assert_eq!(recycled, (0..12).collect::<Vec<u32>>());
+        // All 12 (cache-warm) frames are recycled, newest free first,
+        // before fresh (cold) memory is touched.
+        let recycled: Vec<u32> = (0..12).map(|_| pm.alloc_frame().unwrap().0).collect();
+        assert_eq!(recycled, (0..12).rev().collect::<Vec<u32>>());
         // Only now does it break new ground.
         assert_eq!(pm.alloc_frame().unwrap(), Pfn(12));
-        // Rotating over pools is not contention: no steals are recorded.
-        assert_eq!(pm.shard_stats().steals, 0);
     }
 
     #[test]
@@ -969,10 +806,9 @@ mod tests {
             assert_eq!(m.frame(f).unwrap().cap_count(), 256);
             m.dec_ref(f).unwrap();
         }
-        let g = pm.alloc_overwrite_grant().unwrap();
-        assert_eq!(g, twin.alloc_frame_grant().unwrap());
+        let g = pm.alloc(ZeroPolicy::Overwrite).unwrap();
+        assert_eq!(g, twin.alloc(ZeroPolicy::Zeroed).unwrap());
         assert!(g.recycled && !g.prezeroed && !g.zeroing_skipped);
-        assert_eq!(pm.shard_stats(), twin.shard_stats());
         let frame = pm.frame(g.pfn).unwrap();
         assert_eq!(frame.cap_count(), 0);
         assert_eq!(frame.caps_capacity(), 0);
@@ -980,14 +816,14 @@ mod tests {
         // The data bytes were left for the caller to overwrite.
         assert!(frame.data().iter().any(|&b| b != 0));
 
-        // A copy into it fails: the frame goes back to its pool as not
-        // scrubbed, and the next `Zeroed` grant of it zeroes it.
+        // A copy into it fails: the frame goes back to the free stack as
+        // not scrubbed, and the next `Zeroed` grant of it zeroes it.
         let src = pm.alloc_frame().unwrap();
         pm.fail_copy_at(pm.copy_attempts());
         assert!(pm.copy_frame(src, g.pfn).is_err());
         pm.dec_ref(g.pfn).unwrap();
         assert_eq!(pm.pending_scrub(), 1);
-        let z = pm.alloc_frame_grant().unwrap();
+        let z = pm.alloc(ZeroPolicy::Zeroed).unwrap();
         assert_eq!(z.pfn, g.pfn);
         assert!(z.recycled && !z.prezeroed);
         assert!(pm.frame(z.pfn).unwrap().data().iter().all(|&b| b == 0));
@@ -996,67 +832,15 @@ mod tests {
         // scrubbed is a magazine hit for both.
         assert_eq!(twin.alloc_frame().unwrap(), src);
         twin.dec_ref(g.pfn).unwrap();
-        assert_eq!(twin.alloc_frame_grant().unwrap(), z);
+        assert_eq!(twin.alloc(ZeroPolicy::Zeroed).unwrap(), z);
         for m in [&mut pm, &mut twin] {
             m.dec_ref(z.pfn).unwrap();
             m.dec_ref(src).unwrap();
             m.reclaim_pass();
         }
-        let a = pm.alloc_overwrite_grant().unwrap();
-        assert_eq!(a, twin.alloc_frame_grant().unwrap());
+        let a = pm.alloc(ZeroPolicy::Overwrite).unwrap();
+        assert_eq!(a, twin.alloc(ZeroPolicy::Zeroed).unwrap());
         assert!(a.prezeroed);
-        assert_eq!(pm.shard_stats(), twin.shard_stats());
-    }
-
-    #[test]
-    fn shard_alloc_prefers_home_pool_then_fresh() {
-        let mut pm = PhysMem::new(32);
-        // Materialize pfn 0..16 and free them all: shard s pools hold
-        // the pfns with pfn % NUM_SHARDS == s.
-        let pfns: Vec<Pfn> = (0..16).map(|_| pm.alloc_frame().unwrap()).collect();
-        for p in &pfns {
-            pm.dec_ref(*p).unwrap();
-        }
-        // The setup allocations above went through the legacy entry point,
-        // which also attributes shard stats — compare deltas from here.
-        let base = pm.shard_stats();
-        // Home shard 3 pool holds pfns 3 and 11 (LIFO: 11 first).
-        let g = pm.alloc_frame_in(3, ZeroPolicy::Zeroed).unwrap();
-        assert_eq!(g.pfn, Pfn(11));
-        assert!(g.recycled && !g.stolen && !g.zeroing_skipped);
-        let g = pm.alloc_frame_in(3, ZeroPolicy::Zeroed).unwrap();
-        assert_eq!(g.pfn, Pfn(3));
-        // Pool dry: fresh memory before stealing.
-        let g = pm.alloc_frame_in(3, ZeroPolicy::Zeroed).unwrap();
-        assert_eq!(g.pfn, Pfn(16));
-        assert!(!g.recycled);
-        let s = pm.shard_stats();
-        assert_eq!(s.per_shard_allocated[3] - base.per_shard_allocated[3], 3);
-        assert_eq!(s.recycled_hits - base.recycled_hits, 2);
-        assert_eq!(s.steals, 0);
-    }
-
-    #[test]
-    fn shard_steal_order_is_deterministic() {
-        let mut pm = PhysMem::new(16);
-        let pfns: Vec<Pfn> = (0..16).map(|_| pm.alloc_frame().unwrap()).collect();
-        for p in &pfns {
-            pm.dec_ref(*p).unwrap();
-        }
-        // Drain home shard 5 (pfns 13, 5), exhausting fresh too.
-        assert_eq!(
-            pm.alloc_frame_in(5, ZeroPolicy::Zeroed).unwrap().pfn,
-            Pfn(13)
-        );
-        assert_eq!(
-            pm.alloc_frame_in(5, ZeroPolicy::Zeroed).unwrap().pfn,
-            Pfn(5)
-        );
-        // Next allocation steals from shard 6 (probe order 6, 7, 0, …).
-        let g = pm.alloc_frame_in(5, ZeroPolicy::Zeroed).unwrap();
-        assert_eq!(g.pfn, Pfn(14));
-        assert!(g.stolen && g.recycled);
-        assert_eq!(pm.shard_stats().steals, 1);
     }
 
     #[test]
@@ -1066,7 +850,7 @@ mod tests {
         pm.write(a, 0, &[0xab; 4]).unwrap();
         pm.store_cap(a, 32, &cap()).unwrap();
         pm.dec_ref(a).unwrap();
-        let g = pm.alloc_frame_in(0, ZeroPolicy::Uninit).unwrap();
+        let g = pm.alloc(ZeroPolicy::Uninit).unwrap();
         assert_eq!(g.pfn, a);
         assert!(g.recycled && g.zeroing_skipped);
         // The stale contents survive — the caller promised to overwrite.
@@ -1074,25 +858,24 @@ mod tests {
         pm.read(g.pfn, 0, &mut out).unwrap();
         assert_eq!(out, [0xab; 4]);
         assert_eq!(pm.load_cap(g.pfn, 32).unwrap(), Some(cap()));
-        assert_eq!(pm.shard_stats().zeroing_skipped, 1);
         // A fresh allocation is zeroed by construction and never reports
         // a skipped scrub.
         let mut pm2 = PhysMem::new(2);
-        let g2 = pm2.alloc_frame_in(0, ZeroPolicy::Uninit).unwrap();
+        let g2 = pm2.alloc(ZeroPolicy::Uninit).unwrap();
         assert!(!g2.recycled && !g2.zeroing_skipped);
     }
 
     #[test]
-    fn injection_counts_attempts_across_shards() {
+    fn injection_counts_attempts_across_policies() {
         let mut pm = PhysMem::new(16);
         pm.fail_alloc_at(2);
-        assert!(pm.alloc_frame_in(0, ZeroPolicy::Zeroed).is_ok());
-        assert!(pm.alloc_frame_in(3, ZeroPolicy::Zeroed).is_ok());
+        assert!(pm.alloc(ZeroPolicy::Zeroed).is_ok());
+        assert!(pm.alloc(ZeroPolicy::Overwrite).is_ok());
         assert_eq!(
-            pm.alloc_frame_in(6, ZeroPolicy::Uninit).unwrap_err(),
+            pm.alloc(ZeroPolicy::Uninit).unwrap_err(),
             MemError::OutOfFrames
         );
-        assert!(pm.alloc_frame_in(6, ZeroPolicy::Zeroed).is_ok());
+        assert!(pm.alloc(ZeroPolicy::Zeroed).is_ok());
         assert_eq!(pm.alloc_attempts(), 4);
     }
 
@@ -1190,34 +973,40 @@ mod tests {
         assert_eq!(pm.magazine_depth(), 3);
         // A Zeroed grant now hits the magazine (no inline scrub) and
         // still reads zeros.
-        let g = pm.alloc_frame_grant().unwrap();
+        let g = pm.alloc(ZeroPolicy::Zeroed).unwrap();
         assert!(g.recycled && g.prezeroed);
-        assert_eq!(pm.shard_stats().magazine_hits, 1);
         let mut out = [0xffu8; 4];
         pm.read(g.pfn, 0, &mut out).unwrap();
         assert_eq!(out, [0u8; 4]);
         // An unscrubbed recycled frame is zeroed inline, not a hit.
         pm.dec_ref(g.pfn).unwrap();
-        let g2 = pm.alloc_frame_grant().unwrap();
+        let g2 = pm.alloc(ZeroPolicy::Zeroed).unwrap();
         assert!(g2.recycled && !g2.prezeroed);
-        assert_eq!(pm.shard_stats().magazine_hits, 1);
     }
 
     #[test]
     fn scrub_one_targets_the_next_frame_an_alloc_would_pop() {
-        let mut pm = PhysMem::new(16);
-        // Two frames freed onto the same shard pool (pfn 0 and 8).
-        let a = pm.alloc_frame().unwrap();
-        let frames: Vec<Pfn> = (0..8).map(|_| pm.alloc_frame().unwrap()).collect();
-        pm.dec_ref(a).unwrap();
-        // pfn 8 — newest free, top of pool. The daemon scrubs
-        // newest-first, so the frame the next alloc pops is the one
-        // that got cleaned.
-        pm.dec_ref(frames[7]).unwrap();
-        assert_eq!(pm.scrub_one(), Some(Pfn(8)));
-        let g = pm.alloc_frame_grant().unwrap();
-        assert_eq!(g.pfn, Pfn(8));
-        assert!(g.prezeroed);
+        // Two frames freed in order, the second the newest free: pfns
+        // 0 and 8, and pfns 0 and 1 (which an allocator keyed by pfn
+        // would park apart). The daemon scrubs newest-first, so the frame
+        // the next alloc pops is the one that got cleaned.
+        for [older, newer] in [[0, 8], [0, 1]] {
+            let mut pm = PhysMem::new(16);
+            for _ in 0..9 {
+                pm.alloc_frame().unwrap();
+            }
+            pm.dec_ref(Pfn(older)).unwrap();
+            pm.dec_ref(Pfn(newer)).unwrap();
+            let scrubbed = pm.scrub_one().unwrap();
+            let g = pm.alloc(ZeroPolicy::Zeroed).unwrap();
+            assert_eq!(
+                g.pfn, scrubbed,
+                "scrubbed {scrubbed:?} but the allocation took {:?}",
+                g.pfn
+            );
+            assert_eq!(g.pfn, Pfn(newer));
+            assert!(g.prezeroed);
+        }
     }
 
     #[test]
@@ -1235,7 +1024,7 @@ mod tests {
         // A Zeroed allocation of a pre-scrubbed frame reads zeros (the
         // scrub was real) — and an Uninit one does too, because reclaim
         // already erased the stale contents.
-        let g = pm.alloc_frame_in(0, ZeroPolicy::Uninit).unwrap();
+        let g = pm.alloc(ZeroPolicy::Uninit).unwrap();
         assert!(g.recycled);
         let mut out = [0xffu8; 8];
         pm.read(g.pfn, 0, &mut out).unwrap();

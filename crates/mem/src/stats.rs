@@ -1,7 +1,7 @@
 //! Memory accounting helpers.
 
 use crate::frame::{Pfn, PAGE_SIZE};
-use crate::phys::{PhysMem, PressureLevel, ShardStats};
+use crate::phys::{PhysMem, PressureLevel};
 
 /// Aggregated memory statistics for a set of frames (e.g. one μprocess).
 ///
@@ -24,10 +24,6 @@ pub struct MemStats {
     /// path's win scales with how small this is relative to
     /// `rss_bytes / GRANULE_SIZE`.
     pub cap_granules: u64,
-    /// Cumulative sharded-allocator statistics of the whole physical
-    /// memory (machine-global, not per-process: allocator pressure is a
-    /// shared resource).
-    pub alloc: ShardStats,
     /// Frames promised to in-flight admission-controlled operations
     /// (machine-global, sampled from [`PhysMem::reserved_frames`]).
     pub reserved_frames: u64,
@@ -37,7 +33,7 @@ pub struct MemStats {
     /// Pooled frames still awaiting a scrub at sampling time
     /// (machine-global deferred-zero queue depth).
     pub pending_scrub: u64,
-    /// Pre-scrubbed frames parked on the clean-frame magazines at
+    /// Pre-scrubbed frames parked on the clean-frame magazine at
     /// sampling time (machine-global).
     pub magazine_depth: u64,
     /// Live entries in the cross-child frame-dedup index
@@ -54,7 +50,6 @@ impl MemStats {
     /// longer allocated are skipped (they cannot be resident).
     pub fn for_frames<I: IntoIterator<Item = Pfn>>(pm: &PhysMem, frames: I) -> MemStats {
         let mut s = MemStats {
-            alloc: pm.shard_stats(),
             reserved_frames: pm.reserved_frames(),
             pressure: pm.pressure(),
             pending_scrub: pm.pending_scrub(),
@@ -111,19 +106,15 @@ mod tests {
         let a = pm.alloc_frame().unwrap();
         pm.dec_ref(a).unwrap();
         let s = MemStats::for_frames(&pm, [a]);
-        // No resident memory; only the machine-global allocator stats
-        // remember the one allocation that happened — and the freed
-        // frame sits in its shard pool awaiting a scrub.
+        // No resident memory; only the machine-global queue depth shows
+        // the freed frame on the free stack awaiting a scrub.
         assert_eq!(
             s,
             MemStats {
-                alloc: pm.shard_stats(),
                 pending_scrub: 1,
                 ..MemStats::default()
             }
         );
-        assert_eq!(s.alloc.per_shard_allocated[0], 1);
-        assert_eq!(s.rss_bytes, 0);
     }
 
     #[test]

@@ -641,7 +641,7 @@ fn alloc_snapshot(os: &UforkOs) -> (u64, u64, u64) {
 
 /// Builds a kernel with the background reclaim daemon enabled, a parent
 /// with the standard oracle heap, a forked-and-destroyed child whose
-/// frames now sit unscrubbed in the shard pools, and the pressure
+/// frames now sit unscrubbed on the free stack, and the pressure
 /// watermarks forced up so the hysteretic level reads `Elevated` —
 /// exactly the state in which the executive would arm the daemon.
 fn reclaim_prelude(os: &mut UforkOs, ctx: &mut Ctx) -> Result<Vec<Capability>, String> {
@@ -667,13 +667,13 @@ fn build_reclaim() -> UforkOs {
 
 /// Abort points inside the background reclaim daemon: a reference run
 /// measures the journal window of a full scrub drain (every pooled
-/// frame scrubbed into the clean-frame magazines, batch by batch), then
+/// frame scrubbed into the clean-frame magazine, batch by batch), then
 /// each `FrameScrub` op index is aborted in its own replay. The dying
 /// pass must roll back whole — allocated frames, the unscrubbed-pool
 /// count and the magazine depth all exactly as before the pass — the
 /// one-shot injection must not survive into the retry, the drain must
 /// then complete, and a subsequent fork must actually *hit* the
-/// magazines its scrubs filled (pre-zeroed frames served on the fork
+/// magazine its scrubs filled (pre-zeroed frames served on the fork
 /// hot path). Teardown to zero frames at each point is the leak check.
 fn sweep_reclaim_window(summary: &mut ChaosSummary) -> Result<(), String> {
     // Reference run: the journal window of a full drain.
@@ -747,7 +747,7 @@ fn sweep_reclaim_window(summary: &mut ChaosSummary) -> Result<(), String> {
             ));
         }
         // The payoff: a fork right after the drain must serve its child
-        // copies from the magazines the daemon filled.
+        // copies from the magazine the daemon filled.
         let hits_before = ctx.counters.magazine_hits;
         os.fork(&mut ctx, Pid(1), Pid(2))
             .map_err(|e| format!("{label}: post-drain fork failed: {e:?}"))?;

@@ -120,8 +120,6 @@ op_counters! {
         tocttou_bytes,
         /// Fixed-size chunks processed by the parallel fork walk.
         fork_chunks,
-        /// Frame allocations satisfied by stealing from another shard's pool.
-        alloc_steals,
         /// Frame allocations satisfied from the recycled-frame pool.
         frames_recycled,
         /// Recycled-frame allocations that skipped the zeroing scrub because
@@ -136,17 +134,17 @@ op_counters! {
         /// Side-effect operations recorded in fork journals.
         journal_ops,
         /// Reclaim passes run inline on a hot path by the NoMem retry loop
-        /// (recycled pools scrubbed / deferred-zero queues drained while a
-        /// fork or fault waits).
+        /// (the free stack's deferred-zero queue drained while a fork or
+        /// fault waits).
         reclaim_inline,
         /// Reclaim batches run by the background reclaim daemon (scheduled
         /// off the hot path, driven by the pressure watermarks).
         reclaim_background,
         /// Frames the background daemon scrubbed into the clean-frame
-        /// magazines.
+        /// magazine.
         frames_prezeroed,
-        /// `Zeroed`-policy allocations served pre-scrubbed from a clean-frame
-        /// magazine (no inline zeroing charged).
+        /// `Zeroed`-policy allocations served pre-scrubbed from the
+        /// clean-frame magazine (no inline zeroing charged).
         magazine_hits,
         /// μprocesses killed by the OOM last resort so a fork under memory
         /// exhaustion could be admitted, counted by the completed reap.

@@ -153,12 +153,8 @@ phases! {
         AllocRecycle = "alloc/recycle" => frames_recycled,
         /// A recycled fork-lane frame skipped its zeroing scrub.
         AllocZeroSkip = "alloc/zero_skip" => zeroing_skipped,
-        /// A fork-lane frame was stolen from another shard's pool.
-        AllocSteal = "alloc/steal" => alloc_steals,
         /// A sealed-capability kernel entry.
         GateEnter = "gate/enter" => sealed_entries,
-        /// A syscall-gate entry refused.
-        GateReject = "gate/reject",
         /// A trap-based kernel entry (monolithic baseline).
         GateTrap = "gate/trap" => traps,
         /// A pipelined fork committed with its copy outstanding.

@@ -20,10 +20,8 @@ mod addr;
 mod fault;
 mod page_table;
 mod region;
-mod size_class;
 
 pub use addr::{pages_covering, VirtAddr, Vpn};
 pub use fault::{AccessKind, Fault};
 pub use page_table::{PageTable, Pte, PteFlags};
 pub use region::{Region, RegionAllocator, RegionError};
-pub use size_class::SizeClassAllocator;

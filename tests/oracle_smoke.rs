@@ -49,21 +49,26 @@ fn journal_chaos_sweep() {
         "chaos sweep failures:\n{}",
         report.failures.join("\n")
     );
-    assert!(
-        report.chaos_points > 50,
-        "sweep aborted only {} journal ops",
-        report.chaos_points
+    // Every journal op of the swept scenarios is aborted once, so these
+    // counts change exactly when some journal op is added or removed:
+    // a change that means to move one states why.
+    assert_eq!(report.chaos_points, 2478, "journal-op aborts");
+    assert_eq!(
+        report.ring_chaos_points, 2488,
+        "aborts with live ring endpoints"
     );
-    assert!(
-        report.pipeline_chaos_points > 0,
-        "sweep never reached the pipelined background-copy window"
+    assert_eq!(
+        report.pipeline_chaos_points, 657,
+        "pipelined background-copy window aborts"
     );
-    assert!(
-        report.reclaim_chaos_points > 0,
-        "sweep never aborted a background-reclaim pass"
+    assert_eq!(report.train_chaos_points, 14023, "snapshot-train aborts");
+    assert_eq!(
+        report.reclaim_chaos_points, 219,
+        "background-reclaim pass aborts"
     );
-    assert!(
-        report.oom_chaos_points > 0,
-        "sweep never aborted an OOM victim teardown"
+    assert_eq!(report.oom_chaos_points, 657, "OOM victim teardown aborts");
+    assert_eq!(
+        report.storm_chaos_scenarios, 8,
+        "mid-storm injection scenarios"
     );
 }

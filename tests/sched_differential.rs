@@ -523,7 +523,7 @@ impl Program for PipeTouch {
 }
 
 /// Forks and reaps a throwaway child, then runs [`PipeTouch`]. The reaped
-/// child's frames sit unscrubbed in the allocator pools while the parent
+/// child's frames sit unscrubbed on the free stack while the parent
 /// still holds memory, so under forced pressure the reclaim daemon has
 /// passes to run beside the pipelined fork's copy engine and threads.
 #[derive(Clone)]
