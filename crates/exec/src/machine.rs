@@ -281,6 +281,9 @@ pub struct Machine<O: MemOs> {
     /// a full one. A wakeup touches only the affected channel's waiters,
     /// not every thread.
     waiters: BTreeMap<BlockedOn, Vec<(Pid, u32)>>,
+    /// The ring slot image every push and pop moves its message through,
+    /// lent to each step's environment so no message allocates.
+    ring_slot: Vec<u8>,
 }
 
 impl<O: MemOs> Machine<O> {
@@ -303,6 +306,7 @@ impl<O: MemOs> Machine<O> {
             oom_log: Vec::new(),
             runq: RunQueue::default(),
             waiters: BTreeMap::new(),
+            ring_slot: Vec::new(),
         }
     }
 
@@ -796,6 +800,7 @@ impl<O: MemOs> Machine<O> {
             start,
             ctx,
             events,
+            slot: &mut self.ring_slot,
         }
     }
 

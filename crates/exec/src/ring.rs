@@ -24,6 +24,17 @@
 //!     [ stamp: f64 bits ][ payload: msg_bytes ]
 //! ```
 //!
+//! The geometry words are written by [`ring_init`] and checked by
+//! [`ring_verify`] when a ring is reopened, but push and pop never read
+//! them: the window is program-writable shared memory, so they take
+//! `slots` and `msg_bytes` from the caller (the kernel's ring registry)
+//! and read only head and tail. Each operation moves a message once,
+//! through a caller-owned *slot image* `[stamp | payload]`: a push reads
+//! head and tail in one load, the slot's free stamp, and stores the
+//! image in one store; a pop reads head and tail, loads the slot image
+//! in one load, and stores its free stamp. Each then stores the word it
+//! advances.
+//!
 //! The per-slot stamp carries discrete-event causality: a push stamps
 //! the slot with its simulated time, so a consumer running "earlier"
 //! observes [`RingPop::NotUntil`] instead of data from its future; a pop
@@ -46,10 +57,18 @@ pub const RING_HDR_BYTES: u64 = 64;
 pub const RING_SLOT_HDR: u64 = 8;
 /// Header magic ("uFORKrng" little-endian-ish).
 pub const RING_MAGIC: u64 = 0x7546_4f52_4b72_6e67;
+/// Offset of the head word.
+const HEAD_OFF: u64 = 8;
+/// Offset of the tail word, which follows the head word.
+const TAIL_OFF: u64 = 16;
+/// Bytes of the header words `ring_init` writes (magic to `msg_bytes`).
+const HDR_WORDS_BYTES: usize = 40;
 
-/// Total window size of a ring with the given geometry.
-pub const fn ring_bytes(slots: u64, msg_bytes: u64) -> u64 {
-    RING_HDR_BYTES + slots * (RING_SLOT_HDR + msg_bytes)
+/// Total window size of a ring with the given geometry, or `None` if
+/// it does not fit in a u64.
+pub fn ring_bytes(slots: u64, msg_bytes: u64) -> Option<u64> {
+    let slot = msg_bytes.checked_add(RING_SLOT_HDR)?;
+    slots.checked_mul(slot)?.checked_add(RING_HDR_BYTES)
 }
 
 /// The machine-held sealing authority for ring endpoints: covers exactly
@@ -78,13 +97,8 @@ pub enum RingPush {
 /// Outcome of a raw pop attempt.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RingPop {
-    /// Message `seq` dequeued.
-    Popped {
-        /// Its sequence number.
-        seq: u64,
-        /// Its payload (exactly `msg_bytes`).
-        data: Vec<u8>,
-    },
+    /// Message `seq` dequeued; its payload is in the slot image.
+    Popped(u64),
     /// No messages pending (EOF is the registry's call: the ring itself
     /// does not know how many producer ends remain).
     Empty,
@@ -98,16 +112,11 @@ fn word_cap(window: &Capability, off: u64) -> SysResult<Capability> {
         .map_err(|_| Errno::Fault)
 }
 
-fn load_word<O: MemOs>(
-    os: &mut O,
-    ctx: &mut Ctx,
-    pid: Pid,
-    window: &Capability,
-    off: u64,
-) -> SysResult<u64> {
+/// Word `i` of a little-endian word image.
+fn word(image: &[u8], i: usize) -> u64 {
     let mut b = [0u8; 8];
-    os.load(ctx, pid, &word_cap(window, off)?, &mut b)?;
-    Ok(u64::from_le_bytes(b))
+    b.copy_from_slice(&image[i * 8..i * 8 + 8]);
+    u64::from_le_bytes(b)
 }
 
 fn store_word<O: MemOs>(
@@ -121,6 +130,28 @@ fn store_word<O: MemOs>(
     os.store(ctx, pid, &word_cap(window, off)?, &v.to_le_bytes())
 }
 
+/// Reads `(head, tail)` in one load.
+fn load_head_tail<O: MemOs>(
+    os: &mut O,
+    ctx: &mut Ctx,
+    pid: Pid,
+    window: &Capability,
+) -> SysResult<(u64, u64)> {
+    let mut b = [0u8; 16];
+    os.load(ctx, pid, &word_cap(window, HEAD_OFF)?, &mut b)?;
+    Ok((word(&b, 0), word(&b, 1)))
+}
+
+/// Offset of the slot that sequence number `seq` occupies in a ring of
+/// `slots` slots of `slot_len` bytes each; `Inval` for geometry no
+/// window can hold.
+fn slot_off(slots: u64, slot_len: usize, seq: u64) -> SysResult<u64> {
+    seq.checked_rem(slots)
+        .and_then(|i| i.checked_mul(slot_len as u64))
+        .and_then(|off| off.checked_add(RING_HDR_BYTES))
+        .ok_or(Errno::Inval)
+}
+
 /// Initializes a fresh ring header in the (zeroed) shared window.
 pub fn ring_init<O: MemOs>(
     os: &mut O,
@@ -131,11 +162,13 @@ pub fn ring_init<O: MemOs>(
     msg_bytes: u64,
 ) -> SysResult<()> {
     ctx.phase(Phase::IpcRingInit);
-    store_word(os, ctx, pid, window, 0, RING_MAGIC)?;
-    store_word(os, ctx, pid, window, 8, 0)?; // head
-    store_word(os, ctx, pid, window, 16, 0)?; // tail
-    store_word(os, ctx, pid, window, 24, slots)?;
-    store_word(os, ctx, pid, window, 32, msg_bytes)
+    // Head and tail start at 0.
+    let words = [RING_MAGIC, 0, 0, slots, msg_bytes];
+    let mut hdr = [0u8; HDR_WORDS_BYTES];
+    for (w, v) in hdr.chunks_exact_mut(8).zip(words) {
+        w.copy_from_slice(&v.to_le_bytes());
+    }
+    os.store(ctx, pid, &word_cap(window, 0)?, &hdr)
     // Slot stamps start as 0 bits = t=0.0, readable from the first
     // instant — no per-slot initialization needed.
 }
@@ -150,80 +183,80 @@ pub fn ring_verify<O: MemOs>(
     slots: u64,
     msg_bytes: u64,
 ) -> SysResult<()> {
-    if load_word(os, ctx, pid, window, 0)? != RING_MAGIC
-        || load_word(os, ctx, pid, window, 24)? != slots
-        || load_word(os, ctx, pid, window, 32)? != msg_bytes
-    {
+    let mut hdr = [0u8; HDR_WORDS_BYTES];
+    os.load(ctx, pid, &word_cap(window, 0)?, &mut hdr)?;
+    if word(&hdr, 0) != RING_MAGIC || word(&hdr, 3) != slots || word(&hdr, 4) != msg_bytes {
         return Err(Errno::Inval);
     }
     Ok(())
 }
 
-/// Attempts to push `payload` (exactly `msg_bytes` long) at simulated
-/// time `now` through the **unsealed** window capability.
+/// Attempts to push a message at simulated time `now` through the
+/// **unsealed** window capability of a ring of `slots` slots.
+///
+/// `slot` is the image of one slot, `[stamp | payload]`, so it is
+/// [`RING_SLOT_HDR`] bytes longer than the ring's messages. The caller
+/// fills the payload; a successful push writes `now` into the stamp
+/// word and stores the image whole.
 pub fn ring_push_raw<O: MemOs>(
     os: &mut O,
     ctx: &mut Ctx,
     pid: Pid,
     window: &Capability,
-    payload: &[u8],
+    slots: u64,
+    slot: &mut [u8],
     now: f64,
 ) -> SysResult<RingPush> {
     ctx.phase(Phase::IpcRingPush);
-    let head = load_word(os, ctx, pid, window, 8)?;
-    let tail = load_word(os, ctx, pid, window, 16)?;
-    let slots = load_word(os, ctx, pid, window, 24)?;
-    let msg_bytes = load_word(os, ctx, pid, window, 32)?;
-    if slots == 0 || payload.len() as u64 != msg_bytes {
-        return Err(Errno::Inval);
-    }
+    let (head, tail) = load_head_tail(os, ctx, pid, window)?;
     if tail.wrapping_sub(head) >= slots {
         return Ok(RingPush::Full);
     }
-    let off = RING_HDR_BYTES + (tail % slots) * (RING_SLOT_HDR + msg_bytes);
+    let at = word_cap(window, slot_off(slots, slot.len(), tail)?)?;
     // A reused slot carries its free time; a producer running earlier in
     // simulated time must not fill a slot freed in its future.
-    let free_stamp = f64::from_bits(load_word(os, ctx, pid, window, off)?);
+    let mut stamp = [0u8; RING_SLOT_HDR as usize];
+    os.load(ctx, pid, &at, &mut stamp)?;
+    let free_stamp = f64::from_bits(word(&stamp, 0));
     if TimeKey::from_ns(free_stamp) > TimeKey::from_ns(now) {
         return Ok(RingPush::NotUntil(free_stamp));
     }
-    os.store(ctx, pid, &word_cap(window, off + RING_SLOT_HDR)?, payload)?;
-    store_word(os, ctx, pid, window, off, now.to_bits())?;
-    store_word(os, ctx, pid, window, 16, tail.wrapping_add(1))?;
+    slot[..RING_SLOT_HDR as usize].copy_from_slice(&now.to_bits().to_le_bytes());
+    os.store(ctx, pid, &at, slot)?;
+    store_word(os, ctx, pid, window, TAIL_OFF, tail.wrapping_add(1))?;
     Ok(RingPush::Pushed(tail))
 }
 
 /// Attempts to pop a message at simulated time `now` through the
-/// **unsealed** window capability.
+/// **unsealed** window capability of a ring of `slots` slots.
+///
+/// `slot` receives the head slot's image, `[stamp | payload]`, so it is
+/// [`RING_SLOT_HDR`] bytes longer than the ring's messages; after
+/// [`RingPop::Popped`] its payload is the message.
 pub fn ring_pop_raw<O: MemOs>(
     os: &mut O,
     ctx: &mut Ctx,
     pid: Pid,
     window: &Capability,
+    slots: u64,
+    slot: &mut [u8],
     now: f64,
 ) -> SysResult<RingPop> {
     ctx.phase(Phase::IpcRingPop);
-    let head = load_word(os, ctx, pid, window, 8)?;
-    let tail = load_word(os, ctx, pid, window, 16)?;
-    let slots = load_word(os, ctx, pid, window, 24)?;
-    let msg_bytes = load_word(os, ctx, pid, window, 32)?;
-    if slots == 0 {
-        return Err(Errno::Inval);
-    }
+    let (head, tail) = load_head_tail(os, ctx, pid, window)?;
     if head == tail {
         return Ok(RingPop::Empty);
     }
-    let off = RING_HDR_BYTES + (head % slots) * (RING_SLOT_HDR + msg_bytes);
-    let stamp = f64::from_bits(load_word(os, ctx, pid, window, off)?);
+    let off = slot_off(slots, slot.len(), head)?;
+    os.load(ctx, pid, &word_cap(window, off)?, slot)?;
+    let stamp = f64::from_bits(word(slot, 0));
     if TimeKey::from_ns(stamp) > TimeKey::from_ns(now) {
         return Ok(RingPop::NotUntil(stamp));
     }
-    let mut data = vec![0u8; msg_bytes as usize];
-    os.load(ctx, pid, &word_cap(window, off + RING_SLOT_HDR)?, &mut data)?;
     // Free time: the producer side checks it before reusing the slot.
     store_word(os, ctx, pid, window, off, now.to_bits())?;
-    store_word(os, ctx, pid, window, 8, head.wrapping_add(1))?;
-    Ok(RingPop::Popped { seq: head, data })
+    store_word(os, ctx, pid, window, HEAD_OFF, head.wrapping_add(1))?;
+    Ok(RingPop::Popped(head))
 }
 
 /// Messages currently enqueued (header read only; debugging/tests).
@@ -233,8 +266,7 @@ pub fn ring_depth<O: MemOs>(
     pid: Pid,
     window: &Capability,
 ) -> SysResult<u64> {
-    let head = load_word(os, ctx, pid, window, 8)?;
-    let tail = load_word(os, ctx, pid, window, 16)?;
+    let (head, tail) = load_head_tail(os, ctx, pid, window)?;
     Ok(tail.wrapping_sub(head))
 }
 
@@ -244,7 +276,9 @@ mod tests {
 
     #[test]
     fn geometry() {
-        assert_eq!(ring_bytes(8, 32), 64 + 8 * 40);
+        assert_eq!(ring_bytes(8, 32), Some(64 + 8 * 40));
+        assert_eq!(ring_bytes(2, u64::MAX), None);
+        assert_eq!(ring_bytes(u64::MAX, 1), None);
     }
 
     #[test]

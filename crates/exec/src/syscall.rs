@@ -15,7 +15,7 @@ use ufork_cheri::OType;
 
 use crate::ctx::Ctx;
 use crate::memos::{charge_syscall, MemOs};
-use crate::ring::{self, RingPop as RawPop, RingPush as RawPush};
+use crate::ring::{self, RingPop as RawPop, RingPush as RawPush, RING_SLOT_HDR};
 use crate::sched::BlockedOn;
 use crate::vfs::{ConnRead, FdKind, FdTable, PipeRead, RingMeta, Vfs, WakeEvent};
 
@@ -39,6 +39,15 @@ fn check_len(buf: &Capability, len: u64) -> SysResult<()> {
     (len <= buf.len()).then_some(()).ok_or(Errno::Fault)
 }
 
+/// Bytes of a ring slot image's stamp word; the payload follows it.
+const STAMP: usize = RING_SLOT_HDR as usize;
+
+/// Sizes the reused slot `image` for `msg_bytes`-byte messages.
+fn slot_image(image: &mut Vec<u8>, msg_bytes: u64) -> &mut [u8] {
+    image.resize(STAMP + msg_bytes as usize, 0);
+    image
+}
+
 /// The clock a try-call acts at: the step's running clock, read when the
 /// operation reaches its channel.
 fn running(start: f64) -> impl FnOnce(&mut Ctx) -> f64 {
@@ -60,16 +69,12 @@ pub(crate) struct StepEnv<'a, O: MemOs> {
     /// Side effects that may wake other threads, delivered by the
     /// machine after the step.
     pub(crate) events: &'a mut Vec<WakeEvent>,
+    /// The machine's ring slot image, `[stamp | payload]`, reused by
+    /// every push and pop.
+    pub(crate) slot: &'a mut Vec<u8>,
 }
 
 impl<O: MemOs> StepEnv<'_, O> {
-    /// Reads `len` user bytes for an outgoing I/O operation.
-    fn read_user(&mut self, buf: &Capability, len: u64) -> SysResult<Vec<u8>> {
-        let mut data = vec![0u8; len as usize];
-        self.os.load(self.ctx, self.pid, buf, &mut data)?;
-        Ok(data)
-    }
-
     /// Kernel time of moving `n` bytes through a pipe.
     fn pipe_copy(&self, n: u64) -> f64 {
         self.os.cost().pipe_per_byte * n as f64 + self.os.copyio_cost_per_byte() * n as f64
@@ -89,9 +94,10 @@ impl<O: MemOs> StepEnv<'_, O> {
         if self.vfs.pipe_capacity(id).is_ok_and(|cap| len > cap) {
             return Err(Errno::Inval);
         }
-        let data = self.read_user(buf, len)?;
+        let mut data = vec![0u8; len as usize];
+        self.os.load(self.ctx, self.pid, buf, &mut data)?;
         let now = at(self.ctx);
-        match self.vfs.pipe_write(id, &data, now) {
+        match self.vfs.pipe_write(id, data, now) {
             Ok(n) => {
                 self.events.push(WakeEvent::PipeWritten(id));
                 Ok(Io::Done(n))
@@ -134,14 +140,16 @@ impl<O: MemOs> StepEnv<'_, O> {
         if len != meta.msg_bytes {
             return Err(Errno::Inval);
         }
-        let data = self.read_user(buf, len)?;
+        let slots = meta.slots;
+        let slot = slot_image(self.slot, len);
+        self.os.load(self.ctx, self.pid, buf, &mut slot[STAMP..])?;
         let now = at(self.ctx);
-        let pushed = ring::ring_push_raw(self.os, self.ctx, self.pid, &window, &data, now)?;
+        let pushed = ring::ring_push_raw(self.os, self.ctx, self.pid, &window, slots, slot, now)?;
         Ok(match pushed {
             RawPush::Pushed(seq) => {
                 let m = self.vfs.ring_meta_mut(id).expect("ring exists");
                 m.pushed += 1;
-                RingMeta::mix(&mut m.push_digest, seq, &data);
+                RingMeta::mix(&mut m.push_digest, seq, &slot[STAMP..]);
                 self.ctx.counters.ring_msgs += 1;
                 self.events.push(WakeEvent::RingPushed(id));
                 Io::Done(len)
@@ -172,25 +180,23 @@ impl<O: MemOs> StepEnv<'_, O> {
         let window = ring_cap
             .unseal(&ring::seal_authority())
             .map_err(|_| Errno::Perm)?;
+        let meta = self.vfs.ring_meta(id)?;
+        let (slots, drained_is_eof) = (meta.slots, meta.prod_ends == 0 && meta.ever_prod);
+        let slot = slot_image(self.slot, meta.msg_bytes);
         let now = at(self.ctx);
-        let popped = ring::ring_pop_raw(self.os, self.ctx, self.pid, &window, now)?;
+        let popped = ring::ring_pop_raw(self.os, self.ctx, self.pid, &window, slots, slot, now)?;
         Ok(match popped {
-            RawPop::Popped { seq, data } => {
-                self.os.store(self.ctx, self.pid, buf, &data)?;
+            RawPop::Popped(seq) => {
+                let payload = &slot[STAMP..];
+                self.os.store(self.ctx, self.pid, buf, payload)?;
                 let m = self.vfs.ring_meta_mut(id).expect("ring exists");
                 m.popped += 1;
-                RingMeta::mix(&mut m.pop_digest, seq, &data);
+                RingMeta::mix(&mut m.pop_digest, seq, payload);
                 self.events.push(WakeEvent::RingPopped(id));
-                Io::Done(data.len() as u64)
+                Io::Done(payload.len() as u64)
             }
-            RawPop::Empty => {
-                let meta = self.vfs.ring_meta(id);
-                if meta.is_ok_and(|m| m.prod_ends == 0 && m.ever_prod) {
-                    Io::Done(RING_EOF)
-                } else {
-                    Io::Block(BlockedOn::Ring(id))
-                }
-            }
+            RawPop::Empty if drained_is_eof => Io::Done(RING_EOF),
+            RawPop::Empty => Io::Block(BlockedOn::Ring(id)),
             RawPop::NotUntil(t) => Io::NotUntil(t),
         })
     }
@@ -453,16 +459,12 @@ impl<O: MemOs> Env for StepEnv<'_, O> {
         producer: bool,
     ) -> SysResult<(Fd, Capability)> {
         charge_syscall(self.os, self.ctx, 0);
+        let bytes = ring::ring_bytes(slots, msg_bytes).ok_or(Errno::Inval)?;
         let (id, created) = self.vfs.ring_register(name, slots, msg_bytes)?;
         // The ring lives in a named shared-memory object: the fork walk
         // refcount-shares these frames instead of copying them.
         let shm_name = format!("ring:{name}");
-        let window = self.os.shm_open(
-            self.ctx,
-            self.pid,
-            &shm_name,
-            ring::ring_bytes(slots, msg_bytes),
-        )?;
+        let window = self.os.shm_open(self.ctx, self.pid, &shm_name, bytes)?;
         if created {
             ring::ring_init(self.os, self.ctx, self.pid, &window, slots, msg_bytes)?;
         } else {

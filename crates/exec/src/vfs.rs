@@ -136,11 +136,14 @@ struct Pipe {
     write_ends: u32,
 }
 
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a mix of one u64 into a running digest.
 fn fnv_mix(digest: &mut u64, v: u64) {
     for b in v.to_le_bytes() {
         *digest ^= u64::from(b);
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+        *digest = digest.wrapping_mul(FNV_PRIME);
     }
 }
 
@@ -179,12 +182,16 @@ pub struct RingMeta {
 }
 
 impl RingMeta {
-    /// Folds one message into a traffic digest.
+    /// Folds one message into a traffic digest: `seq`, the length, then
+    /// each payload byte as the FNV-1a mix of that byte widened to a
+    /// u64. The widening's seven zero bytes xor nothing, so a byte folds
+    /// as one xor and one multiply by the prime to the 8th.
     pub fn mix(digest: &mut u64, seq: u64, payload: &[u8]) {
+        const PRIME_8: u64 = FNV_PRIME.wrapping_pow(8);
         fnv_mix(digest, seq);
         fnv_mix(digest, payload.len() as u64);
         for &b in payload {
-            fnv_mix(digest, u64::from(b));
+            *digest = (*digest ^ u64::from(b)).wrapping_mul(PRIME_8);
         }
     }
 }
@@ -442,7 +449,7 @@ impl Vfs {
     /// that does not fit returns `EAGAIN` (the machine blocks the writer
     /// until a read drains space), and one larger than the whole buffer
     /// can never succeed and returns `EINVAL`.
-    pub fn pipe_write(&mut self, id: usize, data: &[u8], now: f64) -> SysResult<u64> {
+    pub fn pipe_write(&mut self, id: usize, data: Vec<u8>, now: f64) -> SysResult<u64> {
         let p = self.pipe_mut(id)?;
         if p.read_ends == 0 {
             return Err(Errno::BadFd); // EPIPE, near enough
@@ -454,8 +461,9 @@ impl Vfs {
             return Err(Errno::Again);
         }
         p.buffered += data.len();
-        p.chunks.push_back((data.to_vec(), now));
-        Ok(data.len() as u64)
+        let n = data.len() as u64;
+        p.chunks.push_back((data, now));
+        Ok(n)
     }
 
     /// Attempts to read at simulated time `now`.
@@ -830,7 +838,7 @@ mod tests {
         let mut v = Vfs::new();
         let p = v.create_pipe();
         assert_eq!(v.pipe_read(p, 10, 0.0).unwrap(), PipeRead::Empty);
-        v.pipe_write(p, b"abc", 5.0).unwrap();
+        v.pipe_write(p, b"abc".to_vec(), 5.0).unwrap();
         // Reading "before" the write sees nothing yet.
         assert_eq!(v.pipe_read(p, 2, 1.0).unwrap(), PipeRead::NotUntil(5.0));
         assert_eq!(
@@ -848,8 +856,8 @@ mod tests {
     fn pipe_read_stops_at_future_chunk() {
         let mut v = Vfs::new();
         let p = v.create_pipe();
-        v.pipe_write(p, b"ab", 1.0).unwrap();
-        v.pipe_write(p, b"cd", 9.0).unwrap();
+        v.pipe_write(p, b"ab".to_vec(), 1.0).unwrap();
+        v.pipe_write(p, b"cd".to_vec(), 9.0).unwrap();
         // At t=2 only the first chunk is visible.
         assert_eq!(
             v.pipe_read(p, 10, 2.0).unwrap(),
@@ -869,7 +877,7 @@ mod tests {
         let mut v = Vfs::new();
         let p = v.create_pipe();
         let now = 123_456.789_f64;
-        v.pipe_write(p, b"at", now).unwrap();
+        v.pipe_write(p, b"at".to_vec(), now).unwrap();
         assert_eq!(
             v.pipe_read(p, 10, now).unwrap(),
             PipeRead::Data(b"at".to_vec())
@@ -877,7 +885,7 @@ mod tests {
         // One-ulp-later stamp: the adjacent representable instant (the
         // idiom the scheduler's TimeKey tests use).
         let next = f64::from_bits(now.to_bits() + 1);
-        v.pipe_write(p, b"later", next).unwrap();
+        v.pipe_write(p, b"later".to_vec(), next).unwrap();
         assert_eq!(v.pipe_read(p, 10, now).unwrap(), PipeRead::NotUntil(next));
         assert_eq!(
             v.pipe_read(p, 10, next).unwrap(),
@@ -889,7 +897,7 @@ mod tests {
     fn pipe_eof_and_free() {
         let mut v = Vfs::new();
         let p = v.create_pipe();
-        v.pipe_write(p, b"z", 1.0).unwrap();
+        v.pipe_write(p, b"z".to_vec(), 1.0).unwrap();
         let ev = v.pipe_drop_end(p, true);
         assert_eq!(ev, vec![WakeEvent::PipeHangup(p)]);
         // Buffered data still readable, then EOF.
@@ -909,29 +917,38 @@ mod tests {
         let mut v = Vfs::new();
         let p = v.create_pipe();
         v.pipe_drop_end(p, false);
-        assert_eq!(v.pipe_write(p, b"x", 0.0).unwrap_err(), Errno::BadFd);
+        assert_eq!(
+            v.pipe_write(p, b"x".to_vec(), 0.0).unwrap_err(),
+            Errno::BadFd
+        );
     }
 
     #[test]
     fn pipe_write_backpressure() {
         let mut v = Vfs::new();
         let p = v.create_pipe_with_capacity(8);
-        assert_eq!(v.pipe_write(p, b"abcde", 1.0).unwrap(), 5);
+        assert_eq!(v.pipe_write(p, b"abcde".to_vec(), 1.0).unwrap(), 5);
         assert_eq!(v.pipe_buffered(p), 5);
         // All-or-nothing: 4 more bytes do not fit in the 3 remaining.
-        assert_eq!(v.pipe_write(p, b"wxyz", 1.0).unwrap_err(), Errno::Again);
-        assert_eq!(v.pipe_write(p, b"fgh", 1.0).unwrap(), 3);
-        assert_eq!(v.pipe_write(p, b"!", 1.0).unwrap_err(), Errno::Again);
+        assert_eq!(
+            v.pipe_write(p, b"wxyz".to_vec(), 1.0).unwrap_err(),
+            Errno::Again
+        );
+        assert_eq!(v.pipe_write(p, b"fgh".to_vec(), 1.0).unwrap(), 3);
+        assert_eq!(
+            v.pipe_write(p, b"!".to_vec(), 1.0).unwrap_err(),
+            Errno::Again
+        );
         // A read drains space and the refused write fits on retry.
         assert_eq!(
             v.pipe_read(p, 4, 2.0).unwrap(),
             PipeRead::Data(b"abcd".to_vec())
         );
         assert_eq!(v.pipe_buffered(p), 4);
-        assert_eq!(v.pipe_write(p, b"wxyz", 2.0).unwrap(), 4);
+        assert_eq!(v.pipe_write(p, b"wxyz".to_vec(), 2.0).unwrap(), 4);
         // A write larger than the whole buffer can never succeed.
         assert_eq!(
-            v.pipe_write(p, b"123456789", 2.0).unwrap_err(),
+            v.pipe_write(p, b"123456789".to_vec(), 2.0).unwrap_err(),
             Errno::Inval
         );
     }
@@ -941,8 +958,11 @@ mod tests {
         let mut v = Vfs::new();
         let p = v.create_pipe();
         let big = vec![7u8; PIPE_CAPACITY];
-        assert_eq!(v.pipe_write(p, &big, 0.0).unwrap(), PIPE_CAPACITY as u64);
-        assert_eq!(v.pipe_write(p, b"x", 0.0).unwrap_err(), Errno::Again);
+        assert_eq!(v.pipe_write(p, big, 0.0).unwrap(), PIPE_CAPACITY as u64);
+        assert_eq!(
+            v.pipe_write(p, b"x".to_vec(), 0.0).unwrap_err(),
+            Errno::Again
+        );
     }
 
     #[test]

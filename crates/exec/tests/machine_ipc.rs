@@ -1196,3 +1196,108 @@ fn over_long_lengths_are_refused_before_the_tocttou_charge() {
         2 * (cap + 1) + 2 * (MSG - 1) + 2 * (MSG + 1) + 8
     );
 }
+
+// ---------------------------------------------------------------------------
+// Ring geometry a program chose or wrote: the kernel's registry decides.
+// ---------------------------------------------------------------------------
+
+/// Opens a ring whose window size overflows a u64.
+#[derive(Clone, Default)]
+struct OverflowingRing {
+    opened: Option<SysResult<()>>,
+}
+impl Program for OverflowingRing {
+    fn resume(&mut self, env: &mut dyn Env, _input: Resume) -> StepOutcome {
+        self.opened = Some(env.sys_ring_open("y", 2, u64::MAX, true).map(|_| ()));
+        StepOutcome::Exit(0)
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn ring_geometry_that_overflows_is_refused_before_registration() {
+    let mut m = Machine::new(IpcOs::new(), MachineConfig::default());
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(OverflowingRing::default()),
+        )
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
+    let opened = m.program::<OverflowingRing>(pid).unwrap().opened;
+    assert_eq!(opened, Some(Err(Errno::Inval)));
+    assert_eq!(m.vfs().ring_lookup("y"), None, "no registry entry is left");
+}
+
+/// Pushes one `MSG`-byte message, then maps the ring's own shm object
+/// (an unsealed data capability to the header), writes `msg_bytes` into
+/// the header's `msg_bytes` word, pops the message and reopens the ring.
+#[derive(Clone)]
+struct TamperedRing {
+    msg_bytes: u64,
+    popped: Option<SysResult<u64>>,
+    payload: Vec<u8>,
+    reopened: Option<SysResult<()>>,
+}
+impl Program for TamperedRing {
+    fn resume(&mut self, env: &mut dyn Env, _input: Resume) -> StepOutcome {
+        let buf = env.reg(0).unwrap();
+        let (pf, pcap) = env.sys_ring_open("t", 2, MSG, true).unwrap();
+        let (cf, ccap) = env.sys_ring_open("t", 2, MSG, false).unwrap();
+        env.store(&buf, &[0xab; MSG as usize]).unwrap();
+        assert_eq!(env.sys_ring_try_push(pf, &pcap, &buf, MSG), Ok(MSG));
+        let window = env.sys_shm_open("ring:t", 64).unwrap();
+        let word4 = window.with_addr(window.base() + 32).unwrap();
+        env.store(&word4, &self.msg_bytes.to_le_bytes()).unwrap();
+        let out = buf.with_addr(buf.base() + 256).unwrap();
+        self.popped = Some(env.sys_ring_try_pop(cf, &ccap, &out));
+        self.payload = vec![0; MSG as usize];
+        env.load(&out, &mut self.payload).unwrap();
+        self.reopened = Some(env.sys_ring_open("t", 2, MSG, true).map(|_| ()));
+        StepOutcome::Exit(0)
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// Runs [`TamperedRing`] for one forged `msg_bytes` word: the pop still
+/// delivers the registered `MSG` bytes, and the reopen, which checks the
+/// header, sees the forgery and fails with `Inval`.
+fn check_tampered_ring(msg_bytes: u64) {
+    let mut m = Machine::new(IpcOs::new(), MachineConfig::default());
+    let program = TamperedRing {
+        msg_bytes,
+        popped: None,
+        payload: Vec::new(),
+        reopened: None,
+    };
+    let pid = m
+        .spawn(&ImageSpec::hello_world(), Box::new(program))
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
+    let p = m.program::<TamperedRing>(pid).unwrap();
+    assert_eq!(p.popped, Some(Ok(MSG)), "msg_bytes word {msg_bytes}");
+    assert_eq!(p.payload, vec![0xab; MSG as usize]);
+    assert_eq!(p.reopened, Some(Err(Errno::Inval)));
+}
+
+#[test]
+fn forged_huge_message_size_in_the_header_is_ignored_by_pop() {
+    check_tampered_ring(u64::MAX);
+}
+
+#[test]
+fn forged_short_message_size_in_the_header_is_ignored_by_pop() {
+    check_tampered_ring(4);
+}

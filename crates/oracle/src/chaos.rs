@@ -167,11 +167,15 @@ const RING_MSGS: u64 = 3;
 const RING_REG: usize = 5;
 const RING_NAME: &str = "chaos:ring";
 
-/// Deterministic payload of in-flight message `i`.
-fn ring_msg(i: u64) -> [u8; RING_MSG_BYTES as usize] {
-    let mut b = [0u8; RING_MSG_BYTES as usize];
-    b[..8].copy_from_slice(&(0x5249_4e47_0000_0000u64 | i).to_le_bytes());
-    b[8..].copy_from_slice(&i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
+/// Bytes of one slot image, `[stamp | payload]`.
+const RING_SLOT_IMAGE: usize = (ring::RING_SLOT_HDR + RING_MSG_BYTES) as usize;
+
+/// Slot image of in-flight message `i`: a zero stamp (a push writes its
+/// own) and a deterministic payload.
+fn ring_slot(i: u64) -> [u8; RING_SLOT_IMAGE] {
+    let (mut b, h) = ([0u8; RING_SLOT_IMAGE], ring::RING_SLOT_HDR as usize);
+    b[h..h + 8].copy_from_slice(&(0x5249_4e47_0000_0000u64 | i).to_le_bytes());
+    b[h + 8..].copy_from_slice(&i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
     b
 }
 
@@ -186,13 +190,13 @@ fn ring_prelude(os: &mut UforkOs, ctx: &mut Ctx) -> Result<Vec<Capability>, Stri
             ctx,
             Pid(1),
             RING_NAME,
-            ring::ring_bytes(RING_SLOTS, RING_MSG_BYTES),
+            ring::ring_bytes(RING_SLOTS, RING_MSG_BYTES).ok_or("ring geometry overflows")?,
         )
         .map_err(|e| format!("ring shm_open: {e:?}"))?;
     ring::ring_init(os, ctx, Pid(1), &window, RING_SLOTS, RING_MSG_BYTES)
         .map_err(|e| format!("ring_init: {e:?}"))?;
     for i in 0..RING_MSGS {
-        match ring::ring_push_raw(os, ctx, Pid(1), &window, &ring_msg(i), 1.0) {
+        match ring::ring_push_raw(os, ctx, Pid(1), &window, RING_SLOTS, &mut ring_slot(i), 1.0) {
             Ok(RingPush::Pushed(_)) => {}
             other => return Err(format!("ring push #{i}: {other:?}")),
         }
@@ -230,10 +234,13 @@ fn ring_pop_expect(
     now: f64,
     label: &str,
 ) -> Result<u64, String> {
-    match ring::ring_pop_raw(os, ctx, pid, window, now) {
-        Ok(RingPop::Popped { seq, data }) => {
+    let mut slot = [0u8; RING_SLOT_IMAGE];
+    match ring::ring_pop_raw(os, ctx, pid, window, RING_SLOTS, &mut slot, now) {
+        Ok(RingPop::Popped(seq)) => {
             // Pushes always cycle payloads 0..RING_MSGS in order.
-            if data != ring_msg(seq % RING_MSGS) {
+            let h = ring::RING_SLOT_HDR as usize;
+            let data = &slot[h..];
+            if data != &ring_slot(seq % RING_MSGS)[h..] {
                 return Err(format!(
                     "{label}: pid {} popped seq {seq} with torn payload {data:x?}",
                     pid.0
@@ -262,7 +269,8 @@ fn check_ring_untorn(os: &mut UforkOs, ctx: &mut Ctx, label: &str) -> Result<(),
     }
     for _ in 0..RING_MSGS {
         let seq = ring_pop_expect(os, ctx, Pid(1), &w, 10.0, label)?;
-        match ring::ring_push_raw(os, ctx, Pid(1), &w, &ring_msg(seq % RING_MSGS), 11.0) {
+        let mut slot = ring_slot(seq % RING_MSGS);
+        match ring::ring_push_raw(os, ctx, Pid(1), &w, RING_SLOTS, &mut slot, 11.0) {
             Ok(RingPush::Pushed(_)) => {}
             other => return Err(format!("{label}: restore push: {other:?}")),
         }
