@@ -19,7 +19,6 @@
 //!   --strategy copa|coa|full      (default copa)
 //!   --isolation none|fault|full   (default full)
 //!   --cores N                     (default 1)
-//!   --aslr SEED
 //! ```
 
 use std::env;
@@ -41,7 +40,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: uforksim <hello|spawn|context1|redis|faas|nginx|shell|forkserver|privsep> \
          [args] [--os ufork|cheribsd|nephele] [--strategy copa|coa|full] \
-         [--isolation none|fault|full] [--cores N] [--aslr SEED]"
+         [--isolation none|fault|full] [--cores N]"
     );
     exit(2)
 }
@@ -57,7 +56,6 @@ fn main() {
     let mut strategy = CopyStrategy::CoPA;
     let mut isolation = IsolationLevel::Full;
     let mut cores = 1usize;
-    let mut _aslr: Option<u64> = None;
 
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -85,7 +83,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--aslr" => _aslr = it.next().and_then(|v| v.parse().ok()),
             _ if workload.is_empty() => workload = a,
             _ => match a.parse() {
                 Ok(v) => positional.push(v),

@@ -11,7 +11,7 @@
 use ufork::{UforkConfig, UforkOs, WalkMode};
 use ufork_abi::{CopyStrategy, ImageSpec};
 use ufork_exec::{Machine, MachineConfig, MemOs};
-use ufork_workloads::storm::{summarize, StormConfig, StormReport, StormZygote};
+use ufork_workloads::storm::{percentile, summarize, StormConfig, StormReport, StormZygote};
 
 /// One storm configuration (mode) of the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -67,15 +67,6 @@ pub struct StormPipeline {
     pub p50_copy_done_ns: f64,
     /// 99th-percentile time from fork commit to copy complete (ns).
     pub p99_copy_done_ns: f64,
-}
-
-/// Nearest-rank percentile of a sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// The storm's function image. Deliberately tiny (a few pages): the

@@ -674,10 +674,24 @@ impl MemOs for UforkOs {
 
     fn shm_open(&mut self, ctx: &mut Ctx, pid: Pid, name: &str, len: u64) -> SysResult<Capability> {
         let pages = len.div_ceil(PAGE_SIZE);
+        let p = self.proc(pid)?;
+        let end = pages
+            .checked_mul(PAGE_SIZE)
+            .map(|b| b.saturating_add(p.shm_next));
+        if end.is_none_or(|end| end > p.layout.shm.1) {
+            return Err(Errno::NoMem);
+        }
         if !self.shm_objs.contains_key(name) {
             let mut frames = Vec::new();
             for _ in 0..pages {
-                frames.push(self.pm.alloc_frame().map_err(|_| Errno::NoMem)?);
+                let Ok(pfn) = self.pm.alloc_frame() else {
+                    // A failed open takes nothing: give back what it took.
+                    for pfn in frames {
+                        let _ = self.pm.dec_ref(pfn);
+                    }
+                    return Err(Errno::NoMem);
+                };
+                frames.push(pfn);
             }
             self.shm_objs.insert(name.to_string(), frames);
         }
@@ -686,10 +700,7 @@ impl MemOs for UforkOs {
             return Err(Errno::Inval);
         }
         let p = self.procs.get_mut(&pid).ok_or(Errno::Inval)?;
-        let (shm_off, shm_len) = p.layout.shm;
-        if p.shm_next + pages * PAGE_SIZE > shm_len {
-            return Err(Errno::NoMem);
-        }
+        let shm_off = p.layout.shm.0;
         let map_base = p.region.base.0 + shm_off + p.shm_next;
         p.shm_next += pages * PAGE_SIZE;
         let root = p.root;

@@ -162,6 +162,20 @@ impl<O: MemOs> StepEnv<'_, O> {
         })
     }
 
+    /// A pop needs room in `buf` for a whole message, checked before any
+    /// charge: the payload is stored only after the head has advanced,
+    /// so a short buffer must fail before the message leaves the ring.
+    /// Other descriptors are left for `ring_pop` to refuse.
+    fn check_pop_len(&self, fd: Fd, buf: &Capability) -> SysResult<()> {
+        match self.fds.get(fd) {
+            Ok(&FdKind::RingCons(id)) => self
+                .vfs
+                .ring_meta(id)
+                .map_or(Ok(()), |m| check_len(buf, m.msg_bytes)),
+            _ => Ok(()),
+        }
+    }
+
     /// Pops one message from the ring behind `fd` into `buf`,
     /// presenting the sealed endpoint `ring_cap`, and wakes its
     /// producers. A drained ring whose producers have all closed is done
@@ -291,6 +305,7 @@ impl<O: MemOs> StepEnv<'_, O> {
                 self.ring_push(fd, &ring, &buf, len, at)
             }
             BlockingCall::RingPop { fd, ring, buf } => {
+                self.check_pop_len(fd, &buf)?;
                 charge_syscall(self.os, self.ctx, 0);
                 // End of file reads 0 bytes, as from a pipe.
                 Ok(match self.ring_pop(fd, &ring, &buf, at)? {
@@ -464,7 +479,15 @@ impl<O: MemOs> Env for StepEnv<'_, O> {
         // The ring lives in a named shared-memory object: the fork walk
         // refcount-shares these frames instead of copying them.
         let shm_name = format!("ring:{name}");
-        let window = self.os.shm_open(self.ctx, self.pid, &shm_name, bytes)?;
+        let window = match self.os.shm_open(self.ctx, self.pid, &shm_name, bytes) {
+            Ok(window) => window,
+            Err(e) => {
+                if created {
+                    self.vfs.ring_abandon(id);
+                }
+                return Err(e);
+            }
+        };
         if created {
             ring::ring_init(self.os, self.ctx, self.pid, &window, slots, msg_bytes)?;
         } else {
@@ -510,6 +533,7 @@ impl<O: MemOs> Env for StepEnv<'_, O> {
         ring_cap: &Capability,
         buf: &Capability,
     ) -> SysResult<u64> {
+        self.check_pop_len(fd, buf)?;
         charge_syscall(self.os, self.ctx, 0);
         match self.ring_pop(fd, ring_cap, buf, running(self.start))? {
             Io::Done(n) => Ok(n),

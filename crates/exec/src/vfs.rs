@@ -548,6 +548,13 @@ impl Vfs {
         Ok((self.rings.len() - 1, true))
     }
 
+    /// Drops ring `id`, which [`Vfs::ring_register`] just created for an
+    /// open that then failed: it is the newest entry and has no ends.
+    pub(crate) fn ring_abandon(&mut self, id: usize) {
+        debug_assert_eq!(id + 1, self.rings.len());
+        self.rings.truncate(id);
+    }
+
     /// Looks up a registered ring by name.
     pub fn ring_lookup(&self, name: &str) -> Option<usize> {
         self.rings.iter().position(|r| r.name == name)

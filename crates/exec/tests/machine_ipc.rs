@@ -1,204 +1,18 @@
-//! Machine-level IPC semantics against a mock backend whose shm objects
-//! are *genuinely shared* between processes (unlike `machine_mock`'s
-//! per-process flat buffers): pipe wake/EOF/EPIPE paths, bounded-pipe
-//! backpressure, and the shared-memory ring fabric across fork. Debug
-//! builds check every pick and wakeup against the linear reference.
+//! Machine-level IPC semantics against the flat mock backend
+//! (`common::FlatOs`), whose shm objects are genuinely shared between
+//! processes: pipe wake/EOF/EPIPE paths, bounded-pipe backpressure, and
+//! the shared-memory ring fabric across fork. Debug builds check every
+//! pick and wakeup against the linear reference.
 
-use std::collections::BTreeMap;
+mod common;
 
+use common::{FlatOs, MEM_LEN};
 use ufork_abi::{
-    BlockingCall, Capability, Env, Errno, Fd, ForkResult, ImageSpec, IsolationLevel, Pid, Program,
-    ProgramBox, Resume, StepOutcome, SysResult, RING_EOF,
+    BlockingCall, Env, Errno, Fd, ForkResult, ImageSpec, IsolationLevel, Program, ProgramBox,
+    Resume, StepOutcome, SysResult, RING_EOF,
 };
-use ufork_cheri::Perms;
-use ufork_exec::{BlockedOn, Ctx, Machine, MachineConfig, MemOs, MAIN_TID, PIPE_CAPACITY};
-use ufork_mem::MemStats;
+use ufork_exec::{BlockedOn, Machine, MachineConfig, MAIN_TID, PIPE_CAPACITY};
 use ufork_sim::CostModel;
-
-const MOCK_LEN: u64 = 128 * 1024;
-/// Shm windows live in their own address range so loads/stores route to
-/// the shared object rather than the caller's private buffer.
-const SHM_BASE: u64 = 1 << 32;
-const SHM_STRIDE: u64 = 1 << 20;
-
-/// Flat per-process memory plus named, refcount-free shared objects:
-/// just enough of a backend for pipes and rings to be exercised for
-/// real (a ring pushed by one process must be visible to another).
-struct IpcOs {
-    cost: CostModel,
-    procs: BTreeMap<Pid, (Vec<u8>, Vec<Option<Capability>>)>,
-    shm: Vec<Vec<u8>>,
-    shm_names: Vec<String>,
-    isolation: IsolationLevel,
-    copyio: f64,
-}
-
-impl IpcOs {
-    fn new() -> IpcOs {
-        IpcOs::with(IsolationLevel::Fault, 0.0)
-    }
-
-    /// A backend at `isolation` whose user copies cost `copyio` ns/byte.
-    fn with(isolation: IsolationLevel, copyio: f64) -> IpcOs {
-        IpcOs {
-            cost: CostModel::morello(),
-            procs: BTreeMap::new(),
-            shm: Vec::new(),
-            shm_names: Vec::new(),
-            isolation,
-            copyio,
-        }
-    }
-}
-
-impl MemOs for IpcOs {
-    fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-    fn spawn(&mut self, _ctx: &mut Ctx, pid: Pid, _image: &ImageSpec) -> SysResult<()> {
-        let mut regs = vec![None; 16];
-        regs[0] = Some(Capability::new_root(
-            u64::from(pid.0) << 20,
-            MOCK_LEN,
-            Perms::data(),
-        ));
-        self.procs.insert(pid, (vec![0; MOCK_LEN as usize], regs));
-        Ok(())
-    }
-    fn fork(&mut self, ctx: &mut Ctx, parent: Pid, child: Pid) -> SysResult<()> {
-        ctx.kernel(self.cost.fork_fixed_ufork);
-        // Registers are copied wholesale — this is the mock's stand-in
-        // for the register relocation walk, so sealed ring endpoints in
-        // high registers survive into the child.
-        let (mem, mut regs) = self.procs.get(&parent).ok_or(Errno::Inval)?.clone();
-        regs[0] = Some(Capability::new_root(
-            u64::from(child.0) << 20,
-            MOCK_LEN,
-            Perms::data(),
-        ));
-        self.procs.insert(child, (mem, regs));
-        Ok(())
-    }
-    fn destroy(&mut self, _ctx: &mut Ctx, pid: Pid) {
-        self.procs.remove(&pid);
-    }
-    fn load(&mut self, _c: &mut Ctx, pid: Pid, cap: &Capability, buf: &mut [u8]) -> SysResult<()> {
-        if cap.addr() >= SHM_BASE {
-            let idx = ((cap.addr() - SHM_BASE) / SHM_STRIDE) as usize;
-            let off = ((cap.addr() - SHM_BASE) % SHM_STRIDE) as usize;
-            let obj = self.shm.get(idx).ok_or(Errno::Fault)?;
-            buf.copy_from_slice(&obj[off..off + buf.len()]);
-            return Ok(());
-        }
-        let (mem, _) = self.procs.get(&pid).ok_or(Errno::Inval)?;
-        let off = (cap.addr() & 0xf_ffff) as usize;
-        buf.copy_from_slice(&mem[off..off + buf.len()]);
-        Ok(())
-    }
-    fn store(&mut self, _c: &mut Ctx, pid: Pid, cap: &Capability, data: &[u8]) -> SysResult<()> {
-        if cap.addr() >= SHM_BASE {
-            let idx = ((cap.addr() - SHM_BASE) / SHM_STRIDE) as usize;
-            let off = ((cap.addr() - SHM_BASE) % SHM_STRIDE) as usize;
-            let obj = self.shm.get_mut(idx).ok_or(Errno::Fault)?;
-            obj[off..off + data.len()].copy_from_slice(data);
-            return Ok(());
-        }
-        let (mem, _) = self.procs.get_mut(&pid).ok_or(Errno::Inval)?;
-        let off = (cap.addr() & 0xf_ffff) as usize;
-        mem[off..off + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-    fn load_cap(
-        &mut self,
-        _c: &mut Ctx,
-        _p: Pid,
-        _cap: &Capability,
-    ) -> SysResult<Option<Capability>> {
-        Ok(None)
-    }
-    fn store_cap(
-        &mut self,
-        _c: &mut Ctx,
-        _p: Pid,
-        _cap: &Capability,
-        _v: &Capability,
-    ) -> SysResult<()> {
-        Ok(())
-    }
-    fn malloc(&mut self, _c: &mut Ctx, pid: Pid, _len: u64) -> SysResult<Capability> {
-        Ok(Capability::new_root(
-            u64::from(pid.0) << 20,
-            4096,
-            Perms::data(),
-        ))
-    }
-    fn mfree(&mut self, _c: &mut Ctx, _p: Pid, _cap: &Capability) -> SysResult<()> {
-        Ok(())
-    }
-    fn reg(&self, pid: Pid, idx: usize) -> SysResult<Capability> {
-        self.procs
-            .get(&pid)
-            .and_then(|(_, r)| r.get(idx).copied().flatten())
-            .ok_or(Errno::Inval)
-    }
-    fn set_reg(&mut self, pid: Pid, idx: usize, cap: Capability) -> SysResult<()> {
-        let (_, regs) = self.procs.get_mut(&pid).ok_or(Errno::Inval)?;
-        *regs.get_mut(idx).ok_or(Errno::Inval)? = Some(cap);
-        Ok(())
-    }
-    fn shm_open(&mut self, _c: &mut Ctx, _pid: Pid, name: &str, len: u64) -> SysResult<Capability> {
-        let idx = match self.shm_names.iter().position(|n| n == name) {
-            Some(i) => i,
-            None => {
-                self.shm_names.push(name.to_string());
-                self.shm.push(vec![0; len as usize]);
-                self.shm_names.len() - 1
-            }
-        };
-        Ok(Capability::new_root(
-            SHM_BASE + idx as u64 * SHM_STRIDE,
-            len,
-            Perms::data(),
-        ))
-    }
-    fn mmap_anon(&mut self, _c: &mut Ctx, pid: Pid, len: u64) -> SysResult<Capability> {
-        Ok(Capability::new_root(
-            u64::from(pid.0) << 20,
-            len,
-            Perms::data(),
-        ))
-    }
-    fn syscall_entry_cost(&self) -> f64 {
-        100.0
-    }
-    fn syscall_is_trap(&self) -> bool {
-        false
-    }
-    fn ctx_switch_cost(&self, _f: Pid, _t: Pid) -> f64 {
-        1000.0
-    }
-    fn big_kernel_lock(&self) -> bool {
-        false
-    }
-    fn isolation(&self) -> IsolationLevel {
-        self.isolation
-    }
-    fn copyio_cost_per_byte(&self) -> f64 {
-        self.copyio
-    }
-    fn mem_stats(&self, _pid: Pid) -> MemStats {
-        MemStats::default()
-    }
-    fn allocated_frames(&self) -> u32 {
-        self.procs.len() as u32 * 16
-    }
-    fn peak_frames(&self) -> u32 {
-        self.allocated_frames()
-    }
-    fn audit_isolation(&self, _pid: Pid) -> usize {
-        0
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Pipe wake semantics.
@@ -306,7 +120,7 @@ impl Program for TwoReaderMain {
 #[test]
 fn closing_last_write_end_wakes_every_blocked_reader() {
     let mut m = Machine::new(
-        IpcOs::new(),
+        FlatOs::default(),
         MachineConfig {
             cores: 2,
             ..MachineConfig::default()
@@ -436,7 +250,7 @@ impl Program for BackpressureWriter {
 #[test]
 fn blocked_writer_wakes_when_reader_drains() {
     let mut m = Machine::new(
-        IpcOs::new(),
+        FlatOs::default(),
         MachineConfig {
             cores: 2,
             ..MachineConfig::default()
@@ -546,7 +360,7 @@ impl Program for EpipeWriter {
 #[test]
 fn blocked_writer_gets_epipe_when_last_reader_closes() {
     let mut m = Machine::new(
-        IpcOs::new(),
+        FlatOs::default(),
         MachineConfig {
             cores: 2,
             ..MachineConfig::default()
@@ -674,7 +488,7 @@ impl Program for RingPair {
 #[test]
 fn ring_endpoints_survive_fork_and_deliver_eof() {
     let mut m = Machine::new(
-        IpcOs::new(),
+        FlatOs::default(),
         MachineConfig {
             cores: 2,
             ..MachineConfig::default()
@@ -747,7 +561,7 @@ impl Program for TryOps {
 
 #[test]
 fn try_ops_report_full_empty_and_eof() {
-    let mut m = Machine::new(IpcOs::new(), MachineConfig::default());
+    let mut m = Machine::new(FlatOs::default(), MachineConfig::default());
     let pid = m
         .spawn(&ImageSpec::hello_world(), Box::new(TryOps))
         .unwrap();
@@ -946,7 +760,14 @@ struct Seen {
 /// Runs one case; returns the operation's simulated kernel time and what
 /// the run showed.
 fn observe(case: Case, blocking: bool, iso: IsolationLevel) -> (f64, Seen) {
-    let mut m = Machine::new(IpcOs::with(iso, COPYIO), MachineConfig::default());
+    let mut m = Machine::new(
+        FlatOs {
+            isolation: iso,
+            copyio: COPYIO,
+            ..FlatOs::default()
+        },
+        MachineConfig::default(),
+    );
     let pid = m
         .spawn(
             &ImageSpec::hello_world(),
@@ -1155,7 +976,7 @@ impl Program for OverLong {
 /// Runs [`OverLong`] on `os` and checks each refusal: a length past the
 /// buffer capability fails with `Fault` at entry, one that fits the
 /// buffer but not the pipe or ring with `Inval`.
-fn run_over_long(os: IpcOs) -> Machine<IpcOs> {
+fn run_over_long(os: FlatOs) -> Machine<FlatOs> {
     let mut m = Machine::new(os, MachineConfig::default());
     let pid = m
         .spawn(&ImageSpec::hello_world(), Box::new(OverLong::default()))
@@ -1166,7 +987,7 @@ fn run_over_long(os: IpcOs) -> Machine<IpcOs> {
     assert_eq!(results.len(), 12, "{results:?}");
     for (name, r) in results {
         let len: u64 = name.rsplit(' ').next().unwrap().parse().unwrap();
-        let errno = if len > MOCK_LEN {
+        let errno = if len > MEM_LEN {
             Errno::Fault
         } else {
             Errno::Inval
@@ -1180,7 +1001,7 @@ fn run_over_long(os: IpcOs) -> Machine<IpcOs> {
 
 #[test]
 fn lengths_that_can_never_succeed_are_refused() {
-    run_over_long(IpcOs::new());
+    run_over_long(FlatOs::default());
 }
 
 /// At `Full` isolation every syscall charges its byte count as TOCTTOU
@@ -1189,7 +1010,10 @@ fn lengths_that_can_never_succeed_are_refused() {
 /// only the calls that passed the entry check are charged.
 #[test]
 fn over_long_lengths_are_refused_before_the_tocttou_charge() {
-    let m = run_over_long(IpcOs::with(IsolationLevel::Full, 0.0));
+    let m = run_over_long(FlatOs {
+        isolation: IsolationLevel::Full,
+        ..FlatOs::default()
+    });
     let cap = PIPE_CAPACITY as u64;
     assert_eq!(
         m.counters().tocttou_bytes,
@@ -1221,7 +1045,7 @@ impl Program for OverflowingRing {
 
 #[test]
 fn ring_geometry_that_overflows_is_refused_before_registration() {
-    let mut m = Machine::new(IpcOs::new(), MachineConfig::default());
+    let mut m = Machine::new(FlatOs::default(), MachineConfig::default());
     let pid = m
         .spawn(
             &ImageSpec::hello_world(),
@@ -1274,7 +1098,7 @@ impl Program for TamperedRing {
 /// delivers the registered `MSG` bytes, and the reopen, which checks the
 /// header, sees the forgery and fails with `Inval`.
 fn check_tampered_ring(msg_bytes: u64) {
-    let mut m = Machine::new(IpcOs::new(), MachineConfig::default());
+    let mut m = Machine::new(FlatOs::default(), MachineConfig::default());
     let program = TamperedRing {
         msg_bytes,
         popped: None,

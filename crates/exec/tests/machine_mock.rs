@@ -1,172 +1,14 @@
-//! Machine/scheduler tests against a minimal mock backend, independent of
-//! any real kernel: scheduling order, affinity, the big-kernel-lock
-//! model, blocking, time limits.
+//! Machine/scheduler tests against the flat mock backend
+//! (`common::FlatOs`), independent of any real kernel: scheduling order,
+//! affinity, the big-kernel-lock model, blocking, time limits.
 
-use std::collections::BTreeMap;
+mod common;
 
+use common::FlatOs;
 use ufork_abi::{
-    BlockingCall, Capability, Env, Errno, Fd, ForkResult, ImageSpec, IsolationLevel, Pid, Program,
-    Resume, StepOutcome, SysResult,
+    BlockingCall, Env, Errno, Fd, ForkResult, ImageSpec, Program, Resume, StepOutcome, SysResult,
 };
-use ufork_cheri::Perms;
-use ufork_exec::{BlockedOn, Ctx, Machine, MachineConfig, MemOs, MAIN_TID};
-use ufork_mem::MemStats;
-use ufork_sim::CostModel;
-
-/// A trivially simple backend: every process gets a flat 64 KiB buffer;
-/// fork memcpys it. No page tables — pure machine testing. The one fault
-/// it can raise is a load reaching the page at `poisoned_page` (an offset
-/// into the buffer): like a real page-by-page load, the bytes before that
-/// page are delivered first.
-struct MockOs {
-    cost: CostModel,
-    big_lock: bool,
-    procs: BTreeMap<Pid, (Vec<u8>, Vec<Option<Capability>>)>,
-    poisoned_page: Option<usize>,
-}
-
-impl MockOs {
-    fn new(big_lock: bool) -> MockOs {
-        MockOs {
-            cost: CostModel::morello(),
-            big_lock,
-            procs: BTreeMap::new(),
-            poisoned_page: None,
-        }
-    }
-}
-
-const MOCK_LEN: u64 = 64 * 1024;
-
-impl MemOs for MockOs {
-    fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-    fn spawn(&mut self, _ctx: &mut Ctx, pid: Pid, _image: &ImageSpec) -> SysResult<()> {
-        let mut regs = vec![None; 8];
-        regs[0] = Some(Capability::new_root(
-            u64::from(pid.0) << 20,
-            MOCK_LEN,
-            Perms::data(),
-        ));
-        self.procs.insert(pid, (vec![0; MOCK_LEN as usize], regs));
-        Ok(())
-    }
-    fn fork(&mut self, ctx: &mut Ctx, parent: Pid, child: Pid) -> SysResult<()> {
-        ctx.kernel(self.cost.fork_fixed_ufork);
-        let (mem, mut regs) = self.procs.get(&parent).ok_or(Errno::Inval)?.clone();
-        regs[0] = Some(Capability::new_root(
-            u64::from(child.0) << 20,
-            MOCK_LEN,
-            Perms::data(),
-        ));
-        self.procs.insert(child, (mem, regs));
-        Ok(())
-    }
-    fn destroy(&mut self, _ctx: &mut Ctx, pid: Pid) {
-        self.procs.remove(&pid);
-    }
-    fn load(&mut self, _c: &mut Ctx, pid: Pid, cap: &Capability, buf: &mut [u8]) -> SysResult<()> {
-        let (mem, _) = self.procs.get(&pid).ok_or(Errno::Inval)?;
-        let off = (cap.addr() & 0xf_ffff) as usize;
-        let end = off + buf.len();
-        if let Some(bad) = self.poisoned_page.filter(|&p| off < p + 4096 && p < end) {
-            let good = bad.saturating_sub(off);
-            buf[..good].copy_from_slice(&mem[off..off + good]);
-            return Err(Errno::Fault);
-        }
-        buf.copy_from_slice(&mem[off..end]);
-        Ok(())
-    }
-    fn store(&mut self, _c: &mut Ctx, pid: Pid, cap: &Capability, data: &[u8]) -> SysResult<()> {
-        let (mem, _) = self.procs.get_mut(&pid).ok_or(Errno::Inval)?;
-        let off = (cap.addr() & 0xf_ffff) as usize;
-        mem[off..off + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-    fn load_cap(
-        &mut self,
-        _c: &mut Ctx,
-        _p: Pid,
-        _cap: &Capability,
-    ) -> SysResult<Option<Capability>> {
-        Ok(None)
-    }
-    fn store_cap(
-        &mut self,
-        _c: &mut Ctx,
-        _p: Pid,
-        _cap: &Capability,
-        _v: &Capability,
-    ) -> SysResult<()> {
-        Ok(())
-    }
-    fn malloc(&mut self, _c: &mut Ctx, pid: Pid, _len: u64) -> SysResult<Capability> {
-        Ok(Capability::new_root(
-            u64::from(pid.0) << 20,
-            4096,
-            Perms::data(),
-        ))
-    }
-    fn mfree(&mut self, _c: &mut Ctx, _p: Pid, _cap: &Capability) -> SysResult<()> {
-        Ok(())
-    }
-    fn reg(&self, pid: Pid, idx: usize) -> SysResult<Capability> {
-        self.procs
-            .get(&pid)
-            .and_then(|(_, r)| r.get(idx).copied().flatten())
-            .ok_or(Errno::Inval)
-    }
-    fn set_reg(&mut self, pid: Pid, idx: usize, cap: Capability) -> SysResult<()> {
-        let (_, regs) = self.procs.get_mut(&pid).ok_or(Errno::Inval)?;
-        *regs.get_mut(idx).ok_or(Errno::Inval)? = Some(cap);
-        Ok(())
-    }
-    fn shm_open(&mut self, _c: &mut Ctx, pid: Pid, _n: &str, len: u64) -> SysResult<Capability> {
-        Ok(Capability::new_root(
-            u64::from(pid.0) << 20,
-            len,
-            Perms::data(),
-        ))
-    }
-    fn mmap_anon(&mut self, _c: &mut Ctx, pid: Pid, len: u64) -> SysResult<Capability> {
-        Ok(Capability::new_root(
-            u64::from(pid.0) << 20,
-            len,
-            Perms::data(),
-        ))
-    }
-    fn syscall_entry_cost(&self) -> f64 {
-        100.0
-    }
-    fn syscall_is_trap(&self) -> bool {
-        false
-    }
-    fn ctx_switch_cost(&self, _f: Pid, _t: Pid) -> f64 {
-        1000.0
-    }
-    fn big_kernel_lock(&self) -> bool {
-        self.big_lock
-    }
-    fn isolation(&self) -> IsolationLevel {
-        IsolationLevel::Fault
-    }
-    fn copyio_cost_per_byte(&self) -> f64 {
-        0.0
-    }
-    fn mem_stats(&self, _pid: Pid) -> MemStats {
-        MemStats::default()
-    }
-    fn allocated_frames(&self) -> u32 {
-        self.procs.len() as u32 * 16
-    }
-    fn peak_frames(&self) -> u32 {
-        self.allocated_frames()
-    }
-    fn audit_isolation(&self, _pid: Pid) -> usize {
-        0
-    }
-}
+use ufork_exec::{BlockedOn, Machine, MachineConfig, MAIN_TID};
 
 /// Forks N burners then waits for all.
 #[derive(Clone)]
@@ -230,7 +72,7 @@ fn user_work_scales_across_cores() {
     // work serialized; on 4 cores ≈ 0.8 ms. No big lock.
     let run = |cores: usize| {
         let mut m = Machine::new(
-            MockOs::new(false),
+            FlatOs::default(),
             MachineConfig {
                 cores,
                 ..MachineConfig::default()
@@ -257,7 +99,10 @@ fn big_kernel_lock_serializes_kernel_portions() {
     // a single forker; compare pure-user scaling against both models.
     let run = |big_lock: bool| {
         let mut m = Machine::new(
-            MockOs::new(big_lock),
+            FlatOs {
+                big_lock,
+                ..FlatOs::default()
+            },
             MachineConfig {
                 cores: 4,
                 ..MachineConfig::default()
@@ -283,7 +128,7 @@ fn affinity_restricts_cores() {
     // Pin the parent to core 0 and children to core 1: total time must be
     // (roughly) the serial sum of child work even on an 8-core machine.
     let mut m = Machine::new(
-        MockOs::new(false),
+        FlatOs::default(),
         MachineConfig {
             cores: 8,
             child_affinity: Some(vec![1]),
@@ -322,7 +167,7 @@ fn sleep_advances_simulated_time() {
             self
         }
     }
-    let mut m = Machine::new(MockOs::new(false), MachineConfig::default());
+    let mut m = Machine::new(FlatOs::default(), MachineConfig::default());
     let pid = m
         .spawn(&ImageSpec::hello_world(), Box::new(Sleeper))
         .unwrap();
@@ -349,7 +194,7 @@ fn time_limit_stops_scheduling() {
         }
     }
     let mut m = Machine::new(
-        MockOs::new(false),
+        FlatOs::default(),
         MachineConfig {
             time_limit: Some(1e6),
             ..MachineConfig::default()
@@ -383,7 +228,7 @@ fn wait_with_no_children_errors() {
             self
         }
     }
-    let mut m = Machine::new(MockOs::new(false), MachineConfig::default());
+    let mut m = Machine::new(FlatOs::default(), MachineConfig::default());
     let pid = m
         .spawn(&ImageSpec::hello_world(), Box::new(LoneWaiter))
         .unwrap();
@@ -420,7 +265,7 @@ fn orphans_keep_running_after_parent_exit() {
             self
         }
     }
-    let mut m = Machine::new(MockOs::new(false), MachineConfig::default());
+    let mut m = Machine::new(FlatOs::default(), MachineConfig::default());
     let pid = m
         .spawn(
             &ImageSpec::hello_world(),
@@ -450,7 +295,10 @@ fn orphans_keep_running_after_parent_exit() {
 fn fanout_schedule_matches_the_reference_scan() {
     for big_lock in [false, true] {
         let mut m = Machine::new(
-            MockOs::new(big_lock),
+            FlatOs {
+                big_lock,
+                ..FlatOs::default()
+            },
             MachineConfig {
                 cores: 3,
                 ..MachineConfig::default()
@@ -470,7 +318,7 @@ fn fanout_schedule_matches_the_reference_scan() {
 fn blocked_states_are_observable() {
     // Parent forks then waits; the child burns for a while. Step until
     // the parent parks and check what it reports being blocked on.
-    let mut m = Machine::new(MockOs::new(false), MachineConfig::default());
+    let mut m = Machine::new(FlatOs::default(), MachineConfig::default());
     let pid = m
         .spawn(&ImageSpec::hello_world(), fanout(1, 1_000_000))
         .unwrap();
@@ -488,7 +336,7 @@ fn cross_core_times_are_consistent() {
     // Forked children on other cores must never run before their fork
     // completed.
     let mut m = Machine::new(
-        MockOs::new(false),
+        FlatOs::default(),
         MachineConfig {
             cores: 3,
             ..MachineConfig::default()
@@ -565,8 +413,10 @@ impl Program for FileWriter {
 
 #[test]
 fn file_write_is_all_or_nothing_and_charges_like_a_load_then_a_write() {
-    let mut os = MockOs::new(false);
-    os.poisoned_page = Some(POISONED as usize);
+    let os = FlatOs {
+        poisoned_page: Some(POISONED as usize),
+        ..FlatOs::default()
+    };
     let cost = os.cost.clone();
     let mut m = Machine::new(os, MachineConfig::default());
     let pid = m

@@ -69,66 +69,37 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.chaos_only {
+    let report = if args.chaos_only {
         let mut report = OracleReport::default();
         run_chaos(&mut report);
-        println!(
-            "chaos sweep: {} journal-op aborts ({} with live ring endpoints, {} in the \
-             snapshot train, {} in background-reclaim passes, {} in OOM teardowns), all \
-             rolled back leak-free; {} mid-storm injection scenarios completed clean",
-            report.chaos_points,
-            report.ring_chaos_points,
-            report.train_chaos_points,
-            report.reclaim_chaos_points,
-            report.oom_chaos_points,
-            report.storm_chaos_scenarios
-        );
-        return if report.ok() {
-            println!("oracle: PASS");
-            ExitCode::SUCCESS
-        } else {
-            for f in &report.failures {
-                eprintln!("FAIL: {f}");
-            }
-            eprintln!("oracle: {} failure(s)", report.failures.len());
-            ExitCode::FAILURE
-        };
-    }
-    println!(
-        "ufork-oracle: seed={} cases={} (replay: cargo run -p ufork-oracle -- --seed {} --cases {})",
-        args.seed, args.cases, args.seed, args.cases
-    );
-    let report = run_oracle(args.seed, args.cases, args.skip_faults);
-    println!(
-        "kernel diff: {} cases agreed across ufork-full/coa/copa + multias",
-        report.kernel_cases
-    );
-    println!(
-        "machine diff: {} fork trees agreed (pipes, fds, exit codes)",
-        report.machine_cases
-    );
-    println!(
-        "ring diff: {} multi-tier ring-fabric runs agreed bitwise across all backends",
-        report.ring_cases
-    );
-    if args.skip_faults {
-        println!("fault injection: skipped (--skip-faults)");
+        report
     } else {
         println!(
-            "fault injection: {} injection points, all absorbed or failed clean",
-            report.fault_points
+            "ufork-oracle: seed={} cases={} (replay: cargo run -p ufork-oracle -- --seed {} --cases {})",
+            args.seed, args.cases, args.seed, args.cases
+        );
+        let report = run_oracle(args.seed, args.cases, args.skip_faults);
+        println!(
+            "kernel diff: {} cases agreed across ufork-full/coa/copa + multias",
+            report.kernel_cases
         );
         println!(
-            "chaos sweep: {} journal-op aborts ({} with live ring endpoints, {} in the \
-             snapshot train, {} in background-reclaim passes, {} in OOM teardowns), all \
-             rolled back leak-free; {} mid-storm injection scenarios completed clean",
-            report.chaos_points,
-            report.ring_chaos_points,
-            report.train_chaos_points,
-            report.reclaim_chaos_points,
-            report.oom_chaos_points,
-            report.storm_chaos_scenarios
+            "machine diff: {} fork trees agreed (pipes, fds, exit codes)",
+            report.machine_cases
         );
+        println!(
+            "ring diff: {} multi-tier ring-fabric runs agreed bitwise across all backends",
+            report.ring_cases
+        );
+        if args.skip_faults {
+            println!("fault injection: skipped (--skip-faults)");
+        } else {
+            println!("fault injection: {}", report.faults);
+        }
+        report
+    };
+    if args.chaos_only || !args.skip_faults {
+        println!("chaos sweep: {}", report.chaos);
     }
     if report.ok() {
         println!("oracle: PASS");

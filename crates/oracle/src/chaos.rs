@@ -1,53 +1,38 @@
 //! Auto-enumerated chaos sweep over the transactional fork journal.
 //!
-//! Where [`crate::fault`] injects failures at *allocator attempt*
-//! granularity, this sweep works at *journal op* granularity: a clean
-//! reference fork measures the window of journal records a fork of the
-//! oracle image produces, then the scenario is replayed once per record
-//! index with [`UforkOs::inject_journal_failure`] armed at exactly that
-//! op. Injected journal aborts are flagged fatal — the kernel's
-//! reclaim-then-retry loop must *not* absorb them — so each replay must
-//! show a textbook transactional abort:
+//! Where [`crate::fault`] fails *allocations*, this sweep aborts at
+//! *journal op* granularity: each leg of the abort-point sweep
+//! ([`crate::sweep`]) arms [`UforkOs::inject_journal_failure`] at every
+//! op its operation records. Injected aborts are fatal — the kernel's
+//! reclaim-then-retry loop must *not* absorb them — so each point must
+//! show a textbook transactional abort: the operation fails once with a
+//! rollback, leaves nothing half-done, the kernel stays consistent, a
+//! retry succeeds bit-correct, and teardown returns every frame.
 //!
-//! * the fork fails (no partial child: no region, no process-table
-//!   entry),
-//! * every frame taken since the fork began is back
-//!   (`allocated_frames` unchanged, `audit_kernel` balanced to zero),
-//! * a rollback was recorded and ran in reverse op order,
-//! * the parent is fully usable and an immediate retry succeeds with a
-//!   bit-correct child,
-//! * teardown afterwards releases everything down to zero frames.
-//!
-//! The sweep enumerates the window automatically, so a new journal op
-//! added to the fork path is covered without touching this file. It runs
-//! for all three copy strategies plus the parallel and pipelined walks,
-//! exercising the rollback of every op kind: the admission reservation,
-//! the region grab, eager frame allocations, shared/lazy refcount bumps,
-//! child PTE batches, parent COW arming, and the index/process-table
-//! inserts.
-//!
-//! Pipelined fork gets a second, wider window: after its fork commits,
-//! the background copy runs per-chunk journal transactions of its own
-//! (frame allocations, `PteRemap` rewrites, `RefDec` releases —
-//! `crates/core/src/pipeline.rs`). `sweep_pipeline_window` enumerates every
-//! journal op of a reference drain and aborts each one: the failing
-//! chunk must roll back whole (the window shrinks only in chunk-sized
-//! steps), nothing may leak, a retry drain must complete, and the child
-//! must end bit-correct.
+//! The legs: the fork under each copy strategy and walk, with and
+//! without a live shared-memory ring in flight; the pipelined fork's
+//! per-chunk background copy (`crates/core/src/pipeline.rs`); a 10-deep
+//! dirty-scope snapshot train; background-reclaim scrub passes; and OOM
+//! victim teardowns. Mid-storm injections ([`storm_chaos`]) then fail a
+//! fork under scheduler load.
+
+use std::fmt;
 
 use ufork::{UforkConfig, UforkOs, WalkMode};
-use ufork_abi::{CopyStrategy, ImageSpec, Pid};
+use ufork_abi::{CopyStrategy, Errno, ImageSpec, Pid};
 use ufork_cheri::{Capability, OType};
 use ufork_exec::ring::{self, RingPop, RingPush};
 use ufork_exec::{Ctx, Machine, MachineConfig, MemOs};
 use ufork_workloads::storm::{StormConfig, StormZygote};
 
-use crate::fault::{check_consistent, child_cap, prelude, teardown_clean};
+use crate::sweep::{
+    fork, forked_prelude, frames_balanced, kernel, prelude, surfaced, sweep, Counter, Leg, Run,
+};
 
 /// What the sweep exercised (for reporting).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaosSummary {
-    /// Journal op indices replayed with an injected abort.
+    /// Fork journal ops replayed with an injected abort.
     pub points: u64,
     /// Abort points replayed with live shared-memory ring endpoints.
     pub ring_points: u64,
@@ -55,18 +40,30 @@ pub struct ChaosSummary {
     pub pipeline_points: u64,
     /// Abort points inside the 10-deep dirty-scope snapshot train.
     pub train_points: u64,
-    /// Strategy × walk-mode configurations swept.
-    pub configs: u64,
     /// Mid-storm injection scenarios run to clean completion.
     pub storm_scenarios: u64,
-    /// Fork retries the storm zygotes absorbed across those scenarios.
-    pub storm_retries: u64,
-    /// Journal rollbacks recorded across those scenarios.
-    pub storm_rollbacks: u64,
     /// Abort points inside background-reclaim scrub passes.
     pub reclaim_points: u64,
     /// Abort points inside OOM victim memory teardowns.
     pub oom_points: u64,
+}
+
+impl fmt::Display for ChaosSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} fork, {} ring, {} pipeline-window, {} snapshot-train, {} reclaim and {} OOM \
+             journal-op aborts, all rolled back leak-free; {} mid-storm injection scenarios \
+             completed clean",
+            self.points,
+            self.ring_points,
+            self.pipeline_points,
+            self.train_points,
+            self.reclaim_points,
+            self.oom_points,
+            self.storm_scenarios
+        )
+    }
 }
 
 /// Strategy × walk-mode configurations under sweep. The parallel walk
@@ -81,78 +78,35 @@ const CONFIGS: [(CopyStrategy, WalkMode); 5] = [
     (CopyStrategy::CoPA, WalkMode::Serial),
 ];
 
-fn build(strategy: CopyStrategy, walk: WalkMode) -> UforkOs {
-    UforkOs::new(UforkConfig {
-        phys_mib: 256,
-        strategy,
-        walk,
-        ..UforkConfig::default()
-    })
+/// An aborted fork leaves no child and every frame where it was.
+fn fork_left_nothing(run: &mut Run) -> Result<(), String> {
+    if run.os.region_of(Pid(2)).is_ok() {
+        return Err(run.err("aborted fork left a child behind"));
+    }
+    run.frames_balanced()
 }
 
-fn sweep_config(
-    strategy: CopyStrategy,
-    walk: WalkMode,
-    summary: &mut ChaosSummary,
-) -> Result<(), String> {
-    // Reference run: measure the fork's journal-record window.
-    let (j0, j1) = {
-        let mut os = build(strategy, walk);
-        let mut ctx = Ctx::new();
-        prelude(&mut os, &mut ctx)?;
-        let j0 = os.journal_ops_recorded();
-        os.fork(&mut ctx, Pid(1), Pid(2))
-            .map_err(|e| format!("{strategy:?}/{walk:?}: reference fork failed: {e:?}"))?;
-        (j0, os.journal_ops_recorded())
-    };
-    if j1 == j0 {
-        return Err(format!(
-            "{strategy:?}/{walk:?}: fork recorded no journal ops (window empty)"
-        ));
+/// The injection is one-shot: the retry must produce a complete, correct
+/// child.
+fn retry_fork(run: &mut Run) -> Result<(), String> {
+    run.os
+        .fork(&mut run.ctx, Pid(1), Pid(2))
+        .map_err(|e| run.err(format_args!("retry fork failed: {e:?}")))?;
+    run.child_reads(Pid(2), 0xA0)
+}
+
+fn fork_leg(strategy: CopyStrategy, walk: WalkMode) -> Leg {
+    Leg {
+        check: fork_left_nothing,
+        retry: retry_fork,
+        ..Leg::new(
+            format!("fork/{strategy:?}/{walk:?}"),
+            Counter::JournalOps,
+            kernel(strategy, walk),
+            prelude,
+            fork,
+        )
     }
-    for op in j0..j1 {
-        let label = format!("{strategy:?}/{walk:?} journal op {op}");
-        let mut os = build(strategy, walk);
-        let mut ctx = Ctx::new();
-        let caps = prelude(&mut os, &mut ctx)?;
-        let frames_before = os.allocated_frames();
-        os.inject_journal_failure(op);
-        if os.fork(&mut ctx, Pid(1), Pid(2)).is_ok() {
-            return Err(format!("{label}: injected abort was absorbed"));
-        }
-        if ctx.counters.fork_rollbacks == 0 {
-            return Err(format!("{label}: abort did not run a rollback"));
-        }
-        if os.region_of(Pid(2)).is_ok() {
-            return Err(format!("{label}: aborted fork left a child behind"));
-        }
-        let frames = os.allocated_frames();
-        if frames != frames_before {
-            return Err(format!(
-                "{label}: {} frames leaked ({frames_before} -> {frames})",
-                frames as i64 - frames_before as i64
-            ));
-        }
-        check_consistent(&mut os, &mut ctx, &label)?;
-        // The injection is one-shot: the retry must produce a complete,
-        // correct child.
-        os.fork(&mut ctx, Pid(1), Pid(2))
-            .map_err(|e| format!("{label}: retry fork failed: {e:?}"))?;
-        let cc = child_cap(&os, &caps[0])?;
-        let mut b = [0u8; 8];
-        os.load(&mut ctx, Pid(2), &cc, &mut b)
-            .map_err(|e| format!("{label}: child read after retry: {e:?}"))?;
-        if u64::from_le_bytes(b) != 0xA0 {
-            return Err(format!(
-                "{label}: child sees {:#x}, expected 0xA0",
-                u64::from_le_bytes(b)
-            ));
-        }
-        teardown_clean(&mut os, &mut ctx, &label)?;
-        summary.points += 1;
-    }
-    summary.configs += 1;
-    Ok(())
 }
 
 // ---- ring-endpoint chaos -----------------------------------------------
@@ -235,28 +189,28 @@ fn ring_pop_expect(
     label: &str,
 ) -> Result<u64, String> {
     let mut slot = [0u8; RING_SLOT_IMAGE];
-    match ring::ring_pop_raw(os, ctx, pid, window, RING_SLOTS, &mut slot, now) {
-        Ok(RingPop::Popped(seq)) => {
-            // Pushes always cycle payloads 0..RING_MSGS in order.
-            let h = ring::RING_SLOT_HDR as usize;
-            let data = &slot[h..];
-            if data != &ring_slot(seq % RING_MSGS)[h..] {
-                return Err(format!(
-                    "{label}: pid {} popped seq {seq} with torn payload {data:x?}",
-                    pid.0
-                ));
-            }
-            Ok(seq)
-        }
-        other => Err(format!("{label}: pid {} pop: {other:?}", pid.0)),
+    let popped = ring::ring_pop_raw(os, ctx, pid, window, RING_SLOTS, &mut slot, now);
+    let Ok(RingPop::Popped(seq)) = popped else {
+        return Err(format!("{label}: pid {} pop: {popped:?}", pid.0));
+    };
+    // Pushes always cycle payloads 0..RING_MSGS in order.
+    let h = ring::RING_SLOT_HDR as usize;
+    if slot[h..] != ring_slot(seq % RING_MSGS)[h..] {
+        let data = &slot[h..];
+        return Err(format!(
+            "{label}: pid {} popped seq {seq} with torn payload {data:x?}",
+            pid.0
+        ));
     }
+    Ok(seq)
 }
 
 /// After an aborted fork the ring must be exactly as it stood: header
 /// verified, all in-flight messages present, every payload bitwise
 /// intact — a message is in or out, never partial. The messages are
 /// popped for inspection and re-pushed to restore the in-flight state.
-fn check_ring_untorn(os: &mut UforkOs, ctx: &mut Ctx, label: &str) -> Result<(), String> {
+fn check_ring_untorn(run: &mut Run) -> Result<(), String> {
+    let Run { os, ctx, label, .. } = run;
     let w = ring_window(os, Pid(1), label)?;
     ring::ring_verify(os, ctx, Pid(1), &w, RING_SLOTS, RING_MSG_BYTES)
         .map_err(|e| format!("{label}: ring header torn: {e:?}"))?;
@@ -280,201 +234,116 @@ fn check_ring_untorn(os: &mut UforkOs, ctx: &mut Ctx, label: &str) -> Result<(),
 
 /// Journal chaos with live IPC: the fork in flight carries a shared
 /// ring with messages enqueued and a sealed endpoint capability in a
-/// register. Every journal op of the reference fork is aborted once;
-/// each abort must leave no child, no leaked frame (the shm frames'
-/// refcounts roll back with everything else), the parent's sealed
-/// endpoint untouched, and the ring bitwise untorn. The retry must then
-/// relocate the endpoint seal-intact into the child, and parent and
+/// register. Each abort must leave no child, no leaked frame (the shm
+/// frames' refcounts roll back with everything else), the parent's
+/// sealed endpoint untouched, and the ring bitwise untorn. The retry must
+/// then relocate the endpoint seal-intact into the child, and parent and
 /// child must drain the same shared ring interleaved — connectivity
 /// survives the failed fork and the successful one alike.
-fn sweep_ring_config(
-    strategy: CopyStrategy,
-    walk: WalkMode,
-    summary: &mut ChaosSummary,
-) -> Result<(), String> {
-    // Reference run: the journal window of a fork with a live ring.
-    let (j0, j1) = {
-        let mut os = build(strategy, walk);
-        let mut ctx = Ctx::new();
-        ring_prelude(&mut os, &mut ctx)?;
-        let j0 = os.journal_ops_recorded();
-        os.fork(&mut ctx, Pid(1), Pid(2))
-            .map_err(|e| format!("ring/{strategy:?}/{walk:?}: reference fork failed: {e:?}"))?;
-        (j0, os.journal_ops_recorded())
-    };
-    if j1 == j0 {
+fn ring_leg(strategy: CopyStrategy, walk: WalkMode) -> Leg {
+    Leg {
+        check: fork_left_nothing,
+        retry: |run| {
+            check_ring_untorn(run)?;
+            retry_fork(run)?;
+            drain_shared_ring(run)
+        },
+        // With the object's own references dropped and both mappings
+        // unmapped by teardown, the allocator must balance to zero: no
+        // frame or capability outlives the fabric.
+        release: |run| {
+            run.os
+                .shm_unlink(RING_NAME)
+                .then_some(())
+                .ok_or_else(|| run.err("ring shm object vanished"))
+        },
+        ..Leg::new(
+            format!("ring/{strategy:?}/{walk:?}"),
+            Counter::JournalOps,
+            kernel(strategy, walk),
+            ring_prelude,
+            fork,
+        )
+    }
+}
+
+/// After a retried fork, the relocated sealed endpoint must grant the
+/// child the same shared window: child, parent, child pop in turn, each
+/// observing the other side's head advance — one ring, two address views.
+fn drain_shared_ring(run: &mut Run) -> Result<(), String> {
+    let Run { os, ctx, label, .. } = run;
+    let pw = ring_window(os, Pid(1), label)?;
+    let cw = ring_window(os, Pid(2), label)?;
+    ring::ring_verify(os, ctx, Pid(2), &cw, RING_SLOTS, RING_MSG_BYTES)
+        .map_err(|e| format!("{label}: child ring header: {e:?}"))?;
+    let s0 = ring_pop_expect(os, ctx, Pid(2), &cw, 20.0, label)?;
+    let s1 = ring_pop_expect(os, ctx, Pid(1), &pw, 21.0, label)?;
+    let s2 = ring_pop_expect(os, ctx, Pid(2), &cw, 22.0, label)?;
+    if s1 != s0 + 1 || s2 != s0 + 2 {
         return Err(format!(
-            "ring/{strategy:?}/{walk:?}: fork recorded no journal ops"
+            "{label}: interleaved drain saw seqs {s0},{s1},{s2} (not consecutive)"
         ));
     }
-    for op in j0..j1 {
-        let label = format!("ring/{strategy:?}/{walk:?} journal op {op}");
-        let mut os = build(strategy, walk);
-        let mut ctx = Ctx::new();
-        let caps = ring_prelude(&mut os, &mut ctx)?;
-        let frames_before = os.allocated_frames();
-        os.inject_journal_failure(op);
-        if os.fork(&mut ctx, Pid(1), Pid(2)).is_ok() {
-            return Err(format!("{label}: injected abort was absorbed"));
-        }
-        if ctx.counters.fork_rollbacks == 0 {
-            return Err(format!("{label}: abort did not run a rollback"));
-        }
-        if os.region_of(Pid(2)).is_ok() {
-            return Err(format!("{label}: aborted fork left a child behind"));
-        }
-        let frames = os.allocated_frames();
-        if frames != frames_before {
+    for (pid, w) in [(Pid(1), &pw), (Pid(2), &cw)] {
+        let depth = ring::ring_depth(os, ctx, pid, w)
+            .map_err(|e| format!("{label}: final depth: {e:?}"))?;
+        if depth != 0 {
             return Err(format!(
-                "{label}: {} frames leaked ({frames_before} -> {frames})",
-                frames as i64 - frames_before as i64
+                "{label}: pid {} still sees {depth} messages after drain",
+                pid.0
             ));
         }
-        check_consistent(&mut os, &mut ctx, &label)?;
-        check_ring_untorn(&mut os, &mut ctx, &label)?;
-        // Retry: the relocated sealed endpoint must grant the child the
-        // same shared window, drained interleaved with the parent.
-        os.fork(&mut ctx, Pid(1), Pid(2))
-            .map_err(|e| format!("{label}: retry fork failed: {e:?}"))?;
-        let cc = child_cap(&os, &caps[0])?;
-        let mut b = [0u8; 8];
-        os.load(&mut ctx, Pid(2), &cc, &mut b)
-            .map_err(|e| format!("{label}: child heap read after retry: {e:?}"))?;
-        if u64::from_le_bytes(b) != 0xA0 {
-            return Err(format!(
-                "{label}: child sees {:#x}, expected 0xA0",
-                u64::from_le_bytes(b)
-            ));
-        }
-        let pw = ring_window(&os, Pid(1), &label)?;
-        let cw = ring_window(&os, Pid(2), &label)?;
-        ring::ring_verify(&mut os, &mut ctx, Pid(2), &cw, RING_SLOTS, RING_MSG_BYTES)
-            .map_err(|e| format!("{label}: child ring header: {e:?}"))?;
-        // Child, parent, child: each pop must observe the other side's
-        // head advance — one ring, two address views.
-        let s0 = ring_pop_expect(&mut os, &mut ctx, Pid(2), &cw, 20.0, &label)?;
-        let s1 = ring_pop_expect(&mut os, &mut ctx, Pid(1), &pw, 21.0, &label)?;
-        let s2 = ring_pop_expect(&mut os, &mut ctx, Pid(2), &cw, 22.0, &label)?;
-        if s1 != s0 + 1 || s2 != s0 + 2 {
-            return Err(format!(
-                "{label}: interleaved drain saw seqs {s0},{s1},{s2} (not consecutive)"
-            ));
-        }
-        for (pid, w) in [(Pid(1), &pw), (Pid(2), &cw)] {
-            let depth = ring::ring_depth(&mut os, &mut ctx, pid, w)
-                .map_err(|e| format!("{label}: final depth: {e:?}"))?;
-            if depth != 0 {
-                return Err(format!(
-                    "{label}: pid {} still sees {depth} messages after drain",
-                    pid.0
-                ));
-            }
-        }
-        // Unlink the ring object and tear everything down: with the
-        // object's own references dropped and both mappings unmapped,
-        // the allocator must balance to zero — no frame or capability
-        // outlives the fabric.
-        if !os.shm_unlink(RING_NAME) {
-            return Err(format!("{label}: ring shm object vanished"));
-        }
-        teardown_clean(&mut os, &mut ctx, &label)?;
-        summary.ring_points += 1;
     }
     Ok(())
 }
 
-/// Abort points inside the pipelined background-copy window: a
-/// reference run measures the journal ops a full drain of the committed
-/// fork's window records, then each op index is aborted in its own
-/// replay. At every point the failing chunk must roll back whole —
-/// the window only ever shrinks by whole chunks — the kernel must stay
-/// balanced, the one-shot injection must not survive into the retry
-/// drain, and the fully-drained child must read bit-correct. Teardown
-/// to zero frames at each point is the leak check.
-fn sweep_pipeline_window(summary: &mut ChaosSummary) -> Result<(), String> {
-    let strategy = CopyStrategy::Full;
-    let walk = WalkMode::Pipelined;
-    // Reference run: fork commits, then the drain's journal window.
-    let (j1, j2) = {
-        let mut os = build(strategy, walk);
-        let mut ctx = Ctx::new();
-        prelude(&mut os, &mut ctx)?;
-        os.fork(&mut ctx, Pid(1), Pid(2))
-            .map_err(|e| format!("pipeline reference fork failed: {e:?}"))?;
-        let j1 = os.journal_ops_recorded();
-        os.pipeline_drain(&mut ctx, Pid(2))
-            .map_err(|e| format!("pipeline reference drain failed: {e:?}"))?;
-        (j1, os.journal_ops_recorded())
-    };
-    if j2 == j1 {
-        return Err("pipelined background window recorded no journal ops".into());
+/// Abort points inside the pipelined background-copy window: the fork
+/// commits in the prelude, and each journal op of the drain is aborted.
+/// The failing chunk must roll back whole — the window only ever shrinks
+/// by whole chunks — the one-shot injection must not survive into the
+/// retry drain, and the fully-drained child must read bit-correct.
+fn pipeline_leg() -> Leg {
+    Leg {
+        retry: |run| {
+            run.os
+                .pipeline_drain(&mut run.ctx, Pid(2))
+                .map_err(|e| run.err(format_args!("retry drain failed: {e:?}")))?;
+            if run.os.pipeline_pending_pages(Pid(2)) != 0 {
+                return Err(run.err("window still open after retry drain"));
+            }
+            run.child_reads(Pid(2), 0xA0)
+        },
+        ..Leg::new(
+            "pipeline".into(),
+            Counter::JournalOps,
+            kernel(CopyStrategy::Full, WalkMode::Pipelined),
+            forked_prelude,
+            |run| {
+                let staged = run.os.pipeline_pending_pages(Pid(2));
+                if staged == 0 {
+                    return Err(run.err("pipelined fork left no window"));
+                }
+                let Err(e) = run.os.pipeline_drain(&mut run.ctx, Pid(2)) else {
+                    return Ok(Vec::new());
+                };
+                // Chunk atomicity: the window shrinks only in whole
+                // chunks, so the failing chunk is exactly as staged.
+                let pending = run.os.pipeline_pending_pages(Pid(2));
+                if pending == 0 || !(staged - pending).is_multiple_of(ufork::CHUNK_PAGES as u64) {
+                    return Err(run.err(format_args!(
+                        "window went {staged} -> {pending} pages (not chunk-aligned)"
+                    )));
+                }
+                Ok(vec![e])
+            },
+        )
     }
-    for op in j1..j2 {
-        let label = format!("pipeline window op {op}");
-        let mut os = build(strategy, walk);
-        let mut ctx = Ctx::new();
-        let caps = prelude(&mut os, &mut ctx)?;
-        os.fork(&mut ctx, Pid(1), Pid(2))
-            .map_err(|e| format!("{label}: fork failed: {e:?}"))?;
-        let staged = os.pipeline_pending_pages(Pid(2));
-        if staged == 0 {
-            return Err(format!("{label}: pipelined fork left no window"));
-        }
-        os.inject_journal_failure(op);
-        let rollbacks_before = ctx.counters.fork_rollbacks;
-        if os.pipeline_drain(&mut ctx, Pid(2)).is_ok() {
-            return Err(format!("{label}: injected chunk abort was absorbed"));
-        }
-        if ctx.counters.fork_rollbacks == rollbacks_before {
-            return Err(format!("{label}: chunk abort did not run a rollback"));
-        }
-        // Chunk atomicity: the window shrinks only in whole chunks, so
-        // the failing chunk is exactly as staged — never in between.
-        let pending = os.pipeline_pending_pages(Pid(2));
-        if pending == 0 || !(staged - pending).is_multiple_of(ufork::CHUNK_PAGES as u64) {
-            return Err(format!(
-                "{label}: window went {staged} -> {pending} pages (not chunk-aligned)"
-            ));
-        }
-        check_consistent(&mut os, &mut ctx, &label)?;
-        // The injection is one-shot: the retry drain must complete and
-        // the child must end bit-correct.
-        os.pipeline_drain(&mut ctx, Pid(2))
-            .map_err(|e| format!("{label}: retry drain failed: {e:?}"))?;
-        if os.pipeline_pending_pages(Pid(2)) != 0 {
-            return Err(format!("{label}: window still open after retry drain"));
-        }
-        let cc = child_cap(&os, &caps[0])?;
-        let mut b = [0u8; 8];
-        os.load(&mut ctx, Pid(2), &cc, &mut b)
-            .map_err(|e| format!("{label}: child read after drain: {e:?}"))?;
-        if u64::from_le_bytes(b) != 0xA0 {
-            return Err(format!(
-                "{label}: child sees {:#x}, expected 0xA0",
-                u64::from_le_bytes(b)
-            ));
-        }
-        teardown_clean(&mut os, &mut ctx, &label)?;
-        summary.pipeline_points += 1;
-    }
-    Ok(())
 }
 
 /// Forks in the chaos snapshot train (the "10-deep" of the refcount
 /// leak-freedom requirement: clean frames end up shared by the parent
 /// plus up to ten live snapshot children).
 const TRAIN_DEPTH: u32 = 10;
-
-fn build_train(walk: WalkMode) -> UforkOs {
-    UforkOs::new(UforkConfig {
-        phys_mib: 256,
-        strategy: CopyStrategy::Full,
-        walk,
-        track_dirty: true,
-        dedup_frames: true,
-        ..UforkConfig::default()
-    })
-}
 
 /// The value the train's round-`r` store writes into surviving slot
 /// `r % 4`, and the value slot 0 held when the round-`r` child forked
@@ -490,40 +359,34 @@ fn train_slot0_at(round: u32) -> u64 {
 /// slot, fork a child that stays alive, and drain any pipelined window.
 /// An injected journal abort is fatal for the syscall it lands in — the
 /// op rolls back and surfaces an error — and the train then retries
-/// that one step (the injection is one-shot). Returns how many aborts
+/// that one step (the injection is one-shot). Returns the aborts that
 /// surfaced.
-fn drive_train(
-    os: &mut UforkOs,
-    ctx: &mut Ctx,
-    caps: &[ufork_cheri::Capability],
-    label: &str,
-) -> Result<u32, String> {
-    let mut aborts = 0u32;
+fn drive_train(run: &mut Run) -> Result<Vec<Errno>, String> {
+    let (os, ctx, caps, label) = (&mut run.os, &mut run.ctx, &run.caps, &run.label);
+    let mut aborts = Vec::new();
     for round in 0..TRAIN_DEPTH {
         let child = Pid(2 + round);
         let slot = &caps[(round % 4) as usize];
         let bytes = train_value(round).to_le_bytes();
         if let Err(e) = os.store(ctx, Pid(1), slot, &bytes) {
-            aborts += 1;
+            aborts.push(e);
             os.store(ctx, Pid(1), slot, &bytes).map_err(|e2| {
                 format!("{label}: round {round} store retry ({e:?}) failed: {e2:?}")
             })?;
         }
         let frames_before = os.allocated_frames();
         if let Err(e) = os.fork(ctx, Pid(1), child) {
-            aborts += 1;
+            aborts.push(e);
             if os.region_of(child).is_ok() {
                 return Err(format!("{label}: aborted round-{round} fork left a child"));
             }
-            if os.allocated_frames() != frames_before {
-                return Err(format!("{label}: aborted round-{round} fork leaked frames"));
-            }
+            frames_balanced(os, frames_before, label)?;
             os.fork(ctx, Pid(1), child).map_err(|e2| {
                 format!("{label}: round {round} fork retry ({e:?}) failed: {e2:?}")
             })?;
         }
         if let Err(e) = os.pipeline_drain(ctx, child) {
-            aborts += 1;
+            aborts.push(e);
             os.pipeline_drain(ctx, child).map_err(|e2| {
                 format!("{label}: round {round} drain retry ({e:?}) failed: {e2:?}")
             })?;
@@ -532,112 +395,53 @@ fn drive_train(
     Ok(aborts)
 }
 
-/// Every child of the train is a point-in-time snapshot: round `r`'s
-/// child must see slot 0 as it stood at its own fork, not the parent's
-/// latest write — the dirty scope shares clean pages but must never
-/// share dirty ones.
-fn check_train_snapshots(
-    os: &mut UforkOs,
-    ctx: &mut Ctx,
-    caps: &[ufork_cheri::Capability],
-    label: &str,
-) -> Result<(), String> {
-    let p_root = os
-        .reg(Pid(1), 0)
-        .map_err(|e| format!("{label}: p root: {e:?}"))?;
-    for round in 0..TRAIN_DEPTH {
-        let child = Pid(2 + round);
-        let c_root = os
-            .reg(child, 0)
-            .map_err(|e| format!("{label}: child {round} root: {e:?}"))?;
-        let delta = c_root.base() as i64 - p_root.base() as i64;
-        let cc = caps[0]
-            .rebase(delta, &c_root)
-            .map_err(|e| format!("{label}: child {round} rebase: {e:?}"))?;
-        let mut b = [0u8; 8];
-        os.load(ctx, child, &cc, &mut b)
-            .map_err(|e| format!("{label}: child {round} read: {e:?}"))?;
-        let want = train_slot0_at(round);
-        if u64::from_le_bytes(b) != want {
-            return Err(format!(
-                "{label}: round-{round} child sees {:#x}, expected its fork-time {want:#x}",
-                u64::from_le_bytes(b)
-            ));
-        }
+/// Journal chaos across the dirty-scope snapshot train: the window spans
+/// ten generation-stamped forks (dirty stamps, dirty-track cursor
+/// updates, clean-share and dedup refcount bumps, plus everything the
+/// base walk records). The abort must surface from exactly the step it
+/// lands in, that step must retry clean, every child must still see its
+/// own fork-time snapshot, and teardown of the full train must balance to
+/// zero frames: the refcount leak-freedom check of the dirty-scope
+/// machinery, with clean frames shared by the parent and up to ten live
+/// children (and dedup'd frames shared between children).
+fn train_leg(walk: WalkMode) -> Leg {
+    Leg {
+        release: |run| {
+            for round in 0..TRAIN_DEPTH {
+                let child = Pid(2 + round);
+                if run.os.region_of(child).is_ok() {
+                    run.os.destroy(&mut run.ctx, child);
+                }
+            }
+            Ok(())
+        },
+        ..Leg::new(
+            format!("train/{walk:?}"),
+            Counter::JournalOps,
+            UforkConfig {
+                track_dirty: true,
+                dedup_frames: true,
+                ..kernel(CopyStrategy::Full, walk)
+            },
+            prelude,
+            |run| {
+                let aborts = drive_train(run)?;
+                // Every child is a point-in-time snapshot: round `r`'s
+                // child sees slot 0 as it stood at its own fork, not the
+                // parent's latest write — the dirty scope shares clean
+                // pages but must never share dirty ones.
+                for round in 0..TRAIN_DEPTH {
+                    run.child_reads(Pid(2 + round), train_slot0_at(round))?;
+                }
+                Ok(aborts)
+            },
+        )
     }
-    Ok(())
-}
-
-/// Tears the whole train down — ten children sharing clean frames with
-/// the parent through refcounts (and dedup'd frames with each other) —
-/// and requires the allocator to balance to zero: the refcount
-/// leak-freedom check of the dirty-scope machinery.
-fn teardown_train(os: &mut UforkOs, ctx: &mut Ctx, label: &str) -> Result<(), String> {
-    for round in 0..TRAIN_DEPTH {
-        let child = Pid(2 + round);
-        if os.region_of(child).is_ok() {
-            os.destroy(ctx, child);
-        }
-    }
-    teardown_clean(os, ctx, label)
-}
-
-/// Journal chaos across the dirty-scope snapshot train: a reference
-/// train measures the journal window of ten generation-stamped forks
-/// (dirty stamps, dirty-track cursor updates, clean-share and dedup
-/// refcount bumps, plus everything the base walk records), then each op
-/// index is aborted in its own replay. The abort must surface from
-/// exactly the step it lands in, that step must retry clean, every
-/// later child must still see its own fork-time snapshot, and teardown
-/// of the full train must balance to zero frames. The window is
-/// enumerated from `journal_ops_recorded`, so any journal op added to
-/// the dirty-scope path widens this sweep automatically.
-fn sweep_snapshot_train(walk: WalkMode, summary: &mut ChaosSummary) -> Result<(), String> {
-    // Reference run: the train's journal window, and zero aborts.
-    let (j0, j1) = {
-        let mut os = build_train(walk);
-        let mut ctx = Ctx::new();
-        let caps = prelude(&mut os, &mut ctx)?;
-        let j0 = os.journal_ops_recorded();
-        let aborts = drive_train(&mut os, &mut ctx, &caps, "train reference")?;
-        if aborts != 0 {
-            return Err(format!(
-                "train/{walk:?}: reference run aborted {aborts} times"
-            ));
-        }
-        check_train_snapshots(&mut os, &mut ctx, &caps, "train reference")?;
-        teardown_train(&mut os, &mut ctx, "train reference")?;
-        (j0, os.journal_ops_recorded())
-    };
-    if j1 == j0 {
-        return Err(format!("train/{walk:?}: train recorded no journal ops"));
-    }
-    for op in j0..j1 {
-        let label = format!("train/{walk:?} journal op {op}");
-        let mut os = build_train(walk);
-        let mut ctx = Ctx::new();
-        let caps = prelude(&mut os, &mut ctx)?;
-        os.inject_journal_failure(op);
-        let aborts = drive_train(&mut os, &mut ctx, &caps, &label)?;
-        if aborts != 1 {
-            return Err(format!(
-                "{label}: expected exactly 1 surfaced abort, saw {aborts}"
-            ));
-        }
-        if ctx.counters.fork_rollbacks == 0 {
-            return Err(format!("{label}: abort did not run a rollback"));
-        }
-        check_train_snapshots(&mut os, &mut ctx, &caps, &label)?;
-        check_consistent(&mut os, &mut ctx, &label)?;
-        teardown_train(&mut os, &mut ctx, &label)?;
-        summary.train_points += 1;
-    }
-    Ok(())
 }
 
 // ---- background-reclaim and OOM-teardown chaos -------------------------
 
-/// Machine-global allocator snapshot for the reclaim/OOM abort checks.
+/// Machine-global allocator snapshot for the reclaim abort checks.
 fn alloc_snapshot(os: &UforkOs) -> (u64, u64, u64) {
     let s = os.mem_stats(Pid(1));
     (
@@ -653,217 +457,121 @@ fn alloc_snapshot(os: &UforkOs) -> (u64, u64, u64) {
 /// watermarks forced up so the hysteretic level reads `Elevated` —
 /// exactly the state in which the executive would arm the daemon.
 fn reclaim_prelude(os: &mut UforkOs, ctx: &mut Ctx) -> Result<Vec<Capability>, String> {
-    let caps = prelude(os, ctx)?;
-    os.fork(ctx, Pid(1), Pid(2))
-        .map_err(|e| format!("reclaim prelude fork: {e:?}"))?;
+    let caps = forked_prelude(os, ctx)?;
     os.destroy(ctx, Pid(2));
     // 256 MiB = 65536 frames; a high watermark at capacity means any
     // allocation at all leaves availability below it.
     os.set_pressure_watermarks(32_768, 65_536);
+    if os.mem_stats(Pid(1)).pending_scrub == 0 {
+        return Err("reclaim prelude left nothing to scrub".into());
+    }
     Ok(caps)
 }
 
-fn build_reclaim() -> UforkOs {
-    UforkOs::new(UforkConfig {
-        phys_mib: 256,
-        strategy: CopyStrategy::Full,
-        walk: WalkMode::Serial,
-        reclaim_daemon: true,
-        ..UforkConfig::default()
-    })
-}
-
-/// Abort points inside the background reclaim daemon: a reference run
-/// measures the journal window of a full scrub drain (every pooled
-/// frame scrubbed into the clean-frame magazine, batch by batch), then
-/// each `FrameScrub` op index is aborted in its own replay. The dying
-/// pass must roll back whole — allocated frames, the unscrubbed-pool
-/// count and the magazine depth all exactly as before the pass — the
-/// one-shot injection must not survive into the retry, the drain must
-/// then complete, and a subsequent fork must actually *hit* the
-/// magazine its scrubs filled (pre-zeroed frames served on the fork
-/// hot path). Teardown to zero frames at each point is the leak check.
-fn sweep_reclaim_window(summary: &mut ChaosSummary) -> Result<(), String> {
-    // Reference run: the journal window of a full drain.
-    let (j0, j1) = {
-        let mut os = build_reclaim();
-        let mut ctx = Ctx::new();
-        reclaim_prelude(&mut os, &mut ctx)?;
-        let j0 = os.journal_ops_recorded();
-        loop {
-            match os.reclaim_step(&mut ctx) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) => return Err(format!("reference reclaim drain failed: {e:?}")),
-            }
-        }
-        (j0, os.journal_ops_recorded())
-    };
-    if j1 == j0 {
-        return Err("reclaim drain recorded no journal ops".into());
-    }
-    for op in j0..j1 {
-        let label = format!("reclaim op {op}");
-        let mut os = build_reclaim();
-        let mut ctx = Ctx::new();
-        let caps = reclaim_prelude(&mut os, &mut ctx)?;
-        let (frames0, pending0, depth0) = alloc_snapshot(&os);
-        if pending0 == 0 {
-            return Err(format!("{label}: prelude left nothing to scrub"));
-        }
-        os.inject_journal_failure(op);
-        let rollbacks_before = ctx.counters.fork_rollbacks;
-        let mut aborts = 0u32;
-        loop {
-            let before = alloc_snapshot(&os);
-            match os.reclaim_step(&mut ctx) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(_) => {
-                    aborts += 1;
-                    let after = alloc_snapshot(&os);
-                    if after != before {
-                        return Err(format!(
-                            "{label}: dying pass leaked state ({before:?} -> {after:?})"
-                        ));
-                    }
-                }
-            }
-        }
-        if aborts != 1 {
-            return Err(format!("{label}: expected 1 surfaced abort, saw {aborts}"));
-        }
-        if ctx.counters.fork_rollbacks == rollbacks_before {
-            return Err(format!("{label}: abort did not run a rollback"));
-        }
-        let (frames1, pending1, depth1) = alloc_snapshot(&os);
-        if frames1 != frames0 {
-            return Err(format!(
-                "{label}: drain changed allocated frames ({frames0} -> {frames1})"
-            ));
-        }
-        if pending1 != 0 || depth1 != depth0 + pending0 {
-            return Err(format!(
-                "{label}: drain left {pending1} unscrubbed, magazine {depth0}+{pending0} \
-                 -> {depth1}"
-            ));
-        }
-        if ctx.counters.frames_prezeroed < pending0 {
-            return Err(format!(
-                "{label}: only {} frames counted prezeroed of {pending0}",
-                ctx.counters.frames_prezeroed
-            ));
-        }
+/// Abort points inside the background reclaim daemon: the window is a
+/// full scrub drain (every pooled frame scrubbed into the clean-frame
+/// magazine, batch by batch). The dying pass must roll back whole —
+/// allocated frames, the unscrubbed-pool count and the magazine depth
+/// all exactly as before the pass — the one-shot injection must not
+/// survive into the retry, the drain must then complete, and a
+/// subsequent fork must actually *hit* the magazine its scrubs filled
+/// (pre-zeroed frames served on the fork hot path).
+fn reclaim_leg() -> Leg {
+    Leg {
         // The payoff: a fork right after the drain must serve its child
         // copies from the magazine the daemon filled.
-        let hits_before = ctx.counters.magazine_hits;
-        os.fork(&mut ctx, Pid(1), Pid(2))
-            .map_err(|e| format!("{label}: post-drain fork failed: {e:?}"))?;
-        if ctx.counters.magazine_hits == hits_before {
-            return Err(format!("{label}: post-drain fork hit no magazine frame"));
-        }
-        let cc = child_cap(&os, &caps[0])?;
-        let mut b = [0u8; 8];
-        os.load(&mut ctx, Pid(2), &cc, &mut b)
-            .map_err(|e| format!("{label}: child read: {e:?}"))?;
-        if u64::from_le_bytes(b) != 0xA0 {
-            return Err(format!(
-                "{label}: child sees {:#x}, expected 0xA0",
-                u64::from_le_bytes(b)
-            ));
-        }
-        check_consistent(&mut os, &mut ctx, &label)?;
-        teardown_clean(&mut os, &mut ctx, &label)?;
-        summary.reclaim_points += 1;
+        check: |run| {
+            let hits_before = run.ctx.counters.magazine_hits;
+            run.os
+                .fork(&mut run.ctx, Pid(1), Pid(2))
+                .map_err(|e| run.err(format_args!("post-drain fork failed: {e:?}")))?;
+            if run.ctx.counters.magazine_hits == hits_before {
+                return Err(run.err("post-drain fork hit no magazine frame"));
+            }
+            run.child_reads(Pid(2), 0xA0)
+        },
+        ..Leg::new(
+            "reclaim".into(),
+            Counter::JournalOps,
+            UforkConfig {
+                reclaim_daemon: true,
+                ..kernel(CopyStrategy::Full, WalkMode::Serial)
+            },
+            reclaim_prelude,
+            |run| {
+                let (_, pending0, depth0) = alloc_snapshot(&run.os);
+                let mut aborts = Vec::new();
+                loop {
+                    let before = alloc_snapshot(&run.os);
+                    match run.os.reclaim_step(&mut run.ctx) {
+                        Ok(0) => break,
+                        Ok(_) => {}
+                        Err(e) => {
+                            aborts.push(e);
+                            let after = alloc_snapshot(&run.os);
+                            if after != before {
+                                return Err(run.err(format_args!(
+                                    "dying pass leaked state ({before:?} -> {after:?})"
+                                )));
+                            }
+                        }
+                    }
+                }
+                run.frames_balanced()?;
+                let (_, pending1, depth1) = alloc_snapshot(&run.os);
+                if pending1 != 0 || depth1 != depth0 + pending0 {
+                    return Err(run.err(format_args!(
+                        "drain left {pending1} unscrubbed, magazine {depth0}+{pending0} -> {depth1}"
+                    )));
+                }
+                if run.ctx.counters.frames_prezeroed < pending0 {
+                    return Err(run.err(format_args!(
+                        "only {} frames counted prezeroed of {pending0}",
+                        run.ctx.counters.frames_prezeroed
+                    )));
+                }
+                Ok(aborts)
+            },
+        )
     }
-    Ok(())
 }
 
-/// Abort points inside the OOM victim memory teardown: a reference run
-/// measures the journal window of one `oom_reap` of a forked child
-/// (every mapped PTE detach recorded before the batched unmap), then
-/// each op index is aborted in its own replay. An aborted kill must
-/// leave the victim *completely untouched* — region present, heap
-/// bit-readable, not a frame moved — because a victim that survives the
-/// abort must still be killable by the retry, which must then release
-/// its memory in full. Swept under the eager, CoW-sharing and pipelined
-/// walks, since each leaves different reference-count shapes for the
-/// teardown to unwind.
-fn sweep_oom_teardown(summary: &mut ChaosSummary) -> Result<(), String> {
-    const OOM_CONFIGS: [(CopyStrategy, WalkMode); 3] = [
-        (CopyStrategy::Full, WalkMode::Serial),
-        (CopyStrategy::CoA, WalkMode::Serial),
-        (CopyStrategy::Full, WalkMode::Pipelined),
-    ];
-    for (strategy, walk) in OOM_CONFIGS {
-        // Reference run: the reap's journal window.
-        let (j0, j1) = {
-            let mut os = build(strategy, walk);
-            let mut ctx = Ctx::new();
-            prelude(&mut os, &mut ctx)?;
-            os.fork(&mut ctx, Pid(1), Pid(2))
-                .map_err(|e| format!("oom/{strategy:?}/{walk:?}: reference fork: {e:?}"))?;
-            let j0 = os.journal_ops_recorded();
-            os.oom_reap(&mut ctx, Pid(2))
-                .map_err(|e| format!("oom/{strategy:?}/{walk:?}: reference reap: {e:?}"))?;
-            (j0, os.journal_ops_recorded())
-        };
-        if j1 == j0 {
-            return Err(format!(
-                "oom/{strategy:?}/{walk:?}: reap recorded no journal ops"
-            ));
-        }
-        for op in j0..j1 {
-            let label = format!("oom/{strategy:?}/{walk:?} journal op {op}");
-            let mut os = build(strategy, walk);
-            let mut ctx = Ctx::new();
-            let caps = prelude(&mut os, &mut ctx)?;
-            os.fork(&mut ctx, Pid(1), Pid(2))
-                .map_err(|e| format!("{label}: fork failed: {e:?}"))?;
-            let frames_before = os.allocated_frames();
-            os.inject_journal_failure(op);
-            let rollbacks_before = ctx.counters.fork_rollbacks;
-            if os.oom_reap(&mut ctx, Pid(2)).is_ok() {
-                return Err(format!("{label}: injected reap abort was absorbed"));
-            }
-            if ctx.counters.fork_rollbacks == rollbacks_before {
-                return Err(format!("{label}: reap abort did not run a rollback"));
-            }
-            // The victim survives an aborted kill untouched.
-            if os.region_of(Pid(2)).is_err() {
-                return Err(format!("{label}: aborted reap lost the victim"));
-            }
-            if os.allocated_frames() != frames_before {
-                return Err(format!(
-                    "{label}: aborted reap moved frames ({frames_before} -> {})",
-                    os.allocated_frames()
-                ));
+/// Abort points inside the OOM victim memory teardown: the window is one
+/// `oom_reap` of a forked child (every mapped PTE detach recorded before
+/// the batched unmap). An aborted kill must leave the victim *completely
+/// untouched* — region present, not a frame moved, heap bit-readable —
+/// because a victim that survives the abort must still be killable by
+/// the retry, which must then release its memory in full. Swept under
+/// the eager, CoW-sharing and pipelined walks, since each leaves
+/// different reference-count shapes for the teardown to unwind.
+fn oom_leg(strategy: CopyStrategy, walk: WalkMode) -> Leg {
+    Leg {
+        check: |run| {
+            if run.os.region_of(Pid(2)).is_err() {
+                return Err(run.err("aborted reap lost the victim"));
             }
             // Heap integrity check after the frame balance: under CoA
             // this read legitimately materializes a lazily-shared page.
-            let cc = child_cap(&os, &caps[0])?;
-            let mut b = [0u8; 8];
-            os.load(&mut ctx, Pid(2), &cc, &mut b)
-                .map_err(|e| format!("{label}: victim read after abort: {e:?}"))?;
-            if u64::from_le_bytes(b) != 0xA0 {
-                return Err(format!(
-                    "{label}: victim sees {:#x} after abort, expected 0xA0",
-                    u64::from_le_bytes(b)
-                ));
+            run.frames_balanced()?;
+            run.child_reads(Pid(2), 0xA0)
+        },
+        retry: |run| {
+            run.os
+                .oom_reap(&mut run.ctx, Pid(2))
+                .map_err(|e| run.err(format_args!("retry reap failed: {e:?}")))?;
+            if run.os.region_of(Pid(2)).is_ok() {
+                return Err(run.err("victim still present after retry reap"));
             }
-            check_consistent(&mut os, &mut ctx, &label)?;
-            // The injection is one-shot: the retried kill must complete
-            // and actually release the victim's memory.
-            os.oom_reap(&mut ctx, Pid(2))
-                .map_err(|e| format!("{label}: retry reap failed: {e:?}"))?;
-            if os.region_of(Pid(2)).is_ok() {
-                return Err(format!("{label}: victim still present after retry reap"));
-            }
-            teardown_clean(&mut os, &mut ctx, &label)?;
-            summary.oom_points += 1;
-        }
+            Ok(())
+        },
+        ..Leg::new(
+            format!("oom/{strategy:?}/{walk:?}"),
+            Counter::JournalOps,
+            kernel(strategy, walk),
+            forked_prelude,
+            |run| Ok(surfaced(run.os.oom_reap(&mut run.ctx, Pid(2)))),
+        )
     }
-    Ok(())
 }
 
 /// Which fault a mid-storm scenario arms once the storm is in flight.
@@ -881,8 +589,8 @@ enum StormFault {
 /// hundreds of live children, arm a one-shot fault *mid-flight* (after
 /// the storm has built up real concurrency), and require the storm to
 /// finish as if nothing happened — every child completed, the zygote
-/// exits 0, and teardown balances to zero frames. Unlike
-/// [`sweep_config`], the fork here fails under load, between thousands
+/// exits 0, and teardown balances to zero frames. Unlike the window
+/// sweeps, the fork here fails under load, between thousands
 /// of scheduler events, with the allocator warm and the journal window
 /// mid-stream — the realistic shape of the failure, not the lab one.
 fn storm_chaos(
@@ -894,14 +602,8 @@ fn storm_chaos(
     const CHILDREN: u32 = 300;
     const ARMED_AFTER_FORKS: usize = 100;
     let label = format!("storm/{strategy:?}/{walk:?}/{fault:?}");
-    let os = UforkOs::new(UforkConfig {
-        phys_mib: 256,
-        strategy,
-        walk,
-        ..UforkConfig::default()
-    });
     let mut m = Machine::new(
-        os,
+        UforkOs::new(kernel(strategy, walk)),
         MachineConfig {
             cores: 4,
             ..MachineConfig::default()
@@ -960,13 +662,8 @@ fn storm_chaos(
             return Err(format!("{label}: zygote absorbed no fork failure"));
         }
     }
-    let frames = m.os.allocated_frames();
-    if frames != 0 {
-        return Err(format!("{label}: {frames} frames leaked after drain"));
-    }
+    frames_balanced(&m.os, 0, &label)?;
     summary.storm_scenarios += 1;
-    summary.storm_retries += u64::from(z.retries);
-    summary.storm_rollbacks += m.counters().fork_rollbacks;
     Ok(())
 }
 
@@ -974,21 +671,28 @@ fn storm_chaos(
 pub fn chaos_sweep() -> Result<ChaosSummary, String> {
     let mut summary = ChaosSummary::default();
     for (strategy, walk) in CONFIGS {
-        sweep_config(strategy, walk, &mut summary)?;
+        summary.points += sweep(&fork_leg(strategy, walk))?;
     }
     // The same abort sweep with live ring endpoints in flight: every
     // strategy × walk, since each walk has its own Shm refcount-share
     // arm and register-relocation schedule to unwind.
     for (strategy, walk) in CONFIGS {
-        sweep_ring_config(strategy, walk, &mut summary)?;
+        summary.ring_points += sweep(&ring_leg(strategy, walk))?;
     }
-    sweep_pipeline_window(&mut summary)?;
-    sweep_reclaim_window(&mut summary)?;
-    sweep_oom_teardown(&mut summary)?;
+    summary.pipeline_points = sweep(&pipeline_leg())?;
+    summary.reclaim_points = sweep(&reclaim_leg())?;
+    for (strategy, walk) in [
+        (CopyStrategy::Full, WalkMode::Serial),
+        (CopyStrategy::CoA, WalkMode::Serial),
+        (CopyStrategy::Full, WalkMode::Pipelined),
+    ] {
+        summary.oom_points += sweep(&oom_leg(strategy, walk))?;
+    }
     // The dirty-scope snapshot train, under the serial and pipelined
     // walks (the two the 0.25× bench gate holds).
-    sweep_snapshot_train(WalkMode::Serial, &mut summary)?;
-    sweep_snapshot_train(WalkMode::Pipelined, &mut summary)?;
+    for walk in [WalkMode::Serial, WalkMode::Pipelined] {
+        summary.train_points += sweep(&train_leg(walk))?;
+    }
     for strategy in [CopyStrategy::Full, CopyStrategy::CoA, CopyStrategy::CoPA] {
         for fault in [StormFault::Journal, StormFault::Alloc] {
             storm_chaos(strategy, WalkMode::default(), fault, &mut summary)?;

@@ -1,41 +1,33 @@
 //! Deterministic fault injection around fork.
 //!
-//! The campaign first runs each scenario cleanly, reading the kernel's
-//! frame-allocation attempt counter before and after the operation under
-//! test. That yields the exact window of allocation attempts the
-//! operation performs; the campaign then replays the scenario once per
-//! attempt index, arming [`UforkOs::inject_frame_alloc_failure`] so that
-//! precisely the N-th allocation fails.
-//!
-//! A one-shot allocation failure is *transient*, so the transactional
-//! journal must absorb it: the fork rolls back, runs a reclaim pass, and
-//! the in-kernel retry succeeds (likewise the fault path's
-//! reclaim-then-retry for lazy copies). Every replay must show:
-//!
-//! * the operation under test **succeeds** despite the injected failure,
-//! * the rollback/reclaim machinery actually ran (counters),
-//! * no dangling PTEs / unaccounted frames (`audit_kernel`),
-//! * the child observes exactly the clean-run values, and
-//! * a clean teardown afterwards: zero frames remain (catches any frame
-//!   leaked by the rolled-back first attempt).
+//! Each scenario is a leg of the abort-point sweep ([`crate::sweep`]) on
+//! the allocator's attempt counter: it fails exactly the N-th frame
+//! allocation ([`UforkOs::inject_frame_alloc_failure`]) once per attempt
+//! of the operation. A one-shot allocation failure is *transient*, so the
+//! kernel must absorb it — the journal rolls the partial fork back, runs
+//! a reclaim pass and retries (likewise the fault path's
+//! reclaim-then-retry for lazy copies) — and the child must observe
+//! exactly the values the prelude stored. Swept: every allocation of the
+//! eager fork walk (all three strategies) and of lazy CoA-access / CoPA
+//! tag-load fault resolution in the child.
 //!
 //! Region exhaustion is *not* transient — no amount of reclaim frees a
-//! μprocess region — so that scenario still demands a clean `Err(NoMem)`.
-//!
-//! Three scenarios cover the paper's fork paths: frame exhaustion during
-//! the eager fork walk (all three strategies), frame exhaustion inside
-//! lazy CoA-access / CoPA tag-load fault resolution in the child, and
-//! μprocess-region exhaustion mid-fork.
+//! μprocess region — so that scenario demands a clean `Err(NoMem)`.
 
-use ufork::{UforkConfig, UforkOs};
+use std::fmt;
+
+use ufork::{UforkConfig, UforkOs, WalkMode};
 use ufork_abi::{CopyStrategy, Errno, Pid};
-use ufork_cheri::Capability;
 use ufork_exec::{Ctx, MemOs};
 
 use crate::driver::oracle_image;
+use crate::sweep::{
+    check_consistent, child_cap, fork, forked_prelude, frames_balanced, kernel, prelude, sweep,
+    Counter, Leg,
+};
 
 /// What the campaign exercised (for reporting).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Injection points replayed inside the eager fork walk.
     pub fork_walk_points: u64,
@@ -45,235 +37,66 @@ pub struct FaultSummary {
     pub region_exhaustion_forks: u64,
 }
 
+impl fmt::Display for FaultSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} fork-walk and {} lazy-copy allocation failures absorbed, {} forks up to \
+             region exhaustion, which failed clean",
+            self.fork_walk_points, self.lazy_copy_points, self.region_exhaustion_forks
+        )
+    }
+}
+
 const STRATEGIES: [CopyStrategy; 3] = [CopyStrategy::Full, CopyStrategy::CoA, CopyStrategy::CoPA];
 
-pub(crate) fn build(strategy: CopyStrategy) -> UforkOs {
-    UforkOs::new(UforkConfig {
-        phys_mib: 256,
-        strategy,
-        ..UforkConfig::default()
-    })
-}
-
-/// Spawns `Pid(1)` and builds a fragmented heap with a pointer cycle:
-/// seven allocations, every other one freed, capabilities chaining the
-/// survivors. Returns the surviving slot capabilities.
-pub(crate) fn prelude(os: &mut UforkOs, ctx: &mut Ctx) -> Result<Vec<Capability>, String> {
-    let pid = Pid(1);
-    os.spawn(ctx, pid, &oracle_image())
-        .map_err(|e| format!("spawn: {e:?}"))?;
-    let mut caps = Vec::new();
-    for i in 0..7u64 {
-        let c = os
-            .malloc(ctx, pid, 512)
-            .map_err(|e| format!("malloc#{i}: {e:?}"))?;
-        os.store(ctx, pid, &c, &(0xA0 + i).to_le_bytes())
-            .map_err(|e| format!("write#{i}: {e:?}"))?;
-        caps.push(c);
+/// Frame exhaustion at every allocation attempt of the eager fork walk:
+/// the journal rolls the partial fork back, reclaims, and the retry
+/// inside the kernel succeeds with a bit-correct child.
+fn fork_walk_leg(strategy: CopyStrategy) -> Leg {
+    Leg {
+        check: |run| run.rolled_back(),
+        retry: |run| run.child_reads(Pid(2), 0xA0),
+        ..Leg::new(
+            format!("fork-walk/{strategy:?}"),
+            Counter::FrameAllocs,
+            kernel(strategy, WalkMode::default()),
+            prelude,
+            fork,
+        )
     }
-    // Chain: caps[i] granule 1 points at caps[(i+2) % 7].
-    for i in 0..7usize {
-        let at = caps[i]
-            .with_addr(caps[i].base() + 16)
-            .map_err(|e| format!("cursor#{i}: {e:?}"))?;
-        os.store_cap(ctx, pid, &at, &caps[(i + 2) % 7])
-            .map_err(|e| format!("store_cap#{i}: {e:?}"))?;
-    }
-    // Fragment the free list.
-    for i in [1usize, 3, 5] {
-        os.mfree(ctx, pid, &caps[i])
-            .map_err(|e| format!("free#{i}: {e:?}"))?;
-    }
-    Ok(vec![caps[0], caps[2], caps[4], caps[6]])
-}
-
-/// Derives the child-side view of a parent capability after fork.
-pub(crate) fn child_cap(os: &UforkOs, parent_cap: &Capability) -> Result<Capability, String> {
-    let p_root = os.reg(Pid(1), 0).map_err(|e| format!("p root: {e:?}"))?;
-    let c_root = os.reg(Pid(2), 0).map_err(|e| format!("c root: {e:?}"))?;
-    let delta = c_root.base() as i64 - p_root.base() as i64;
-    parent_cap
-        .rebase(delta, &c_root)
-        .map_err(|e| format!("rebase: {e:?}"))
-}
-
-/// Asserts the kernel is consistent and the parent intact after an
-/// absorbed failure (rollback + retry inside the kernel).
-pub(crate) fn check_consistent(os: &mut UforkOs, ctx: &mut Ctx, label: &str) -> Result<(), String> {
-    let (dangling, unaccounted) = os.audit_kernel();
-    if dangling != 0 || unaccounted != 0 {
-        return Err(format!(
-            "{label}: audit found {dangling} dangling PTEs, {unaccounted} unaccounted frames"
-        ));
-    }
-    // Parent must still be fully usable.
-    let c = os
-        .malloc(ctx, Pid(1), 64)
-        .map_err(|e| format!("{label}: parent malloc after failure: {e:?}"))?;
-    os.store(ctx, Pid(1), &c, &[0x5A; 8])
-        .map_err(|e| format!("{label}: parent write after failure: {e:?}"))?;
-    os.mfree(ctx, Pid(1), &c)
-        .map_err(|e| format!("{label}: parent free after failure: {e:?}"))?;
-    Ok(())
-}
-
-pub(crate) fn teardown_clean(os: &mut UforkOs, ctx: &mut Ctx, label: &str) -> Result<(), String> {
-    for pid in [Pid(2), Pid(1)] {
-        if os.region_of(pid).is_ok() {
-            os.destroy(ctx, pid);
-        }
-    }
-    let frames = os.allocated_frames();
-    if frames != 0 {
-        return Err(format!("{label}: {frames} frames alive after teardown"));
-    }
-    let (dangling, unaccounted) = os.audit_kernel();
-    if dangling != 0 || unaccounted != 0 {
-        return Err(format!(
-            "{label}: post-teardown audit: {dangling} dangling PTEs, {unaccounted} unaccounted"
-        ));
-    }
-    Ok(())
-}
-
-/// Frame exhaustion at every allocation attempt of the eager fork walk.
-fn fork_walk_campaign(summary: &mut FaultSummary) -> Result<(), String> {
-    for strategy in STRATEGIES {
-        // Clean run: find the fork's allocation-attempt window.
-        let (a0, a1) = {
-            let mut os = build(strategy);
-            let mut ctx = Ctx::new();
-            prelude(&mut os, &mut ctx)?;
-            let a0 = os.frame_alloc_attempts();
-            os.fork(&mut ctx, Pid(1), Pid(2))
-                .map_err(|e| format!("{strategy:?}: clean fork failed: {e:?}"))?;
-            (a0, os.frame_alloc_attempts())
-        };
-        if a1 == a0 {
-            return Err(format!(
-                "{strategy:?}: fork performed no frame allocations (window empty)"
-            ));
-        }
-        for attempt in a0..a1 {
-            let label = format!("{strategy:?} fork-walk attempt {attempt}");
-            let mut os = build(strategy);
-            let mut ctx = Ctx::new();
-            let caps = prelude(&mut os, &mut ctx)?;
-            os.inject_frame_alloc_failure(attempt);
-            // A one-shot failure is transient: the journal rolls the
-            // partial fork back, reclaims, and the retry succeeds.
-            os.fork(&mut ctx, Pid(1), Pid(2))
-                .map_err(|e| format!("{label}: fork did not absorb the failure: {e:?}"))?;
-            if ctx.counters.fork_rollbacks == 0 {
-                return Err(format!("{label}: no rollback recorded"));
-            }
-            if ctx.counters.reclaim_inline == 0 {
-                return Err(format!("{label}: no reclaim pass recorded"));
-            }
-            check_consistent(&mut os, &mut ctx, &label)?;
-            let mut b = [0u8; 8];
-            let cc = child_cap(&os, &caps[0])?;
-            os.load(&mut ctx, Pid(2), &cc, &mut b)
-                .map_err(|e| format!("{label}: child read after retry: {e:?}"))?;
-            if u64::from_le_bytes(b) != 0xA0 {
-                return Err(format!(
-                    "{label}: child sees {:#x}, expected 0xA0",
-                    u64::from_le_bytes(b)
-                ));
-            }
-            teardown_clean(&mut os, &mut ctx, &label)?;
-            summary.fork_walk_points += 1;
-        }
-    }
-    Ok(())
 }
 
 /// Frame exhaustion inside the child's lazy fault resolution (CoA page
-/// materialization / CoPA capability-load relocation).
-fn lazy_copy_campaign(summary: &mut FaultSummary) -> Result<(), String> {
-    for strategy in [CopyStrategy::CoA, CopyStrategy::CoPA] {
-        // Clean run to find the window of the child's first access.
-        let (a0, a1, expected) = {
-            let mut os = build(strategy);
-            let mut ctx = Ctx::new();
-            let caps = prelude(&mut os, &mut ctx)?;
-            os.fork(&mut ctx, Pid(1), Pid(2))
-                .map_err(|e| format!("{strategy:?}: fork: {e:?}"))?;
-            let cc = child_cap(&os, &caps[0])?;
-            let a0 = os.frame_alloc_attempts();
-            let loaded = child_access(&mut os, &mut ctx, &cc, strategy)?;
-            (a0, os.frame_alloc_attempts(), loaded)
-        };
-        if a1 == a0 {
-            return Err(format!(
-                "{strategy:?}: child access triggered no frame allocation"
-            ));
-        }
-        for attempt in a0..a1 {
-            let label = format!("{strategy:?} lazy-copy attempt {attempt}");
-            let mut os = build(strategy);
-            let mut ctx = Ctx::new();
-            let caps = prelude(&mut os, &mut ctx)?;
-            os.fork(&mut ctx, Pid(1), Pid(2))
-                .map_err(|e| format!("{label}: fork: {e:?}"))?;
-            let cc = child_cap(&os, &caps[0])?;
-            os.inject_frame_alloc_failure(attempt);
-            // The fault path's reclaim-then-retry absorbs the one-shot
-            // failure: the access succeeds and sees the pre-fork value.
-            let v = child_access(&mut os, &mut ctx, &cc, strategy)
-                .map_err(|e| format!("{label}: access did not absorb the failure: {e}"))?;
-            if v != expected {
-                return Err(format!(
-                    "{label}: absorbed access saw {v:#x}, clean run saw {expected:#x}"
-                ));
+/// materialization / CoPA capability-load relocation): the fault path's
+/// reclaim-then-retry absorbs it and the access sees the pre-fork value.
+fn lazy_copy_leg(strategy: CopyStrategy) -> Leg {
+    Leg::new(
+        format!("lazy-copy/{strategy:?}"),
+        Counter::FrameAllocs,
+        kernel(strategy, WalkMode::default()),
+        forked_prelude,
+        |run| {
+            if run.os.strategy() == CopyStrategy::CoA {
+                // Any access faults.
+                run.child_reads(Pid(2), 0xA0)?;
+            } else {
+                // The pointer granule is tagged, so loading it faults; it
+                // points at slot 2, which holds 0xA2.
+                let cc = child_cap(&run.os, Pid(2), &run.caps[0]).map_err(|e| run.err(e))?;
+                let at = cc
+                    .with_addr(cc.base() + 16)
+                    .map_err(|e| run.err(format_args!("cursor: {e:?}")))?;
+                let target = run
+                    .os
+                    .load_cap(&mut run.ctx, Pid(2), &at)
+                    .map_err(|e| run.err(format_args!("load_cap: {e:?}")))?
+                    .ok_or_else(|| run.err("pointer granule lost its tag"))?;
+                run.reads(Pid(2), &target, 0xA2)?;
             }
-            if ctx.counters.reclaim_inline == 0 {
-                return Err(format!("{label}: no reclaim pass recorded"));
-            }
-            let (dangling, unaccounted) = os.audit_kernel();
-            if dangling != 0 || unaccounted != 0 {
-                return Err(format!(
-                    "{label}: audit: {dangling} dangling, {unaccounted} unaccounted"
-                ));
-            }
-            teardown_clean(&mut os, &mut ctx, &label)?;
-            summary.lazy_copy_points += 1;
-        }
-    }
-    Ok(())
-}
-
-/// The child's first touch of `cc`: a plain read under CoA (any access
-/// faults), a tagged capability load under CoPA (LC_FAULT fires), then a
-/// read through the loaded capability.
-fn child_access(
-    os: &mut UforkOs,
-    ctx: &mut Ctx,
-    cc: &Capability,
-    strategy: CopyStrategy,
-) -> Result<u64, String> {
-    if strategy == CopyStrategy::CoA {
-        let mut b = [0u8; 8];
-        os.load(ctx, Pid(2), cc, &mut b)
-            .map_err(|e| format!("coa load: {e:?}"))?;
-        Ok(u64::from_le_bytes(b))
-    } else {
-        // CoPA: the pointer granule is tagged, so this load faults.
-        let at = cc
-            .with_addr(cc.base() + 16)
-            .map_err(|e| format!("cursor: {e:?}"))?;
-        let target = os
-            .load_cap(ctx, Pid(2), &at)
-            .map_err(|e| format!("copa load_cap: {e:?}"))?
-            .ok_or_else(|| "copa: pointer granule lost its tag".to_string())?;
-        let tat = target
-            .with_addr(target.base())
-            .map_err(|e| format!("target cursor: {e:?}"))?;
-        let mut b = [0u8; 8];
-        os.load(ctx, Pid(2), &tat, &mut b)
-            .map_err(|e| format!("copa read-through: {e:?}"))?;
-        Ok(u64::from_le_bytes(b))
-    }
+            Ok(Vec::new())
+        },
+    )
 }
 
 /// Region exhaustion: a μprocess area sized for only a few regions makes
@@ -283,11 +106,9 @@ fn region_exhaustion_campaign(summary: &mut FaultSummary) -> Result<(), String> 
         let image = oracle_image();
         let region_len = ufork::ProcLayout::for_image(&image).region_len();
         let mut os = UforkOs::new(UforkConfig {
-            phys_mib: 256,
-            strategy,
             // Room for the parent and a couple of children, not more.
             uproc_area_len: region_len * 4,
-            ..UforkConfig::default()
+            ..kernel(strategy, WalkMode::default())
         });
         let mut ctx = Ctx::new();
         prelude(&mut os, &mut ctx)?;
@@ -310,19 +131,9 @@ fn region_exhaustion_campaign(summary: &mut FaultSummary) -> Result<(), String> 
                     if os.region_of(Pid(next)).is_ok() {
                         return Err(format!("{label}: failed fork left child"));
                     }
-                    if os.allocated_frames() != frames_before {
-                        return Err(format!("{label}: failed fork leaked frames"));
-                    }
-                    let (d, u) = os.audit_kernel();
-                    if d != 0 || u != 0 {
-                        return Err(format!("{label}: audit {d}/{u}"));
-                    }
-                    // Parent and existing children still usable.
-                    let c = os
-                        .malloc(&mut ctx, Pid(1), 64)
-                        .map_err(|e| format!("{label}: parent malloc: {e:?}"))?;
-                    os.mfree(&mut ctx, Pid(1), &c)
-                        .map_err(|e| format!("{label}: parent free: {e:?}"))?;
+                    frames_balanced(&os, frames_before, &label)?;
+                    // The audit balances and the parent is still usable.
+                    check_consistent(&mut os, &mut ctx, &label)?;
                     break;
                 }
                 Err(e) => return Err(format!("{strategy:?}: unexpected fork error {e:?}")),
@@ -337,9 +148,7 @@ fn region_exhaustion_campaign(summary: &mut FaultSummary) -> Result<(), String> 
                 os.destroy(&mut ctx, pid);
             }
         }
-        if os.allocated_frames() != 0 {
-            return Err(format!("{strategy:?}: frames alive after teardown"));
-        }
+        frames_balanced(&os, 0, &format!("{strategy:?} region-exhaustion teardown"))?;
         summary.region_exhaustion_forks += u64::from(forked);
     }
     Ok(())
@@ -348,8 +157,12 @@ fn region_exhaustion_campaign(summary: &mut FaultSummary) -> Result<(), String> 
 /// Runs the whole campaign; returns what was exercised.
 pub fn fault_campaign() -> Result<FaultSummary, String> {
     let mut summary = FaultSummary::default();
-    fork_walk_campaign(&mut summary)?;
-    lazy_copy_campaign(&mut summary)?;
+    for strategy in STRATEGIES {
+        summary.fork_walk_points += sweep(&fork_walk_leg(strategy))?;
+    }
+    for strategy in [CopyStrategy::CoA, CopyStrategy::CoPA] {
+        summary.lazy_copy_points += sweep(&lazy_copy_leg(strategy))?;
+    }
     region_exhaustion_campaign(&mut summary)?;
     Ok(summary)
 }

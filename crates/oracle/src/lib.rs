@@ -23,12 +23,12 @@
 //!    without leaking a frame or a PTE, while μprocess-region exhaustion
 //!    mid-fork must fail cleanly.
 //! 4. **Journal chaos sweep** ([`chaos`]) — every journal op of a
-//!    reference fork is made to abort, one run per op index, and the
+//!    reference fork (with and without live ring endpoints), of a
+//!    pipelined copy window, a snapshot train, a reclaim drain and an
+//!    OOM reap is made to abort, one run per op index, and the
 //!    transactional rollback must balance frames, refcounts, PTEs and
-//!    regions back to zero at each point. A second sweep replays every
-//!    abort with live shared-memory ring endpoints and in-flight
-//!    messages: the ring must come through untorn and the retried fork
-//!    must relocate the sealed endpoints correctly.
+//!    regions back to zero at each point. Engines 3 and 4 share one
+//!    abort-point sweep (`sweep.rs`).
 //! 5. **Ring-fabric differential** ([`ring`]) — the multi-tier
 //!    frontend/worker/store service run on all four backends, with ring
 //!    push/pop counts, order-sensitive digests, and the store's final
@@ -45,6 +45,7 @@ pub mod fault;
 pub mod gen;
 pub mod machine;
 pub mod ring;
+mod sweep;
 
 use ufork_testkit::Rng;
 
@@ -62,31 +63,13 @@ pub struct OracleReport {
     pub kernel_cases: u64,
     /// Machine-level differential cases that agreed.
     pub machine_cases: u64,
-    /// Fault-injection points exercised (0 when skipped).
-    pub fault_points: u64,
-    /// Journal chaos-sweep abort points exercised (0 when skipped).
-    pub chaos_points: u64,
-    /// Chaos abort points replayed with live ring endpoints in flight
-    /// (0 when skipped).
-    pub ring_chaos_points: u64,
     /// Ring-fabric differential runs that agreed bitwise across all
     /// four backends (0 when skipped).
     pub ring_cases: u64,
-    /// Abort points inside the pipelined background-copy window (0 when
-    /// skipped).
-    pub pipeline_chaos_points: u64,
-    /// Abort points inside the 10-deep dirty-scope snapshot train (0
-    /// when skipped).
-    pub train_chaos_points: u64,
-    /// Mid-storm injection scenarios run to clean completion (0 when
-    /// skipped).
-    pub storm_chaos_scenarios: u64,
-    /// Abort points inside background-reclaim scrub passes (0 when
-    /// skipped).
-    pub reclaim_chaos_points: u64,
-    /// Abort points inside OOM victim memory teardowns (0 when
-    /// skipped).
-    pub oom_chaos_points: u64,
+    /// What the fault campaign exercised (all zero when skipped).
+    pub faults: fault::FaultSummary,
+    /// What the chaos sweep exercised (all zero when skipped).
+    pub chaos: chaos::ChaosSummary,
     /// Human-readable failures (empty = success).
     pub failures: Vec<String>,
 }
@@ -139,10 +122,7 @@ pub fn run_machine_diff(seed: u64, cases: u64, report: &mut OracleReport) {
 /// Runs the fault-injection campaign.
 pub fn run_faults(report: &mut OracleReport) {
     match fault::fault_campaign() {
-        Ok(s) => {
-            report.fault_points =
-                s.fork_walk_points + s.lazy_copy_points + s.region_exhaustion_forks;
-        }
+        Ok(s) => report.faults = s,
         Err(e) => report.failures.push(format!("fault campaign: {e}")),
     }
 }
@@ -151,15 +131,7 @@ pub fn run_faults(report: &mut OracleReport) {
 /// plus mid-storm journal/allocator injections under scheduler load).
 pub fn run_chaos(report: &mut OracleReport) {
     match chaos::chaos_sweep() {
-        Ok(s) => {
-            report.chaos_points = s.points;
-            report.ring_chaos_points = s.ring_points;
-            report.pipeline_chaos_points = s.pipeline_points;
-            report.train_chaos_points = s.train_points;
-            report.storm_chaos_scenarios = s.storm_scenarios;
-            report.reclaim_chaos_points = s.reclaim_points;
-            report.oom_chaos_points = s.oom_points;
-        }
+        Ok(s) => report.chaos = s,
         Err(e) => report.failures.push(format!("chaos sweep: {e}")),
     }
 }

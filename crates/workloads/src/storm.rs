@@ -268,8 +268,9 @@ pub struct StormReport {
     pub digest: u64,
 }
 
-/// Nearest-rank percentile of an unsorted latency sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
+/// Nearest-rank percentile of a sample sorted in ascending order (0 for
+/// an empty one).
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

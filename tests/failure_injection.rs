@@ -535,3 +535,111 @@ fn fault_counters_match_trace_events_and_page_motion() {
     );
     assert_eq!(c.fault_retries_exhausted, 0);
 }
+
+/// Opens a ring that physical memory cannot hold and a shared object
+/// whose length overflows the page arithmetic, then yields so the test
+/// can look at the kernel while the process is still alive.
+#[derive(Clone, Default)]
+struct OversizedRingOpen {
+    opened: Option<Result<(), Errno>>,
+    huge_shm: Option<Result<(), Errno>>,
+}
+impl Program for OversizedRingOpen {
+    fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
+        match input {
+            Resume::Start => {
+                let open = env.sys_ring_open("big", 1, 64 << 20, true);
+                self.opened = Some(open.map(|_| ()));
+                self.huge_shm = Some(env.sys_shm_open("huge", u64::MAX).map(|_| ()));
+                StepOutcome::Block(BlockingCall::Yield)
+            }
+            _ => StepOutcome::Exit(0),
+        }
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn failed_ring_open_leaves_nothing_behind() {
+    let os = UforkOs::new(UforkConfig {
+        phys_mib: 32,
+        ..UforkConfig::default()
+    });
+    let mut m = Machine::new(os, MachineConfig::default());
+    let pid = m
+        .spawn(
+            &ImageSpec::hello_world(),
+            Box::new(OversizedRingOpen::default()),
+        )
+        .unwrap();
+    let frames = m.os.allocated_frames();
+    assert!(m.step());
+    let p = m.program::<OversizedRingOpen>(pid).unwrap();
+    assert_eq!(p.opened, Some(Err(Errno::NoMem)));
+    assert_eq!(p.huge_shm, Some(Err(Errno::NoMem)));
+    assert_eq!(
+        m.os.allocated_frames(),
+        frames,
+        "the failed open kept frames"
+    );
+    assert_eq!(
+        m.vfs().ring_lookup("big"),
+        None,
+        "the failed open kept its ring"
+    );
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
+    assert_eq!(m.os.allocated_frames(), 0);
+}
+
+/// Pushes one message, pops it into a buffer too short for it, then pops
+/// again into a full-size buffer.
+#[derive(Clone, Default)]
+struct ShortPop {
+    short: Option<Result<u64, Errno>>,
+    full: Option<Result<u64, Errno>>,
+    got: [u8; 8],
+}
+impl Program for ShortPop {
+    fn resume(&mut self, env: &mut dyn Env, _input: Resume) -> StepOutcome {
+        let (pfd, pcap) = env.sys_ring_open("r", 2, 8, true).unwrap();
+        let (cfd, ccap) = env.sys_ring_open("r", 2, 8, false).unwrap();
+        let buf = env.malloc(64).unwrap();
+        env.store(&buf, b"message!").unwrap();
+        assert_eq!(env.sys_ring_try_push(pfd, &pcap, &buf, 8), Ok(8));
+        let short = buf.with_bounds(buf.base() + 16, 4).unwrap();
+        self.short = Some(env.sys_ring_try_pop(cfd, &ccap, &short));
+        let full = buf.with_bounds(buf.base() + 32, 8).unwrap();
+        self.full = Some(env.sys_ring_try_pop(cfd, &ccap, &full));
+        env.load(&full, &mut self.got).unwrap();
+        StepOutcome::Exit(0)
+    }
+    fn clone_box(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn ring_pop_into_a_short_buffer_keeps_the_message() {
+    let mut m = Machine::new(
+        UforkOs::new(UforkConfig::default()),
+        MachineConfig::default(),
+    );
+    let pid = m
+        .spawn(&ImageSpec::hello_world(), Box::new(ShortPop::default()))
+        .unwrap();
+    m.run();
+    assert_eq!(m.exit_code(pid), Some(0));
+    let p = m.program::<ShortPop>(pid).unwrap();
+    assert_eq!(p.short, Some(Err(Errno::Fault)));
+    assert_eq!(p.full, Some(Ok(8)), "the refused pop lost the message");
+    assert_eq!(&p.got, b"message!");
+}
