@@ -10,9 +10,15 @@
 //! runs the paper's parameters. All times are *simulated* (see DESIGN.md).
 //! An unknown subcommand or flag prints the usage and exits with status 2.
 //!
+//! The figures print as the paper's tables. The bench families (`scaling`,
+//! `snapshot`, `pressure`, `storm`, `ring`) print the table their row type
+//! declares in `Row::cells`: the same column names and value text as their
+//! `BENCH_fork.json` sections, with times in simulated ns.
+//!
 //! `trace` and `bench-json` are not part of `all`. `trace` prints the
 //! per-phase fork breakdown, writes `TRACE_fork.json` at the repo root and
-//! rewrites the marker-delimited trace section of `EXPERIMENTS.md`.
+//! rewrites the marker-delimited trace section of `EXPERIMENTS.md`; if the
+//! file or its markers are missing or out of order it exits with status 1.
 //! `bench-json` runs every bench family at full scale, with its gates,
 //! and writes `BENCH_fork.json` at the repo root.
 
@@ -21,7 +27,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process;
 
-use ufork_bench::report::{num, render_table, size_label};
+use ufork_bench::report::{family_table, num, render_table, size_label, Row};
 use ufork_bench::{
     ablation_aslr, ablation_eager_vs_lazy, ablation_fork_vs_exec, ablation_isolation_sweep,
     ablation_naive_scan, bench_fork_json, fig6, fig7, fig8, fig9, fork_frontier_sweep,
@@ -44,6 +50,13 @@ fn usage_error(msg: &str) -> ! {
 /// The repository root, where the generated artifacts live.
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Prints one bench family under its title, as the table its row type
+/// declares.
+fn print_family<R: Row>(title: &str, rows: &[R]) {
+    println!("== {title} ==");
+    println!("{}", family_table(rows));
 }
 
 fn print_ablation(title: &str, rows: &[AblationRow]) {
@@ -70,23 +83,7 @@ fn print_table1() {
     println!("{}", render_table(&headers, &body));
 }
 
-fn redis_rows(quick: bool) -> Vec<RedisRow> {
-    if quick {
-        ufork_bench::redis_sizes()
-            .into_iter()
-            .take(2)
-            .flat_map(|(e, v)| {
-                ufork_bench::redis_systems()
-                    .into_iter()
-                    .map(move |s| ufork_bench::redis_run(s, e, v))
-            })
-            .collect()
-    } else {
-        redis_sweep()
-    }
-}
-
-fn print_redis(rows: &[RedisRow], metric: &str) {
+fn print_redis(rows: &[RedisRow], metric: fn(&RedisRow) -> f64) {
     let mut sizes: Vec<u64> = rows.iter().map(|r| r.db_bytes).collect();
     sizes.sort_unstable();
     sizes.dedup();
@@ -107,11 +104,7 @@ fn print_redis(rows: &[RedisRow], metric: &str) {
                 let cell = rows
                     .iter()
                     .find(|r| r.db_bytes == *sz && &r.system == sysname)
-                    .map(|r| match metric {
-                        "save_ms" => num(r.save_ms),
-                        "fork_us" => num(r.fork_us),
-                        _ => num(r.mem_mb),
-                    })
+                    .map(|r| num(metric(r)))
                     .unwrap_or_else(|| "-".to_string());
                 cells.push(cell);
             }
@@ -121,35 +114,22 @@ fn print_redis(rows: &[RedisRow], metric: &str) {
     println!("{}", render_table(&headers_ref, &body));
 }
 
-/// Rewrites the `<!-- trace:begin -->` … `<!-- trace:end -->` block of
-/// `EXPERIMENTS.md` with the freshly measured per-phase summary.
-fn update_experiments(path: &Path, summary: &str) {
+/// `text` (`EXPERIMENTS.md`) with its `<!-- trace:begin -->` …
+/// `<!-- trace:end -->` block replaced by the freshly measured per-phase
+/// summary.
+///
+/// # Errors
+///
+/// Names the marker that is missing, or says that they are out of order.
+fn splice_trace(text: &str, summary: &str) -> Result<String, String> {
     const BEGIN: &str = "<!-- trace:begin -->";
     const END: &str = "<!-- trace:end -->";
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            eprintln!(
-                "warning: {} not found, skipping doc refresh",
-                path.display()
-            );
-            return;
-        }
-    };
-    let (Some(b), Some(e)) = (text.find(BEGIN), text.find(END)) else {
-        eprintln!(
-            "warning: trace markers missing in {}, skipping doc refresh",
-            path.display()
-        );
-        return;
-    };
+    let marker = |m: &str| text.find(m).ok_or(format!("no `{m}` marker"));
+    let (b, e) = (marker(BEGIN)?, marker(END)?);
     if e < b {
-        eprintln!("warning: malformed trace markers in {}", path.display());
-        return;
+        return Err(format!("`{END}` comes before `{BEGIN}`"));
     }
-    let new = format!("{}{BEGIN}\n\n{}{}", &text[..b], summary, &text[e..]);
-    fs::write(path, new).expect("rewrite EXPERIMENTS.md");
-    println!("updated {} (trace section)", path.display());
+    Ok(format!("{}{BEGIN}\n\n{summary}{}", &text[..b], &text[e..]))
 }
 
 /// `repro trace`: per-phase fork-latency breakdown from the
@@ -164,7 +144,18 @@ fn run_trace() {
     let json_path = root.join("TRACE_fork.json");
     fs::write(&json_path, trace_chrome_json(&runs)).expect("write TRACE_fork.json");
     println!("wrote {}", json_path.display());
-    update_experiments(&root.join("EXPERIMENTS.md"), &summary);
+    let doc = root.join("EXPERIMENTS.md");
+    let spliced = fs::read_to_string(&doc)
+        .map_err(|e| e.to_string())
+        .and_then(|text| splice_trace(&text, &summary));
+    match spliced {
+        Ok(text) => fs::write(&doc, text).expect("rewrite EXPERIMENTS.md"),
+        Err(e) => {
+            eprintln!("repro trace: cannot refresh {}: {e}", doc.display());
+            process::exit(1);
+        }
+    }
+    println!("updated {} (trace section)", doc.display());
 }
 
 /// `repro bench-json`: regenerates `BENCH_fork.json` at the repo root.
@@ -195,31 +186,23 @@ fn main() {
         return;
     }
 
-    let mut redis_cache: Option<Vec<RedisRow>> = None;
-    let mut redis = |quick: bool| -> Vec<RedisRow> {
-        if redis_cache.is_none() {
-            redis_cache = Some(redis_rows(quick));
-        }
-        redis_cache.clone().unwrap()
-    };
-
     let all = what == "all";
     if all || what == "table1" {
         print_table1();
     }
     if all || what == "fig3" || what == "fig4" || what == "fig5" {
-        let rows = redis(quick);
+        let rows = redis_sweep(if quick { 2 } else { 4 });
         if all || what == "fig3" {
             println!("== Figure 3: Redis DB overall save times (ms) ==");
-            print_redis(&rows, "save_ms");
+            print_redis(&rows, |r| r.save_ms);
         }
         if all || what == "fig4" {
             println!("== Figure 4: Redis fork latency (µs) ==");
-            print_redis(&rows, "fork_us");
+            print_redis(&rows, |r| r.fork_us);
         }
         if all || what == "fig5" {
             println!("== Figure 5: Redis forked-process memory consumption (MB) ==");
-            print_redis(&rows, "mem_mb");
+            print_redis(&rows, |r| r.mem_mb);
         }
     }
     if all || what == "fig6" {
@@ -281,200 +264,37 @@ fn main() {
         );
     }
     if all || what == "scaling" {
-        println!("== Fork scaling: parallel walk, simulated time ==");
-        let rows = fork_scaling_sweep();
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.heap.to_string(),
-                    r.mode_label(),
-                    num(r.sim_fork_ns / 1e3),
-                    num(r.sim_copy_done_ns / 1e3),
-                    r.counters.fork_chunks.to_string(),
-                    r.counters.frames_recycled.to_string(),
-                    r.counters.zeroing_skipped.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Heap",
-                    "Walk",
-                    "fork (µs, sim)",
-                    "copy done (µs, sim)",
-                    "Chunks",
-                    "Recycled",
-                    "Zero-skipped",
-                ],
-                &body
-            )
+        print_family(
+            "Fork scaling: parallel walk, simulated time",
+            &fork_scaling_sweep(),
         );
-        println!("== Fork latency frontier: child-runnable vs copy-complete ==");
-        let frontier = fork_frontier_sweep();
-        let body: Vec<Vec<String>> = frontier
-            .iter()
-            .map(|r| {
-                vec![
-                    r.heap.to_string(),
-                    r.mode.to_string(),
-                    num(r.commit_ns / 1e3),
-                    num(r.copy_done_ns / 1e3),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &["Heap", "Mode", "commit (µs, sim)", "copy done (µs, sim)"],
-                &body
-            )
+        print_family(
+            "Fork latency frontier: child-runnable vs copy-complete",
+            &fork_frontier_sweep(),
         );
     }
     if all || what == "snapshot" {
-        println!("== Snapshot train: per-snapshot fork cost, 5% writes between snapshots ==");
-        let rows = snapshot_train_sweep();
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.system.clone(),
-                    r.scope.to_string(),
-                    r.walk.to_string(),
-                    r.snapshot.to_string(),
-                    num(r.sim_fork_ns / 1e3),
-                    num(r.sim_copy_done_ns / 1e3),
-                    r.counters.pages_dirty_copied.to_string(),
-                    r.counters.pages_shared_clean.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "System",
-                    "Scope",
-                    "Walk",
-                    "Snap",
-                    "fork (µs, sim)",
-                    "copy done (µs, sim)",
-                    "Dirty copied",
-                    "Shared clean",
-                ],
-                &body
-            )
+        print_family(
+            "Snapshot train: per-snapshot fork cost, 5% writes between snapshots",
+            &snapshot_train_sweep(),
         );
-        println!("== Zygote fleet: resident frames vs warm children ==");
-        let fleet = zygote_fleet_sweep();
-        let body: Vec<Vec<String>> = fleet
-            .iter()
-            .map(|r| {
-                vec![
-                    r.variant.clone(),
-                    r.children.to_string(),
-                    r.frames_one_child.to_string(),
-                    r.frames_fleet.to_string(),
-                    r.counters.frames_deduped.to_string(),
-                    r.counters.dedup_hash_probes.to_string(),
-                    r.counters.pages_shared_clean.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Variant",
-                    "Children",
-                    "Frames @1",
-                    "Frames @M",
-                    "Deduped",
-                    "Probes",
-                    "Shared clean",
-                ],
-                &body
-            )
+        print_family(
+            "Zygote fleet: resident frames vs warm children",
+            &zygote_fleet_sweep(),
         );
     }
     if all || what == "pressure" {
-        println!("== Fork storm under memory pressure (4 MiB, Full requested) ==");
-        let rows = pressure_storm();
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.policy.to_string(),
-                    r.forks_ok.to_string(),
-                    r.counters.forks_degraded.to_string(),
-                    r.counters.fork_rollbacks.to_string(),
-                    format!(
-                        "{}/{}",
-                        r.counters.reclaim_inline, r.counters.reclaim_background
-                    ),
-                    r.counters.magazine_hits.to_string(),
-                    r.counters.oom_kills.to_string(),
-                    r.counters.journal_ops.to_string(),
-                    num(r.counters.fork_backoff_ns as f64 / 1e3),
-                    r.pressure.clone(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Policy",
-                    "Forks",
-                    "Degraded",
-                    "Rollbacks",
-                    "Reclaim in/bg",
-                    "Mag hits",
-                    "OOM",
-                    "Journal ops",
-                    "Backoff (µs, sim)",
-                    "Pressure",
-                ],
-                &body
-            )
+        print_family(
+            "Fork storm under memory pressure (4 MiB, Full requested)",
+            &pressure_storm(),
         );
         let children = if quick { 150 } else { PRESSURE_CHILDREN };
-        println!(
-            "== Fork p99 across the high watermark: {children} churning children, daemon ablation =="
-        );
         let rows = pressure_sweep(children, PRESSURE_SEED, STORM_CORES);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.occupancy.to_string(),
-                    if r.daemon { "on" } else { "off" }.to_string(),
-                    num(r.sim_p50_ns / 1e3),
-                    num(r.sim_p99_ns / 1e3),
-                    r.counters.reclaim_background.to_string(),
-                    r.counters.frames_prezeroed.to_string(),
-                    r.counters.magazine_hits.to_string(),
-                    r.counters.oom_kills.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Occupancy",
-                    "Daemon",
-                    "fork p50 (µs, sim)",
-                    "fork p99 (µs, sim)",
-                    "Bg passes",
-                    "Prezeroed",
-                    "Mag hits",
-                    "OOM",
-                ],
-                &body
-            )
+        print_family(
+            &format!(
+                "Fork p99 across the high watermark: {children} churning children, daemon ablation"
+            ),
+            &rows,
         );
         let p99 = |occupancy: &str, daemon: bool| {
             rows.iter()
@@ -490,108 +310,28 @@ fn main() {
     }
     if all || what == "storm" {
         let children = if quick { 800 } else { STORM_CHILDREN };
-        println!("== Fork storm: {children} concurrent children, {STORM_CORES} cores (event-driven scheduler) ==");
-        let rows = storm_sweep(children, STORM_SEED, STORM_CORES);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|(mode, r, p)| {
-                vec![
-                    mode.label.to_string(),
-                    r.completed.to_string(),
-                    r.peak_live.to_string(),
-                    num(r.p50_fork_ns / 1e3),
-                    num(r.p99_fork_ns / 1e3),
-                    num(r.forks_per_sim_sec),
-                    if p.windows > 0 {
-                        num(p.p99_copy_done_ns / 1e3)
-                    } else {
-                        "-".to_string()
-                    },
-                    num(r.final_ns / 1e9),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Mode",
-                    "Completed",
-                    "Peak live",
-                    "fork p50 (µs, sim)",
-                    "fork p99 (µs, sim)",
-                    "forks/sim-s",
-                    "copy-done p99 (µs)",
-                    "storm time (s, sim)",
-                ],
-                &body
-            )
+        print_family(
+            &format!(
+                "Fork storm: {children} concurrent children, {STORM_CORES} cores (event-driven scheduler)"
+            ),
+            &storm_sweep(children, STORM_SEED, STORM_CORES),
         );
     }
     if all || what == "ring" {
-        println!("== Ring fork tax: fork latency with live sealed ring endpoints vs pipes ==");
-        let rows = ring_fork_sweep();
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.to_string(),
-                    r.setup.to_string(),
-                    r.endpoints.to_string(),
-                    num(r.sim_fork_ns / 1e3),
-                    r.counters.ring_caps_relocated.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Mode",
-                    "Setup",
-                    "Endpoints",
-                    "fork (µs, sim)",
-                    "Caps relocated"
-                ],
-                &body
-            )
+        print_family(
+            "Ring fork tax: fork latency with live sealed ring endpoints vs pipes",
+            &ring_fork_sweep(),
         );
         // The acceptance-scale differential: every hop of the
         // frontend -> workers -> store fabric bitwise-identical across
         // all four backends (ring_service_sweep asserts it internally).
         let requests = if quick { 20_000 } else { 1_000_000 };
-        println!(
-            "== Multi-tier ring fabric: {requests} requests per backend, traffic compared bitwise =="
-        );
         let svc = ring_service_sweep(requests);
-        let body: Vec<Vec<String>> = svc
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.to_string(),
-                    r.requests.to_string(),
-                    num(r.sim_final_ns / 1e9),
-                    r.counters.ring_msgs.to_string(),
-                    r.counters.ring_full_stalls.to_string(),
-                    r.counters.ring_caps_relocated.to_string(),
-                    format!("{:016x}", r.kv_digest),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "Backend",
-                    "Requests",
-                    "time (s, sim)",
-                    "Ring msgs",
-                    "Full stalls",
-                    "Caps relocated",
-                    "KV digest",
-                ],
-                &body
-            )
+        print_family(
+            &format!(
+                "Multi-tier ring fabric: {requests} requests per backend, traffic compared bitwise"
+            ),
+            &svc,
         );
         println!(
             "ring fabric: {} backends agreed bitwise on {} rings (traffic, digests, store dump)\n",
@@ -613,5 +353,34 @@ fn main() {
         let spawn_hdr = format!("Spawn x{iters} (ms)");
         let ctx_hdr = format!("Context1 to {limit} (ms)");
         println!("{}", render_table(&["System", &spawn_hdr, &ctx_hdr], &body));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::splice_trace;
+
+    #[test]
+    fn splice_replaces_the_marked_block() {
+        let doc = "intro\n<!-- trace:begin -->\n\nold\n<!-- trace:end -->\noutro\n";
+        assert_eq!(
+            splice_trace(doc, "new\n").unwrap(),
+            "intro\n<!-- trace:begin -->\n\nnew\n<!-- trace:end -->\noutro\n"
+        );
+    }
+
+    #[test]
+    fn splice_refuses_a_missing_marker() {
+        let err = splice_trace("intro\n<!-- trace:begin -->\nold\n", "new\n").unwrap_err();
+        assert!(err.contains("<!-- trace:end -->"), "{err}");
+        let err = splice_trace("intro\nold\n<!-- trace:end -->\n", "new\n").unwrap_err();
+        assert!(err.contains("<!-- trace:begin -->"), "{err}");
+    }
+
+    #[test]
+    fn splice_refuses_reversed_markers() {
+        let doc = "<!-- trace:end -->\nold\n<!-- trace:begin -->\n";
+        let err = splice_trace(doc, "new\n").unwrap_err();
+        assert!(err.contains("comes before"), "{err}");
     }
 }

@@ -12,6 +12,8 @@ use ufork_workloads::nginx::{Nginx, NginxConfig};
 use ufork_workloads::redis::{RedisConfig, RedisServer};
 use ufork_workloads::ubench::{Context1, SpawnBench};
 
+use crate::report::{repeatable, Cell, Row};
+
 /// Which system (and configuration) an experiment runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sys {
@@ -24,6 +26,9 @@ pub enum Sys {
 }
 
 impl Sys {
+    /// μFork as the figures run it by default: CoPA, fault isolation.
+    pub const UFORK: Sys = Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Fault);
+
     /// Human-readable label matching the paper's legends.
     pub fn label(self) -> String {
         match self {
@@ -193,11 +198,7 @@ pub struct Fig8Row {
 
 /// Runs the hello-world microbenchmark on all three systems.
 pub fn fig8() -> Vec<Fig8Row> {
-    let systems = [
-        Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Fault),
-        Sys::Mono,
-        Sys::Nephele,
-    ];
+    let systems = [Sys::UFORK, Sys::Mono, Sys::Nephele];
     let mut rows = Vec::new();
     for sys in systems {
         let mut m = AnyMachine::build(sys, 256, MachineConfig::default());
@@ -238,10 +239,7 @@ pub struct Fig9Row {
 /// Runs Unixbench Spawn (`spawn_iters` forks) and Context1 (to
 /// `ctx1_limit`) on μFork and CheriBSD.
 pub fn fig9(spawn_iters: u32, ctx1_limit: u64) -> Vec<Fig9Row> {
-    let systems = [
-        Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Fault),
-        Sys::Mono,
-    ];
+    let systems = [Sys::UFORK, Sys::Mono];
     let mut rows = Vec::new();
     for sys in systems {
         let mut m = AnyMachine::build(sys, 256, MachineConfig::default());
@@ -304,7 +302,7 @@ pub fn redis_sizes() -> Vec<(u64, u64)> {
 /// The system variants of Figures 3–5.
 pub fn redis_systems() -> Vec<Sys> {
     vec![
-        Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Fault),
+        Sys::UFORK,
         Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Full), // +TOCTTOU
         Sys::Ufork(CopyStrategy::CoA, IsolationLevel::Fault),
         Sys::Ufork(CopyStrategy::Full, IsolationLevel::Fault),
@@ -353,10 +351,11 @@ pub fn redis_run(sys: Sys, entries: u64, val_bytes: u64) -> RedisRow {
     }
 }
 
-/// The full Figures 3–5 sweep.
-pub fn redis_sweep() -> Vec<RedisRow> {
+/// The Figures 3–5 sweep over the first `sizes` database sizes (all
+/// four is the paper's sweep).
+pub fn redis_sweep(sizes: usize) -> Vec<RedisRow> {
     let mut rows = Vec::new();
-    for (entries, val) in redis_sizes() {
+    for (entries, val) in redis_sizes().into_iter().take(sizes) {
         for sys in redis_systems() {
             rows.push(redis_run(sys, entries, val));
         }
@@ -382,7 +381,7 @@ pub struct Fig6Row {
 /// Runs the Zygote FaaS experiment for 1..=3 worker cores.
 pub fn fig6(window_ns: f64) -> Vec<Fig6Row> {
     let systems = [
-        Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Fault),
+        Sys::UFORK,
         Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Full),
         Sys::Mono,
     ];
@@ -471,12 +470,7 @@ pub fn fig7(window_ns: f64) -> Vec<Fig7Row> {
     // μFork: single core, 1..3 workers (paper: multicore Unikraft SMP is
     // immature; single core demonstrates the worker-yield benefit).
     for workers in 1..=3 {
-        rows.push(nginx_run(
-            Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Fault),
-            1,
-            workers,
-            window_ns,
-        ));
+        rows.push(nginx_run(Sys::UFORK, 1, workers, window_ns));
     }
     // μFork with TOCTTOU, 3 workers (the -6.5% datapoint).
     rows.push(nginx_run(
@@ -489,12 +483,7 @@ pub fn fig7(window_ns: f64) -> Vec<Fig7Row> {
     // Unikraft's big kernel lock caps the scaling, which is why the paper
     // shows single-core numbers only.
     for cores in 2..=3 {
-        rows.push(nginx_run(
-            Sys::Ufork(CopyStrategy::CoPA, IsolationLevel::Fault),
-            cores,
-            3,
-            window_ns,
-        ));
+        rows.push(nginx_run(Sys::UFORK, cores, 3, window_ns));
     }
     // CheriBSD: scaling across cores (workers == cores)...
     for w in 1..=3 {
@@ -537,24 +526,33 @@ pub struct ScalingRow {
     pub counters: OpCounters,
 }
 
-impl ScalingRow {
-    /// Short mode label for tables and JSON: `serial`, `par1`, ...
-    /// `par8`, `pipelined`.
-    pub fn mode_label(&self) -> String {
-        match self.walk {
-            WalkMode::Serial => "serial".to_string(),
-            WalkMode::Pipelined => "pipelined".to_string(),
-            WalkMode::Parallel(n) => format!("par{}", n.max(1)),
-        }
+/// A walk mode's label for tables and JSON, and its walk workers:
+/// `serial` (0), `parN` (N) or `pipelined` (1, the streaming lane).
+pub fn walk_label(walk: WalkMode) -> (String, usize) {
+    match walk {
+        WalkMode::Serial => ("serial".to_string(), 0),
+        WalkMode::Pipelined => ("pipelined".to_string(), 1),
+        WalkMode::Parallel(n) => (format!("par{}", n.max(1)), n.max(1)),
     }
 }
 
-/// Shared core of the scaling/frontier sweeps: builds the cap-dense or
-/// cap-sparse heap, forks under `(strategy, walk)`, then drains any
-/// pipelined background window on the same context. Returns the kernel,
-/// the fork context (commit + drain charges), and the commit latency
-/// alone.
-fn scaling_fork(strategy: CopyStrategy, walk: WalkMode, dense: bool) -> (UforkOs, Ctx, f64) {
+impl Row for ScalingRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("heap", Cell::Str(self.heap.into())),
+            ("mode", Cell::Str(walk_label(self.walk).0)),
+            ("workers", Cell::Int(self.workers as u64)),
+            ("sim_fork_ns", Cell::Ns(self.sim_fork_ns)),
+            ("sim_copy_done_ns", Cell::Ns(self.sim_copy_done_ns)),
+            ("chunks", Cell::Int(self.counters.fork_chunks)),
+        ]
+    }
+}
+
+/// The parent of the scaling/frontier sweeps and the traced forks: pid 1
+/// on a fresh 256 MiB kernel, its [`SCALING_PAGES`]-page heap populated
+/// with capabilities cap-dense or cap-sparse.
+pub fn scaling_parent(strategy: CopyStrategy, walk: WalkMode, dense: bool) -> UforkOs {
     let mut os = UforkOs::new(UforkConfig {
         phys_mib: 256,
         strategy,
@@ -577,46 +575,35 @@ fn scaling_fork(strategy: CopyStrategy, walk: WalkMode, dense: bool) -> (UforkOs
         off += step;
     }
     os.set_reg(Pid(1), 4, arr).expect("reg");
+    os
+}
 
+/// Forks the scaling parent under `(strategy, walk)`, then drains any
+/// pipelined background window on the same context. Returns the fork
+/// context (commit + drain charges) and the commit latency alone.
+fn scaling_fork(strategy: CopyStrategy, walk: WalkMode, dense: bool) -> (Ctx, f64) {
+    let mut os = scaling_parent(strategy, walk, dense);
     let mut fctx = Ctx::new();
     os.fork(&mut fctx, Pid(1), Pid(2)).expect("fork scaling");
     let commit_ns = fctx.kernel_ns;
     // No-op for every walk but Pipelined: stream the rest of the copy.
     os.pipeline_drain(&mut fctx, Pid(2)).expect("drain scaling");
-    (os, fctx, commit_ns)
+    (fctx, commit_ns)
 }
 
 /// Forks a μprocess whose heap is populated densely or sparsely with
 /// capabilities under the given walk mode and reports the fork's
 /// simulated latency plus the parallel-walk counter family.
 pub fn fork_scaling_run(walk: WalkMode, dense: bool) -> ScalingRow {
-    let (_, fctx, commit_ns) = scaling_fork(CopyStrategy::Full, walk, dense);
+    let (fctx, commit_ns) = scaling_fork(CopyStrategy::Full, walk, dense);
     ScalingRow {
         heap: if dense { "cap-dense" } else { "cap-sparse" },
         walk,
-        workers: match walk {
-            WalkMode::Serial => 0,
-            WalkMode::Pipelined => 1,
-            WalkMode::Parallel(n) => n.max(1),
-        },
+        workers: walk_label(walk).1,
         sim_fork_ns: commit_ns,
         sim_copy_done_ns: fctx.kernel_ns,
         counters: fctx.counters,
     }
-}
-
-/// The walk modes of the scaling sweep: the serial ablation, 1, 2, 4
-/// and 8 workers, and the pipelined walk (whose `sim_fork_ns` is the
-/// commit latency and `sim_copy_done_ns` the full window).
-pub fn scaling_walk_modes() -> Vec<WalkMode> {
-    vec![
-        WalkMode::Serial,
-        WalkMode::Parallel(1),
-        WalkMode::Parallel(2),
-        WalkMode::Parallel(4),
-        WalkMode::Parallel(8),
-        WalkMode::Pipelined,
-    ]
 }
 
 /// The full scaling sweep: {cap-sparse, cap-dense} × {serial, 1, 2, 4,
@@ -626,25 +613,17 @@ pub fn scaling_walk_modes() -> Vec<WalkMode> {
 /// enforces the parallel walk's gate: on the cap-dense heap 8 workers
 /// beat the serial walk at least 2×.
 pub fn fork_scaling_sweep() -> Vec<ScalingRow> {
-    let run = || {
+    let rows = repeatable("fork_scaling", || {
         let mut rows = Vec::new();
         for dense in [false, true] {
-            for walk in scaling_walk_modes() {
-                rows.push(fork_scaling_run(walk, dense));
+            rows.push(fork_scaling_run(WalkMode::Serial, dense));
+            for n in [1, 2, 4, 8] {
+                rows.push(fork_scaling_run(WalkMode::Parallel(n), dense));
             }
+            rows.push(fork_scaling_run(WalkMode::Pipelined, dense));
         }
         rows
-    };
-    let rows = run();
-    for (a, b) in rows.iter().zip(&run()) {
-        assert_eq!(
-            (a.sim_fork_ns.to_bits(), a.sim_copy_done_ns.to_bits()),
-            (b.sim_fork_ns.to_bits(), b.sim_copy_done_ns.to_bits()),
-            "fork_scaling/{}/{} is nondeterministic",
-            a.heap,
-            a.mode_label()
-        );
-    }
+    });
     let dense_ns = |workers: usize| {
         rows.iter()
             .find(|r| r.heap == "cap-dense" && r.workers == workers)
@@ -686,6 +665,17 @@ pub struct FrontierRow {
     pub copy_done_ns: f64,
 }
 
+impl Row for FrontierRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("heap", Cell::Str(self.heap.into())),
+            ("mode", Cell::Str(self.mode.into())),
+            ("sim_commit_ns", Cell::Ns(self.commit_ns)),
+            ("sim_copy_done_ns", Cell::Ns(self.copy_done_ns)),
+        ]
+    }
+}
+
 /// The frontier's mode axis.
 pub fn frontier_modes() -> Vec<(&'static str, CopyStrategy, WalkMode)> {
     vec![
@@ -704,7 +694,7 @@ pub fn frontier_run(
     walk: WalkMode,
     dense: bool,
 ) -> FrontierRow {
-    let (_, fctx, commit_ns) = scaling_fork(strategy, walk, dense);
+    let (fctx, commit_ns) = scaling_fork(strategy, walk, dense);
     FrontierRow {
         mode,
         heap: if dense { "cap-dense" } else { "cap-sparse" },
@@ -722,7 +712,7 @@ pub fn frontier_run(
 /// it defers copy work past the commit (the trace tests separately prove
 /// the copy-work parity page for page).
 pub fn fork_frontier_sweep() -> Vec<FrontierRow> {
-    let run = || {
+    let rows = repeatable("fork_pipeline", || {
         let mut rows = Vec::new();
         for dense in [false, true] {
             for (mode, strategy, walk) in frontier_modes() {
@@ -730,17 +720,7 @@ pub fn fork_frontier_sweep() -> Vec<FrontierRow> {
             }
         }
         rows
-    };
-    let rows = run();
-    for (a, b) in rows.iter().zip(&run()) {
-        assert_eq!(
-            (a.commit_ns.to_bits(), a.copy_done_ns.to_bits()),
-            (b.commit_ns.to_bits(), b.copy_done_ns.to_bits()),
-            "fork_pipeline/{}/{} is nondeterministic",
-            a.heap,
-            a.mode
-        );
-    }
+    });
     let pick = |heap: &str, mode: &str| {
         *rows
             .iter()
@@ -791,26 +771,40 @@ fn admission_fork_ns(policy: FallbackPolicy) -> f64 {
     fctx.kernel_ns
 }
 
-/// The admission-control pre-flight cost on an uncontended fork, in
-/// simulated ns: `FallbackPolicy::Disabled` (run straight into the
-/// allocator) and `FallbackPolicy::Strict` (the default: reserve the
-/// frame demand up front). Each policy runs twice, asserted
-/// bit-identical.
-pub fn fork_admission_sweep() -> Vec<(&'static str, f64)> {
+/// One `fork_admission` row: an uncontended fork's simulated kernel
+/// time under one admission fallback policy.
+#[derive(Clone, Copy, Debug)]
+pub struct AdmissionRow {
+    /// Fallback policy label (`disabled`, `strict`).
+    pub policy: &'static str,
+    /// Simulated fork latency, ns.
+    pub sim_fork_ns: f64,
+}
+
+impl Row for AdmissionRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("policy", Cell::Str(self.policy.into())),
+            ("sim_fork_ns", Cell::Ns(self.sim_fork_ns)),
+        ]
+    }
+}
+
+/// The admission-control pre-flight cost on an uncontended fork:
+/// `FallbackPolicy::Disabled` (run straight into the allocator) and
+/// `FallbackPolicy::Strict` (the default: reserve the frame demand up
+/// front). Each policy runs twice, asserted bit-identical.
+pub fn fork_admission_sweep() -> Vec<AdmissionRow> {
     [
         ("disabled", FallbackPolicy::Disabled),
         ("strict", FallbackPolicy::Strict),
     ]
     .into_iter()
-    .map(|(label, policy)| {
-        let ns = admission_fork_ns(policy);
-        let again = admission_fork_ns(policy);
-        assert_eq!(
-            ns.to_bits(),
-            again.to_bits(),
-            "fork_admission/{label} is nondeterministic: {ns} ns vs {again} ns"
-        );
-        (label, ns)
+    .map(|(policy, fallback)| AdmissionRow {
+        policy,
+        sim_fork_ns: repeatable(&format!("fork_admission/{policy}"), || {
+            admission_fork_ns(fallback)
+        }),
     })
     .collect()
 }
@@ -822,6 +816,7 @@ pub fn fork_admission_sweep() -> Vec<(&'static str, f64)> {
 /// One row of the `repro pressure` report: a deterministic fork storm on
 /// a small machine under one admission fallback policy, run until the
 /// first fork is refused with `NoMem`.
+#[derive(Clone, Debug)]
 pub struct PressureRow {
     /// Fallback policy label (`disabled`, `strict`, `degrade`).
     pub policy: &'static str,
@@ -831,6 +826,25 @@ pub struct PressureRow {
     pub counters: OpCounters,
     /// Allocator pressure level when the storm ended.
     pub pressure: String,
+}
+
+impl Row for PressureRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        let c = &self.counters;
+        vec![
+            ("policy", Cell::Str(self.policy.into())),
+            ("forks_ok", Cell::Int(self.forks_ok)),
+            ("forks_degraded", Cell::Int(c.forks_degraded)),
+            ("fork_rollbacks", Cell::Int(c.fork_rollbacks)),
+            ("reclaim_inline", Cell::Int(c.reclaim_inline)),
+            ("reclaim_background", Cell::Int(c.reclaim_background)),
+            ("magazine_hits", Cell::Int(c.magazine_hits)),
+            ("oom_kills", Cell::Int(c.oom_kills)),
+            ("journal_ops", Cell::Int(c.journal_ops)),
+            ("fork_backoff_ns", Cell::Int(c.fork_backoff_ns)),
+            ("pressure", Cell::Str(self.pressure.clone())),
+        ]
+    }
 }
 
 /// Storms one policy: Full-strategy forks of a cap-dense parent on a

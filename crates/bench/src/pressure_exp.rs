@@ -17,6 +17,7 @@ use ufork_exec::{Machine, MachineConfig, MemOs};
 use ufork_sim::OpCounters;
 use ufork_workloads::storm::{summarize, StormConfig, StormZygote};
 
+use crate::report::{repeatable, Cell, Row};
 use crate::storm::storm_image;
 
 /// The survival gate: crossing the high watermark with the daemon on may
@@ -44,6 +45,26 @@ pub struct PressureStormRow {
     pub counters: OpCounters,
     /// Order-sensitive digest of the fork/exit event history.
     pub digest: u64,
+}
+
+impl Row for PressureStormRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        let c = &self.counters;
+        vec![
+            ("occupancy", Cell::Str(self.occupancy.into())),
+            ("daemon", Cell::Bool(self.daemon)),
+            ("children", Cell::Int(self.children.into())),
+            ("sim_p50_ns", Cell::Ns(self.sim_p50_ns)),
+            ("sim_p99_ns", Cell::Ns(self.sim_p99_ns)),
+            ("sim_final_ns", Cell::Ns(self.sim_final_ns)),
+            ("reclaim_background", Cell::Int(c.reclaim_background)),
+            ("frames_prezeroed", Cell::Int(c.frames_prezeroed)),
+            ("magazine_hits", Cell::Int(c.magazine_hits)),
+            ("reclaim_inline", Cell::Int(c.reclaim_inline)),
+            ("oom_kills", Cell::Int(c.oom_kills)),
+            ("digest", Cell::Hex(self.digest)),
+        ]
+    }
 }
 
 /// One occupancy point of the sweep.
@@ -146,17 +167,10 @@ pub fn pressure_sweep(children: u32, seed: u64, cores: usize) -> Vec<PressureSto
     let mut rows = Vec::new();
     for point in &POINTS {
         for daemon in [false, true] {
-            let a = run_point(point, daemon, children, seed, cores);
-            let b = run_point(point, daemon, children, seed, cores);
-            assert_eq!(
-                a.digest, b.digest,
-                "fork_pressure/{}/daemon={daemon} event log is nondeterministic",
-                point.label
-            );
-            assert_eq!(a.sim_p50_ns.to_bits(), b.sim_p50_ns.to_bits());
-            assert_eq!(a.sim_p99_ns.to_bits(), b.sim_p99_ns.to_bits());
-            assert_eq!(a.sim_final_ns.to_bits(), b.sim_final_ns.to_bits());
-            rows.push(a);
+            let what = format!("fork_pressure/{}/daemon={daemon}", point.label);
+            rows.push(repeatable(&what, || {
+                run_point(point, daemon, children, seed, cores)
+            }));
         }
     }
     let pick = |occupancy: &str, daemon: bool| {

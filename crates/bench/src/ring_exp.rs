@@ -31,6 +31,7 @@ use ufork_exec::{Machine, MachineConfig, MemOs};
 use ufork_sim::OpCounters;
 use ufork_workloads::ringsvc::{RingSvc, RingSvcConfig};
 
+use crate::report::{repeatable, Cell, Row};
 use crate::storm::{storm_modes, StormMode};
 
 /// Endpoints (ring producer ends, or pipes) the probe holds at fork.
@@ -61,8 +62,23 @@ pub struct RingForkRow {
     pub counters: OpCounters,
 }
 
+impl Row for RingForkRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("mode", Cell::Str(self.mode.into())),
+            ("setup", Cell::Str(self.setup.into())),
+            ("endpoints", Cell::Int(self.endpoints)),
+            ("sim_fork_ns", Cell::Ns(self.sim_fork_ns)),
+            (
+                "ring_caps_relocated",
+                Cell::Int(self.counters.ring_caps_relocated),
+            ),
+        ]
+    }
+}
+
 /// One `fork_ring` service row.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct RingServiceRow {
     /// Backend label: `ufork-full` / `ufork-coa` / `ufork-copa` /
     /// `multias`.
@@ -79,6 +95,21 @@ pub struct RingServiceRow {
     pub rings: Vec<(String, u64, u64, u64, u64)>,
     /// The store's serialized dump file.
     pub dump: Vec<u8>,
+}
+
+impl Row for RingServiceRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        let c = &self.counters;
+        vec![
+            ("mode", Cell::Str(self.mode.into())),
+            ("requests", Cell::Int(self.requests)),
+            ("sim_final_ns", Cell::Ns(self.sim_final_ns)),
+            ("ring_msgs", Cell::Int(c.ring_msgs)),
+            ("ring_full_stalls", Cell::Int(c.ring_full_stalls)),
+            ("ring_caps_relocated", Cell::Int(c.ring_caps_relocated)),
+            ("kv_digest", Cell::Hex(self.kv_digest)),
+        ]
+    }
 }
 
 /// A process that forks once while holding IPC endpoints — the fork
@@ -190,15 +221,8 @@ pub fn ring_fork_sweep() -> Vec<RingForkRow> {
     let mut rows = Vec::new();
     for mode in storm_modes() {
         for (setup, rings) in [("pipes", false), ("rings", true)] {
-            let (ns, counters) = run_probe(&mode, rings);
-            let (ns2, counters2) = run_probe(&mode, rings);
-            assert_eq!(
-                ns.to_bits(),
-                ns2.to_bits(),
-                "fork_ring/{}/{setup} is nondeterministic: {ns} ns vs {ns2} ns",
-                mode.label
-            );
-            assert_eq!(counters, counters2);
+            let what = format!("fork_ring/{}/{setup}", mode.label);
+            let (ns, counters) = repeatable(&what, || run_probe(&mode, rings));
             let relocated = counters.ring_caps_relocated;
             if rings {
                 assert!(
@@ -239,53 +263,45 @@ pub fn ring_fork_sweep() -> Vec<RingForkRow> {
 
 /// Runs the multi-tier service once on one backend.
 fn run_service(mode: &'static str, requests: u64) -> RingServiceRow {
-    let cfg = RingSvcConfig {
-        requests,
-        ..RingSvcConfig::default()
-    };
-    let prog = Box::new(RingSvc::new(cfg.clone()));
-    let mcfg = MachineConfig {
-        cores: 4,
-        ..MachineConfig::default()
-    };
-    match mode {
+    let strategy = match mode {
         "multias" => {
             let os = mono(BaselineConfig {
                 phys_mib: 256,
                 ..BaselineConfig::default()
             });
-            let mut m = Machine::new(os, mcfg);
-            m.spawn(&ImageSpec::hello_world(), prog)
-                .expect("spawn ringsvc");
-            m.run();
-            observe_service(&m, mode, &cfg)
+            return serve(os, mode, requests);
         }
-        _ => {
-            let strategy = match mode {
-                "ufork-full" => ufork_abi::CopyStrategy::Full,
-                "ufork-coa" => ufork_abi::CopyStrategy::CoA,
-                "ufork-copa" => ufork_abi::CopyStrategy::CoPA,
-                other => unreachable!("unknown ring service mode {other}"),
-            };
-            let os = UforkOs::new(UforkConfig {
-                phys_mib: 256,
-                strategy,
-                ..UforkConfig::default()
-            });
-            let mut m = Machine::new(os, mcfg);
-            m.spawn(&ImageSpec::hello_world(), prog)
-                .expect("spawn ringsvc");
-            m.run();
-            observe_service(&m, mode, &cfg)
-        }
-    }
+        "ufork-full" => ufork_abi::CopyStrategy::Full,
+        "ufork-coa" => ufork_abi::CopyStrategy::CoA,
+        "ufork-copa" => ufork_abi::CopyStrategy::CoPA,
+        other => unreachable!("unknown ring service mode {other}"),
+    };
+    let os = UforkOs::new(UforkConfig {
+        phys_mib: 256,
+        strategy,
+        ..UforkConfig::default()
+    });
+    serve(os, mode, requests)
 }
 
-fn observe_service<O: MemOs>(
-    m: &Machine<O>,
-    mode: &'static str,
-    cfg: &RingSvcConfig,
-) -> RingServiceRow {
+/// Runs the service to completion on a 4-core machine over `os` and
+/// observes its row.
+fn serve<O: MemOs>(os: O, mode: &'static str, requests: u64) -> RingServiceRow {
+    let cfg = RingSvcConfig {
+        requests,
+        ..RingSvcConfig::default()
+    };
+    let mcfg = MachineConfig {
+        cores: 4,
+        ..MachineConfig::default()
+    };
+    let mut m = Machine::new(os, mcfg);
+    m.spawn(
+        &ImageSpec::hello_world(),
+        Box::new(RingSvc::new(cfg.clone())),
+    )
+    .expect("spawn ringsvc");
+    m.run();
     // frontend + store + workers + snapshot child, in fork order.
     for pid in 1..=cfg.workers as u32 + 3 {
         assert_eq!(
@@ -333,18 +349,9 @@ pub fn ring_service_sweep(requests: u64) -> Vec<RingServiceRow> {
     let rows: Vec<RingServiceRow> = RING_SERVICE_MODES
         .iter()
         .map(|mode| {
-            let a = run_service(mode, requests);
-            let b = run_service(mode, requests);
-            assert_eq!(
-                a.sim_final_ns.to_bits(),
-                b.sim_final_ns.to_bits(),
-                "fork_ring_service/{mode} is nondeterministic"
-            );
-            assert_eq!(
-                a, b,
-                "fork_ring_service/{mode} observables differ across runs"
-            );
-            a
+            repeatable(&format!("fork_ring_service/{mode}"), || {
+                run_service(mode, requests)
+            })
         })
         .collect();
     let base = &rows[0];

@@ -22,6 +22,8 @@ use ufork_exec::{Ctx, MemOs};
 use ufork_mem::PAGE_SIZE;
 use ufork_sim::OpCounters;
 
+use crate::report::{repeatable, Cell, Row};
+
 /// Heap pages of the snapshot-train parent. Large enough that the
 /// per-page walk dwarfs the fixed fork cost — the 0.25× dirty-scope
 /// gate is asymptotic, not a fixed-cost artifact.
@@ -60,19 +62,41 @@ pub struct SnapshotRow {
     pub counters: OpCounters,
 }
 
+impl Row for SnapshotRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("system", Cell::Str(self.system.clone())),
+            ("scope", Cell::Str(self.scope.into())),
+            ("walk", Cell::Str(self.walk.into())),
+            ("snapshot", Cell::Int(self.snapshot.into())),
+            ("sim_fork_ns", Cell::Ns(self.sim_fork_ns)),
+            ("sim_copy_done_ns", Cell::Ns(self.sim_copy_done_ns)),
+            (
+                "pages_dirty_copied",
+                Cell::Int(self.counters.pages_dirty_copied),
+            ),
+            (
+                "pages_shared_clean",
+                Cell::Int(self.counters.pages_shared_clean),
+            ),
+        ]
+    }
+}
+
 /// Drives one snapshot train through the [`MemOs`] trait, so μFork and
 /// the multi-AS baseline run the identical workload: populate
-/// `heap_pages`, then per round dirty `write_rate` of them (a rotating
-/// contiguous window, so rounds are deterministic but not identical)
-/// and fork a snapshot child, draining any pipelined background copy
-/// before tearing the child down. Returns per-snapshot
-/// `(commit_ns, copy_done_ns, counters)`.
-fn run_train_os<O: MemOs>(
-    os: &mut O,
-    heap_pages: u64,
-    write_rate: f64,
-    snapshots: u32,
-) -> Vec<(f64, f64, OpCounters)> {
+/// [`TRAIN_HEAP_PAGES`], then per round dirty [`TRAIN_WRITE_RATE`] of them
+/// (a rotating contiguous window, so rounds are deterministic but not
+/// identical) and fork a snapshot child, draining any pipelined
+/// background copy before tearing the child down. Returns one row per
+/// snapshot, labelled `system`, `scope` and `walk`.
+fn run_train<O: MemOs>(
+    mut os: O,
+    system: &str,
+    scope: &'static str,
+    walk: &'static str,
+) -> Vec<SnapshotRow> {
+    let heap_pages = TRAIN_HEAP_PAGES;
     let mut ctx = Ctx::new();
     let img = ImageSpec::with_heap("snapshot", heap_pages * PAGE_SIZE + (256 << 10));
     os.spawn(&mut ctx, Pid(1), &img).expect("spawn snapshot");
@@ -91,11 +115,11 @@ fn run_train_os<O: MemOs>(
         }
     }
 
-    let dirty_per_round = ((heap_pages as f64 * write_rate).ceil() as u64).min(heap_pages);
+    let dirty_per_round = ((heap_pages as f64 * TRAIN_WRITE_RATE).ceil() as u64).min(heap_pages);
     let mut rows = Vec::new();
-    for s in 1..=snapshots {
+    for s in 1..=TRAIN_SNAPSHOTS {
         // The write-heavy mix between snapshots: a contiguous window of
-        // `write_rate` pages, rotated per round.
+        // `TRAIN_WRITE_RATE` pages, rotated per round.
         let start = (u64::from(s - 1) * dirty_per_round) % heap_pages;
         for i in 0..dirty_per_round {
             let page = (start + i) % heap_pages;
@@ -112,7 +136,15 @@ fn run_train_os<O: MemOs>(
         let commit_ns = fctx.kernel_ns;
         // Stream any pipelined background window on the same context.
         while os.pipeline_step(&mut fctx, child).expect("drain") {}
-        rows.push((commit_ns, fctx.kernel_ns, fctx.counters));
+        rows.push(SnapshotRow {
+            system: system.to_string(),
+            scope,
+            walk,
+            snapshot: s,
+            sim_fork_ns: commit_ns,
+            sim_copy_done_ns: fctx.kernel_ns,
+            counters: fctx.counters,
+        });
         // BGSAVE done: the snapshot child exits.
         os.destroy(&mut ctx, child);
     }
@@ -138,48 +170,24 @@ pub fn snapshot_train_run(
     walk: WalkMode,
     track_dirty: bool,
 ) -> Vec<SnapshotRow> {
-    let mut os = UforkOs::new(UforkConfig {
+    let os = UforkOs::new(UforkConfig {
         phys_mib: 64,
         strategy: CopyStrategy::Full,
         walk,
         track_dirty,
         ..UforkConfig::default()
     });
-    run_train_os(&mut os, TRAIN_HEAP_PAGES, TRAIN_WRITE_RATE, TRAIN_SNAPSHOTS)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (fork_ns, done_ns, counters))| SnapshotRow {
-            system: "μFork (full copy)".to_string(),
-            scope,
-            walk: walk_label,
-            snapshot: i as u32 + 1,
-            sim_fork_ns: fork_ns,
-            sim_copy_done_ns: done_ns,
-            counters,
-        })
-        .collect()
+    run_train(os, "μFork (full copy)", scope, walk_label)
 }
 
 /// Runs the same train on the CheriBSD-like multi-AS baseline (classic
 /// CoW fork; no dirty scope exists to cut the per-PTE walk).
 pub fn snapshot_train_baseline() -> Vec<SnapshotRow> {
-    let mut os = mono(BaselineConfig {
+    let os = mono(BaselineConfig {
         phys_mib: 64,
         ..BaselineConfig::default()
     });
-    run_train_os(&mut os, TRAIN_HEAP_PAGES, TRAIN_WRITE_RATE, TRAIN_SNAPSHOTS)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (fork_ns, done_ns, counters))| SnapshotRow {
-            system: "CheriBSD".to_string(),
-            scope: "everything",
-            walk: "-",
-            snapshot: i as u32 + 1,
-            sim_fork_ns: fork_ns,
-            sim_copy_done_ns: done_ns,
-            counters,
-        })
-        .collect()
+    run_train(os, "CheriBSD", "everything", "-")
 }
 
 /// The full snapshot-train sweep: every μFork variant plus the
@@ -191,25 +199,14 @@ pub fn snapshot_train_baseline() -> Vec<SnapshotRow> {
 /// `DirtySince` fork completes its copy within 0.25× the
 /// `Everything`-scope fork, and shares clean pages.
 pub fn snapshot_train_sweep() -> Vec<SnapshotRow> {
-    let run = || {
+    let rows = repeatable("fork_snapshot_train", || {
         let mut rows = Vec::new();
         for (scope, walk_label, walk, track) in snapshot_train_modes() {
             rows.extend(snapshot_train_run(scope, walk_label, walk, track));
         }
         rows.extend(snapshot_train_baseline());
         rows
-    };
-    let rows = run();
-    for (a, b) in rows.iter().zip(&run()) {
-        assert_eq!(
-            (a.sim_fork_ns.to_bits(), a.sim_copy_done_ns.to_bits()),
-            (b.sim_fork_ns.to_bits(), b.sim_copy_done_ns.to_bits()),
-            "fork_snapshot_train/{}/{}/{} is nondeterministic",
-            a.scope,
-            a.walk,
-            a.snapshot
-        );
-    }
+    });
     let pick = |scope: &str, walk: &str, snap: u32| {
         rows.iter()
             .find(|r| r.scope == scope && r.walk == walk && r.snapshot == snap)
@@ -252,6 +249,21 @@ pub struct ZygoteFleetRow {
     pub frames_fleet: u32,
     /// The fleet's counters, summed over every fork and drain.
     pub counters: OpCounters,
+}
+
+impl Row for ZygoteFleetRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        let c = &self.counters;
+        vec![
+            ("variant", Cell::Str(self.variant.clone())),
+            ("children", Cell::Int(self.children.into())),
+            ("frames_one_child", Cell::Int(self.frames_one_child.into())),
+            ("frames_fleet", Cell::Int(self.frames_fleet.into())),
+            ("frames_deduped", Cell::Int(c.frames_deduped)),
+            ("dedup_hash_probes", Cell::Int(c.dedup_hash_probes)),
+            ("pages_shared_clean", Cell::Int(c.pages_shared_clean)),
+        ]
+    }
 }
 
 /// Zygote heap pages. Data-only content (no capabilities): frames that
@@ -317,7 +329,7 @@ pub fn zygote_fleet_run(
 /// resident frames of a single child, and every dedup fleet actually
 /// deduplicated frames.
 pub fn zygote_fleet_sweep() -> Vec<ZygoteFleetRow> {
-    let run = || {
+    let rows = repeatable("fork_zygote", || {
         vec![
             zygote_fleet_run("baseline/serial", WalkMode::Serial, false, false),
             zygote_fleet_run("dedup/serial", WalkMode::Serial, true, false),
@@ -326,16 +338,7 @@ pub fn zygote_fleet_sweep() -> Vec<ZygoteFleetRow> {
             zygote_fleet_run("dedup/pipelined", WalkMode::Pipelined, true, false),
             zygote_fleet_run("dirty/pipelined", WalkMode::Pipelined, false, true),
         ]
-    };
-    let rows = run();
-    for (a, b) in rows.iter().zip(&run()) {
-        assert_eq!(
-            (a.frames_one_child, a.frames_fleet, a.counters),
-            (b.frames_one_child, b.frames_fleet, b.counters),
-            "fork_zygote/{} is nondeterministic",
-            a.variant
-        );
-    }
+    });
     for r in &rows {
         if r.variant.starts_with("dedup/") || r.variant.starts_with("dirty/") {
             let ratio = f64::from(r.frames_fleet) / f64::from(r.frames_one_child);

@@ -13,6 +13,8 @@ use ufork_abi::{CopyStrategy, ImageSpec};
 use ufork_exec::{Machine, MachineConfig, MemOs};
 use ufork_workloads::storm::{percentile, summarize, StormConfig, StormReport, StormZygote};
 
+use crate::report::{repeatable, Cell, Row};
+
 /// One storm configuration (mode) of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct StormMode {
@@ -27,46 +29,20 @@ pub struct StormMode {
 /// The swept modes: eager copy serial, 8-worker parallel and pipelined
 /// (commit early, copy behind the child), then the two lazy strategies.
 pub fn storm_modes() -> Vec<StormMode> {
-    vec![
-        StormMode {
-            label: "full_serial",
-            strategy: CopyStrategy::Full,
-            walk: WalkMode::Serial,
-        },
-        StormMode {
-            label: "full_par8",
-            strategy: CopyStrategy::Full,
-            walk: WalkMode::Parallel(8),
-        },
-        StormMode {
-            label: "full_pipelined",
-            strategy: CopyStrategy::Full,
-            walk: WalkMode::Pipelined,
-        },
-        StormMode {
-            label: "coa",
-            strategy: CopyStrategy::CoA,
-            walk: WalkMode::Serial,
-        },
-        StormMode {
-            label: "copa",
-            strategy: CopyStrategy::CoPA,
-            walk: WalkMode::Serial,
-        },
+    [
+        ("full_serial", CopyStrategy::Full, WalkMode::Serial),
+        ("full_par8", CopyStrategy::Full, WalkMode::Parallel(8)),
+        ("full_pipelined", CopyStrategy::Full, WalkMode::Pipelined),
+        ("coa", CopyStrategy::CoA, WalkMode::Serial),
+        ("copa", CopyStrategy::CoPA, WalkMode::Serial),
     ]
-}
-
-/// Background-copy statistics of one storm run, distilled from the
-/// machine's [`ufork_exec::PipelineEvent`] log. All-zero for every
-/// non-pipelined mode.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StormPipeline {
-    /// Background windows opened *and* closed while the child lived.
-    pub windows: u64,
-    /// Median time from fork commit to copy complete (ns, simulated).
-    pub p50_copy_done_ns: f64,
-    /// 99th-percentile time from fork commit to copy complete (ns).
-    pub p99_copy_done_ns: f64,
+    .into_iter()
+    .map(|(label, strategy, walk)| StormMode {
+        label,
+        strategy,
+        walk,
+    })
+    .collect()
 }
 
 /// The storm's function image. Deliberately tiny (a few pages): the
@@ -84,21 +60,51 @@ pub fn storm_image() -> ImageSpec {
     }
 }
 
-/// Runs one storm to completion and distills its report.
+/// One `fork_storm` row: a storm mode and what its run measured.
+#[derive(Clone, Copy, Debug)]
+pub struct StormRow {
+    /// The mode stormed.
+    pub mode: StormMode,
+    /// The storm's fork latencies, throughput and event-log digest.
+    pub report: StormReport,
+    /// Background-copy windows opened *and* closed while the child
+    /// lived, from the machine's [`ufork_exec::PipelineEvent`] log (0 for
+    /// every non-pipelined mode).
+    pub copy_windows: u64,
+    /// Median time from fork commit to copy complete (ns, simulated).
+    pub p50_copy_done_ns: f64,
+    /// 99th-percentile time from fork commit to copy complete (ns).
+    pub p99_copy_done_ns: f64,
+}
+
+impl Row for StormRow {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        let r = &self.report;
+        vec![
+            ("mode", Cell::Str(self.mode.label.into())),
+            ("children", Cell::Int(r.children.into())),
+            ("completed", Cell::Int(r.completed.into())),
+            ("peak_live", Cell::Int(r.peak_live.into())),
+            ("retries", Cell::Int(r.retries.into())),
+            ("sim_p50_ns", Cell::Ns(r.p50_fork_ns)),
+            ("sim_p99_ns", Cell::Ns(r.p99_fork_ns)),
+            ("sim_mean_ns", Cell::Ns(r.mean_fork_ns)),
+            ("sim_ns_per_fork", Cell::Ns(r.sim_ns_per_fork)),
+            ("forks_per_sim_sec", Cell::Rate(r.forks_per_sim_sec)),
+            ("sim_final_ns", Cell::Ns(r.final_ns)),
+            ("copy_windows", Cell::Int(self.copy_windows)),
+            ("sim_copy_done_p50_ns", Cell::Ns(self.p50_copy_done_ns)),
+            ("sim_copy_done_p99_ns", Cell::Ns(self.p99_copy_done_ns)),
+            ("digest", Cell::Hex(r.digest)),
+        ]
+    }
+}
+
+/// Runs one storm to completion and distills its row.
 ///
 /// Panics if the storm does not complete cleanly — a storm that loses
 /// children is a scheduler bug, not a data point.
-pub fn run_storm(mode: &StormMode, children: u32, seed: u64, cores: usize) -> StormReport {
-    run_storm_full(mode, children, seed, cores).0
-}
-
-/// [`run_storm`] plus the pipelined background-copy statistics.
-pub fn run_storm_full(
-    mode: &StormMode,
-    children: u32,
-    seed: u64,
-    cores: usize,
-) -> (StormReport, StormPipeline) {
+pub fn run_storm(mode: &StormMode, children: u32, seed: u64, cores: usize) -> StormRow {
     let os = UforkOs::new(UforkConfig {
         phys_mib: 1024,
         strategy: mode.strategy,
@@ -142,58 +148,43 @@ pub fn run_storm_full(
         .map(|e| e.done_at - e.committed_at)
         .collect();
     behind.sort_unstable_by(f64::total_cmp);
-    let pipeline = StormPipeline {
-        windows: behind.len() as u64,
-        p50_copy_done_ns: percentile(&behind, 0.50),
-        p99_copy_done_ns: percentile(&behind, 0.99),
-    };
     if mode.walk == WalkMode::Pipelined {
         assert!(
-            pipeline.windows > 0,
+            !behind.is_empty(),
             "storm/{}: pipelined storm logged no background-copy windows",
             mode.label
         );
     }
-    (report, pipeline)
+    StormRow {
+        mode: *mode,
+        report,
+        copy_windows: behind.len() as u64,
+        p50_copy_done_ns: percentile(&behind, 0.50),
+        p99_copy_done_ns: percentile(&behind, 0.99),
+    }
 }
 
 /// Runs the full mode sweep at the given scale, executing every mode
-/// twice and asserting the two runs are bit-identical (event-log digest,
-/// final simulated time, p50/p99, copy-completion percentiles) — the
-/// storm's determinism contract.
+/// twice and asserting the two runs are bit-identical — the storm's
+/// determinism contract.
 ///
 /// Also enforces the point of committing early: under storm pressure the
 /// pipelined eager fork beats the widest synchronous parallel walk at the
 /// tail, not just the median (`full_pipelined` p99 < `full_par8` p99).
-pub fn storm_sweep(
-    children: u32,
-    seed: u64,
-    cores: usize,
-) -> Vec<(StormMode, StormReport, StormPipeline)> {
-    let rows: Vec<_> = storm_modes()
-        .into_iter()
+pub fn storm_sweep(children: u32, seed: u64, cores: usize) -> Vec<StormRow> {
+    let rows: Vec<StormRow> = storm_modes()
+        .iter()
         .map(|mode| {
-            let (a, pa) = run_storm_full(&mode, children, seed, cores);
-            let (b, pb) = run_storm_full(&mode, children, seed, cores);
-            assert_eq!(
-                a.digest, b.digest,
-                "fork_storm/{} event log is nondeterministic",
-                mode.label
-            );
-            assert_eq!(a.final_ns.to_bits(), b.final_ns.to_bits());
-            assert_eq!(a.p50_fork_ns.to_bits(), b.p50_fork_ns.to_bits());
-            assert_eq!(a.p99_fork_ns.to_bits(), b.p99_fork_ns.to_bits());
-            assert_eq!(pa.windows, pb.windows);
-            assert_eq!(pa.p50_copy_done_ns.to_bits(), pb.p50_copy_done_ns.to_bits());
-            assert_eq!(pa.p99_copy_done_ns.to_bits(), pb.p99_copy_done_ns.to_bits());
-            (mode, a, pa)
+            repeatable(&format!("fork_storm/{}", mode.label), || {
+                run_storm(mode, children, seed, cores)
+            })
         })
         .collect();
     let p99 = |label: &str| {
         rows.iter()
-            .find(|(m, _, _)| m.label == label)
+            .find(|r| r.mode.label == label)
             .expect("storm mode")
-            .1
+            .report
             .p99_fork_ns
     };
     assert!(
@@ -227,7 +218,7 @@ mod tests {
             strategy: CopyStrategy::CoPA,
             walk: WalkMode::Serial,
         };
-        let r = run_storm(&mode, 200, 7, 4);
+        let r = run_storm(&mode, 200, 7, 4).report;
         assert_eq!(r.completed, 200);
         assert_eq!(r.peak_live, 200);
         assert_eq!(r.retries, 0);
@@ -242,11 +233,11 @@ mod tests {
             strategy: CopyStrategy::Full,
             walk: WalkMode::Serial,
         };
-        let a = run_storm(&mode, 120, 11, 2);
-        let b = run_storm(&mode, 120, 11, 2);
+        let a = run_storm(&mode, 120, 11, 2).report;
+        let b = run_storm(&mode, 120, 11, 2).report;
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.final_ns.to_bits(), b.final_ns.to_bits());
-        let c = run_storm(&mode, 120, 12, 2);
+        let c = run_storm(&mode, 120, 12, 2).report;
         assert_ne!(a.digest, c.digest, "different seeds must diverge");
     }
 }

@@ -9,24 +9,22 @@
 //! every run, and re-validated structurally by the CI trace-smoke job on
 //! the exported JSON.
 
-use ufork::{UforkConfig, UforkOs, WalkMode};
-use ufork_abi::{CopyStrategy, ImageSpec, Pid};
+use ufork::WalkMode;
+use ufork_abi::{CopyStrategy, Pid};
 use ufork_exec::{Ctx, MemOs};
-use ufork_mem::PAGE_SIZE;
 use ufork_sim::{
-    assert_counter_pairs, chrome_trace_json, summary_table, OpCounters, TraceBuf, TraceRun,
-    DEFAULT_TRACE_CAPACITY,
+    assert_counter_pairs, chrome_trace_json, summary_table, OpCounters, PhaseTotal, TraceBuf,
+    TraceRun, DEFAULT_TRACE_CAPACITY,
 };
 
-use crate::SCALING_PAGES;
+use crate::report::{Cell, Row};
+use crate::{scaling_parent, walk_label};
 
 /// One traced fork: the recorded buffer plus the independently measured
 /// end-to-end simulated time and the fork's counter deltas.
 pub struct TracedFork {
     /// Run label: `"serial"`, `"parN"` or `"pipelined"`.
     pub name: String,
-    /// Walk workers (0 = serial walk, 1 = pipelined stream lane).
-    pub workers: usize,
     /// Simulated latency at which the fork committed and the child was
     /// runnable (kernel ns). Equals `end_to_end_ns` except under the
     /// pipelined walk, which keeps copying after the commit.
@@ -41,6 +39,35 @@ pub struct TracedFork {
     pub counters: OpCounters,
 }
 
+/// One `fork_phases` row: one phase's totals in one traced fork.
+pub struct PhaseRow<'a> {
+    /// The traced fork's label.
+    pub mode: &'a str,
+    /// The phase's totals.
+    pub phase: &'a PhaseTotal,
+}
+
+impl Row for PhaseRow<'_> {
+    fn cells(&self) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("mode", Cell::Str(self.mode.into())),
+            ("phase", Cell::Str(self.phase.name.into())),
+            ("sim_total_ns", Cell::Ns(self.phase.total_ns)),
+            ("spans", Cell::Int(self.phase.count)),
+        ]
+    }
+}
+
+impl TracedFork {
+    /// The fork's phases as `fork_phases` rows, in first-closed order.
+    pub fn phase_rows(&self) -> impl Iterator<Item = PhaseRow<'_>> {
+        self.buf.phases().iter().map(|phase| PhaseRow {
+            mode: &self.name,
+            phase,
+        })
+    }
+}
+
 /// Forks the scaling workload under `walk` with tracing enabled.
 ///
 /// # Panics
@@ -50,25 +77,7 @@ pub struct TracedFork {
 /// phase breakdown rests on — or if a counter differs from the trace
 /// events the phase table pairs it with.
 pub fn trace_fork_run(walk: WalkMode) -> TracedFork {
-    let mut os = UforkOs::new(UforkConfig {
-        phys_mib: 256,
-        strategy: CopyStrategy::Full,
-        walk,
-        ..UforkConfig::default()
-    });
-    let mut ctx = Ctx::new();
-    let img = ImageSpec::with_heap("scaling", SCALING_PAGES * PAGE_SIZE + (256 << 10));
-    os.spawn(&mut ctx, Pid(1), &img).expect("spawn trace");
-    let heap_bytes = SCALING_PAGES * PAGE_SIZE;
-    let arr = os.malloc(&mut ctx, Pid(1), heap_bytes).expect("heap");
-    let mut off = 0;
-    while off < heap_bytes {
-        let slot = arr.with_addr(arr.base() + off).expect("slot");
-        os.store_cap(&mut ctx, Pid(1), &slot, &slot)
-            .expect("store cap");
-        off += 32;
-    }
-    os.set_reg(Pid(1), 4, arr).expect("reg");
+    let mut os = scaling_parent(CopyStrategy::Full, walk, true);
 
     // A fresh context makes kernel_ns start at zero, so its final value
     // is the same ordered sum of charges the trace accumulated.
@@ -90,14 +99,9 @@ pub fn trace_fork_run(walk: WalkMode) -> TracedFork {
         "trace charge accumulator must survive the background drain bitwise"
     );
     assert_counter_pairs(&fctx.trace, &fctx.counters);
-    let (workers, name) = match walk {
-        WalkMode::Serial => (0, "serial".to_string()),
-        WalkMode::Pipelined => (1, "pipelined".to_string()),
-        WalkMode::Parallel(n) => (n.max(1), format!("par{}", n.max(1))),
-    };
+    let (name, _) = walk_label(walk);
     TracedFork {
         name,
-        workers,
         commit_ns,
         end_to_end_ns: fctx.kernel_ns,
         buf: fctx.trace,
@@ -150,6 +154,9 @@ pub fn trace_summary_text(runs: &[TracedFork]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ufork::{UforkConfig, UforkOs};
+    use ufork_abi::ImageSpec;
+    use ufork_mem::PAGE_SIZE;
     use ufork_sim::{Instant, Lane, Phase};
 
     #[test]

@@ -41,3 +41,33 @@ fn known_subcommand_succeeds() {
     assert!(out.status.success(), "repro table1 failed");
     assert!(String::from_utf8_lossy(&out.stdout).contains("== Table 1"));
 }
+
+/// The `repro scaling` table and the committed `BENCH_fork.json` render
+/// the same row type, so the table's header is the family's JSON keys.
+#[test]
+fn scaling_table_header_is_the_bench_json_keys() {
+    let out = repro(&["scaling"]);
+    assert!(out.status.success(), "repro scaling failed");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines();
+    lines
+        .by_ref()
+        .find(|l| l.starts_with("== Fork scaling"))
+        .expect("fork_scaling table title");
+    let header: Vec<&str> = lines.next().expect("header").split_whitespace().collect();
+
+    let json = include_str!("../../../BENCH_fork.json");
+    let row = json
+        .lines()
+        .skip_while(|l| !l.contains("\"fork_scaling\": ["))
+        .nth(1)
+        .expect("first fork_scaling row");
+    // Split on quotes: a key is the quoted text right before a `:`.
+    let parts: Vec<&str> = row.split('"').collect();
+    let keys: Vec<&str> = parts
+        .windows(2)
+        .filter(|w| w[1].starts_with(':'))
+        .map(|w| w[0])
+        .collect();
+    assert_eq!(header, keys);
+}

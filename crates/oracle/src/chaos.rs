@@ -2,7 +2,7 @@
 //!
 //! Where [`crate::fault`] fails *allocations*, this sweep aborts at
 //! *journal op* granularity: each leg of the abort-point sweep
-//! ([`crate::sweep`]) arms [`UforkOs::inject_journal_failure`] at every
+//! (`crate::sweep`) arms [`UforkOs::inject_journal_failure`] at every
 //! op its operation records. Injected aborts are fatal — the kernel's
 //! reclaim-then-retry loop must *not* absorb them — so each point must
 //! show a textbook transactional abort: the operation fails once with a
@@ -13,7 +13,7 @@
 //! without a live shared-memory ring in flight; the pipelined fork's
 //! per-chunk background copy (`crates/core/src/pipeline.rs`); a 10-deep
 //! dirty-scope snapshot train; background-reclaim scrub passes; and OOM
-//! victim teardowns. Mid-storm injections ([`storm_chaos`]) then fail a
+//! victim teardowns. Mid-storm injections (`storm_chaos`) then fail a
 //! fork under scheduler load.
 
 use std::fmt;

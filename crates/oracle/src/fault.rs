@@ -1,6 +1,6 @@
 //! Deterministic fault injection around fork.
 //!
-//! Each scenario is a leg of the abort-point sweep ([`crate::sweep`]) on
+//! Each scenario is a leg of the abort-point sweep (`crate::sweep`) on
 //! the allocator's attempt counter: it fails exactly the N-th frame
 //! allocation ([`UforkOs::inject_frame_alloc_failure`]) once per attempt
 //! of the operation. A one-shot allocation failure is *transient*, so the

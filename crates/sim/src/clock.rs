@@ -1,6 +1,4 @@
-//! Deterministic simulated clock.
-
-use std::fmt;
+//! Simulated time.
 
 /// A point in (or span of) simulated time, in nanoseconds.
 ///
@@ -9,149 +7,3 @@ use std::fmt;
 /// reach tens of simulated seconds. `f64` keeps both exact enough
 /// (relative error < 2⁻⁵²) and keeps arithmetic simple and deterministic.
 pub type Ns = f64;
-
-/// A monotonically advancing simulated clock.
-///
-/// # Examples
-///
-/// ```
-/// use ufork_sim::Clock;
-///
-/// let mut c = Clock::new();
-/// c.advance(1500.0);
-/// assert_eq!(c.now(), 1500.0);
-/// assert!((c.now_us() - 1.5).abs() < 1e-12);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Clock {
-    now: Ns,
-}
-
-impl Clock {
-    /// A clock at time zero.
-    pub fn new() -> Clock {
-        Clock::default()
-    }
-
-    /// Current simulated time in nanoseconds.
-    pub fn now(&self) -> Ns {
-        self.now
-    }
-
-    /// Current time in microseconds.
-    pub fn now_us(&self) -> f64 {
-        self.now / 1e3
-    }
-
-    /// Current time in milliseconds.
-    pub fn now_ms(&self) -> f64 {
-        self.now / 1e6
-    }
-
-    /// Advances the clock by `ns` nanoseconds, saturating.
-    ///
-    /// The arithmetic is checked: a negative or NaN `ns` is a no-op in
-    /// release builds (time never goes backwards, and a NaN must not
-    /// poison every later timestamp), and an advance that would overflow
-    /// past `f64::MAX` saturates there instead of producing infinity.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `ns` is negative or NaN, so bugs that
-    /// compute nonsense costs are caught in tests while production runs
-    /// degrade monotonically.
-    pub fn advance(&mut self, ns: Ns) {
-        debug_assert!(ns >= 0.0, "negative time advance: {ns}");
-        if ns.is_nan() || ns < 0.0 {
-            return; // NaN or negative: refuse to rewind or poison.
-        }
-        let next = self.now + ns;
-        if next.is_finite() {
-            // `next >= self.now` holds for finite sums of non-negatives.
-            self.now = next;
-        } else {
-            self.now = f64::MAX;
-        }
-    }
-
-    /// Advances the clock to `t` if `t` is later than now.
-    ///
-    /// Advancing to a timestamp in the past (or to NaN) is a documented
-    /// **no-op**, not a rewind: callers synchronizing against an older
-    /// lane or event simply keep the current time.
-    pub fn advance_to(&mut self, t: Ns) {
-        if t > self.now {
-            self.now = if t.is_finite() { t } else { f64::MAX };
-        }
-    }
-}
-
-impl fmt::Display for Clock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={:.3}µs", self.now_us())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn advances_monotonically() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), 0.0);
-        c.advance(10.0);
-        c.advance(0.5);
-        assert_eq!(c.now(), 10.5);
-    }
-
-    #[test]
-    fn advance_to_never_rewinds() {
-        let mut c = Clock::new();
-        c.advance(100.0);
-        c.advance_to(50.0);
-        assert_eq!(c.now(), 100.0);
-        c.advance_to(200.0);
-        assert_eq!(c.now(), 200.0);
-    }
-
-    #[test]
-    fn unit_conversions() {
-        let mut c = Clock::new();
-        c.advance(2_500_000.0);
-        assert!((c.now_ms() - 2.5).abs() < 1e-12);
-        assert!((c.now_us() - 2500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative time advance")]
-    fn negative_advance_panics_in_debug() {
-        Clock::new().advance(-1.0);
-    }
-
-    #[test]
-    fn advance_saturates_instead_of_overflowing() {
-        let mut c = Clock::new();
-        c.advance(f64::MAX);
-        c.advance(f64::MAX);
-        assert_eq!(c.now(), f64::MAX);
-        assert!(c.now().is_finite());
-        // Saturated clocks still accept (and ignore) further advances.
-        c.advance(1.0);
-        assert_eq!(c.now(), f64::MAX);
-    }
-
-    #[test]
-    fn advance_to_past_is_a_no_op() {
-        let mut c = Clock::new();
-        c.advance(100.0);
-        c.advance_to(100.0); // equal timestamp: no-op too
-        assert_eq!(c.now(), 100.0);
-        c.advance_to(-5.0);
-        assert_eq!(c.now(), 100.0);
-        c.advance_to(f64::NAN); // NaN never compares greater: no-op
-        assert_eq!(c.now(), 100.0);
-        c.advance_to(f64::INFINITY); // future but non-finite: saturates
-        assert_eq!(c.now(), f64::MAX);
-    }
-}

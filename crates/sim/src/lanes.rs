@@ -51,7 +51,8 @@ impl LaneClocks {
 
     /// Charges `ns` of simulated work to `lane` (wrapping modulo the lane
     /// count, so callers can pass a raw chunk index). Negative and NaN
-    /// charges are ignored, matching [`crate::Clock::advance`].
+    /// charges are ignored (time never goes backwards, and a NaN must not
+    /// poison later timestamps); a sum past `f64::MAX` saturates there.
     pub fn charge(&mut self, lane: usize, ns: Ns) {
         if ns.is_nan() || ns < 0.0 {
             return;

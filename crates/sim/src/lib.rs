@@ -25,7 +25,7 @@ mod lanes;
 mod phases;
 mod trace;
 
-pub use clock::{Clock, Ns};
+pub use clock::Ns;
 pub use cost::CostModel;
 pub use counters::OpCounters;
 pub use lanes::LaneClocks;
